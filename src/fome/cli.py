@@ -34,14 +34,19 @@ _THREAD_VARS = (
 
 
 def _apply_threads(argv: list[str]) -> None:
-    threads = "1"
+    """Pin BLAS/OpenMP threads: an explicit --threads overrides the
+    environment, otherwise variables already set are kept and the rest get 1."""
+    threads = None
     for i, arg in enumerate(argv):
         if arg == "--threads" and i + 1 < len(argv):
             threads = argv[i + 1]
         elif arg.startswith("--threads="):
             threads = arg.split("=", 1)[1]
     for var in _THREAD_VARS:
-        os.environ.setdefault(var, threads)
+        if threads is None:
+            os.environ.setdefault(var, "1")
+        else:
+            os.environ[var] = threads
 
 
 def _configure_logging() -> None:
@@ -114,10 +119,15 @@ class _Manifest:
 
 
 def _read_bytes(path: str) -> bytes:
+    from .errors import IoError
+
     if path == "-":
         return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_bytes(path: str, payload: bytes) -> None:
@@ -206,7 +216,7 @@ def _cmd_preprocess(args, manifest: _Manifest) -> None:
 
     if args.format == "csv":
         recording = read_recording(args.infile, format="csv")
-        manifest.add_input(args.infile, open(args.infile, "rb").read())
+        manifest.add_input(args.infile, _read_bytes(args.infile))
     else:
         payload = _read_bytes(args.infile)
         manifest.add_input(args.infile, payload)
@@ -228,8 +238,8 @@ def _cmd_spectra(args, manifest: _Manifest) -> None:
     grid = grid_from_bytes(payload, source=args.infile)
     tensor = band_powers(grid, taper=args.taper)
     c, p, n = tensor.values.shape
-    rows = tensor.values.reshape(c * p, n)
-    text = "\n".join(",".join(f"{v!r}" for v in row) for row in rows) + "\n"
+    rows = tensor.values.reshape(c * p, n).tolist()
+    text = "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
     _write_text(args.out, text)
     manifest.add_config("spectra", {"taper": args.taper, "channels": c, "patches": p})
     manifest.add_output(args.out)
@@ -358,16 +368,16 @@ def _read_dataset_manifest(path: str, manifest: _Manifest):
     import csv
 
     base = os.path.dirname(os.path.abspath(path))
+    payload = _read_bytes(path)
     rows = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].startswith("#"):
-                continue
-            grid_path = row[0] if os.path.isabs(row[0]) else os.path.join(base, row[0])
-            label = int(row[1]) if len(row) > 1 and row[1] != "" else None
-            split = row[2].strip() if len(row) > 2 else None
-            rows.append((grid_path, label, split))
-    manifest.add_input(path, open(path, "rb").read())
+    for row in csv.reader(payload.decode("utf-8").splitlines()):
+        if not row or row[0].startswith("#"):
+            continue
+        grid_path = row[0] if os.path.isabs(row[0]) else os.path.join(base, row[0])
+        label = int(row[1]) if len(row) > 1 and row[1] != "" else None
+        split = row[2].strip() if len(row) > 2 else None
+        rows.append((grid_path, label, split))
+    manifest.add_input(path, payload)
     return rows
 
 
@@ -473,7 +483,7 @@ def _cmd_inspect_checkpoint(args, manifest: _Manifest) -> None:
     from .numerics import load_checkpoint
 
     arrays = load_checkpoint(args.infile)
-    manifest.add_input(args.infile, open(args.infile, "rb").read())
+    manifest.add_input(args.infile, _read_bytes(args.infile))
     listing = {name: list(arr.shape) for name, arr in arrays.items()}
     if args.json:
         _write_text(args.out, json.dumps(listing, indent=2) + "\n")

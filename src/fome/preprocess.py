@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import butter, iirnotch, sosfilt, upfirdn
+from scipy.signal import butter, iirnotch, lfilter, sosfilt, upfirdn
 
 from .errors import ConfigError, DataError, EmptyError, FormatError, IoError
 from .signal_store import Recording
@@ -69,6 +69,8 @@ class PatchGrid:
         self.patches = np.asarray(self.patches, dtype=np.float64)
         if self.patches.ndim != 3:
             raise DataError(f"patches must be 3-D, got shape {self.patches.shape}")
+        if 0 in self.patches.shape:
+            raise DataError(f"need at least one channel, patch and sample, got {self.patches.shape}")
         if self.patches.shape[2] != self.patch_len:
             raise DataError(
                 f"patch_len {self.patch_len} != trailing dim {self.patches.shape[2]}"
@@ -182,6 +184,16 @@ def detrend(r: Recording) -> Recording:
     return Recording(out, r.sample_rate_hz, r.channel_labels, r.id)
 
 
+def _standardize(x: np.ndarray, alpha: float, eps: float) -> tuple[np.ndarray, StandardizerState]:
+    """`standardize_ema` along the last axis of x, every leading index on its own."""
+    b, a = [alpha], [1.0, alpha - 1.0]
+    ema, _ = lfilter(b, a, x, axis=-1, zi=(1.0 - alpha) * x[..., :1])
+    dev = x - ema
+    var, _ = lfilter(b, a, dev**2, axis=-1, zi=np.zeros_like(x[..., :1]))
+    esd = np.sqrt(var)
+    return dev / (esd + eps), StandardizerState(ema=ema[..., -1], esd=esd[..., -1])
+
+
 def standardize_ema(
     r: Recording, cfg: PreprocessConfig
 ) -> tuple[Recording, StandardizerState]:
@@ -193,19 +205,12 @@ def standardize_ema(
         ema_t = a*x_t + (1-a)*ema_{t-1}
         esd_t = sqrt(a*(x_t - ema_t)^2 + (1-a)*esd_{t-1}^2)
         out_t = (x_t - ema_t) / (esd_t + eps)
+
+    Both recurrences run as first-order IIR filters; esd is filtered as the
+    variance esd_t^2 and square-rooted afterwards.
     """
-    a = cfg.ema_alpha
-    x = r.data
-    out = np.empty_like(x)
-    ema = x[:, 0].copy()
-    esd = np.zeros(r.channels)
-    for t in range(r.n_samples):
-        xt = x[:, t]
-        ema = a * xt + (1.0 - a) * ema
-        esd = np.sqrt(a * (xt - ema) ** 2 + (1.0 - a) * esd**2)
-        out[:, t] = (xt - ema) / (esd + cfg.eps)
-    rec = Recording(out, r.sample_rate_hz, r.channel_labels, r.id)
-    return rec, StandardizerState(ema=ema, esd=esd)
+    out, state = _standardize(r.data, cfg.ema_alpha, cfg.eps)
+    return Recording(out, r.sample_rate_hz, r.channel_labels, r.id), state
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +255,9 @@ def preprocess_pipeline(
             f"{stage.n_samples} samples at {cfg.target_rate_hz} Hz is shorter "
             f"than one window ({window})"
         )
-    pieces = []
-    for w in range(n_windows):
-        segment = Recording(
-            stage.data[:, w * window : (w + 1) * window], cfg.target_rate_hz
-        )
-        standardized, _ = standardize_ema(segment, cfg)
-        pieces.append(standardized.data)
-    signal = np.concatenate(pieces, axis=1)
+    windows = stage.data[:, : n_windows * window].reshape(stage.channels, n_windows, window)
+    standardized, _ = _standardize(windows, cfg.ema_alpha, cfg.eps)
+    signal = standardized.reshape(stage.channels, n_windows * window)
     windowed = Recording(signal, cfg.target_rate_hz, r.channel_labels, r.id)
     return window_and_patch(windowed, cfg, patch_len)
 

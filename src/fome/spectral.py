@@ -1,8 +1,7 @@
 """Fourier analysis of patches: spectra, power density, and band powers.
 
-The transform core is an iterative radix-2 Cooley-Tukey FFT plus Bluestein's
-chirp-z algorithm for arbitrary lengths, so the canonical 1500-sample patch
-(2^2 * 3 * 5^3) is handled exactly, without padding the signal itself.
+Transforms are numpy's FFT (pocketfft), which handles any length exactly,
+including the canonical 1500-sample patch (2^2 * 3 * 5^3), without padding.
 """
 
 from __future__ import annotations
@@ -14,63 +13,6 @@ import numpy as np
 from .errors import ConfigError
 from .preprocess import PatchGrid
 
-_twiddle_cache: dict[int, np.ndarray] = {}
-_reverse_cache: dict[int, np.ndarray] = {}
-
-
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    if n not in _reverse_cache:
-        bits = n.bit_length() - 1
-        idx = np.arange(n, dtype=np.int64)
-        rev = np.zeros(n, dtype=np.int64)
-        for _ in range(bits):
-            rev = (rev << 1) | (idx & 1)
-            idx >>= 1
-        _reverse_cache[n] = rev
-    return _reverse_cache[n]
-
-
-def _stage_twiddles(size: int) -> np.ndarray:
-    if size not in _twiddle_cache:
-        half = size // 2
-        _twiddle_cache[size] = np.exp(-2j * np.pi * np.arange(half) / size)
-    return _twiddle_cache[size]
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """FFT along the last axis; length must be a power of two."""
-    n = x.shape[-1]
-    lead = x.shape[:-1]
-    y = np.ascontiguousarray(x[..., _bit_reverse_indices(n)], dtype=np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        w = _stage_twiddles(size)
-        y = y.reshape(lead + (n // size, size))
-        even = y[..., :half]
-        odd = y[..., half:] * w
-        y = np.concatenate([even + odd, even - odd], axis=-1)
-        size *= 2
-    return y.reshape(lead + (n,))
-
-
-def _bluestein(x: np.ndarray) -> np.ndarray:
-    """Arbitrary-length FFT along the last axis via chirp-z convolution."""
-    n = x.shape[-1]
-    ns = np.arange(n, dtype=np.int64)
-    # quadratic phase reduced mod 2n keeps the trig arguments small
-    chirp = np.exp(-1j * np.pi * ((ns * ns) % (2 * n)) / n)
-    m = 1 << (2 * n - 1).bit_length()
-    a = np.zeros(x.shape[:-1] + (m,), dtype=np.complex128)
-    a[..., :n] = x * chirp
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    if n > 1:
-        b[-(n - 1):] = np.conj(chirp)[1:][::-1]
-    spec = _fft_pow2(a) * _fft_pow2(b)
-    conv = np.conj(_fft_pow2(np.conj(spec))) / m
-    return conv[..., :n] * chirp
-
 
 def dft(x: np.ndarray) -> np.ndarray:
     """Discrete Fourier transform along the last axis.
@@ -78,22 +20,18 @@ def dft(x: np.ndarray) -> np.ndarray:
     Unnormalized convention: X_k = sum_n x_n * exp(-2i*pi*k*n/L), so the
     inverse divides by L and Parseval reads sum|X|^2 = L * sum|x|^2.
     """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n < 1:
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape[-1] < 1:
         raise ConfigError("dft needs at least one sample")
-    if n == 1:
-        return x.astype(np.complex128)
-    if n & (n - 1) == 0:
-        return _fft_pow2(x.astype(np.complex128))
-    return _bluestein(x.astype(np.complex128))
+    return np.fft.fft(x, axis=-1)
 
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
     """Inverse of `dft` (complex output; take .real for real signals)."""
     spectrum = np.asarray(spectrum, dtype=np.complex128)
-    n = spectrum.shape[-1]
-    return np.conj(dft(np.conj(spectrum))) / n
+    if spectrum.shape[-1] < 1:
+        raise ConfigError("idft needs at least one sample")
+    return np.fft.ifft(spectrum, axis=-1)
 
 
 def hann_window(n: int) -> np.ndarray:
@@ -116,8 +54,7 @@ def psd(patch: np.ndarray, rate_hz: float, taper: str = "none") -> np.ndarray:
     elif taper != "none":
         raise ConfigError(f"unknown taper {taper!r}")
     duration_s = length / rate_hz
-    spectrum = dft(patch)
-    return (np.abs(spectrum[..., : length // 2 + 1]) ** 2) / duration_s
+    return np.abs(np.fft.rfft(patch, axis=-1)) ** 2 / duration_s
 
 
 def psd_frequencies(length: int, rate_hz: float) -> np.ndarray:

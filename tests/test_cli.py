@@ -1,10 +1,12 @@
 """End-to-end command-line runs via subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 CLI = [sys.executable, "-m", "fome.cli"]
 
@@ -80,6 +82,21 @@ class TestSpectraCommand:
         assert len(rows) == 2 * 4  # C x P rows: 24 s at 250 Hz -> four 6 s patches
         assert all(len(r.split(",")) == 8 for r in rows)
 
+    def test_cells_are_plain_floats_equal_to_band_powers(self, tmp_path):
+        from fome.preprocess import grid_from_bytes
+        from fome.spectral import band_powers
+
+        synth = run_cli(["synth", "--seed", "5", "--channels", "3", "--duration", "12",
+                         "--rate", "500", "--noise", "3"])
+        prep = run_cli(["preprocess"], stdin_bytes=synth.stdout)
+        assert prep.returncode == 0, prep.stderr
+        out = tmp_path / "bands.csv"
+        spectra = run_cli(["spectra", "--out", str(out)], stdin_bytes=prep.stdout)
+        assert spectra.returncode == 0, spectra.stderr
+        cells = [[float(v) for v in row.split(",")] for row in out.read_text().splitlines()]
+        values = band_powers(grid_from_bytes(prep.stdout)).values
+        np.testing.assert_array_equal(np.array(cells), values.reshape(-1, values.shape[-1]))
+
 
 class TestEvalCommand:
     def test_perfect_predictions(self, tmp_path):
@@ -111,6 +128,13 @@ class TestErrors:
         assert result.returncode == 1
         payload = json.loads(result.stderr)
         assert payload["error"] == "FormatError"
+
+    @pytest.mark.parametrize("command", ["spectra", "preprocess"])
+    def test_missing_input_file_is_io_error(self, tmp_path, command):
+        result = run_cli([command, "--in", str(tmp_path / "no" / "such.file")])
+        assert result.returncode == 1
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "IoError"
 
     def test_nyquist_violation_from_module(self):
         result = run_cli(["synth", "--channels", "1", "--rate", "40",
@@ -177,3 +201,17 @@ class TestFinetuneCommand:
         report = json.loads(out.read_text())
         # explicit test block has 2 samples
         assert int(np.sum(report["confusion"])) == 2
+
+
+class TestThreads:
+    def test_explicit_flag_overrides_environment(self, monkeypatch):
+        from fome.cli import _THREAD_VARS, _apply_threads
+
+        for var in _THREAD_VARS:
+            monkeypatch.setenv(var, "4")
+        _apply_threads(["synth"])
+        assert all(os.environ[var] == "4" for var in _THREAD_VARS)
+        _apply_threads(["synth", "--threads", "1"])
+        assert all(os.environ[var] == "1" for var in _THREAD_VARS)
+        _apply_threads(["synth", "--threads=2"])
+        assert all(os.environ[var] == "2" for var in _THREAD_VARS)

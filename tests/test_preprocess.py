@@ -1,12 +1,14 @@
 """Filter attenuation contracts, resampling, standardization, patching."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from conftest import interior_tone_amplitude, make_tone, rms, steady_state_db
 from oracles import ema_standardize_scalar
 
-from fome.errors import ConfigError, EmptyError, FormatError
+from fome.errors import ConfigError, DataError, EmptyError, FormatError
 from fome.preprocess import (
     PatchGrid,
     PreprocessConfig,
@@ -265,6 +267,23 @@ class TestPipeline:
         )
         np.testing.assert_array_equal(permuted.patches, grid.patches[perm])
 
+    def test_each_window_standardized_on_its_own(self):
+        spec = SyntheticSpec(channels=3, duration_s=30.0, sample_rate_hz=500.0,
+                             seed=5, noise_std=10.0,
+                             components=[Component(c, 5.0 + 4 * c, 25.0, 0.2 * c)
+                                         for c in range(3)])
+        r = generate_synthetic(spec)
+        cfg = PreprocessConfig()
+        grid = preprocess_pipeline(r, cfg)
+        stage = notch_filter(r, cfg.notch_hz, cfg.notch_q)
+        stage = bandpass_filter(stage, cfg.band_lo_hz, cfg.band_hi_hz)
+        stage = detrend(resample(stage, cfg.target_rate_hz))
+        window = cfg.window_len_samples
+        for w in range(grid.n_patches):
+            segment = Recording(stage.data[:, w * window : (w + 1) * window], 250.0)
+            expected, _ = standardize_ema(segment, cfg)
+            np.testing.assert_array_equal(grid.patches[:, w], expected.data)
+
     @pytest.mark.parametrize("rate", [100.0, 250.0, 500.0, 512.0, 1000.0])
     def test_resampler_plus_patching_any_rate(self, rate):
         spec = SyntheticSpec(channels=2, duration_s=30.0, sample_rate_hz=rate,
@@ -299,6 +318,14 @@ class TestGridFormat:
         back = read_patch_grid(path)
         assert np.array_equal(back.patches, grid.patches)
         assert back.patch_len == 100 and back.source_rate_hz == 250.0
+
+    @pytest.mark.parametrize("shape", [(0, 3, 1500), (2, 0, 1500)])
+    def test_empty_axes_rejected(self, shape):
+        with pytest.raises(DataError):
+            PatchGrid(np.zeros(shape), shape[2], 250.0)
+        c, p, length = shape
+        with pytest.raises(DataError):
+            grid_from_bytes(struct.pack("<4sIIId", b"FEGP", c, p, length, 250.0))
 
     def test_bad_magic(self):
         with pytest.raises(FormatError):

@@ -92,6 +92,15 @@ class TestPsd:
         assert freqs[0] == 0.0 and freqs[-1] == 125.0
         assert abs(freqs[60] - 10.0) < 1e-12
 
+    @pytest.mark.parametrize("length", [8, 100, 1500])
+    def test_matches_naive_oracle_one_sided(self, rng, length):
+        x = rng.standard_normal((2, length))
+        duration = length / 250.0
+        expected = np.abs(naive_dft(x)[..., : length // 2 + 1]) ** 2 / duration
+        # the oracle's |X| bound (1e-8 * |x|) carried through |X|^2 <= L * |x|^2
+        tol = 1e-8 * length * np.max(np.sum(x**2, axis=-1)) / duration
+        assert np.max(np.abs(psd(x, 250.0) - expected)) < tol
+
     def test_hann_taper_runs(self, rng):
         x = rng.standard_normal(128)
         tapered = psd(x, 250.0, taper="hann")
