@@ -367,14 +367,22 @@ def _read_dataset_manifest(path: str, manifest: _Manifest):
     """CSV rows `grid-path,label[,split]`; paths are relative to the CSV."""
     import csv
 
+    from .errors import DataError
+
     base = os.path.dirname(os.path.abspath(path))
     payload = _read_bytes(path)
     rows = []
-    for row in csv.reader(payload.decode("utf-8").splitlines()):
+    reader = csv.reader(payload.decode("utf-8").splitlines())
+    for row in reader:
         if not row or row[0].startswith("#"):
             continue
         grid_path = row[0] if os.path.isabs(row[0]) else os.path.join(base, row[0])
-        label = int(row[1]) if len(row) > 1 and row[1] != "" else None
+        try:
+            label = int(row[1])
+        except (IndexError, ValueError):
+            raise DataError(
+                f"{path}: row {reader.line_num} ({row[0]!r}) has no integer label"
+            ) from None
         split = row[2].strip() if len(row) > 2 else None
         rows.append((grid_path, label, split))
     manifest.add_input(path, payload)

@@ -5,9 +5,10 @@ Attention runs twice over the same (channels, patches, dim) activations:
 temporal blocks attend over the patch axis independently per channel, and
 channel blocks attend over the channel axis independently per patch index.
 No parameter shape depends on the channel count, so one weight set serves
-any montage, and channel-axis reductions are permutation-stable (see
-`numerics.attn_mix`), making the whole forward pass equivariant to channel
-reordering, bit for bit.
+any montage.  Every reduction across channels (channel attention and the
+classifier's pooling) runs on the rows gathered into a canonical order that
+depends only on their bits (`_canonical_order`), so the forward pass and
+every head are equivariant to channel reordering, bit for bit.
 """
 
 from __future__ import annotations
@@ -280,10 +281,9 @@ def load_params(path, cfg: ModelConfig) -> ParameterStore:
 
 @dataclass(eq=False)
 class EmbeddingTensor:
-    """(channels, patches, model_dim) activations with a role tag."""
+    """(channels, patches, model_dim) activations."""
 
     values: Tensor
-    role: str = "input"
 
     def __post_init__(self) -> None:
         if self.values.data.ndim != 3:
@@ -331,7 +331,7 @@ def embed(
         e_freq = nm.add(nm.matmul(weights, params["embed.freq.w"]), params["embed.freq.b"])
         total = nm.add(total, e_freq)
     e_input = nm.add(total, _positional_rows(params, p))
-    return EmbeddingTensor(e_input, role="input")
+    return EmbeddingTensor(e_input)
 
 
 def apply_mask(
@@ -351,7 +351,7 @@ def apply_mask(
     replacement = nm.add(mask_row, _positional_rows(params, p))
     kept = nm.mul(e_input.values, Tensor(1.0 - gate))
     injected = nm.mul(replacement, Tensor(gate))
-    return EmbeddingTensor(nm.add(kept, injected), role="input")
+    return EmbeddingTensor(nm.add(kept, injected))
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +381,18 @@ def _merge_heads(x: Tensor) -> Tensor:
     return nm.reshape(nm.transpose(x, 1, 2), (b, s, h * dv))
 
 
+def _canonical_order(x: np.ndarray) -> np.ndarray:
+    """Order of the channel rows of a (C, P, D) array by their raw bytes.
+
+    Rows compare lexicographically byte by byte, so two rows tie only when
+    they are bitwise identical (-0.0 and 0.0 differ), and the gathered
+    array depends only on the set of rows, not on their input order.
+    """
+    rows = np.ascontiguousarray(x).reshape(x.shape[0], -1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
+    return np.argsort(keys, kind="stable")
+
+
 def _encoder_block(
     x: Tensor,
     params: ParameterStore,
@@ -395,7 +407,7 @@ def _encoder_block(
     v = _split_heads(nm.matmul(a, params[f"{prefix}.attn.wv"]), cfg.heads, cfg.d_v)
     scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / cfg.scale_denominator)
     probs = nm.softmax(scores, axis=-1)
-    context = nm.matmul(_merge_heads(nm.attn_mix(probs, v)), params[f"{prefix}.attn.wo"])
+    context = nm.matmul(_merge_heads(nm.matmul(probs, v)), params[f"{prefix}.attn.wo"])
     x = nm.add(x, _maybe_dropout(context, cfg.dropout, stream))
     f = _affine_norm(x, params, f"{prefix}.ln2")
     hidden = nm.gelu(nm.add(nm.matmul(f, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"]))
@@ -412,7 +424,7 @@ def temporal_attention(
 ) -> EmbeddingTensor:
     """Attend over the patch axis, independently per channel."""
     out = _encoder_block(e.values, params, f"temporal{layer}", cfg, stream)
-    return EmbeddingTensor(out, role="time")
+    return EmbeddingTensor(out)
 
 
 def channel_attention(
@@ -422,10 +434,15 @@ def channel_attention(
     cfg: ModelConfig,
     stream: Rng | None = None,
 ) -> EmbeddingTensor:
-    """Attend over the channel axis, independently per patch index."""
-    flipped = nm.transpose(e.values, 0, 1)
-    out = _encoder_block(flipped, params, f"channel{layer}", cfg, stream)
-    return EmbeddingTensor(nm.transpose(out, 0, 1), role="channel")
+    """Attend over the channel axis, independently per patch index.
+
+    The block runs on the channels in canonical order and its output is
+    gathered back, so it is bitwise equivariant to channel permutation.
+    """
+    order = _canonical_order(e.values.data)
+    ordered = nm.transpose(nm.embedding_lookup(e.values, order), 0, 1)
+    out = _encoder_block(ordered, params, f"channel{layer}", cfg, stream)
+    return EmbeddingTensor(nm.embedding_lookup(nm.transpose(out, 0, 1), np.argsort(order)))
 
 
 def forward(
@@ -465,8 +482,10 @@ def head_reconstruct(e: EmbeddingTensor, params: ParameterStore) -> Tensor:
 
 
 def head_classify(e: EmbeddingTensor, params: ParameterStore, n_classes: int) -> Tensor:
-    """Mean-pool over channels and patches, reduce three times, softmax."""
-    pooled = nm.reshape(nm.mean(e.values, axis=(0, 1)), (1, e.shape[2]))
+    """Mean-pool over channels (in canonical order) and patches, reduce
+    three times, softmax."""
+    ordered = nm.embedding_lookup(e.values, _canonical_order(e.values.data))
+    pooled = nm.reshape(nm.mean(ordered, axis=(0, 1)), (1, e.shape[2]))
     h1 = nm.gelu(nm.add(nm.matmul(pooled, params["head.cls.w1"]), params["head.cls.b1"]))
     h2 = nm.gelu(nm.add(nm.matmul(h1, params["head.cls.w2"]), params["head.cls.b2"]))
     logits = nm.add(nm.matmul(h2, params["head.cls.w3"]), params["head.cls.b3"])

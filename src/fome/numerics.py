@@ -6,10 +6,10 @@ op appends one node (saved inputs + backward closure) to it, and
 accumulating adjoints additively.  Without an active tape the same ops run
 as plain forward kernels.
 
-Reductions that feed attention (`softmax` denominators and `attn_mix`
-contractions) sum their terms in value-sorted order, so results are
-bitwise invariant to permutations along the reduced axis.  That property
-is what lets one checkpoint serve any channel count and ordering.
+Ops are plain numpy/BLAS kernels: a reduction's result depends on the
+order of its terms.  Permutation stability across channels is not an op
+property; the model runs every cross-channel reduction in a canonical
+channel order (see `fome.model`).
 """
 
 from __future__ import annotations
@@ -122,11 +122,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
-
-
-def _sorted_sum(values: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along `axis` in ascending value order (permutation-stable)."""
-    return np.sort(values, axis=axis).sum(axis=axis)
 
 
 # ---------------------------------------------------------------------------
@@ -263,54 +258,16 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-_ATTN_MIX_CHUNK = 1 << 22  # max scratch elements for the sorted contraction
-
-
-def attn_mix(probs, values) -> Tensor:
-    """Matmul with a value-sorted contraction (for attention @ values).
-
-    Forward result is bitwise invariant to a simultaneous permutation of
-    the contraction axis in both operands, which plain BLAS summation is
-    not.  Batch dims must match exactly.
-    """
-    probs, values = _as_tensor(probs), _as_tensor(values)
-    if probs.data.ndim < 2 or values.data.ndim < 2:
-        raise ShapeError(f"attn_mix: operands must be >= 2-D, got {probs.shape} and {values.shape}")
-    if probs.shape[-1] != values.shape[-2] or probs.shape[:-2] != values.shape[:-2]:
-        raise ShapeError(f"attn_mix: incompatible shapes {probs.shape} @ {values.shape}")
-    batch = probs.shape[:-2]
-    n, k = probs.shape[-2], probs.shape[-1]
-    m = values.shape[-1]
-    p2 = probs.data.reshape((-1, n, k))
-    v2 = values.data.reshape((-1, k, m))
-    out = np.empty((p2.shape[0], n, m), dtype=np.float64)
-    step = max(1, _ATTN_MIX_CHUNK // max(1, n * k * m))
-    for start in range(0, p2.shape[0], step):
-        stop = start + step
-        terms = p2[start:stop, :, :, None] * v2[start:stop, None, :, :]
-        out[start:stop] = _sorted_sum(terms, axis=2)
-    out = out.reshape(batch + (n, m))
-
-    def bwd(g):
-        gp = g @ np.swapaxes(values.data, -1, -2)
-        gv = np.swapaxes(probs.data, -1, -2) @ g
-        return gp, gv
-
-    return _record(out, (probs, values), bwd)
-
-
 # ---------------------------------------------------------------------------
 # nonlinear ops
 # ---------------------------------------------------------------------------
 
 
 def softmax(a, axis: int = -1) -> Tensor:
-    """Stable softmax; the normalizer sums exp terms in sorted order."""
+    """Stable softmax (max-shifted exponentials over their sum)."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    denom = np.expand_dims(_sorted_sum(e, axis=axis), axis)
-    s = e / denom
+    e = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    s = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
         inner = (g * s).sum(axis=axis, keepdims=True)
@@ -496,6 +453,8 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             offset += n_bytes
         except (struct.error, KeyError, ValueError) as exc:
             raise FormatError(f"{path}: truncated or corrupt tensor record") from exc
+        if name in out:
+            raise FormatError(f"{path}: tensor name {name!r} appears twice")
         out[name] = flat.astype(np.float64).reshape(dims)
     if offset != len(buf):
         raise FormatError(f"{path}: {len(buf) - offset} trailing bytes")

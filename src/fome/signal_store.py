@@ -21,7 +21,6 @@ memory.  Everything produced by `generate_synthetic` is quantized to the
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -251,8 +250,3 @@ def read_recording(path, format: str = "binary") -> Recording:
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     raise FormatError(f"unknown format {format!r}")
-
-
-def read_recording_stream(stream: io.BufferedIOBase) -> Recording:
-    """Read one binary recording from an already-open byte stream."""
-    return recording_from_bytes(stream.read(), source="<stream>")

@@ -516,9 +516,7 @@ def finetune_classify(
             total = None
             for pos, idx in enumerate(batch):
                 if mode == "probe":
-                    probs = mdl.head_classify(
-                        mdl.EmbeddingTensor(frozen[pos], role="channel"), params, n_classes
-                    )
+                    probs = mdl.head_classify(mdl.EmbeddingTensor(frozen[pos]), params, n_classes)
                 else:
                     probs = _class_probabilities(
                         dataset[idx][0], bands[idx], params, model_cfg, n_classes

@@ -136,6 +136,24 @@ class TestErrors:
         payload = json.loads(result.stderr)
         assert payload["error"] == "IoError"
 
+    def test_dataset_row_without_label_is_data_error(self, tmp_path):
+        from fome.preprocess import PatchGrid, write_patch_grid
+
+        grid = PatchGrid(np.zeros((2, 4, 16)), 16, 250.0)
+        for name in ("a.fegp", "b.fegp"):
+            write_patch_grid(grid, tmp_path / name)
+        manifest_csv = tmp_path / "dataset.csv"
+        manifest_csv.write_text("a.fegp,0\nb.fegp\n")
+        result = run_cli([
+            "finetune", "classify", "--dataset", str(manifest_csv),
+            "--classes", "2", "--steps", "1", "--preset", "tiny",
+            "--out", str(tmp_path / "metrics.json"),
+        ])
+        assert result.returncode == 1
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "DataError"
+        assert "row 2" in payload["message"] and "b.fegp" in payload["message"]
+
     def test_nyquist_violation_from_module(self):
         result = run_cli(["synth", "--channels", "1", "--rate", "40",
                           "--components", "0:30:1:0"])

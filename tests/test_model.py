@@ -1,7 +1,11 @@
 """Embedding composition, encoder-oracle equivalence, masking, heads."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import encoder_block_oracle
 
@@ -365,6 +369,70 @@ class TestHeads:
         e = EmbeddingTensor(Tensor(np.zeros((3, 5, cfg.model_dim))))
         with pytest.raises(ConfigError):
             head_forecast(e, store, 2)
+
+
+# Channel-permutation invariance through the heads, at a 19-channel montage.
+# The inputs are built once: hypothesis draws only the permutations.
+PERM_C, PERM_P = 19, 4
+PERM_CFG = preset("tiny", model_dim=32, heads=4, ffn_dim=64)
+
+
+@lru_cache(maxsize=None)
+def _perm_case(duplicate: bool):
+    gen = np.random.default_rng(60)
+    patches = gen.standard_normal((PERM_C, PERM_P, PERM_CFG.patch_len))
+    powers = np.abs(gen.standard_normal((PERM_C, PERM_P, PERM_CFG.n_bands)))
+    if duplicate:  # channels 7 and 12 copy 3; channel 15 copies 0
+        for src, dst in ((3, 7), (3, 12), (0, 15)):
+            patches[dst], powers[dst] = patches[src], powers[src]
+    store = ParameterStore.initialize(PERM_CFG, seed=61)
+    store.add(classify_head_shapes(PERM_CFG, 5), seed=62)
+    store.add(reconstruct_head_shapes(PERM_CFG), seed=63)
+    store.add(forecast_head_shapes(PERM_CFG, PERM_P, 2), seed=64)
+    return patches, powers, store
+
+
+def _run_heads(patches, powers, store):
+    grid = PatchGrid(patches, PERM_CFG.patch_len, 250.0)
+    e = forward(grid, BandPowerTensor(powers), store, PERM_CFG)
+    return (e.values.data, head_classify(e, store, 5).data,
+            head_reconstruct(e, store).data, head_forecast(e, store, 2).data)
+
+
+@lru_cache(maxsize=None)
+def _perm_base(duplicate: bool):
+    return _run_heads(*_perm_case(duplicate))
+
+
+class TestChannelPermutation:
+    @settings(max_examples=10, deadline=None)
+    @given(perm=st.permutations(range(PERM_C)), duplicate=st.booleans())
+    def test_heads_follow_channel_permutation_bitwise(self, perm, duplicate):
+        perm = np.array(perm)
+        patches, powers, store = _perm_case(duplicate)
+        enc, probs, recon, fcst = _perm_base(duplicate)
+        p_enc, p_probs, p_recon, p_fcst = _run_heads(patches[perm], powers[perm], store)
+        assert np.array_equal(p_probs, probs)
+        assert np.array_equal(p_enc, enc[perm])
+        assert np.array_equal(p_recon, recon[perm])
+        assert np.array_equal(p_fcst, fcst[perm])
+
+    def test_duplicated_channels_give_identical_outputs(self):
+        enc, _, recon, fcst = _perm_base(True)
+        for out in (enc, recon, fcst):
+            assert np.array_equal(out[3], out[7]) and np.array_equal(out[3], out[12])
+            assert np.array_equal(out[0], out[15])
+
+    @settings(max_examples=50, deadline=None)
+    @given(perm=st.permutations(range(6)))
+    def test_canonical_order_ties_only_identical_rows(self, perm):
+        rows = np.array([[[1.0, 0.0]], [[1.0, -0.0]], [[2.0, 5.0]],
+                         [[1.0, 0.0]], [[np.inf, -1.0]], [[-3.0, 0.5]]])
+        order = model._canonical_order(rows)
+        canon = rows[order]
+        assert len({r.tobytes() for r in canon}) == 5  # -0.0 is not 0.0
+        shuffled = rows[np.array(perm)]
+        assert canon.tobytes() == shuffled[model._canonical_order(shuffled)].tobytes()
 
 
 class TestPersistence:
