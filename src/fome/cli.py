@@ -344,11 +344,7 @@ def _cmd_pretrain(args, manifest: _Manifest) -> None:
     train_cfg = _train_config(args)
     if args.steps >= 2:
         train_cfg = trainer.scale_schedule(train_cfg, args.steps)
-    params = (
-        model.load_params(args.checkpoint, model_cfg)
-        if args.checkpoint
-        else model.ParameterStore.initialize(model_cfg, args.seed)
-    )
+    params = _init_params(args, model_cfg)
     trace = trainer.pretrain(corpus, params, model_cfg, train_cfg, steps=args.steps)
     model.save_params(params, args.out)
     model.write_model_config(model_cfg, args.out + ".config")

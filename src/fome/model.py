@@ -8,7 +8,10 @@ No parameter shape depends on the channel count, so one weight set serves
 any montage.  Every reduction across channels (channel attention and the
 classifier's pooling) runs on the rows gathered into a canonical order that
 depends only on their bits (`_canonical_order`), so the forward pass and
-every head are equivariant to channel reordering, bit for bit.
+every head are equivariant to channel reordering, bit for bit.  Every
+function takes one sample's (C, P, ·) activations or a (B, C, P, ·) stack
+of samples of one shape, and a stack gives each sample the bits it gets
+alone.
 """
 
 from __future__ import annotations
@@ -277,21 +280,12 @@ def load_params(path, cfg: ModelConfig) -> ParameterStore:
 # ---------------------------------------------------------------------------
 # embeddings
 # ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class EmbeddingTensor:
-    """(channels, patches, model_dim) activations."""
-
-    values: Tensor
-
-    def __post_init__(self) -> None:
-        if self.values.data.ndim != 3:
-            raise ConfigError(f"embedding must be 3-D, got {self.values.shape}")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
+#
+# Activations are Tensors of shape (..., C, P, D): one sample's (channels,
+# patches, model_dim) grid, or a (B, C, P, D) stack of B samples of one
+# shape.  Every op works row-wise or as one matmul per (P, D) or (C, D)
+# matrix, so a sample's rows come out of a stack bit for bit as they come
+# out of a forward pass on that sample alone.
 
 
 def _positional_rows(params: ParameterStore, n_patches: int) -> Tensor:
@@ -300,58 +294,70 @@ def _positional_rows(params: ParameterStore, n_patches: int) -> Tensor:
 
 
 def embed(
-    grid: PatchGrid,
-    bands: BandPowerTensor | None,
+    grid: PatchGrid | np.ndarray,
+    bands: BandPowerTensor | np.ndarray | None,
     params: ParameterStore,
     cfg: ModelConfig,
-) -> EmbeddingTensor:
-    """Fuse patch content, softmax-normalized band powers, and position."""
-    c, p, length = grid.patches.shape
+) -> Tensor:
+    """Fuse patch content, softmax-normalized band powers, and position.
+
+    `grid` is one PatchGrid or a (..., C, P, L) stack of patches, `bands`
+    the matching BandPowerTensor or (..., C, P, n_bands) stack (None when
+    the config has no frequency embedding); returns (..., C, P, D).
+    """
+    patches = grid.patches if isinstance(grid, PatchGrid) else np.asarray(grid)
+    p, length = patches.shape[-2:]
     if length != cfg.patch_len:
         raise ConfigError(f"grid patch_len {length} != config patch_len {cfg.patch_len}")
     if p > cfg.max_patches:
         raise CapacityError(f"{p} patches exceeds max_patches {cfg.max_patches}")
-    patches = Tensor(grid.patches)
+    x = Tensor(patches)
     if cfg.conv_embed:
         k = cfg.conv_kernel
-        windows = nm.reshape(patches, (c, p, length // k, k))
+        windows = nm.reshape(x, patches.shape[:-1] + (length // k, k))
         moved = nm.matmul(windows, params["embed.patch.w"])
-        e_patch = nm.add(nm.mean(moved, axis=2), params["embed.patch.b"])
+        e_patch = nm.add(nm.mean(moved, axis=-2), params["embed.patch.b"])
     else:
-        e_patch = nm.add(nm.matmul(patches, params["embed.patch.w"]), params["embed.patch.b"])
+        e_patch = nm.add(nm.matmul(x, params["embed.patch.w"]), params["embed.patch.b"])
     total = e_patch
     if cfg.use_freq_embed:
         if bands is None:
             raise ConfigError("config uses the frequency embedding but bands is None")
-        if bands.values.shape[:2] != (c, p):
+        powers = bands.values if isinstance(bands, BandPowerTensor) else np.asarray(bands)
+        if powers.shape[:-1] != patches.shape[:-1]:
             raise ConfigError(
-                f"band tensor shape {bands.values.shape} does not match grid ({c}, {p})"
+                f"band tensor shape {powers.shape} does not match grid {patches.shape[:-1]}"
             )
-        weights = nm.softmax(Tensor(bands.values), axis=-1)
+        weights = nm.softmax(Tensor(powers), axis=-1)
         e_freq = nm.add(nm.matmul(weights, params["embed.freq.w"]), params["embed.freq.b"])
         total = nm.add(total, e_freq)
-    e_input = nm.add(total, _positional_rows(params, p))
-    return EmbeddingTensor(e_input)
+    return nm.add(total, _positional_rows(params, p))
 
 
-def apply_mask(
-    e_input: EmbeddingTensor,
-    mask_indices,
-    params: ParameterStore,
-    cfg: ModelConfig,
-) -> EmbeddingTensor:
-    """Replace masked (channel, patch) rows with [MASK] + position."""
-    c, p, d = e_input.shape
-    gate = np.zeros((c, p, 1))
-    for ch, pa in mask_indices:
-        if not (0 <= ch < c and 0 <= pa < p):
-            raise IndexError(f"mask slot ({ch}, {pa}) out of range for ({c}, {p})")
+def mask_gate(channels: int, patches: int, slots) -> np.ndarray:
+    """A (C, P, 1) gate: 1.0 at each (channel, patch) slot, 0.0 elsewhere."""
+    gate = np.zeros((channels, patches, 1))
+    for ch, pa in slots:
+        if not (0 <= ch < channels and 0 <= pa < patches):
+            raise IndexError(f"mask slot ({ch}, {pa}) out of range for ({channels}, {patches})")
         gate[ch, pa, 0] = 1.0
+    return gate
+
+
+def apply_mask(e_input: Tensor, mask, params: ParameterStore, cfg: ModelConfig) -> Tensor:
+    """Replace masked (channel, patch) rows with [MASK] + position.
+
+    `mask` is a 0/1 gate that broadcasts against (..., C, P, 1), such as a
+    (B, C, P, 1) stack of `mask_gate`s, or the (channel, patch) slots of a
+    single (C, P, D) grid.
+    """
+    c, p, d = e_input.shape[-3:]
+    gate = mask if isinstance(mask, np.ndarray) else mask_gate(c, p, mask)
     mask_row = nm.reshape(params["embed.mask"], (1, 1, d))
     replacement = nm.add(mask_row, _positional_rows(params, p))
-    kept = nm.mul(e_input.values, Tensor(1.0 - gate))
+    kept = nm.mul(e_input, Tensor(1.0 - gate))
     injected = nm.mul(replacement, Tensor(gate))
-    return EmbeddingTensor(nm.add(kept, injected))
+    return nm.add(kept, injected)
 
 
 # ---------------------------------------------------------------------------
@@ -372,25 +378,32 @@ def _affine_norm(x: Tensor, params: ParameterStore, name: str) -> Tensor:
 
 
 def _split_heads(x: Tensor, heads: int, head_dim: int) -> Tensor:
-    b, s, _ = x.shape
-    return nm.transpose(nm.reshape(x, (b, s, heads, head_dim)), 1, 2)
+    return nm.transpose(nm.reshape(x, x.shape[:-1] + (heads, head_dim)), -3, -2)
 
 
 def _merge_heads(x: Tensor) -> Tensor:
-    b, h, s, dv = x.shape
-    return nm.reshape(nm.transpose(x, 1, 2), (b, s, h * dv))
+    *lead, h, s, dv = x.shape
+    return nm.reshape(nm.transpose(x, -3, -2), (*lead, s, h * dv))
 
 
 def _canonical_order(x: np.ndarray) -> np.ndarray:
-    """Order of the channel rows of a (C, P, D) array by their raw bytes.
+    """Order of each sample's channel rows by their raw bytes.
 
-    Rows compare lexicographically byte by byte, so two rows tie only when
-    they are bitwise identical (-0.0 and 0.0 differ), and the gathered
-    array depends only on the set of rows, not on their input order.
+    `x` is (..., C, P, D) and the order (..., C).  Rows compare
+    lexicographically byte by byte, so two rows tie only when they are
+    bitwise identical (-0.0 and 0.0 differ), and the gathered array depends
+    only on the set of rows, not on their input order.
     """
-    rows = np.ascontiguousarray(x).reshape(x.shape[0], -1)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))[:, 0]
-    return np.argsort(keys, kind="stable")
+    rows = np.ascontiguousarray(x).reshape(x.shape[:-2] + (-1,))
+    keys = rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
+    return np.argsort(keys, axis=-1, kind="stable")
+
+
+def _gather_channels(x: Tensor, order: np.ndarray) -> Tensor:
+    """Each sample's channel rows of a (..., C, P, D) tensor in `order` (..., C)."""
+    c, p, d = x.shape[-3:]
+    first_rows = np.arange(0, order.size, c).reshape(order.shape[:-1] + (1,))
+    return nm.embedding_lookup(nm.reshape(x, (-1, p, d)), first_rows + order)
 
 
 def _encoder_block(
@@ -400,7 +413,7 @@ def _encoder_block(
     cfg: ModelConfig,
     stream: Rng | None,
 ) -> Tensor:
-    """Pre-norm transformer block over the middle axis of (batch, seq, dim)."""
+    """Pre-norm transformer block over the sequence axis of (..., seq, dim)."""
     a = _affine_norm(x, params, f"{prefix}.ln1")
     q = _split_heads(nm.matmul(a, params[f"{prefix}.attn.wq"]), cfg.heads, cfg.d_k)
     k = _split_heads(nm.matmul(a, params[f"{prefix}.attn.wk"]), cfg.heads, cfg.d_k)
@@ -416,46 +429,50 @@ def _encoder_block(
 
 
 def temporal_attention(
-    e: EmbeddingTensor,
+    e: Tensor,
     params: ParameterStore,
     layer: int,
     cfg: ModelConfig,
     stream: Rng | None = None,
-) -> EmbeddingTensor:
+) -> Tensor:
     """Attend over the patch axis, independently per channel."""
-    out = _encoder_block(e.values, params, f"temporal{layer}", cfg, stream)
-    return EmbeddingTensor(out)
+    return _encoder_block(e, params, f"temporal{layer}", cfg, stream)
 
 
 def channel_attention(
-    e: EmbeddingTensor,
+    e: Tensor,
     params: ParameterStore,
     layer: int,
     cfg: ModelConfig,
     stream: Rng | None = None,
-) -> EmbeddingTensor:
+) -> Tensor:
     """Attend over the channel axis, independently per patch index.
 
-    The block runs on the channels in canonical order and its output is
-    gathered back, so it is bitwise equivariant to channel permutation.
+    The block runs on each sample's channels in canonical order and its
+    output is gathered back, so it is bitwise equivariant to channel
+    permutation.
     """
-    order = _canonical_order(e.values.data)
-    ordered = nm.transpose(nm.embedding_lookup(e.values, order), 0, 1)
+    order = _canonical_order(e.data)
+    ordered = nm.transpose(_gather_channels(e, order), -3, -2)
     out = _encoder_block(ordered, params, f"channel{layer}", cfg, stream)
-    return EmbeddingTensor(nm.embedding_lookup(nm.transpose(out, 0, 1), np.argsort(order)))
+    return _gather_channels(nm.transpose(out, -3, -2), np.argsort(order, axis=-1))
 
 
 def forward(
-    grid: PatchGrid,
-    bands: BandPowerTensor | None,
+    grid: PatchGrid | np.ndarray,
+    bands: BandPowerTensor | np.ndarray | None,
     params: ParameterStore,
     cfg: ModelConfig,
     mask_indices=None,
     stream: Rng | None = None,
-) -> EmbeddingTensor:
-    """Embed, optionally mask, then run the full encoder stack."""
+) -> Tensor:
+    """Embed, optionally mask, then run the full encoder stack.
+
+    Takes one grid or a stack of grids of one shape (see `embed`) and any
+    mask `apply_mask` takes; returns (..., C, P, D).
+    """
     e = embed(grid, bands, params, cfg)
-    if mask_indices:
+    if mask_indices is not None and len(mask_indices):
         e = apply_mask(e, mask_indices, params, cfg)
     if cfg.interleave:
         for i in range(max(cfg.temporal_layers, cfg.channel_layers)):
@@ -476,31 +493,34 @@ def forward(
 # ---------------------------------------------------------------------------
 
 
-def head_reconstruct(e: EmbeddingTensor, params: ParameterStore) -> Tensor:
-    """Per-slot linear map back to waveform space: (C, P, D) -> (C, P, L)."""
-    return nm.add(nm.matmul(e.values, params["head.recon.w"]), params["head.recon.b"])
+def head_reconstruct(e: Tensor, params: ParameterStore) -> Tensor:
+    """Per-slot linear map back to waveform space: (..., C, P, D) -> (..., C, P, L)."""
+    return nm.add(nm.matmul(e, params["head.recon.w"]), params["head.recon.b"])
 
 
-def head_classify(e: EmbeddingTensor, params: ParameterStore, n_classes: int) -> Tensor:
-    """Mean-pool over channels (in canonical order) and patches, reduce
-    three times, softmax."""
-    ordered = nm.embedding_lookup(e.values, _canonical_order(e.values.data))
-    pooled = nm.reshape(nm.mean(ordered, axis=(0, 1)), (1, e.shape[2]))
+def head_classify(e: Tensor, params: ParameterStore, n_classes: int) -> Tensor:
+    """Mean-pool each sample over channels (in canonical order) and patches,
+    reduce three times, softmax: (..., C, P, D) -> (..., n_classes)."""
+    ordered = _gather_channels(e, _canonical_order(e.data))
+    lead = e.shape[:-3]
+    # one (1, D) row per sample, so a stack runs each sample's own matmuls
+    pooled = nm.reshape(nm.mean(ordered, axis=(-3, -2)), lead + (1, e.shape[-1]))
     h1 = nm.gelu(nm.add(nm.matmul(pooled, params["head.cls.w1"]), params["head.cls.b1"]))
     h2 = nm.gelu(nm.add(nm.matmul(h1, params["head.cls.w2"]), params["head.cls.b2"]))
     logits = nm.add(nm.matmul(h2, params["head.cls.w3"]), params["head.cls.b3"])
-    return nm.softmax(nm.reshape(logits, (n_classes,)), axis=-1)
+    return nm.softmax(nm.reshape(logits, lead + (n_classes,)), axis=-1)
 
 
-def head_forecast(e: EmbeddingTensor, params: ParameterStore, horizon_patches: int) -> Tensor:
-    """Flatten each channel's (P, D) block and project to the horizon."""
-    c, p, d = e.shape
-    flat = nm.reshape(e.values, (c, p * d))
+def head_forecast(e: Tensor, params: ParameterStore, horizon_patches: int) -> Tensor:
+    """Flatten each channel's (P, D) block and project to the horizon:
+    (..., C, P, D) -> (..., C, horizon_patches * L)."""
+    p, d = e.shape[-2:]
     expected = params["head.fcst.w"].shape[0]
     if p * d != expected:
         raise ConfigError(
             f"forecast head expects {expected} flattened features, got {p * d}"
         )
+    flat = nm.reshape(e, e.shape[:-2] + (p * d,))
     return nm.add(nm.matmul(flat, params["head.fcst.w"]), params["head.fcst.b"])
 
 

@@ -152,7 +152,9 @@ def mul(a, b) -> Tensor:
     out = a.data * b.data
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        return ga, gb
 
     return _record(out, (a, b), bwd)
 
@@ -208,7 +210,8 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
 
 
 def slice_(a, key) -> Tensor:
-    """Basic indexing (ints and slices); gradient scatters back."""
+    """Basic indexing (ints and slices), or index arrays that pick each
+    element at most once; gradient scatters back."""
     a = _as_tensor(a)
     out = a.data[key]
 
@@ -221,13 +224,17 @@ def slice_(a, key) -> Tensor:
 
 
 def embedding_lookup(table, indices) -> Tensor:
+    """Rows `table[indices]`; the gradient sums over repeated indices."""
     table = _as_tensor(table)
     indices = np.asarray(indices, dtype=np.int64)
     out = table.data[indices]
 
     def bwd(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, indices, g)
+        if np.unique(indices).size == indices.size:
+            gt[indices] += g  # 0.0 + g, bit for bit what np.add.at stores
+        else:
+            np.add.at(gt, indices, g)
         return (gt,)
 
     return _record(out, (table,), bwd)
@@ -251,8 +258,15 @@ def matmul(a, b) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if b.requires_grad and b.data.ndim == 2:
+            # one gemm over the folded leading axes: no (N, K, M) intermediate
+            k, m = b.shape
+            gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
+        elif b.requires_grad:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -344,7 +358,7 @@ def mse(pred, target) -> Tensor:
 
     def bwd(g):
         gp = g * 2.0 * diff / diff.size
-        return gp, -gp
+        return gp if pred.requires_grad else None, -gp if target.requires_grad else None
 
     return _record(out, (pred, target), bwd)
 

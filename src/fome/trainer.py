@@ -1,11 +1,14 @@
 """Masked-reconstruction pre-training, task fine-tuning, and metrics.
 
-The optimizer loop is a single logical stream: per micro-step it draws a
-mask plan per sample, runs the masked forward + reconstruction, averages
-the loss over the batch, and backpropagates; every `grad_accum` micro-steps
-it applies one AdamW update at the scheduled learning rate.  Losses are
-mean-reduced and micro-batch losses are scaled by 1/grad_accum, so
-accumulation matches a single step on the concatenated batch.
+Every task trains through one loop, `_train_loop`.  Per micro-step it takes
+the next batch, stacks the samples of each shape into one (B, C, P, L)
+array, and runs one forward and one backward pass per stack (pre-training
+draws one mask plan per sample, in batch order, and gates the stack with
+them); dropout masks are drawn once per stack.  The step's tape is dropped
+right after backward.  Every `grad_accum` micro-steps it applies one AdamW
+update at the scheduled learning rate.  Losses are mean-reduced and
+micro-batch losses are scaled by 1/grad_accum, so accumulation matches a
+single step on the concatenated batch.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .model import ModelConfig, ParameterStore
 from .numerics import Tensor
 from .preprocess import PatchGrid
 from .rng import Rng
-from .spectral import BandPowerTensor, band_powers
+from .spectral import band_powers
 
 
 @dataclass
@@ -349,20 +352,146 @@ class _Cycler:
         return out
 
 
-def _bands_for(grid: PatchGrid, model_cfg: ModelConfig) -> BandPowerTensor | None:
-    return band_powers(grid) if model_cfg.use_freq_embed else None
+def _bands_for(grid: PatchGrid, model_cfg: ModelConfig) -> np.ndarray | None:
+    return band_powers(grid).values if model_cfg.use_freq_embed else None
 
 
-def _masked_mse(rec: Tensor, target: np.ndarray, plan: MaskPlan, scope: str) -> Tensor:
-    if scope == "all" or len(plan) == 0:
+def _shape_groups(shapes: list[tuple[int, ...]]) -> list[list[int]]:
+    """Positions of equal shapes, grouped in first-seen order."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for pos, shape in enumerate(shapes):
+        groups.setdefault(shape, []).append(pos)
+    return list(groups.values())
+
+
+def _grouped_mean(batch: list[int], grids: list[PatchGrid], group_loss) -> Tensor:
+    """Mean loss over a batch of `grids` indices, one stack per shape:
+    `group_loss(pos)` is the mean loss over the batch positions `pos`."""
+    total = None
+    for pos in _shape_groups([grids[i].patches.shape for i in batch]):
+        part = group_loss(pos)
+        if len(pos) < len(batch):
+            part = nm.scale(part, len(pos) / len(batch))
+        total = part if total is None else nm.add(total, part)
+    return total
+
+
+def _stack(grids: list[PatchGrid], bands: list, idx: list[int]):
+    """The (B, C, P, L) patches and (B, C, P, n_bands) band powers (None
+    without the frequency embedding) of samples `idx`, all of one shape."""
+    patches = np.stack([grids[i].patches for i in idx])
+    powers = None if bands[idx[0]] is None else np.stack([bands[i] for i in idx])
+    return patches, powers
+
+
+# samples per stacked forward pass outside training; bounds its memory
+_EVAL_STACK = 32
+
+
+def _predict(grids: list[PatchGrid], bands: list, params, model_cfg, head) -> list[np.ndarray]:
+    """`head` applied to the encoded stack, per grid, without a tape; one
+    forward pass per stack of at most `_EVAL_STACK` grids of one shape."""
+    out: list = [None] * len(grids)
+    for group in _shape_groups([g.patches.shape for g in grids]):
+        for start in range(0, len(group), _EVAL_STACK):
+            idx = group[start : start + _EVAL_STACK]
+            result = head(mdl.forward(*_stack(grids, bands, idx), params, model_cfg))
+            for i, row in zip(idx, result.data):
+                out[i] = row
+    return out
+
+
+def _masked_mse(rec: Tensor, target: np.ndarray, mask, scope: str) -> Tensor:
+    """Reconstruction MSE over the masked slots, rescaled by the masked
+    fraction; over every slot for scope "all" or an empty mask.
+
+    `mask` is the (B, C, P, 1) gate of a (B, C, P, L) stack whose samples
+    all mask as many slots (as plans of one shape do), or the MaskPlan of
+    a single (C, P, L) grid.
+    """
+    gate = mask if isinstance(mask, np.ndarray) else mdl.mask_gate(*target.shape[:2], mask)
+    masked_fraction = float(gate.mean())
+    if scope == "all" or masked_fraction == 0.0:
         return nm.mse(rec, Tensor(target))
-    c, p, _ = target.shape
-    gate = np.zeros((c, p, 1))
-    for ch, pa in plan:
-        gate[ch, pa, 0] = 1.0
-    g = Tensor(gate)
-    masked_fraction = len(plan) / (c * p)
-    return nm.scale(nm.mse(nm.mul(rec, g), Tensor(target * gate)), 1.0 / masked_fraction)
+    return nm.scale(
+        nm.mse(nm.mul(rec, Tensor(gate)), Tensor(target * gate)), 1.0 / masked_fraction
+    )
+
+
+def _train_loop(
+    batch_loss,
+    params: ParameterStore,
+    trainable: dict[str, Tensor],
+    cfg: TrainConfig,
+    steps: int,
+    order: _Cycler,
+    checkpoint_dir=None,
+    validation=lambda: None,
+    higher_is_better: bool = True,
+) -> list[float]:
+    """The optimizer loop of every task; returns each micro-step's batch loss.
+
+    `batch_loss(batch)` is the taped mean loss over the sample indices
+    `batch` (see `_grouped_mean`).  `cfg` sets the batch size, the
+    accumulation, the AdamW constants, the learning-rate schedule and the
+    checkpoint cadence.
+    """
+    optimizer = AdamW(trainable, cfg)
+    checkpoints = _CheckpointKeeper(params, cfg, checkpoint_dir)
+    losses: list[float] = []
+    for step in range(1, steps + 1):
+        batch = order.take(cfg.batch_size)
+        tape = nm.Tape()
+        try:
+            with tape:
+                loss = batch_loss(batch)
+                scaled = nm.scale(loss, 1.0 / cfg.grad_accum)
+            nm.backward(scaled)
+        finally:
+            # out Tensor -> Tape -> node -> out Tensor is a reference cycle:
+            # emptying the tape frees the step's activations now, not at
+            # the next cyclic garbage collection
+            tape.nodes.clear()
+        losses.append(float(loss.data))
+        if step % cfg.grad_accum == 0:
+            optimizer.step(lr_at(step, cfg))
+            checkpoints.after_optimizer_step(validation, higher_is_better)
+    checkpoints.finish()
+    return losses
+
+
+def _finetune(head_loss, grids: list[PatchGrid], train_idx, params: ParameterStore,
+              model_cfg: ModelConfig, cfg: TrainConfig, steps: int, mode: str, head: str,
+              stream: int, checkpoint_dir, validation, higher_is_better: bool) -> None:
+    """Supervised training on samples `train_idx` of `grids`.
+
+    `head_loss(encoded, idx)` is the taped mean loss of the encoded stack
+    of samples `idx`.  Full mode trains every tensor; probe mode trains the
+    `head.<head>.` tensors only, on encodings computed once, since the
+    frozen backbone maps each sample to the same rows at every step.
+    """
+    bands = [_bands_for(g, model_cfg) for g in grids]
+    trainable = dict(params.items())
+    if mode == "probe":
+        train = list(train_idx)
+        rows = _predict([grids[i] for i in train], [bands[i] for i in train], params,
+                        model_cfg, lambda e: e)
+        frozen = dict(zip(train, rows))
+        trainable = params.tensors(f"head.{head}.")
+
+    def group_loss(idx: list[int]) -> Tensor:
+        if mode == "probe":
+            encoded = Tensor(np.stack([frozen[i] for i in idx]))
+        else:
+            encoded = mdl.forward(*_stack(grids, bands, idx), params, model_cfg)
+        return head_loss(encoded, idx)
+
+    def batch_loss(batch: list[int]) -> Tensor:
+        return _grouped_mean(batch, grids, lambda pos: group_loss([batch[j] for j in pos]))
+
+    _train_loop(batch_loss, params, trainable, scale_schedule(cfg, steps), steps,
+                _Cycler(list(train_idx), Rng(cfg.seed).split(stream)), checkpoint_dir,
+                validation, higher_is_better)
 
 
 def _ensure_head(params: ParameterStore, shapes: dict, seed: int) -> None:
@@ -393,45 +522,33 @@ def pretrain(
     """
     if not corpus:
         raise ConfigError("pretrain needs a non-empty corpus")
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
     _ensure_head(params, mdl.reconstruct_head_shapes(model_cfg), seed=cfg.seed + 1)
     bands = [_bands_for(g, model_cfg) for g in corpus]
     order = _Cycler(list(range(len(corpus))), Rng(cfg.seed).split(1))
     mask_stream = Rng(cfg.seed).split(2)
     drop_stream = Rng(cfg.seed).split(3) if model_cfg.dropout > 0 else None
-    optimizer = AdamW(dict(params.items()), cfg)
-    trace: list[tuple[int, float, float]] = []
-    opt_steps = 0
-    for step in range(1, steps + 1):
-        batch = order.take(cfg.batch_size)
-        with nm.Tape():
-            total = None
-            for idx in batch:
-                grid = corpus[idx]
-                plan = make_mask_plan(
-                    grid.n_channels, grid.n_patches, cfg.mask_ratio, mask_stream, cfg.mask_mode
-                )
-                encoded = mdl.forward(
-                    grid, bands[idx], params, model_cfg,
-                    mask_indices=plan, stream=drop_stream,
-                )
-                rec = mdl.head_reconstruct(encoded, params)
-                loss = _masked_mse(rec, grid.patches, plan, cfg.loss_scope)
-                total = loss if total is None else nm.add(total, loss)
-            batch_loss = nm.scale(total, 1.0 / len(batch))
-            scaled = nm.scale(batch_loss, 1.0 / cfg.grad_accum)
-        nm.backward(scaled)
-        lr = lr_at(step, cfg)
-        trace.append((step, lr, float(batch_loss.data)))
-        if step % cfg.grad_accum == 0:
-            optimizer.step(lr)
-            opt_steps += 1
-            if checkpoint_dir is not None and opt_steps % cfg.checkpoint_every == 0:
-                mdl.save_params(params, f"{checkpoint_dir}/step-{opt_steps:06d}.fckp")
-    if checkpoint_dir is not None:
-        mdl.save_params(params, f"{checkpoint_dir}/final.fckp")
-    return trace
+
+    def batch_loss(batch: list[int]) -> Tensor:
+        # one plan per sample in batch order, whatever the shape groups
+        gates = []
+        for i in batch:
+            c, p, _ = corpus[i].patches.shape
+            plan = make_mask_plan(c, p, cfg.mask_ratio, mask_stream, cfg.mask_mode)
+            gates.append(mdl.mask_gate(c, p, plan))
+
+        def group_loss(pos: list[int]) -> Tensor:
+            gate = np.stack([gates[j] for j in pos])
+            patches, powers = _stack(corpus, bands, [batch[j] for j in pos])
+            encoded = mdl.forward(patches, powers, params, model_cfg,
+                                  mask_indices=gate if gate.any() else None, stream=drop_stream)
+            rec = mdl.head_reconstruct(encoded, params)
+            return _masked_mse(rec, patches, gate, cfg.loss_scope)
+
+        return _grouped_mean(batch, corpus, group_loss)
+
+    losses = _train_loop(batch_loss, params, dict(params.items()), cfg, steps, order,
+                         checkpoint_dir)
+    return [(step, lr_at(step, cfg), loss) for step, loss in enumerate(losses, 1)]
 
 
 def write_loss_trace(trace: list[tuple[int, float, float]], path) -> None:
@@ -446,24 +563,17 @@ def write_loss_trace(trace: list[tuple[int, float, float]], path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _class_probabilities(
-    grid: PatchGrid, bands, params: ParameterStore, model_cfg: ModelConfig, n_classes: int
-) -> Tensor:
-    encoded = mdl.forward(grid, bands, params, model_cfg)
-    return mdl.head_classify(encoded, params, n_classes)
-
-
 def evaluate_classify(
     dataset: list[tuple[PatchGrid, int]],
     params: ParameterStore,
     model_cfg: ModelConfig,
     n_classes: int,
 ) -> MetricsReport:
-    preds, labels = [], []
-    for grid, label in dataset:
-        probs = _class_probabilities(grid, _bands_for(grid, model_cfg), params, model_cfg, n_classes)
-        preds.append(int(np.argmax(probs.data)))
-        labels.append(int(label))
+    grids = [grid for grid, _ in dataset]
+    probs = _predict(grids, [_bands_for(g, model_cfg) for g in grids], params, model_cfg,
+                     lambda e: mdl.head_classify(e, params, n_classes))
+    preds = [int(np.argmax(row)) for row in probs]
+    labels = [int(label) for _, label in dataset]
     return classification_metrics(preds, labels, n_classes)
 
 
@@ -491,12 +601,12 @@ def finetune_classify(
     train_idx, val_idx, test_idx = splits if splits is not None else split_blocks(len(dataset))
     if len(train_idx) == 0 or len(test_idx) == 0:
         raise ConfigError(f"dataset of {len(dataset)} samples leaves an empty split")
-    bands = [_bands_for(g, model_cfg) for g, _ in dataset]
-    sched = scale_schedule(cfg, steps)
-    trainable = params.tensors("head.cls.") if mode == "probe" else dict(params.items())
-    optimizer = AdamW(trainable, sched)
-    order = _Cycler(list(train_idx), Rng(cfg.seed).split(4))
-    checkpoints = _CheckpointKeeper(params, cfg, checkpoint_dir)
+    labels = np.array([int(label) for _, label in dataset])
+
+    def cross_entropy(encoded: Tensor, idx: list[int]) -> Tensor:
+        probs = mdl.head_classify(encoded, params, n_classes)
+        picked = nm.slice_(probs, (np.arange(len(idx)), labels[idx]))
+        return nm.scale(nm.mean(nm.log(picked)), -1.0)
 
     def val_accuracy():
         if not len(val_idx):
@@ -505,31 +615,8 @@ def finetune_classify(
             [dataset[i] for i in val_idx], params, model_cfg, n_classes
         ).accuracy
 
-    for step in range(1, steps + 1):
-        batch = order.take(cfg.batch_size)
-        if mode == "probe":
-            frozen = [
-                mdl.forward(dataset[i][0], bands[i], params, model_cfg).values.detach()
-                for i in batch
-            ]
-        with nm.Tape():
-            total = None
-            for pos, idx in enumerate(batch):
-                if mode == "probe":
-                    probs = mdl.head_classify(mdl.EmbeddingTensor(frozen[pos]), params, n_classes)
-                else:
-                    probs = _class_probabilities(
-                        dataset[idx][0], bands[idx], params, model_cfg, n_classes
-                    )
-                picked = nm.slice_(probs, int(dataset[idx][1]))
-                loss = nm.scale(nm.log(picked), -1.0)
-                total = loss if total is None else nm.add(total, loss)
-            batch_loss = nm.scale(total, 1.0 / (len(batch) * cfg.grad_accum))
-        nm.backward(batch_loss)
-        if step % cfg.grad_accum == 0:
-            optimizer.step(lr_at(step, sched))
-            checkpoints.after_optimizer_step(val_accuracy, higher_is_better=True)
-    checkpoints.finish()
+    _finetune(cross_entropy, [grid for grid, _ in dataset], train_idx, params, model_cfg, cfg,
+              steps, mode, "cls", 4, checkpoint_dir, val_accuracy, higher_is_better=True)
     report = evaluate_classify([dataset[i] for i in test_idx], params, model_cfg, n_classes)
     report.notes.update({"mode": mode, "steps": steps, "train_samples": len(train_idx)})
     return report
@@ -581,14 +668,13 @@ def evaluate_forecast(
     model_cfg: ModelConfig,
     horizon_patches: int,
 ) -> MetricsReport:
-    preds, targets, persist = [], [], []
-    for sample in samples:
-        encoded = mdl.forward(sample.context, _bands_for(sample.context, model_cfg), params, model_cfg)
-        preds.append(mdl.head_forecast(encoded, params, horizon_patches).data)
-        targets.append(sample.target)
-        persist.append(persistence_forecast(sample, horizon_patches))
-    report = regression_metrics(np.stack(preds), np.stack(targets), task="forecast")
-    base = regression_metrics(np.stack(persist), np.stack(targets))
+    grids = [sample.context for sample in samples]
+    preds = _predict(grids, [_bands_for(g, model_cfg) for g in grids], params, model_cfg,
+                     lambda e: mdl.head_forecast(e, params, horizon_patches))
+    targets = np.stack([sample.target for sample in samples])
+    persist = np.stack([persistence_forecast(sample, horizon_patches) for sample in samples])
+    report = regression_metrics(np.stack(preds), targets, task="forecast")
+    base = regression_metrics(persist, targets)
     report.baseline = {"persistence_mae": base.mae, "persistence_mse": base.mse}
     return report
 
@@ -617,12 +703,10 @@ def finetune_forecast(
     train_idx, val_idx, test_idx = split_blocks(len(dataset))
     if len(train_idx) == 0 or len(test_idx) == 0:
         raise ConfigError(f"dataset of {len(dataset)} samples leaves an empty split")
-    bands = [_bands_for(s.context, model_cfg) for s in dataset]
-    sched = scale_schedule(cfg, steps)
-    trainable = params.tensors("head.fcst.") if mode == "probe" else dict(params.items())
-    optimizer = AdamW(trainable, sched)
-    order = _Cycler(list(train_idx), Rng(cfg.seed).split(5))
-    checkpoints = _CheckpointKeeper(params, cfg, checkpoint_dir)
+
+    def forecast_mse(encoded: Tensor, idx: list[int]) -> Tensor:
+        pred = mdl.head_forecast(encoded, params, horizon_patches)
+        return nm.mse(pred, Tensor(np.stack([dataset[i].target for i in idx])))
 
     def val_mse():
         if not len(val_idx):
@@ -631,22 +715,9 @@ def finetune_forecast(
             [dataset[i] for i in val_idx], params, model_cfg, horizon_patches
         ).mse
 
-    for step in range(1, steps + 1):
-        batch = order.take(cfg.batch_size)
-        with nm.Tape():
-            total = None
-            for idx in batch:
-                sample = dataset[idx]
-                encoded = mdl.forward(sample.context, bands[idx], params, model_cfg)
-                pred = mdl.head_forecast(encoded, params, horizon_patches)
-                loss = nm.mse(pred, Tensor(sample.target))
-                total = loss if total is None else nm.add(total, loss)
-            batch_loss = nm.scale(total, 1.0 / (len(batch) * cfg.grad_accum))
-        nm.backward(batch_loss)
-        if step % cfg.grad_accum == 0:
-            optimizer.step(lr_at(step, sched))
-            checkpoints.after_optimizer_step(val_mse, higher_is_better=False)
-    checkpoints.finish()
+    _finetune(forecast_mse, [sample.context for sample in dataset], train_idx, params,
+              model_cfg, cfg, steps, mode, "fcst", 5, checkpoint_dir, val_mse,
+              higher_is_better=False)
     report = evaluate_forecast([dataset[i] for i in test_idx], params, model_cfg, horizon_patches)
     report.notes.update({"mode": mode, "steps": steps, "horizon_patches": horizon_patches})
     return report

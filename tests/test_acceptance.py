@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from fome import model, trainer
-from fome.model import EmbeddingTensor, ParameterStore, apply_ablation, preset
+from fome.model import ParameterStore, apply_ablation, preset
 from fome.numerics import Tape, Tensor, backward
 from fome.preprocess import (
     PatchGrid,
@@ -172,11 +172,11 @@ def test_criterion_02_equation_oracle_equivalence():
         patches = int(gen.integers(1, 5))
         x = gen.standard_normal((channels, patches, dim))
         ours_t = model.temporal_attention(
-            EmbeddingTensor(Tensor(x)), store, 0, cfg).values.data
+            Tensor(x), store, 0, cfg).data
         ref_t = encoder_block_oracle(x, store.arrays(), "temporal0",
                                      cfg.heads, cfg.d_k, cfg.d_v, cfg.scale_denominator)
         ours_c = model.channel_attention(
-            EmbeddingTensor(Tensor(x)), store, 0, cfg).values.data
+            Tensor(x), store, 0, cfg).data
         ref_c = encoder_block_oracle(x.transpose(1, 0, 2), store.arrays(), "channel0",
                                      cfg.heads, cfg.d_k, cfg.d_v,
                                      cfg.scale_denominator).transpose(1, 0, 2)
@@ -297,16 +297,16 @@ def test_criterion_07_variable_channel_property(tmp_path):
         grid = PatchGrid(gen.standard_normal((channels, 4, cfg.patch_len)), cfg.patch_len, 250.0)
         bands = band_powers(grid)
         out = model.forward(grid, bands, params, cfg)
-        shapes_ok &= out.values.shape == (channels, 4, cfg.model_dim)
+        shapes_ok &= out.shape == (channels, 4, cfg.model_dim)
     grid = PatchGrid(gen.standard_normal((19, 4, cfg.patch_len)), cfg.patch_len, 250.0)
     bands = band_powers(grid)
-    base = model.forward(grid, bands, params, cfg).values.data
+    base = model.forward(grid, bands, params, cfg).data
     perm = gen.permutation(19)
     shuffled = model.forward(
         PatchGrid(grid.patches[perm], cfg.patch_len, 250.0),
         BandPowerTensor(bands.values[perm]),
         params, cfg,
-    ).values.data
+    ).data
     equivariant = np.array_equal(shuffled, base[perm])
     announce(7, shapes_ok and equivariant,
              "one checkpoint runs C in {1,3,19,64}; channel permutation "

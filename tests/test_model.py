@@ -13,7 +13,6 @@ import fome.numerics as nm
 from fome import model
 from fome.errors import CapacityError, ConfigError, FormatError
 from fome.model import (
-    EmbeddingTensor,
     ModelConfig,
     ParameterStore,
     apply_ablation,
@@ -96,7 +95,7 @@ class TestEmbed:
         grid, bands = random_inputs(rng, cfg, channels=2, patches=3)
         out = embed(grid, bands, store, cfg)
         expected = np.broadcast_to(pos[:3], (2, 3, cfg.model_dim))
-        np.testing.assert_array_equal(out.values.data, expected)
+        np.testing.assert_array_equal(out.data, expected)
 
     def test_identical_patches_differ_only_by_position(self, rng):
         cfg = tiny_cfg()
@@ -105,7 +104,7 @@ class TestEmbed:
         band = np.abs(rng.standard_normal(cfg.n_bands))
         grid = PatchGrid(np.stack([patch, patch])[None, :, :], cfg.patch_len, 250.0)
         bands = BandPowerTensor(np.stack([band, band])[None, :, :])
-        out = embed(grid, bands, store, cfg).values.data
+        out = embed(grid, bands, store, cfg).data
         pos = store["embed.pos"].data
         np.testing.assert_allclose(
             out[0, 0] - out[0, 1], pos[0] - pos[1], atol=1e-12
@@ -115,7 +114,7 @@ class TestEmbed:
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=4)
         grid, bands = random_inputs(rng, cfg)
-        out = embed(grid, bands, store, cfg).values.data
+        out = embed(grid, bands, store, cfg).data
         patches = Tensor(grid.patches)
         e_patch = nm.add(nm.matmul(patches, store["embed.patch.w"]), store["embed.patch.b"]).data
         weights = nm.softmax(Tensor(bands.values), axis=-1)
@@ -144,7 +143,7 @@ class TestEncoderOracles:
         cfg = tiny_cfg(heads=1, model_dim=4, ffn_dim=8, patch_len=6)
         store = ParameterStore.initialize(cfg, seed=9)
         x = rng.standard_normal((2, 3, 4))
-        ours = temporal_attention(EmbeddingTensor(Tensor(x)), store, 0, cfg).values.data
+        ours = temporal_attention(Tensor(x), store, 0, cfg).data
         ref = encoder_block_oracle(x, store.arrays(), "temporal0",
                                    cfg.heads, cfg.d_k, cfg.d_v, cfg.scale_denominator)
         assert np.max(np.abs(ours - ref)) < 1e-10
@@ -153,7 +152,7 @@ class TestEncoderOracles:
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=10)
         x = rng.standard_normal((3, 4, cfg.model_dim))
-        ours = channel_attention(EmbeddingTensor(Tensor(x)), store, 0, cfg).values.data
+        ours = channel_attention(Tensor(x), store, 0, cfg).data
         ref = encoder_block_oracle(x.transpose(1, 0, 2), store.arrays(), "channel0",
                                    cfg.heads, cfg.d_k, cfg.d_v, cfg.scale_denominator)
         assert np.max(np.abs(ours - ref.transpose(1, 0, 2))) < 1e-10
@@ -163,7 +162,7 @@ class TestEncoderOracles:
         assert cfg.scale_denominator == np.sqrt(cfg.d_k)
         store = ParameterStore.initialize(cfg, seed=11)
         x = rng.standard_normal((2, 3, cfg.model_dim))
-        ours = temporal_attention(EmbeddingTensor(Tensor(x)), store, 0, cfg).values.data
+        ours = temporal_attention(Tensor(x), store, 0, cfg).data
         ref = encoder_block_oracle(x, store.arrays(), "temporal0",
                                    cfg.heads, cfg.d_k, cfg.d_v, cfg.scale_denominator)
         assert np.max(np.abs(ours - ref)) < 1e-10
@@ -174,7 +173,7 @@ class TestEncoderOracles:
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=12)
         x = rng.standard_normal((2, 1, cfg.model_dim))
-        ours = temporal_attention(EmbeddingTensor(Tensor(x)), store, 0, cfg).values.data
+        ours = temporal_attention(Tensor(x), store, 0, cfg).data
         ref = encoder_block_oracle(x, store.arrays(), "temporal0",
                                    cfg.heads, cfg.d_k, cfg.d_v, cfg.scale_denominator)
         np.testing.assert_allclose(ours, ref, atol=1e-12)
@@ -183,25 +182,25 @@ class TestEncoderOracles:
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=13)
         x = rng.standard_normal((1, 4, cfg.model_dim))
-        out = channel_attention(EmbeddingTensor(Tensor(x)), store, 0, cfg)
-        assert out.values.shape == (1, 4, cfg.model_dim)
+        out = channel_attention(Tensor(x), store, 0, cfg)
+        assert out.shape == (1, 4, cfg.model_dim)
 
     def test_temporal_block_is_per_channel(self, rng):
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=14)
         x = rng.standard_normal((4, 3, cfg.model_dim))
-        base = temporal_attention(EmbeddingTensor(Tensor(x)), store, 0, cfg).values.data
+        base = temporal_attention(Tensor(x), store, 0, cfg).data
         perm = np.array([3, 1, 0, 2])
-        shuffled = temporal_attention(EmbeddingTensor(Tensor(x[perm])), store, 0, cfg).values.data
+        shuffled = temporal_attention(Tensor(x[perm]), store, 0, cfg).data
         assert np.array_equal(shuffled, base[perm])
 
     def test_channel_block_is_permutation_equivariant(self, rng):
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=15)
         x = rng.standard_normal((5, 3, cfg.model_dim))
-        base = channel_attention(EmbeddingTensor(Tensor(x)), store, 0, cfg).values.data
+        base = channel_attention(Tensor(x), store, 0, cfg).data
         perm = np.array([4, 0, 3, 1, 2])
-        shuffled = channel_attention(EmbeddingTensor(Tensor(x[perm])), store, 0, cfg).values.data
+        shuffled = channel_attention(Tensor(x[perm]), store, 0, cfg).data
         assert np.array_equal(shuffled, base[perm])
 
 
@@ -210,8 +209,8 @@ class TestForward:
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=20)
         grid, bands = random_inputs(rng, cfg)
-        a = forward(grid, bands, store, cfg).values.data
-        b = forward(grid, bands, store, cfg, mask_indices=[]).values.data
+        a = forward(grid, bands, store, cfg).data
+        b = forward(grid, bands, store, cfg, mask_indices=[]).data
         assert np.array_equal(a, b)
 
     def test_all_masked_erases_input(self, rng):
@@ -220,16 +219,16 @@ class TestForward:
         grid1, bands1 = random_inputs(rng, cfg)
         grid2, bands2 = random_inputs(rng, cfg)
         everything = [(c, p) for c in range(3) for p in range(4)]
-        out1 = forward(grid1, bands1, store, cfg, mask_indices=everything).values.data
-        out2 = forward(grid2, bands2, store, cfg, mask_indices=everything).values.data
+        out1 = forward(grid1, bands1, store, cfg, mask_indices=everything).data
+        out2 = forward(grid2, bands2, store, cfg, mask_indices=everything).data
         assert np.array_equal(out1, out2)
 
     def test_masking_changes_output(self, rng):
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=22)
         grid, bands = random_inputs(rng, cfg)
-        plain = forward(grid, bands, store, cfg).values.data
-        masked = forward(grid, bands, store, cfg, mask_indices=[(0, 0)]).values.data
+        plain = forward(grid, bands, store, cfg).data
+        masked = forward(grid, bands, store, cfg, mask_indices=[(0, 0)]).data
         assert not np.array_equal(plain, masked)
 
     def test_mask_keeps_position_information(self, rng):
@@ -237,7 +236,7 @@ class TestForward:
         store = ParameterStore.initialize(cfg, seed=23)
         grid, bands = random_inputs(rng, cfg, channels=1, patches=2)
         e = embed(grid, bands, store, cfg)
-        masked = model.apply_mask(e, [(0, 0), (0, 1)], store, cfg).values.data
+        masked = model.apply_mask(e, [(0, 0), (0, 1)], store, cfg).data
         expected = store["embed.mask"].data[None, :] + store["embed.pos"].data[:2]
         np.testing.assert_array_equal(masked[0], expected)
 
@@ -253,10 +252,10 @@ class TestForward:
         store = ParameterStore.initialize(cfg, seed=25)
         grid, bands = random_inputs(rng, cfg, channels=5)
         perm = np.array([2, 4, 0, 1, 3])
-        base = forward(grid, bands, store, cfg).values.data
+        base = forward(grid, bands, store, cfg).data
         pgrid = PatchGrid(grid.patches[perm], cfg.patch_len, 250.0)
         pbands = BandPowerTensor(bands.values[perm])
-        shuffled = forward(pgrid, pbands, store, cfg).values.data
+        shuffled = forward(pgrid, pbands, store, cfg).data
         assert np.array_equal(shuffled, base[perm])
 
     def test_variable_channel_counts_one_store(self, rng):
@@ -265,7 +264,7 @@ class TestForward:
         for channels in (1, 3, 19, 64):
             grid, bands = random_inputs(rng, cfg, channels=channels)
             out = forward(grid, bands, store, cfg)
-            assert out.values.shape == (channels, 4, cfg.model_dim)
+            assert out.shape == (channels, 4, cfg.model_dim)
 
     def test_interleaved_ordering_differs(self, rng):
         from dataclasses import replace
@@ -273,9 +272,29 @@ class TestForward:
         cfg = tiny_cfg(temporal_layers=2, channel_layers=2)
         store = ParameterStore.initialize(cfg, seed=27)
         grid, bands = random_inputs(rng, cfg)
-        stacked = forward(grid, bands, store, cfg).values.data
-        inter = forward(grid, bands, store, replace(cfg, interleave=True)).values.data
+        stacked = forward(grid, bands, store, cfg).data
+        inter = forward(grid, bands, store, replace(cfg, interleave=True)).data
         assert not np.array_equal(stacked, inter)
+
+
+    @pytest.mark.parametrize("overrides", [{}, {"conv_embed": True},
+                                           {"interleave": True, "channel_layers": 2}])
+    def test_stack_with_mask_gates_equals_per_sample_bitwise(self, rng, overrides):
+        cfg = tiny_cfg(**overrides)
+        store = ParameterStore.initialize(cfg, seed=28)
+        store.add(classify_head_shapes(cfg, 3), seed=29)
+        store.add(forecast_head_shapes(cfg, 4, 2), seed=30)
+        inputs = [random_inputs(rng, cfg, channels=5) for _ in range(3)]
+        slots = [[(0, 0), (3, 2)], [], [(c, 1) for c in range(5)]]
+        gates = np.stack([model.mask_gate(5, 4, s) for s in slots])
+        e = forward(np.stack([g.patches for g, _ in inputs]),
+                    np.stack([b.values for _, b in inputs]), store, cfg, mask_indices=gates)
+        heads = (lambda x: x, lambda x: head_classify(x, store, 3),
+                 lambda x: head_forecast(x, store, 2))
+        for b, ((grid, bands), sample_slots) in enumerate(zip(inputs, slots)):
+            alone = forward(grid, bands, store, cfg, mask_indices=sample_slots)
+            for head in heads:
+                assert head(e).data[b].tobytes() == head(alone).data.tobytes()
 
 
 class TestAblations:
@@ -285,7 +304,7 @@ class TestAblations:
         assert "embed.freq.w" not in store
         grid, _ = random_inputs(rng, cfg)
         out = forward(grid, None, store, cfg)
-        assert out.values.shape == (3, 4, cfg.model_dim)
+        assert out.shape == (3, 4, cfg.model_dim)
 
     def test_no_temporal_and_no_channel(self, rng):
         for name, attr in (("temporal", "temporal_layers"), ("channel", "channel_layers")):
@@ -294,7 +313,7 @@ class TestAblations:
             store = ParameterStore.initialize(cfg, seed=31)
             grid, bands = random_inputs(rng, cfg)
             out = forward(grid, bands, store, cfg)
-            assert out.values.shape == (3, 4, cfg.model_dim)
+            assert out.shape == (3, 4, cfg.model_dim)
 
     def test_conv_embedder(self, rng):
         cfg = apply_ablation(tiny_cfg(), "conv-embed")
@@ -302,7 +321,7 @@ class TestAblations:
         assert store["embed.patch.w"].shape == (cfg.conv_kernel, cfg.model_dim)
         grid, bands = random_inputs(rng, cfg)
         out = forward(grid, bands, store, cfg)
-        assert out.values.shape == (3, 4, cfg.model_dim)
+        assert out.shape == (3, 4, cfg.model_dim)
 
     def test_unknown_ablation(self):
         with pytest.raises(ConfigError):
@@ -314,7 +333,7 @@ class TestHeads:
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=40)
         store.add(classify_head_shapes(cfg, 5), seed=41)
-        e = EmbeddingTensor(Tensor(rng.standard_normal((3, 4, cfg.model_dim))))
+        e = Tensor(rng.standard_normal((3, 4, cfg.model_dim)))
         probs = head_classify(e, store, 5).data
         assert abs(probs.sum() - 1.0) < 1e-9
         assert np.all(probs > 0)
@@ -323,7 +342,7 @@ class TestHeads:
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=42)
         store.add(classify_head_shapes(cfg, 1), seed=43)
-        e = EmbeddingTensor(Tensor(rng.standard_normal((2, 3, cfg.model_dim))))
+        e = Tensor(rng.standard_normal((2, 3, cfg.model_dim)))
         np.testing.assert_array_equal(head_classify(e, store, 1).data, [1.0])
 
     def test_zero_weights_give_uniform(self, rng):
@@ -332,14 +351,14 @@ class TestHeads:
         store.add(classify_head_shapes(cfg, 4), seed=44)
         for name in store.tensors("head.cls."):
             store[name].data[...] = 0.0
-        e = EmbeddingTensor(Tensor(rng.standard_normal((2, 3, cfg.model_dim))))
+        e = Tensor(rng.standard_normal((2, 3, cfg.model_dim)))
         np.testing.assert_allclose(head_classify(e, store, 4).data, 0.25, atol=1e-15)
 
     def test_reconstruct_shapes_and_zero_case(self, rng):
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=45)
         store.add(reconstruct_head_shapes(cfg), seed=46)
-        e = EmbeddingTensor(Tensor(np.zeros((3, 4, cfg.model_dim))))
+        e = Tensor(np.zeros((3, 4, cfg.model_dim)))
         store["head.recon.b"].data[...] = 0.0
         out = head_reconstruct(e, store).data
         assert out.shape == (3, 4, cfg.patch_len)
@@ -350,7 +369,7 @@ class TestHeads:
         store = ParameterStore.initialize(cfg, seed=47)
         store.add(forecast_head_shapes(cfg, context_patches=4, horizon_patches=2), seed=48)
         store["head.fcst.b"].data[...] = 0.0
-        e = EmbeddingTensor(Tensor(np.zeros((3, 4, cfg.model_dim))))
+        e = Tensor(np.zeros((3, 4, cfg.model_dim)))
         out = head_forecast(e, store, 2).data
         assert out.shape == (3, 2 * cfg.patch_len)
         assert np.all(out == 0.0)
@@ -366,7 +385,7 @@ class TestHeads:
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=49)
         store.add(forecast_head_shapes(cfg, context_patches=4, horizon_patches=2), seed=50)
-        e = EmbeddingTensor(Tensor(np.zeros((3, 5, cfg.model_dim))))
+        e = Tensor(np.zeros((3, 5, cfg.model_dim)))
         with pytest.raises(ConfigError):
             head_forecast(e, store, 2)
 
@@ -395,7 +414,7 @@ def _perm_case(duplicate: bool):
 def _run_heads(patches, powers, store):
     grid = PatchGrid(patches, PERM_CFG.patch_len, 250.0)
     e = forward(grid, BandPowerTensor(powers), store, PERM_CFG)
-    return (e.values.data, head_classify(e, store, 5).data,
+    return (e.data, head_classify(e, store, 5).data,
             head_reconstruct(e, store).data, head_forecast(e, store, 2).data)
 
 

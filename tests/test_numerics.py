@@ -130,6 +130,42 @@ class TestGradients:
         grad_check(loss, [a, b, g])
 
 
+    def test_matmul_weight_gradient_folds_leading_axes(self, rng):
+        a = Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((5, 6)), requires_grad=True)
+        g = rng.standard_normal((2, 3, 4, 6))
+        with Tape():
+            loss = nm.mean(nm.mul(nm.matmul(a, w), Tensor(g)))
+        backward(loss)
+        g = g / g.size
+        ref_w = (np.swapaxes(a.data, -1, -2) @ g).sum(axis=(0, 1))
+        assert np.max(np.abs(w.grad - ref_w) / (np.abs(ref_w) + 1e-12)) < 1e-12
+        np.testing.assert_allclose(a.grad, g @ w.data.T, rtol=1e-12)
+
+    @pytest.mark.parametrize("op", ["mul", "matmul", "mse"])
+    def test_constant_inputs_get_no_gradient(self, rng, op):
+        x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        const = Tensor(rng.standard_normal((3, 3)))
+        for args, wanted in (((x, const), [False, True]), ((const, x), [True, False])):
+            with Tape() as tape:
+                out = getattr(nm, op)(*args)
+            grads = tape.nodes[-1].bwd(np.ones(out.shape))
+            assert [g is None for g in grads] == wanted
+
+    @pytest.mark.parametrize("indices", [np.array([[1, 0, 2], [5, 3, 4]]),
+                                         np.array([4, 0, 4, 1, 0])])
+    def test_embedding_lookup_gradient_matches_add_at(self, rng, indices):
+        table = Tensor(rng.standard_normal((6, 2, 3)), requires_grad=True)
+        g = rng.standard_normal(indices.shape + (2, 3))
+        g.flat[::4] = -0.0
+        with Tape() as tape:
+            nm.embedding_lookup(table, indices)
+        (got,) = tape.nodes[-1].bwd(g)
+        ref = np.zeros_like(table.data)
+        np.add.at(ref, indices, g)
+        assert got.tobytes() == ref.tobytes()
+
+
 class TestBackward:
     def test_sum_like_loss_gives_ones(self):
         p = Tensor(np.ones((2, 3)), requires_grad=True)

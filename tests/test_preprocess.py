@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import interior_tone_amplitude, make_tone, rms, steady_state_db
 from oracles import ema_standardize_scalar
@@ -318,6 +321,19 @@ class TestGridFormat:
         back = read_patch_grid(path)
         assert np.array_equal(back.patches, grid.patches)
         assert back.patch_len == 100 and back.source_rate_hz == 250.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        patches=hnp.arrays(np.float32, hnp.array_shapes(min_dims=3, max_dims=3, max_side=5),
+                           elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_round_trip_property(self, patches, rate):
+        grid = PatchGrid(patches, patches.shape[2], rate)
+        back = grid_from_bytes(grid_to_bytes(grid))
+        assert back.patches.shape == patches.shape and back.patch_len == patches.shape[2]
+        assert back.patches.astype(np.float32).tobytes() == patches.tobytes()
+        assert struct.pack("<d", back.source_rate_hz) == struct.pack("<d", rate)
 
     @pytest.mark.parametrize("shape", [(0, 3, 1500), (2, 0, 1500)])
     def test_empty_axes_rejected(self, shape):

@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fome.errors import DataError, FormatError, IoError, SpecError
 from fome.signal_store import (
@@ -12,6 +15,7 @@ from fome.signal_store import (
     SyntheticSpec,
     generate_synthetic,
     read_recording,
+    recording_from_bytes,
     recording_to_bytes,
     write_recording,
 )
@@ -93,6 +97,19 @@ class TestBinaryFormat:
         r = random_f32_recording(rng, 1, 10, 100.0)
         with pytest.raises(IoError):
             write_recording(r, "/nonexistent-dir/x.feeg")
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                        elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        rate=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    )
+    def test_round_trip_property(self, data, rate):
+        back = recording_from_bytes(recording_to_bytes(Recording(data, rate)))
+        assert back.data.shape == data.shape
+        assert back.data.astype(np.float32).tobytes() == data.tobytes()
+        assert struct.pack("<d", back.sample_rate_hz) == struct.pack("<d", rate)
 
 
 class TestCsvFormat:

@@ -1,5 +1,6 @@
 """Schedule, optimizer, masking, training loops, and metrics."""
 
+import gc
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from oracles import adamw_scalar, fbeta_closed_form
 from fome import model, trainer
 from fome.errors import ConfigError, DataError, TrainError
 from fome.model import ParameterStore, preset
+import fome.numerics as nm
 from fome.numerics import Tensor
 from fome.preprocess import PatchGrid
 from fome.rng import Rng
@@ -297,6 +299,34 @@ class TestPretrain:
             denom = np.abs(other) + 1e-12
             assert np.max(np.abs(tensor.data - other) / denom) < 1e-10, name
 
+    def test_gradient_accumulation_equivalence_across_shapes(self):
+        cfg = preset("tiny")
+        corpus = tiny_corpus(n=8)
+        for i in (1, 4, 6):  # three samples of a second shape in the stream
+            corpus[i] = PatchGrid(corpus[i].patches[:1, :3], 8, 250.0)
+        runs = {}
+        for label, batch, accum in (("micro", 2, 4), ("concat", 8, 1)):
+            params = ParameterStore.initialize(cfg, seed=9)
+            tcfg = flat_lr_config(batch_size=batch, grad_accum=accum, seed=13)
+            pretrain(corpus, params, cfg, tcfg, steps=4 if label == "micro" else 1)
+            runs[label] = params
+        for name, tensor in runs["micro"].items():
+            other = runs["concat"][name].data
+            denom = np.abs(other) + 1e-12
+            assert np.max(np.abs(tensor.data - other) / denom) < 1e-10, name
+
+    def test_tape_freed_without_cyclic_gc(self):
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            pretrain(tiny_corpus(), params, cfg, flat_lr_config(), steps=3)
+            left = sum(isinstance(obj, nm._Node) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert left == 0
+
     def test_loss_scope_all_differs_from_masked(self):
         cfg = preset("tiny")
         corpus = tiny_corpus(n=4)
@@ -329,6 +359,22 @@ def labeled_dataset(n=20, length=8, patches=4, seed=4):
         sig = np.stack([x, x[::-1]])
         data.append((PatchGrid(sig.reshape(2, patches, length), length, 250.0), label))
     return data
+
+
+class TestStackedPrediction:
+    def test_mixed_batch_equals_per_sample_forward_bitwise(self, rng):
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=5)
+        params.add(model.classify_head_shapes(cfg, 3), seed=6)
+        grids = [PatchGrid(rng.standard_normal((4, 5, 8)), 8, 250.0) for _ in range(3)]
+        grids.insert(1, PatchGrid(grids[0].patches[[2, 0, 3, 1]], 8, 250.0))
+        grids[3:3] = [PatchGrid(rng.standard_normal((2, 3, 8)), 8, 250.0) for _ in range(2)]
+        bands = [trainer._bands_for(g, cfg) for g in grids]
+        for head in (lambda e: e, lambda e: model.head_classify(e, params, 3)):
+            stacked = trainer._predict(grids, bands, params, cfg, head)
+            for grid, row in zip(grids, stacked):
+                alone = head(model.forward(grid, trainer._bands_for(grid, cfg), params, cfg))
+                assert row.tobytes() == alone.data.tobytes()
 
 
 class TestFinetuneClassify:
