@@ -236,9 +236,9 @@ def _cmd_spectra(args, manifest: _Manifest) -> None:
     payload = _read_bytes(args.infile)
     manifest.add_input(args.infile, payload)
     grid = grid_from_bytes(payload, source=args.infile)
-    tensor = band_powers(grid, taper=args.taper)
-    c, p, n = tensor.values.shape
-    rows = tensor.values.reshape(c * p, n).tolist()
+    values = band_powers(grid, taper=args.taper)
+    c, p, n = values.shape
+    rows = values.reshape(c * p, n).tolist()
     text = "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
     _write_text(args.out, text)
     manifest.add_config("spectra", {"taper": args.taper, "channels": c, "patches": p})
@@ -299,6 +299,8 @@ def _split_into_samples(grid, patches_per_sample: int):
     from .errors import ConfigError
     from .preprocess import PatchGrid
 
+    if patches_per_sample < 1:
+        raise ConfigError(f"--pps must be >= 1, got {patches_per_sample}")
     n = grid.n_patches // patches_per_sample
     if n == 0:
         raise ConfigError(
@@ -335,7 +337,10 @@ def _init_params(args, model_cfg):
 
 def _cmd_pretrain(args, manifest: _Manifest) -> None:
     from . import model, trainer
+    from .errors import ConfigError
 
+    if not args.infile:
+        raise ConfigError("pretrain needs at least one --in grid")
     model_cfg = _model_config(args)
     corpus = []
     for grid in _load_grids(args.infile, manifest):
@@ -381,14 +386,21 @@ def _read_dataset_manifest(path: str, manifest: _Manifest):
             ) from None
         split = row[2].strip() if len(row) > 2 else None
         rows.append((grid_path, label, split))
+    if not rows:
+        raise DataError(f"{path}: no dataset rows")
     manifest.add_input(path, payload)
     return rows
 
 
 def _cmd_finetune(args, manifest: _Manifest) -> None:
     from . import model, trainer
+    from .errors import ConfigError
     from .rng import Rng
 
+    if args.task == "classify" and args.manifest_csv is None:
+        raise ConfigError("finetune classify needs --dataset")
+    if args.task != "classify" and not args.infile:
+        raise ConfigError(f"finetune {args.task} needs at least one --in grid")
     model_cfg = _model_config(args)
     train_cfg = _train_config(args)
 

@@ -9,9 +9,11 @@ any montage.  Every reduction across channels (channel attention and the
 classifier's pooling) runs on the rows gathered into a canonical order that
 depends only on their bits (`_canonical_order`), so the forward pass and
 every head are equivariant to channel reordering, bit for bit.  Every
-function takes one sample's (C, P, ·) activations or a (B, C, P, ·) stack
-of samples of one shape, and a stack gives each sample the bits it gets
-alone.
+function takes one sample's (C, P, ·) arrays or a (B, C, P, ·) stack of
+samples of one shape, and a stack gives each sample the bits it gets alone.
+Inputs are plain arrays: patches (..., C, P, L), band powers
+(..., C, P, n_bands) and a boolean (..., C, P) mask of the hidden
+(channel, patch) slots.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import numerics as nm
-from .errors import CapacityError, ConfigError, FormatError, IoError
+from .errors import CapacityError, ConfigError, FormatError, IoError, ShapeError
 from .numerics import Tensor
-from .preprocess import PatchGrid
 from .rng import Rng
-from .spectral import BandPowerTensor
 
 _INIT_STD = 0.02
 
@@ -245,9 +245,6 @@ class ParameterStore:
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self._tensors.items()}
 
-    def n_scalars(self) -> int:
-        return sum(v.size for v in self._tensors.values())
-
     def clone(self) -> "ParameterStore":
         out = ParameterStore()
         for k, v in self._tensors.items():
@@ -294,18 +291,17 @@ def _positional_rows(params: ParameterStore, n_patches: int) -> Tensor:
 
 
 def embed(
-    grid: PatchGrid | np.ndarray,
-    bands: BandPowerTensor | np.ndarray | None,
+    patches: np.ndarray,
+    bands: np.ndarray | None,
     params: ParameterStore,
     cfg: ModelConfig,
 ) -> Tensor:
     """Fuse patch content, softmax-normalized band powers, and position.
 
-    `grid` is one PatchGrid or a (..., C, P, L) stack of patches, `bands`
-    the matching BandPowerTensor or (..., C, P, n_bands) stack (None when
-    the config has no frequency embedding); returns (..., C, P, D).
+    `patches` is (..., C, P, L), `bands` the matching (..., C, P, n_bands)
+    band powers (None when the config has no frequency embedding); returns
+    (..., C, P, D).
     """
-    patches = grid.patches if isinstance(grid, PatchGrid) else np.asarray(grid)
     p, length = patches.shape[-2:]
     if length != cfg.patch_len:
         raise ConfigError(f"grid patch_len {length} != config patch_len {cfg.patch_len}")
@@ -323,36 +319,28 @@ def embed(
     if cfg.use_freq_embed:
         if bands is None:
             raise ConfigError("config uses the frequency embedding but bands is None")
-        powers = bands.values if isinstance(bands, BandPowerTensor) else np.asarray(bands)
-        if powers.shape[:-1] != patches.shape[:-1]:
+        if bands.shape[:-1] != patches.shape[:-1]:
             raise ConfigError(
-                f"band tensor shape {powers.shape} does not match grid {patches.shape[:-1]}"
+                f"band powers shape {bands.shape} does not match patches {patches.shape[:-1]}"
             )
-        weights = nm.softmax(Tensor(powers), axis=-1)
+        weights = nm.softmax(Tensor(bands), axis=-1)
         e_freq = nm.add(nm.matmul(weights, params["embed.freq.w"]), params["embed.freq.b"])
         total = nm.add(total, e_freq)
     return nm.add(total, _positional_rows(params, p))
 
 
-def mask_gate(channels: int, patches: int, slots) -> np.ndarray:
-    """A (C, P, 1) gate: 1.0 at each (channel, patch) slot, 0.0 elsewhere."""
-    gate = np.zeros((channels, patches, 1))
-    for ch, pa in slots:
-        if not (0 <= ch < channels and 0 <= pa < patches):
-            raise IndexError(f"mask slot ({ch}, {pa}) out of range for ({channels}, {patches})")
-        gate[ch, pa, 0] = 1.0
-    return gate
-
-
-def apply_mask(e_input: Tensor, mask, params: ParameterStore, cfg: ModelConfig) -> Tensor:
-    """Replace masked (channel, patch) rows with [MASK] + position.
-
-    `mask` is a 0/1 gate that broadcasts against (..., C, P, 1), such as a
-    (B, C, P, 1) stack of `mask_gate`s, or the (channel, patch) slots of a
-    single (C, P, D) grid.
-    """
-    c, p, d = e_input.shape[-3:]
-    gate = mask if isinstance(mask, np.ndarray) else mask_gate(c, p, mask)
+def apply_mask(
+    e_input: Tensor, mask: np.ndarray, params: ParameterStore, cfg: ModelConfig
+) -> Tensor:
+    """Replace the rows of (..., C, P, D) `e_input` where the boolean
+    (..., C, P) `mask` is True with [MASK] + position; an all-False mask
+    returns `e_input` itself."""
+    if mask.shape != e_input.shape[:-1]:
+        raise ShapeError(f"mask shape {mask.shape} != activation slots {e_input.shape[:-1]}")
+    if not mask.any():
+        return e_input
+    p, d = e_input.shape[-2:]
+    gate = mask[..., None].astype(np.float64)
     mask_row = nm.reshape(params["embed.mask"], (1, 1, d))
     replacement = nm.add(mask_row, _positional_rows(params, p))
     kept = nm.mul(e_input, Tensor(1.0 - gate))
@@ -459,21 +447,18 @@ def channel_attention(
 
 
 def forward(
-    grid: PatchGrid | np.ndarray,
-    bands: BandPowerTensor | np.ndarray | None,
+    patches: np.ndarray,
+    bands: np.ndarray | None,
     params: ParameterStore,
     cfg: ModelConfig,
-    mask_indices=None,
+    mask: np.ndarray | None = None,
     stream: Rng | None = None,
 ) -> Tensor:
-    """Embed, optionally mask, then run the full encoder stack.
-
-    Takes one grid or a stack of grids of one shape (see `embed`) and any
-    mask `apply_mask` takes; returns (..., C, P, D).
-    """
-    e = embed(grid, bands, params, cfg)
-    if mask_indices is not None and len(mask_indices):
-        e = apply_mask(e, mask_indices, params, cfg)
+    """Embed, mask the slots where the boolean (..., C, P) `mask` is True,
+    then run the full encoder stack; returns (..., C, P, D)."""
+    e = embed(patches, bands, params, cfg)
+    if mask is not None:
+        e = apply_mask(e, mask, params, cfg)
     if cfg.interleave:
         for i in range(max(cfg.temporal_layers, cfg.channel_layers)):
             if i < cfg.temporal_layers:

@@ -48,12 +48,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -401,11 +395,6 @@ def backward(loss: Tensor) -> None:
         if tensor.requires_grad:
             g = adjoints[key]
             tensor.grad = g.copy() if tensor.grad is None else tensor.grad + g
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 # ---------------------------------------------------------------------------

@@ -77,16 +77,6 @@ class Rng:
         out[1::2] = r * np.sin(2.0 * np.pi * u2)
         return out[:n]
 
-    def integers_below(self, bound: int, n: int) -> np.ndarray:
-        """``n`` integers uniform on [0, bound) by 64-bit modulo reduction.
-
-        The modulo bias is < bound / 2**64, far below anything our
-        statistical tests can resolve.
-        """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return (self.raw(n) % np.uint64(bound)).astype(np.int64)
-
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """``k`` distinct integers from [0, n), by partial Fisher-Yates."""
         if not 0 <= k <= n:

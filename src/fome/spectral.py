@@ -2,11 +2,13 @@
 
 Transforms are numpy's FFT (pocketfft), which handles any length exactly,
 including the canonical 1500-sample patch (2^2 * 3 * 5^3), without padding.
+Band powers are a plain (C, P, n_bands) float64 array, the shape the
+model's frequency embedding takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,16 +116,10 @@ class BandScheme:
         return masks
 
 
-@dataclass(eq=False)
-class BandPowerTensor:
-    """Per-patch log10 band powers with shape (channels, patches, n_bands)."""
-
-    values: np.ndarray
-    scheme: BandScheme = field(default_factory=BandScheme)
-
-
-def band_powers(grid: PatchGrid, scheme: BandScheme | None = None, taper: str = "none") -> BandPowerTensor:
-    """Log-compressed in-band PSD sums for every patch.
+def band_powers(
+    grid: PatchGrid, scheme: BandScheme | None = None, taper: str = "none"
+) -> np.ndarray:
+    """Log-compressed in-band PSD sums for every patch: (C, P, n_bands).
 
     Per patch and band: log10(1 + sum of P(f) over the band's bins), which
     is always >= 0 and exactly invertible via 10**v - 1.
@@ -135,4 +131,4 @@ def band_powers(grid: PatchGrid, scheme: BandScheme | None = None, taper: str = 
     values = np.empty((c, p, scheme.n_bands), dtype=np.float64)
     for i, mask in enumerate(masks):
         values[:, :, i] = np.log10(spectra[:, :, mask].sum(axis=-1) + 1.0)
-    return BandPowerTensor(values=values, scheme=scheme)
+    return values

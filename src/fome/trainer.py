@@ -3,12 +3,14 @@
 Every task trains through one loop, `_train_loop`.  Per micro-step it takes
 the next batch, stacks the samples of each shape into one (B, C, P, L)
 array, and runs one forward and one backward pass per stack (pre-training
-draws one mask plan per sample, in batch order, and gates the stack with
-them); dropout masks are drawn once per stack.  The step's tape is dropped
-right after backward.  Every `grad_accum` micro-steps it applies one AdamW
-update at the scheduled learning rate.  Losses are mean-reduced and
-micro-batch losses are scaled by 1/grad_accum, so accumulation matches a
-single step on the concatenated batch.
+draws one boolean (C, P) mask per sample, in batch order, and hides the
+slots of the stack's (B, C, P) mask); dropout masks are drawn once per
+stack.  The step's tape is dropped right after backward.  Every
+`grad_accum` micro-steps it applies one AdamW update at the scheduled
+learning rate.  Losses are mean-reduced and micro-batch losses are scaled
+by 1/grad_accum, so accumulation matches a single step on the concatenated
+batch.  A mask is the same boolean (C, P) map wherever it appears: the
+slots pre-training hides and the missing patches of an `ImputeSample`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ class TrainConfig:
     """Optimization constants; defaults are the full-scale recipe."""
 
     mask_ratio: float = 0.40
-    patches_per_sample: int = 15
     batch_size: int = 12
     grad_accum: int = 4
     beta1: float = 0.9
@@ -136,44 +137,31 @@ class AdamW:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaskPlan:
-    """The (channel, patch) slots hidden from the encoder for one sample."""
-
-    slots: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-    def __iter__(self):
-        return iter(self.slots)
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
 def make_mask_plan(
     channels: int, patches: int, ratio: float, stream: Rng, mode: str = "slot"
-) -> MaskPlan:
-    """Draw round(ratio * C * P) unique slots, uniformly without replacement.
+) -> np.ndarray:
+    """A boolean (C, P) mask, True at round(ratio * C * P) (channel, patch)
+    slots drawn uniformly without replacement.
 
     Column mode instead hides round(ratio * P) whole patch columns across
     every channel.
     """
     if not 0 < ratio < 1:
         raise ConfigError(f"mask ratio must be in (0, 1), got {ratio}")
+    mask = np.zeros((channels, patches), dtype=bool)
     if mode == "slot":
         k = _round_half_up(ratio * channels * patches)
-        flat = stream.sample_without_replacement(channels * patches, k)
-        slots = tuple((int(i) // patches, int(i) % patches) for i in flat)
+        mask.flat[stream.sample_without_replacement(channels * patches, k)] = True
     elif mode == "column":
         k = _round_half_up(ratio * patches)
-        cols = stream.sample_without_replacement(patches, k)
-        slots = tuple((c, int(p)) for p in cols for c in range(channels))
+        mask[:, stream.sample_without_replacement(patches, k)] = True
     else:
         raise ConfigError(f"unknown mask mode {mode!r}")
-    return MaskPlan(slots=slots)
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +341,7 @@ class _Cycler:
 
 
 def _bands_for(grid: PatchGrid, model_cfg: ModelConfig) -> np.ndarray | None:
-    return band_powers(grid).values if model_cfg.use_freq_embed else None
+    return band_powers(grid) if model_cfg.use_freq_embed else None
 
 
 def _shape_groups(shapes: list[tuple[int, ...]]) -> list[list[int]]:
@@ -376,9 +364,10 @@ def _grouped_mean(batch: list[int], grids: list[PatchGrid], group_loss) -> Tenso
     return total
 
 
-def _stack(grids: list[PatchGrid], bands: list, idx: list[int]):
+def _stack(grids: list[PatchGrid], bands, idx: list[int]):
     """The (B, C, P, L) patches and (B, C, P, n_bands) band powers (None
-    without the frequency embedding) of samples `idx`, all of one shape."""
+    without the frequency embedding) of samples `idx`, all of one shape;
+    `bands` is indexed like `grids` (a list, or a dict of the samples used)."""
     patches = np.stack([grids[i].patches for i in idx])
     powers = None if bands[idx[0]] is None else np.stack([bands[i] for i in idx])
     return patches, powers
@@ -401,15 +390,14 @@ def _predict(grids: list[PatchGrid], bands: list, params, model_cfg, head) -> li
     return out
 
 
-def _masked_mse(rec: Tensor, target: np.ndarray, mask, scope: str) -> Tensor:
+def _masked_mse(rec: Tensor, target: np.ndarray, mask: np.ndarray, scope: str) -> Tensor:
     """Reconstruction MSE over the masked slots, rescaled by the masked
     fraction; over every slot for scope "all" or an empty mask.
 
-    `mask` is the (B, C, P, 1) gate of a (B, C, P, L) stack whose samples
-    all mask as many slots (as plans of one shape do), or the MaskPlan of
-    a single (C, P, L) grid.
+    `mask` is the boolean (..., C, P) mask of the (..., C, P, L) `target`;
+    in a stack every sample masks as many slots (as masks of one shape do).
     """
-    gate = mask if isinstance(mask, np.ndarray) else mdl.mask_gate(*target.shape[:2], mask)
+    gate = mask[..., None].astype(np.float64)
     masked_fraction = float(gate.mean())
     if scope == "all" or masked_fraction == 0.0:
         return nm.mse(rec, Tensor(target))
@@ -470,7 +458,7 @@ def _finetune(head_loss, grids: list[PatchGrid], train_idx, params: ParameterSto
     `head.<head>.` tensors only, on encodings computed once, since the
     frozen backbone maps each sample to the same rows at every step.
     """
-    bands = [_bands_for(g, model_cfg) for g in grids]
+    bands = {i: _bands_for(grids[i], model_cfg) for i in train_idx}
     trainable = dict(params.items())
     if mode == "probe":
         train = list(train_idx)
@@ -522,6 +510,8 @@ def pretrain(
     """
     if not corpus:
         raise ConfigError("pretrain needs a non-empty corpus")
+    if steps < 1:
+        raise ConfigError(f"pretrain needs at least 1 step, got {steps}")
     _ensure_head(params, mdl.reconstruct_head_shapes(model_cfg), seed=cfg.seed + 1)
     bands = [_bands_for(g, model_cfg) for g in corpus]
     order = _Cycler(list(range(len(corpus))), Rng(cfg.seed).split(1))
@@ -529,20 +519,17 @@ def pretrain(
     drop_stream = Rng(cfg.seed).split(3) if model_cfg.dropout > 0 else None
 
     def batch_loss(batch: list[int]) -> Tensor:
-        # one plan per sample in batch order, whatever the shape groups
-        gates = []
-        for i in batch:
-            c, p, _ = corpus[i].patches.shape
-            plan = make_mask_plan(c, p, cfg.mask_ratio, mask_stream, cfg.mask_mode)
-            gates.append(mdl.mask_gate(c, p, plan))
+        # one mask per sample in batch order, whatever the shape groups
+        masks = [make_mask_plan(*corpus[i].patches.shape[:2], cfg.mask_ratio, mask_stream,
+                                cfg.mask_mode) for i in batch]
 
         def group_loss(pos: list[int]) -> Tensor:
-            gate = np.stack([gates[j] for j in pos])
+            mask = np.stack([masks[j] for j in pos])
             patches, powers = _stack(corpus, bands, [batch[j] for j in pos])
-            encoded = mdl.forward(patches, powers, params, model_cfg,
-                                  mask_indices=gate if gate.any() else None, stream=drop_stream)
+            encoded = mdl.forward(patches, powers, params, model_cfg, mask=mask,
+                                  stream=drop_stream)
             rec = mdl.head_reconstruct(encoded, params)
-            return _masked_mse(rec, patches, gate, cfg.loss_scope)
+            return _masked_mse(rec, patches, mask, cfg.loss_scope)
 
         return _grouped_mean(batch, corpus, group_loss)
 
@@ -748,14 +735,10 @@ def make_impute_samples(
     grids: list[PatchGrid], missing_ratio: float, stream: Rng
 ) -> list[ImputeSample]:
     """Hide round(ratio * C * P) patches per grid, uniformly at random."""
-    samples = []
-    for grid in grids:
-        plan = make_mask_plan(grid.n_channels, grid.n_patches, missing_ratio, stream, "slot")
-        missing = np.zeros((grid.n_channels, grid.n_patches), dtype=bool)
-        for c, p in plan:
-            missing[c, p] = True
-        samples.append(ImputeSample(grid=grid, missing=missing))
-    return samples
+    return [
+        ImputeSample(grid, make_mask_plan(grid.n_channels, grid.n_patches, missing_ratio, stream))
+        for grid in grids
+    ]
 
 
 def mean_imputation(sample: ImputeSample) -> np.ndarray:
@@ -785,10 +768,8 @@ def evaluate_impute(
         if not sample.missing.any():
             continue
         observed = _observed_grid(sample)
-        slots = [tuple(idx) for idx in np.argwhere(sample.missing)]
-        encoded = mdl.forward(
-            observed, _bands_for(observed, model_cfg), params, model_cfg, mask_indices=slots
-        )
+        encoded = mdl.forward(observed.patches, _bands_for(observed, model_cfg), params,
+                              model_cfg, mask=sample.missing)
         rec = mdl.head_reconstruct(encoded, params).data
         filled = mean_imputation(sample)
         pred_vals.append(rec[sample.missing].ravel())

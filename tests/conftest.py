@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fome.signal_store import Recording
+
+# the same examples on every run, and no example database on disk
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
+
+def pytest_configure(config):
+    """Keep hypothesis's cache of source constants out of the working tree:
+    it goes to a temporary directory removed when the session ends."""
+    scratch = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(scratch, ignore_errors=True))
+    os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", scratch)
 
 
 def make_tone(freq_hz: float, fs: float, duration_s: float, channels: int = 1,

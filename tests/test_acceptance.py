@@ -30,7 +30,7 @@ from fome.preprocess import (
 )
 from fome.rng import Rng
 from fome.signal_store import Recording
-from fome.spectral import BandPowerTensor, band_powers, dft
+from fome.spectral import band_powers, dft
 from fome.trainer import TrainConfig, lr_at, make_mask_plan
 
 # upper 1% quantile of chi-squared with 59 degrees of freedom
@@ -128,7 +128,7 @@ def test_criterion_01_gradient_fidelity():
     plan = make_mask_plan(2, 3, 0.4, Rng(4))
 
     def loss_fn():
-        encoded = model.forward(grid, bands, params, cfg, mask_indices=plan)
+        encoded = model.forward(grid.patches, bands, params, cfg, mask=plan)
         rec = model.head_reconstruct(encoded, params)
         return trainer._masked_mse(rec, grid.patches, plan, "masked_only")
 
@@ -193,7 +193,7 @@ def test_criterion_03_spectral_correctness():
     fft_err = float(np.max(np.abs(dft(x) - naive_dft(x)))) / np.linalg.norm(x)
     parseval = abs(np.sum(np.abs(dft(x)) ** 2) - 1500 * np.sum(x**2)) / (1500 * np.sum(x**2))
     grid = PatchGrid(tone(10.0, 250.0, 6.0).reshape(1, 1, 1500), 1500, 250.0)
-    values = band_powers(grid).values[0, 0]
+    values = band_powers(grid)[0, 0]
     alpha_is_strict_max = values[2] > np.max(np.delete(values, 2))
     ok = fft_err < 1e-8 and parseval < 1e-9 and alpha_is_strict_max
     announce(3, ok, f"FFT vs naive DFT err {fft_err:.2e}, Parseval {parseval:.2e}, "
@@ -268,9 +268,8 @@ def test_criterion_06_masking_statistics():
     all_exact = True
     for _ in range(draws):
         plan = make_mask_plan(channels, patches, ratio, stream)
-        all_exact &= len(plan) == expected_size and len(set(plan.slots)) == expected_size
-        for c, p in plan:
-            counts[c * patches + p] += 1
+        all_exact &= int(plan.sum()) == expected_size
+        counts += plan.ravel()
     # Pearson statistic with the finite-population correction for
     # without-replacement draws: T ~ chi2(slots - 1) under uniformity
     p_inclusion = expected_size / slots
@@ -296,17 +295,13 @@ def test_criterion_07_variable_channel_property(tmp_path):
     for channels in (1, 3, 19, 64):
         grid = PatchGrid(gen.standard_normal((channels, 4, cfg.patch_len)), cfg.patch_len, 250.0)
         bands = band_powers(grid)
-        out = model.forward(grid, bands, params, cfg)
+        out = model.forward(grid.patches, bands, params, cfg)
         shapes_ok &= out.shape == (channels, 4, cfg.model_dim)
     grid = PatchGrid(gen.standard_normal((19, 4, cfg.patch_len)), cfg.patch_len, 250.0)
     bands = band_powers(grid)
-    base = model.forward(grid, bands, params, cfg).data
+    base = model.forward(grid.patches, bands, params, cfg).data
     perm = gen.permutation(19)
-    shuffled = model.forward(
-        PatchGrid(grid.patches[perm], cfg.patch_len, 250.0),
-        BandPowerTensor(bands.values[perm]),
-        params, cfg,
-    ).data
+    shuffled = model.forward(grid.patches[perm], bands[perm], params, cfg).data
     equivariant = np.array_equal(shuffled, base[perm])
     announce(7, shapes_ok and equivariant,
              "one checkpoint runs C in {1,3,19,64}; channel permutation "

@@ -94,7 +94,7 @@ class TestSpectraCommand:
         spectra = run_cli(["spectra", "--out", str(out)], stdin_bytes=prep.stdout)
         assert spectra.returncode == 0, spectra.stderr
         cells = [[float(v) for v in row.split(",")] for row in out.read_text().splitlines()]
-        values = band_powers(grid_from_bytes(prep.stdout)).values
+        values = band_powers(grid_from_bytes(prep.stdout))
         np.testing.assert_array_equal(np.array(cells), values.reshape(-1, values.shape[-1]))
 
 
@@ -153,6 +153,30 @@ class TestErrors:
         payload = json.loads(result.stderr)
         assert payload["error"] == "DataError"
         assert "row 2" in payload["message"] and "b.fegp" in payload["message"]
+
+    @pytest.mark.parametrize("args", [
+        ["finetune", "classify"],
+        ["finetune", "classify", "--dataset", "EMPTY"],
+        ["finetune", "forecast"],
+        ["finetune", "impute"],
+        ["pretrain", "--in"],
+        ["pretrain", "--in", "GRID", "--pps", "0"],
+        ["pretrain", "--in", "GRID", "--pps", "2", "--steps", "0"],
+    ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
+            "pretrain-no-in", "pps-0", "steps-0"])
+    def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
+        from fome import errors
+        from fome.preprocess import PatchGrid, write_patch_grid
+
+        inputs = {"GRID": tmp_path / "grid.fegp", "EMPTY": tmp_path / "empty.csv"}
+        write_patch_grid(PatchGrid(np.zeros((2, 4, 16)), 16, 250.0), inputs["GRID"])
+        inputs["EMPTY"].write_text("")
+        args = [str(inputs.get(arg, arg)) for arg in args]
+        result = run_cli(args + ["--preset", "tiny", "--out", str(tmp_path / "out.bin")])
+        assert result.returncode == 1, result.stderr
+        payload = json.loads(result.stderr)
+        assert issubclass(getattr(errors, payload["error"]), errors.FomeError), payload
+        assert sorted(os.listdir(tmp_path)) == ["empty.csv", "grid.fegp"]
 
     def test_nyquist_violation_from_module(self):
         result = run_cli(["synth", "--channels", "1", "--rate", "40",

@@ -11,7 +11,7 @@ from oracles import encoder_block_oracle
 
 import fome.numerics as nm
 from fome import model
-from fome.errors import CapacityError, ConfigError, FormatError
+from fome.errors import CapacityError, ConfigError, FormatError, ShapeError
 from fome.model import (
     ModelConfig,
     ParameterStore,
@@ -34,8 +34,6 @@ from fome.model import (
     write_model_config,
 )
 from fome.numerics import Tensor
-from fome.preprocess import PatchGrid
-from fome.spectral import BandPowerTensor
 
 
 def tiny_cfg(**kw):
@@ -43,9 +41,8 @@ def tiny_cfg(**kw):
 
 
 def random_inputs(rng, cfg, channels=3, patches=4):
-    grid = PatchGrid(rng.standard_normal((channels, patches, cfg.patch_len)),
-                     cfg.patch_len, 250.0)
-    bands = BandPowerTensor(np.abs(rng.standard_normal((channels, patches, cfg.n_bands))))
+    grid = rng.standard_normal((channels, patches, cfg.patch_len))
+    bands = np.abs(rng.standard_normal((channels, patches, cfg.n_bands)))
     return grid, bands
 
 
@@ -102,8 +99,8 @@ class TestEmbed:
         store = ParameterStore.initialize(cfg, seed=4)
         patch = rng.standard_normal(cfg.patch_len)
         band = np.abs(rng.standard_normal(cfg.n_bands))
-        grid = PatchGrid(np.stack([patch, patch])[None, :, :], cfg.patch_len, 250.0)
-        bands = BandPowerTensor(np.stack([band, band])[None, :, :])
+        grid = np.stack([patch, patch])[None, :, :]
+        bands = np.stack([band, band])[None, :, :]
         out = embed(grid, bands, store, cfg).data
         pos = store["embed.pos"].data
         np.testing.assert_allclose(
@@ -115,9 +112,9 @@ class TestEmbed:
         store = ParameterStore.initialize(cfg, seed=4)
         grid, bands = random_inputs(rng, cfg)
         out = embed(grid, bands, store, cfg).data
-        patches = Tensor(grid.patches)
+        patches = Tensor(grid)
         e_patch = nm.add(nm.matmul(patches, store["embed.patch.w"]), store["embed.patch.b"]).data
-        weights = nm.softmax(Tensor(bands.values), axis=-1)
+        weights = nm.softmax(Tensor(bands), axis=-1)
         e_freq = nm.add(nm.matmul(weights, store["embed.freq.w"]), store["embed.freq.b"]).data
         e_pos = store["embed.pos"].data[:4][None, :, :]
         np.testing.assert_array_equal(out, e_patch + e_freq + e_pos)
@@ -133,7 +130,7 @@ class TestEmbed:
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=0)
         grid, _ = random_inputs(rng, cfg)
-        bad = BandPowerTensor(np.zeros((1, 1, cfg.n_bands)))
+        bad = np.zeros((1, 1, cfg.n_bands))
         with pytest.raises(ConfigError):
             embed(grid, bad, store, cfg)
 
@@ -210,7 +207,7 @@ class TestForward:
         store = ParameterStore.initialize(cfg, seed=20)
         grid, bands = random_inputs(rng, cfg)
         a = forward(grid, bands, store, cfg).data
-        b = forward(grid, bands, store, cfg, mask_indices=[]).data
+        b = forward(grid, bands, store, cfg, mask=np.zeros((3, 4), dtype=bool)).data
         assert np.array_equal(a, b)
 
     def test_all_masked_erases_input(self, rng):
@@ -218,9 +215,9 @@ class TestForward:
         store = ParameterStore.initialize(cfg, seed=21)
         grid1, bands1 = random_inputs(rng, cfg)
         grid2, bands2 = random_inputs(rng, cfg)
-        everything = [(c, p) for c in range(3) for p in range(4)]
-        out1 = forward(grid1, bands1, store, cfg, mask_indices=everything).data
-        out2 = forward(grid2, bands2, store, cfg, mask_indices=everything).data
+        everything = np.ones((3, 4), dtype=bool)
+        out1 = forward(grid1, bands1, store, cfg, mask=everything).data
+        out2 = forward(grid2, bands2, store, cfg, mask=everything).data
         assert np.array_equal(out1, out2)
 
     def test_masking_changes_output(self, rng):
@@ -228,7 +225,9 @@ class TestForward:
         store = ParameterStore.initialize(cfg, seed=22)
         grid, bands = random_inputs(rng, cfg)
         plain = forward(grid, bands, store, cfg).data
-        masked = forward(grid, bands, store, cfg, mask_indices=[(0, 0)]).data
+        first_slot = np.zeros((3, 4), dtype=bool)
+        first_slot[0, 0] = True
+        masked = forward(grid, bands, store, cfg, mask=first_slot).data
         assert not np.array_equal(plain, masked)
 
     def test_mask_keeps_position_information(self, rng):
@@ -236,16 +235,21 @@ class TestForward:
         store = ParameterStore.initialize(cfg, seed=23)
         grid, bands = random_inputs(rng, cfg, channels=1, patches=2)
         e = embed(grid, bands, store, cfg)
-        masked = model.apply_mask(e, [(0, 0), (0, 1)], store, cfg).data
+        masked = model.apply_mask(e, np.ones((1, 2), dtype=bool), store, cfg).data
         expected = store["embed.mask"].data[None, :] + store["embed.pos"].data[:2]
         np.testing.assert_array_equal(masked[0], expected)
 
-    def test_mask_out_of_range(self, rng):
+    def test_mask_of_wrong_shape_raises(self, rng):
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=24)
-        grid, bands = random_inputs(rng, cfg)
-        with pytest.raises(IndexError):
-            forward(grid, bands, store, cfg, mask_indices=[(7, 0)])
+        grid, bands = random_inputs(rng, cfg)  # slots (3, 4)
+        e = embed(grid, bands, store, cfg)
+        # (1, 4) and (3, 1) would broadcast against (3, 4) in numpy
+        for shape in ((1, 4), (3, 1), (4, 3), (3, 4, 1), (2, 3, 4), (12,)):
+            with pytest.raises(ShapeError):
+                model.apply_mask(e, np.ones(shape, dtype=bool), store, cfg)
+            with pytest.raises(ShapeError):
+                forward(grid, bands, store, cfg, mask=np.zeros(shape, dtype=bool))
 
     def test_full_network_channel_equivariance_bitwise(self, rng):
         cfg = tiny_cfg()
@@ -253,9 +257,7 @@ class TestForward:
         grid, bands = random_inputs(rng, cfg, channels=5)
         perm = np.array([2, 4, 0, 1, 3])
         base = forward(grid, bands, store, cfg).data
-        pgrid = PatchGrid(grid.patches[perm], cfg.patch_len, 250.0)
-        pbands = BandPowerTensor(bands.values[perm])
-        shuffled = forward(pgrid, pbands, store, cfg).data
+        shuffled = forward(grid[perm], bands[perm], store, cfg).data
         assert np.array_equal(shuffled, base[perm])
 
     def test_variable_channel_counts_one_store(self, rng):
@@ -285,14 +287,15 @@ class TestForward:
         store.add(classify_head_shapes(cfg, 3), seed=29)
         store.add(forecast_head_shapes(cfg, 4, 2), seed=30)
         inputs = [random_inputs(rng, cfg, channels=5) for _ in range(3)]
-        slots = [[(0, 0), (3, 2)], [], [(c, 1) for c in range(5)]]
-        gates = np.stack([model.mask_gate(5, 4, s) for s in slots])
-        e = forward(np.stack([g.patches for g, _ in inputs]),
-                    np.stack([b.values for _, b in inputs]), store, cfg, mask_indices=gates)
+        masks = np.zeros((3, 5, 4), dtype=bool)
+        masks[0, [0, 3], [0, 2]] = True  # sample 1 masks nothing
+        masks[2, :, 1] = True
+        e = forward(np.stack([g for g, _ in inputs]),
+                    np.stack([b for _, b in inputs]), store, cfg, mask=masks)
         heads = (lambda x: x, lambda x: head_classify(x, store, 3),
                  lambda x: head_forecast(x, store, 2))
-        for b, ((grid, bands), sample_slots) in enumerate(zip(inputs, slots)):
-            alone = forward(grid, bands, store, cfg, mask_indices=sample_slots)
+        for b, (grid, bands) in enumerate(inputs):
+            alone = forward(grid, bands, store, cfg, mask=masks[b])
             for head in heads:
                 assert head(e).data[b].tobytes() == head(alone).data.tobytes()
 
@@ -412,8 +415,7 @@ def _perm_case(duplicate: bool):
 
 
 def _run_heads(patches, powers, store):
-    grid = PatchGrid(patches, PERM_CFG.patch_len, 250.0)
-    e = forward(grid, BandPowerTensor(powers), store, PERM_CFG)
+    e = forward(patches, powers, store, PERM_CFG)
     return (e.data, head_classify(e, store, 5).data,
             head_reconstruct(e, store).data, head_forecast(e, store, 2).data)
 

@@ -117,30 +117,30 @@ def grid_of(patches, rate=250.0):
 class TestBandPowers:
     def test_zero_patch_gives_zero_bands(self):
         out = band_powers(grid_of(np.zeros((1, 1, 1500))))
-        assert np.array_equal(out.values, np.zeros((1, 1, 8)))
+        assert np.array_equal(out, np.zeros((1, 1, 8)))
 
     def test_alpha_tone_wins(self):
         out = band_powers(grid_of(tone_patch(10.0).reshape(1, 1, 1500)))
-        values = out.values[0, 0]
+        values = out[0, 0]
         assert int(np.argmax(values)) == 2  # 8-13 Hz band
         assert values[2] > np.max(np.delete(values, 2))
 
     def test_two_tone_top_bands(self):
         patch = tone_patch(25.0) + tone_patch(60.0)
-        values = band_powers(grid_of(patch.reshape(1, 1, 1500))).values[0, 0]
+        values = band_powers(grid_of(patch.reshape(1, 1, 1500)))[0, 0]
         top_two = set(np.argsort(values)[-2:].tolist())
         assert top_two == {3, 5}  # beta (13-30) and gamma2 (50-70)
 
     def test_time_reversal_invariance(self, rng):
         patch = rng.standard_normal(1500)
-        fwd = band_powers(grid_of(patch.reshape(1, 1, 1500))).values
-        rev = band_powers(grid_of(patch[::-1].reshape(1, 1, 1500))).values
+        fwd = band_powers(grid_of(patch.reshape(1, 1, 1500)))
+        rev = band_powers(grid_of(patch[::-1].reshape(1, 1, 1500)))
         np.testing.assert_allclose(fwd, rev, rtol=1e-9, atol=1e-12)
 
     def test_log_bookkeeping_lossless(self, rng):
         patch = rng.standard_normal(1500)
         grid = grid_of(patch.reshape(1, 1, 1500))
-        values = band_powers(grid).values[0, 0]
+        values = band_powers(grid)[0, 0]
         spectrum = psd(patch, 250.0)
         masks = BandScheme().bin_slices(1500, 250.0)
         in_band = sum(spectrum[m].sum() for m in masks)
@@ -149,11 +149,11 @@ class TestBandPowers:
 
     def test_shared_edge_goes_to_upper_band(self):
         # 4 Hz sits exactly on the delta/theta edge: theta owns it
-        values = band_powers(grid_of(tone_patch(4.0).reshape(1, 1, 1500))).values[0, 0]
+        values = band_powers(grid_of(tone_patch(4.0).reshape(1, 1, 1500)))[0, 0]
         assert int(np.argmax(values)) == 1
 
     def test_final_band_inclusive_at_100(self):
-        values = band_powers(grid_of(tone_patch(100.0).reshape(1, 1, 1500))).values[0, 0]
+        values = band_powers(grid_of(tone_patch(100.0).reshape(1, 1, 1500)))[0, 0]
         assert int(np.argmax(values)) == 7
 
     def test_band_above_nyquist_rejected(self):
@@ -169,4 +169,4 @@ class TestBandPowers:
 
     def test_values_nonnegative(self, rng):
         patches = rng.standard_normal((2, 3, 1500))
-        assert np.all(band_powers(grid_of(patches)).values >= 0.0)
+        assert np.all(band_powers(grid_of(patches)) >= 0.0)

@@ -136,25 +136,33 @@ class TestAdamW:
 class TestMaskPlan:
     def test_exact_count_and_uniqueness(self):
         plan = make_mask_plan(4, 15, 0.40, Rng(3))
-        assert len(plan) == 24
-        assert len(set(plan.slots)) == 24
-        for c, p in plan:
-            assert 0 <= c < 4 and 0 <= p < 15
+        assert plan.shape == (4, 15) and plan.dtype == bool
+        assert int(plan.sum()) == 24
 
     def test_column_mode_masks_whole_columns(self):
         plan = make_mask_plan(3, 10, 0.40, Rng(5), mode="column")
-        assert len(plan) == 12  # round(0.4 * 10) = 4 columns x 3 channels
-        columns = {p for _, p in plan}
+        assert int(plan.sum()) == 12  # round(0.4 * 10) = 4 columns x 3 channels
+        columns = np.flatnonzero(plan.any(axis=0))
         assert len(columns) == 4
-        for col in columns:
-            assert all((c, col) in set(plan.slots) for c in range(3))
+        assert plan[:, columns].all()
 
     def test_stream_determinism(self):
         a = make_mask_plan(4, 15, 0.4, Rng(9))
         b = make_mask_plan(4, 15, 0.4, Rng(9))
         c = make_mask_plan(4, 15, 0.4, Rng(10))
-        assert a.slots == b.slots
-        assert a.slots != c.slots
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    def test_slot_draws_are_pinned(self):
+        plan = make_mask_plan(4, 15, 0.40, Rng(3))
+        assert np.flatnonzero(plan).tolist() == [
+            2, 6, 10, 11, 15, 16, 18, 20, 25, 30, 31, 33, 34, 35, 36, 38, 41, 42, 44, 47, 48,
+            51, 53, 54,
+        ]
+
+    def test_column_draws_are_pinned(self):
+        plan = make_mask_plan(3, 10, 0.40, Rng(5), mode="column")
+        assert np.flatnonzero(plan.any(axis=0)).tolist() == [0, 5, 8, 9]
 
     def test_ratio_bounds(self):
         with pytest.raises(ConfigError):
@@ -266,6 +274,12 @@ class TestPretrain:
         with pytest.raises(ConfigError):
             pretrain([], params, cfg, TrainConfig(), steps=1)
 
+    def test_zero_steps_rejected(self):
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=0)
+        with pytest.raises(ConfigError):
+            pretrain(tiny_corpus(), params, cfg, flat_lr_config(), steps=0)
+
     def test_trace_rows_and_mask_count(self):
         cfg = preset("tiny")
         params = ParameterStore.initialize(cfg, seed=0)
@@ -373,7 +387,8 @@ class TestStackedPrediction:
         for head in (lambda e: e, lambda e: model.head_classify(e, params, 3)):
             stacked = trainer._predict(grids, bands, params, cfg, head)
             for grid, row in zip(grids, stacked):
-                alone = head(model.forward(grid, trainer._bands_for(grid, cfg), params, cfg))
+                alone = head(model.forward(grid.patches, trainer._bands_for(grid, cfg), params,
+                                           cfg))
                 assert row.tobytes() == alone.data.tobytes()
 
 
@@ -403,6 +418,21 @@ class TestFinetuneClassify:
         data[3] = (data[3][0], 7)
         with pytest.raises(DataError):
             finetune_classify(data, params, cfg, flat_lr_config(), n_classes=2, steps=1)
+
+    def test_band_powers_only_for_trained_and_scored_samples(self, monkeypatch):
+        calls = []
+        original = trainer.band_powers
+
+        def counting(grid, *args, **kwargs):
+            calls.append(grid)
+            return original(grid, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "band_powers", counting)
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=25)
+        finetune_classify(labeled_dataset(n=40), params, cfg, flat_lr_config(seed=8),
+                          n_classes=2, steps=2)
+        assert len(calls) == 32  # 24 training samples + 8 test samples
 
     def test_report_fields_present(self):
         cfg = preset("tiny")
