@@ -198,9 +198,13 @@ def _cmd_synth(args, manifest: _Manifest) -> None:
 
 
 def _preprocess_config(args):
+    from .errors import ConfigError
     from .preprocess import PreprocessConfig
 
-    lo, hi = (float(s) for s in args.band.split(":"))
+    try:
+        lo, hi = (float(s) for s in args.band.split(":"))
+    except ValueError:
+        raise ConfigError(f"--band must be LO:HI in Hz, got {args.band!r}") from None
     return PreprocessConfig(
         notch_hz=float(args.notch),
         band_lo_hz=lo,
@@ -214,6 +218,7 @@ def _cmd_preprocess(args, manifest: _Manifest) -> None:
     from .preprocess import grid_to_bytes, preprocess_pipeline
     from .signal_store import read_recording, recording_from_bytes
 
+    cfg = _preprocess_config(args)
     if args.format == "csv":
         recording = read_recording(args.infile, format="csv")
         manifest.add_input(args.infile, _read_bytes(args.infile))
@@ -221,7 +226,6 @@ def _cmd_preprocess(args, manifest: _Manifest) -> None:
         payload = _read_bytes(args.infile)
         manifest.add_input(args.infile, payload)
         recording = recording_from_bytes(payload, source=args.infile)
-    cfg = _preprocess_config(args)
     grid = preprocess_pipeline(recording, cfg, patch_len=args.patch)
     manifest.add_config("preprocess", asdict(cfg))
     _write_bytes(args.out, grid_to_bytes(grid))
@@ -466,14 +470,15 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
 def _cmd_eval(args, manifest: _Manifest) -> None:
     import csv
 
+    from .errors import DataError
     from .trainer import compute_metrics
 
     payload = _read_bytes(args.infile)
     manifest.add_input(args.infile, payload)
     rows = list(csv.reader(payload.decode("utf-8").splitlines()))
-    if not rows:
-        raise ValueError("empty predictions file")
-    body = rows if _is_numeric_row(rows[0]) else rows[1:]
+    body = rows if rows and _is_numeric_row(rows[0]) else rows[1:]
+    if not body:
+        raise DataError(f"{args.infile}: no prediction rows")
     if args.task == "classify":
         preds = [int(float(r[0])) for r in body]
         refs = [int(float(r[1])) for r in body]

@@ -28,14 +28,6 @@ def dft(x: np.ndarray) -> np.ndarray:
     return np.fft.fft(x, axis=-1)
 
 
-def idft(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse of `dft` (complex output; take .real for real signals)."""
-    spectrum = np.asarray(spectrum, dtype=np.complex128)
-    if spectrum.shape[-1] < 1:
-        raise ConfigError("idft needs at least one sample")
-    return np.fft.ifft(spectrum, axis=-1)
-
-
 def hann_window(n: int) -> np.ndarray:
     """Periodic Hann taper."""
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)

@@ -11,6 +11,10 @@ learning rate.  Losses are mean-reduced and micro-batch losses are scaled
 by 1/grad_accum, so accumulation matches a single step on the concatenated
 batch.  A mask is the same boolean (C, P) map wherever it appears: the
 slots pre-training hides and the missing patches of an `ImputeSample`.
+
+Each public entry call reads its samples from one `_Samples` store, which
+computes a grid's band powers at most once: for the whole training set before
+the first step, and for scored samples when first scored.
 """
 
 from __future__ import annotations
@@ -255,6 +259,8 @@ def regression_metrics(preds, targets, task: str = "regression") -> MetricsRepor
     targets = np.asarray(targets, dtype=np.float64)
     if preds.shape != targets.shape:
         raise DataError(f"preds shape {preds.shape} != targets shape {targets.shape}")
+    if preds.size == 0:
+        raise DataError("cannot score an empty prediction set")
     diff = preds - targets
     return MetricsReport(task=task, mae=float(np.mean(np.abs(diff))), mse=float(np.mean(diff**2)))
 
@@ -289,7 +295,8 @@ def split_blocks(n: int, ratios=(0.6, 0.2, 0.2)) -> tuple[range, range, range]:
 
 class _CheckpointKeeper:
     """Cadence checkpoints every `checkpoint_every` optimizer steps, plus a
-    best-validation snapshot; inactive when no directory is given."""
+    snapshot at the lowest validation loss; inactive when no directory is
+    given."""
 
     def __init__(self, params: ParameterStore, cfg: TrainConfig, directory):
         self.params = params
@@ -300,20 +307,14 @@ class _CheckpointKeeper:
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
 
-    def after_optimizer_step(self, validation_metric, higher_is_better: bool) -> None:
+    def after_optimizer_step(self, validation_loss) -> None:
         self.opt_steps += 1
         if self.directory is None or self.opt_steps % self.cfg.checkpoint_every != 0:
             return
         mdl.save_params(self.params, f"{self.directory}/step-{self.opt_steps:06d}.fckp")
-        score = validation_metric()
-        if score is None:
-            return
-        improved = (
-            self.best is None
-            or (score > self.best if higher_is_better else score < self.best)
-        )
-        if improved:
-            self.best = score
+        loss = validation_loss()
+        if loss is not None and (self.best is None or loss < self.best):
+            self.best = loss
             mdl.save_params(self.params, f"{self.directory}/best-validation.fckp")
 
     def finish(self) -> None:
@@ -340,8 +341,18 @@ class _Cycler:
         return out
 
 
-def _bands_for(grid: PatchGrid, model_cfg: ModelConfig) -> np.ndarray | None:
-    return band_powers(grid) if model_cfg.use_freq_embed else None
+class _Samples:
+    """A dataset's grids and their band powers, each computed at most once."""
+
+    def __init__(self, grids: list[PatchGrid], model_cfg: ModelConfig):
+        self.grids = grids
+        self._powers: dict[int, np.ndarray] | None = {} if model_cfg.use_freq_embed else None
+
+    def powers(self, i: int) -> np.ndarray | None:
+        """Sample `i`'s (C, P, n_bands) band powers; None without bands."""
+        if self._powers is not None and i not in self._powers:
+            self._powers[i] = band_powers(self.grids[i])
+        return None if self._powers is None else self._powers[i]
 
 
 def _shape_groups(shapes: list[tuple[int, ...]]) -> list[list[int]]:
@@ -352,11 +363,11 @@ def _shape_groups(shapes: list[tuple[int, ...]]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _grouped_mean(batch: list[int], grids: list[PatchGrid], group_loss) -> Tensor:
-    """Mean loss over a batch of `grids` indices, one stack per shape:
+def _grouped_mean(store: _Samples, batch: list[int], group_loss) -> Tensor:
+    """Mean loss over a batch of `store` indices, one stack per shape:
     `group_loss(pos)` is the mean loss over the batch positions `pos`."""
     total = None
-    for pos in _shape_groups([grids[i].patches.shape for i in batch]):
+    for pos in _shape_groups([store.grids[i].patches.shape for i in batch]):
         part = group_loss(pos)
         if len(pos) < len(batch):
             part = nm.scale(part, len(pos) / len(batch))
@@ -364,29 +375,29 @@ def _grouped_mean(batch: list[int], grids: list[PatchGrid], group_loss) -> Tenso
     return total
 
 
-def _stack(grids: list[PatchGrid], bands, idx: list[int]):
+def _stack(store: _Samples, idx: list[int]):
     """The (B, C, P, L) patches and (B, C, P, n_bands) band powers (None
-    without the frequency embedding) of samples `idx`, all of one shape;
-    `bands` is indexed like `grids` (a list, or a dict of the samples used)."""
-    patches = np.stack([grids[i].patches for i in idx])
-    powers = None if bands[idx[0]] is None else np.stack([bands[i] for i in idx])
-    return patches, powers
+    without the frequency embedding) of samples `idx`, all of one shape."""
+    powers = [store.powers(i) for i in idx]
+    return (np.stack([store.grids[i].patches for i in idx]),
+            None if powers[0] is None else np.stack(powers))
 
 
 # samples per stacked forward pass outside training; bounds its memory
 _EVAL_STACK = 32
 
 
-def _predict(grids: list[PatchGrid], bands: list, params, model_cfg, head) -> list[np.ndarray]:
-    """`head` applied to the encoded stack, per grid, without a tape; one
-    forward pass per stack of at most `_EVAL_STACK` grids of one shape."""
-    out: list = [None] * len(grids)
-    for group in _shape_groups([g.patches.shape for g in grids]):
+def _predict(store: _Samples, idx, params, model_cfg, head) -> list[np.ndarray]:
+    """`head` applied to the encoded stack, per sample of `idx`, without a
+    tape; one forward pass per stack of at most `_EVAL_STACK` of one shape."""
+    idx = list(idx)
+    out: list = [None] * len(idx)
+    for group in _shape_groups([store.grids[i].patches.shape for i in idx]):
         for start in range(0, len(group), _EVAL_STACK):
-            idx = group[start : start + _EVAL_STACK]
-            result = head(mdl.forward(*_stack(grids, bands, idx), params, model_cfg))
-            for i, row in zip(idx, result.data):
-                out[i] = row
+            pos = group[start : start + _EVAL_STACK]
+            result = head(mdl.forward(*_stack(store, [idx[j] for j in pos]), params, model_cfg))
+            for j, row in zip(pos, result.data):
+                out[j] = row
     return out
 
 
@@ -406,24 +417,22 @@ def _masked_mse(rec: Tensor, target: np.ndarray, mask: np.ndarray, scope: str) -
     )
 
 
-def _train_loop(
-    batch_loss,
-    params: ParameterStore,
-    trainable: dict[str, Tensor],
-    cfg: TrainConfig,
-    steps: int,
-    order: _Cycler,
-    checkpoint_dir=None,
-    validation=lambda: None,
-    higher_is_better: bool = True,
-) -> list[float]:
+def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
+                params: ParameterStore, trainable: dict[str, Tensor], cfg: TrainConfig,
+                steps: int, checkpoint_dir=None, validation=lambda: None) -> list[float]:
     """The optimizer loop of every task; returns each micro-step's batch loss.
 
-    `batch_loss(batch)` is the taped mean loss over the sample indices
-    `batch` (see `_grouped_mean`).  `cfg` sets the batch size, the
+    Batches are drawn from `train_idx` by an epoch shuffle on `order_stream`,
+    after the band powers of every training sample are computed.
+    `batch_loss(batch)` is the taped mean loss over the `store` indices
+    `batch` (see `_grouped_mean`); `validation()` is the validation loss
+    (None without a validation set).  `cfg` sets the batch size, the
     accumulation, the AdamW constants, the learning-rate schedule and the
     checkpoint cadence.
     """
+    for i in train_idx:
+        store.powers(i)
+    order = _Cycler(list(train_idx), order_stream)
     optimizer = AdamW(trainable, cfg)
     checkpoints = _CheckpointKeeper(params, cfg, checkpoint_dir)
     losses: list[float] = []
@@ -443,43 +452,44 @@ def _train_loop(
         losses.append(float(loss.data))
         if step % cfg.grad_accum == 0:
             optimizer.step(lr_at(step, cfg))
-            checkpoints.after_optimizer_step(validation, higher_is_better)
+            checkpoints.after_optimizer_step(validation)
     checkpoints.finish()
     return losses
 
 
-def _finetune(head_loss, grids: list[PatchGrid], train_idx, params: ParameterStore,
+def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: ParameterStore,
               model_cfg: ModelConfig, cfg: TrainConfig, steps: int, mode: str, head: str,
-              stream: int, checkpoint_dir, validation, higher_is_better: bool) -> None:
-    """Supervised training on samples `train_idx` of `grids`.
+              stream: int, checkpoint_dir) -> MetricsReport:
+    """Supervised training on the train block of the (train, val, test)
+    `splits` of `store`; returns `score` of the test block.
 
     `head_loss(encoded, idx)` is the taped mean loss of the encoded stack
-    of samples `idx`.  Full mode trains every tensor; probe mode trains the
-    `head.<head>.` tensors only, on encodings computed once, since the
-    frozen backbone maps each sample to the same rows at every step.
-    """
-    bands = {i: _bands_for(grids[i], model_cfg) for i in train_idx}
+    of samples `idx`, `score(idx)` their report, and `val_loss(report)` the
+    validation loss.  Probe mode trains the `head.<head>.` tensors only, on
+    encodings computed once: the frozen backbone maps each sample to the
+    same rows at every step."""
+    train_idx, val_idx, test_idx = splits
+    if len(train_idx) == 0 or len(test_idx) == 0:
+        raise ConfigError(f"dataset of {len(store.grids)} samples leaves an empty split")
     trainable = dict(params.items())
     if mode == "probe":
-        train = list(train_idx)
-        rows = _predict([grids[i] for i in train], [bands[i] for i in train], params,
-                        model_cfg, lambda e: e)
-        frozen = dict(zip(train, rows))
+        frozen = dict(zip(train_idx, _predict(store, train_idx, params, model_cfg, lambda e: e)))
         trainable = params.tensors(f"head.{head}.")
 
     def group_loss(idx: list[int]) -> Tensor:
         if mode == "probe":
             encoded = Tensor(np.stack([frozen[i] for i in idx]))
         else:
-            encoded = mdl.forward(*_stack(grids, bands, idx), params, model_cfg)
+            encoded = mdl.forward(*_stack(store, idx), params, model_cfg)
         return head_loss(encoded, idx)
 
     def batch_loss(batch: list[int]) -> Tensor:
-        return _grouped_mean(batch, grids, lambda pos: group_loss([batch[j] for j in pos]))
+        return _grouped_mean(store, batch, lambda pos: group_loss([batch[j] for j in pos]))
 
-    _train_loop(batch_loss, params, trainable, scale_schedule(cfg, steps), steps,
-                _Cycler(list(train_idx), Rng(cfg.seed).split(stream)), checkpoint_dir,
-                validation, higher_is_better)
+    _train_loop(batch_loss, store, train_idx, Rng(cfg.seed).split(stream), params, trainable,
+                scale_schedule(cfg, steps), steps, checkpoint_dir,
+                lambda: val_loss(score(val_idx)) if len(val_idx) else None)
+    return score(test_idx)
 
 
 def _ensure_head(params: ParameterStore, shapes: dict, seed: int) -> None:
@@ -513,8 +523,7 @@ def pretrain(
     if steps < 1:
         raise ConfigError(f"pretrain needs at least 1 step, got {steps}")
     _ensure_head(params, mdl.reconstruct_head_shapes(model_cfg), seed=cfg.seed + 1)
-    bands = [_bands_for(g, model_cfg) for g in corpus]
-    order = _Cycler(list(range(len(corpus))), Rng(cfg.seed).split(1))
+    store = _Samples(corpus, model_cfg)
     mask_stream = Rng(cfg.seed).split(2)
     drop_stream = Rng(cfg.seed).split(3) if model_cfg.dropout > 0 else None
 
@@ -525,16 +534,16 @@ def pretrain(
 
         def group_loss(pos: list[int]) -> Tensor:
             mask = np.stack([masks[j] for j in pos])
-            patches, powers = _stack(corpus, bands, [batch[j] for j in pos])
+            patches, powers = _stack(store, [batch[j] for j in pos])
             encoded = mdl.forward(patches, powers, params, model_cfg, mask=mask,
                                   stream=drop_stream)
             rec = mdl.head_reconstruct(encoded, params)
             return _masked_mse(rec, patches, mask, cfg.loss_scope)
 
-        return _grouped_mean(batch, corpus, group_loss)
+        return _grouped_mean(store, batch, group_loss)
 
-    losses = _train_loop(batch_loss, params, dict(params.items()), cfg, steps, order,
-                         checkpoint_dir)
+    losses = _train_loop(batch_loss, store, range(len(corpus)), Rng(cfg.seed).split(1), params,
+                         dict(params.items()), cfg, steps, checkpoint_dir)
     return [(step, lr_at(step, cfg), loss) for step, loss in enumerate(losses, 1)]
 
 
@@ -550,18 +559,24 @@ def write_loss_trace(trace: list[tuple[int, float, float]], path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _score_classify(store: _Samples, idx, labels, params: ParameterStore,
+                    model_cfg: ModelConfig, n_classes: int) -> MetricsReport:
+    """Classification metrics of samples `idx`; `labels` is indexed like `store`."""
+    probs = _predict(store, idx, params, model_cfg,
+                     lambda e: mdl.head_classify(e, params, n_classes))
+    preds = [int(np.argmax(row)) for row in probs]
+    return classification_metrics(preds, [int(labels[i]) for i in idx], n_classes)
+
+
 def evaluate_classify(
     dataset: list[tuple[PatchGrid, int]],
     params: ParameterStore,
     model_cfg: ModelConfig,
     n_classes: int,
 ) -> MetricsReport:
-    grids = [grid for grid, _ in dataset]
-    probs = _predict(grids, [_bands_for(g, model_cfg) for g in grids], params, model_cfg,
-                     lambda e: mdl.head_classify(e, params, n_classes))
-    preds = [int(np.argmax(row)) for row in probs]
-    labels = [int(label) for _, label in dataset]
-    return classification_metrics(preds, labels, n_classes)
+    store = _Samples([grid for grid, _ in dataset], model_cfg)
+    return _score_classify(store, range(len(dataset)), [label for _, label in dataset], params,
+                           model_cfg, n_classes)
 
 
 def finetune_classify(
@@ -585,27 +600,21 @@ def finetune_classify(
         if not 0 <= int(label) < n_classes:
             raise DataError(f"label {label} outside [0, {n_classes})")
     _ensure_head(params, mdl.classify_head_shapes(model_cfg, n_classes), seed=cfg.seed + 2)
-    train_idx, val_idx, test_idx = splits if splits is not None else split_blocks(len(dataset))
-    if len(train_idx) == 0 or len(test_idx) == 0:
-        raise ConfigError(f"dataset of {len(dataset)} samples leaves an empty split")
+    splits = splits if splits is not None else split_blocks(len(dataset))
     labels = np.array([int(label) for _, label in dataset])
+    store = _Samples([grid for grid, _ in dataset], model_cfg)
 
     def cross_entropy(encoded: Tensor, idx: list[int]) -> Tensor:
         probs = mdl.head_classify(encoded, params, n_classes)
         picked = nm.slice_(probs, (np.arange(len(idx)), labels[idx]))
         return nm.scale(nm.mean(nm.log(picked)), -1.0)
 
-    def val_accuracy():
-        if not len(val_idx):
-            return None
-        return evaluate_classify(
-            [dataset[i] for i in val_idx], params, model_cfg, n_classes
-        ).accuracy
+    def score(idx) -> MetricsReport:
+        return _score_classify(store, idx, labels, params, model_cfg, n_classes)
 
-    _finetune(cross_entropy, [grid for grid, _ in dataset], train_idx, params, model_cfg, cfg,
-              steps, mode, "cls", 4, checkpoint_dir, val_accuracy, higher_is_better=True)
-    report = evaluate_classify([dataset[i] for i in test_idx], params, model_cfg, n_classes)
-    report.notes.update({"mode": mode, "steps": steps, "train_samples": len(train_idx)})
+    report = _finetune(cross_entropy, score, lambda r: -r.accuracy, store, splits, params,
+                       model_cfg, cfg, steps, mode, "cls", 4, checkpoint_dir)
+    report.notes.update({"mode": mode, "steps": steps, "train_samples": len(splits[0])})
     return report
 
 
@@ -649,21 +658,28 @@ def persistence_forecast(sample: ForecastSample, horizon_patches: int) -> np.nda
     return np.tile(last, (1, horizon_patches))
 
 
+def _score_forecast(store: _Samples, idx, samples: list[ForecastSample], params: ParameterStore,
+                    model_cfg: ModelConfig, horizon_patches: int) -> MetricsReport:
+    """Forecast metrics of samples `idx`; `samples` is indexed like `store`."""
+    preds = _predict(store, idx, params, model_cfg,
+                     lambda e: mdl.head_forecast(e, params, horizon_patches))
+    targets = np.stack([samples[i].target for i in idx])
+    persist = np.stack([persistence_forecast(samples[i], horizon_patches) for i in idx])
+    report = regression_metrics(np.stack(preds), targets, task="forecast")
+    base = regression_metrics(persist, targets)
+    report.baseline = {"persistence_mae": base.mae, "persistence_mse": base.mse}
+    return report
+
+
 def evaluate_forecast(
     samples: list[ForecastSample],
     params: ParameterStore,
     model_cfg: ModelConfig,
     horizon_patches: int,
 ) -> MetricsReport:
-    grids = [sample.context for sample in samples]
-    preds = _predict(grids, [_bands_for(g, model_cfg) for g in grids], params, model_cfg,
-                     lambda e: mdl.head_forecast(e, params, horizon_patches))
-    targets = np.stack([sample.target for sample in samples])
-    persist = np.stack([persistence_forecast(sample, horizon_patches) for sample in samples])
-    report = regression_metrics(np.stack(preds), targets, task="forecast")
-    base = regression_metrics(persist, targets)
-    report.baseline = {"persistence_mae": base.mae, "persistence_mse": base.mse}
-    return report
+    store = _Samples([sample.context for sample in samples], model_cfg)
+    return _score_forecast(store, range(len(samples)), samples, params, model_cfg,
+                           horizon_patches)
 
 
 def finetune_forecast(
@@ -681,31 +697,19 @@ def finetune_forecast(
         raise ConfigError(f"mode must be full|probe, got {mode!r}")
     if not dataset:
         raise ConfigError("empty forecast dataset")
-    context_patches = dataset[0].context.n_patches
-    _ensure_head(
-        params,
-        mdl.forecast_head_shapes(model_cfg, context_patches, horizon_patches),
-        seed=cfg.seed + 3,
-    )
-    train_idx, val_idx, test_idx = split_blocks(len(dataset))
-    if len(train_idx) == 0 or len(test_idx) == 0:
-        raise ConfigError(f"dataset of {len(dataset)} samples leaves an empty split")
+    _ensure_head(params, mdl.forecast_head_shapes(model_cfg, dataset[0].context.n_patches,
+                                                  horizon_patches), seed=cfg.seed + 3)
+    store = _Samples([sample.context for sample in dataset], model_cfg)
 
     def forecast_mse(encoded: Tensor, idx: list[int]) -> Tensor:
         pred = mdl.head_forecast(encoded, params, horizon_patches)
         return nm.mse(pred, Tensor(np.stack([dataset[i].target for i in idx])))
 
-    def val_mse():
-        if not len(val_idx):
-            return None
-        return evaluate_forecast(
-            [dataset[i] for i in val_idx], params, model_cfg, horizon_patches
-        ).mse
+    def score(idx) -> MetricsReport:
+        return _score_forecast(store, idx, dataset, params, model_cfg, horizon_patches)
 
-    _finetune(forecast_mse, [sample.context for sample in dataset], train_idx, params,
-              model_cfg, cfg, steps, mode, "fcst", 5, checkpoint_dir, val_mse,
-              higher_is_better=False)
-    report = evaluate_forecast([dataset[i] for i in test_idx], params, model_cfg, horizon_patches)
+    report = _finetune(forecast_mse, score, lambda r: r.mse, store, split_blocks(len(dataset)),
+                       params, model_cfg, cfg, steps, mode, "fcst", 5, checkpoint_dir)
     report.notes.update({"mode": mode, "steps": steps, "horizon_patches": horizon_patches})
     return report
 
@@ -754,31 +758,27 @@ def mean_imputation(sample: ImputeSample) -> np.ndarray:
 def _observed_grid(sample: ImputeSample) -> PatchGrid:
     """The model's view: missing patches zeroed (their content is replaced
     by the mask embedding anyway, but band powers must not see the truth)."""
-    patches = sample.grid.patches.copy()
-    patches[sample.missing] = 0.0
+    patches = np.where(sample.missing[..., None], 0.0, sample.grid.patches)
     return PatchGrid(patches, sample.grid.patch_len, sample.grid.source_rate_hz)
 
 
 def evaluate_impute(
     samples: list[ImputeSample], params: ParameterStore, model_cfg: ModelConfig
 ) -> MetricsReport:
-    """Reconstruction error on missing patches only, vs mean imputation."""
+    """Reconstruction error on missing patches only, vs mean imputation;
+    one unstacked forward pass per sample with missing patches."""
+    scored = [sample for sample in samples if sample.missing.any()]
+    if not scored:
+        return MetricsReport(task="imputation", notes={"no-missing": True})
+    store = _Samples([_observed_grid(sample) for sample in scored], model_cfg)
     pred_vals, base_vals, true_vals = [], [], []
-    for sample in samples:
-        if not sample.missing.any():
-            continue
-        observed = _observed_grid(sample)
-        encoded = mdl.forward(observed.patches, _bands_for(observed, model_cfg), params,
-                              model_cfg, mask=sample.missing)
+    for i, sample in enumerate(scored):
+        encoded = mdl.forward(store.grids[i].patches, store.powers(i), params, model_cfg,
+                              mask=sample.missing)
         rec = mdl.head_reconstruct(encoded, params).data
-        filled = mean_imputation(sample)
         pred_vals.append(rec[sample.missing].ravel())
-        base_vals.append(filled[sample.missing].ravel())
+        base_vals.append(mean_imputation(sample)[sample.missing].ravel())
         true_vals.append(sample.grid.patches[sample.missing].ravel())
-    if not pred_vals:
-        report = MetricsReport(task="imputation")
-        report.notes["no-missing"] = True
-        return report
     preds = np.concatenate(pred_vals)
     truth = np.concatenate(true_vals)
     report = regression_metrics(preds, truth, task="imputation")

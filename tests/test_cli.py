@@ -162,21 +162,32 @@ class TestErrors:
         ["pretrain", "--in"],
         ["pretrain", "--in", "GRID", "--pps", "0"],
         ["pretrain", "--in", "GRID", "--pps", "2", "--steps", "0"],
+        ["preprocess", "--in", "REC", "--band", "1"],
+        ["preprocess", "--in", "REC", "--band", "a:b"],
+        ["eval", "--in", "EMPTY"],
+        ["eval", "--in", "HEADER"],
+        ["eval", "--in", "HEADER", "--task", "regress"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
-            "pretrain-no-in", "pps-0", "steps-0"])
+            "pretrain-no-in", "pps-0", "steps-0", "band-one-number", "band-not-numbers",
+            "eval-empty", "eval-header-only-classify", "eval-header-only-regress"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
         from fome import errors
         from fome.preprocess import PatchGrid, write_patch_grid
+        from fome.signal_store import Recording, write_recording
 
-        inputs = {"GRID": tmp_path / "grid.fegp", "EMPTY": tmp_path / "empty.csv"}
+        inputs = {"GRID": tmp_path / "grid.fegp", "EMPTY": tmp_path / "empty.csv",
+                  "HEADER": tmp_path / "header.csv", "REC": tmp_path / "rec.bin"}
         write_patch_grid(PatchGrid(np.zeros((2, 4, 16)), 16, 250.0), inputs["GRID"])
         inputs["EMPTY"].write_text("")
+        inputs["HEADER"].write_text("pred,ref\n")
+        write_recording(Recording(np.zeros((2, 1000)), 500.0), inputs["REC"])
         args = [str(inputs.get(arg, arg)) for arg in args]
-        result = run_cli(args + ["--preset", "tiny", "--out", str(tmp_path / "out.bin")])
+        preset = ["--preset", "tiny"] if args[0] in ("pretrain", "finetune") else []
+        result = run_cli(args + preset + ["--out", str(tmp_path / "out.bin")])
         assert result.returncode == 1, result.stderr
         payload = json.loads(result.stderr)
         assert issubclass(getattr(errors, payload["error"]), errors.FomeError), payload
-        assert sorted(os.listdir(tmp_path)) == ["empty.csv", "grid.fegp"]
+        assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in inputs.values())
 
     def test_nyquist_violation_from_module(self):
         result = run_cli(["synth", "--channels", "1", "--rate", "40",

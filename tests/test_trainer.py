@@ -15,12 +15,15 @@ import fome.numerics as nm
 from fome.numerics import Tensor
 from fome.preprocess import PatchGrid
 from fome.rng import Rng
+from fome.spectral import band_powers
 from fome.trainer import (
     AdamW,
     MetricsReport,
     TrainConfig,
     classification_metrics,
     compute_metrics,
+    evaluate_classify,
+    evaluate_forecast,
     evaluate_impute,
     fbeta,
     finetune_classify,
@@ -223,6 +226,14 @@ class TestMetrics:
         report = regression_metrics(x, x.copy())
         assert report.mae == 0.0 and report.mse == 0.0
 
+    @pytest.mark.parametrize("score", [
+        lambda: regression_metrics([], []),
+        lambda: classification_metrics([], [], 2),
+    ], ids=["regression", "classification"])
+    def test_empty_set_is_data_error(self, score):
+        with pytest.raises(DataError):
+            score()
+
     def test_compute_metrics_dispatch(self):
         classify = compute_metrics([0, 1], labels=[0, 1])
         assert classify.task == "classification" and classify.accuracy == 1.0
@@ -383,13 +394,36 @@ class TestStackedPrediction:
         grids = [PatchGrid(rng.standard_normal((4, 5, 8)), 8, 250.0) for _ in range(3)]
         grids.insert(1, PatchGrid(grids[0].patches[[2, 0, 3, 1]], 8, 250.0))
         grids[3:3] = [PatchGrid(rng.standard_normal((2, 3, 8)), 8, 250.0) for _ in range(2)]
-        bands = [trainer._bands_for(g, cfg) for g in grids]
+        store = trainer._Samples(grids, cfg)
         for head in (lambda e: e, lambda e: model.head_classify(e, params, 3)):
-            stacked = trainer._predict(grids, bands, params, cfg, head)
+            stacked = trainer._predict(store, range(len(grids)), params, cfg, head)
             for grid, row in zip(grids, stacked):
-                alone = head(model.forward(grid.patches, trainer._bands_for(grid, cfg), params,
-                                           cfg))
+                alone = head(model.forward(grid.patches, band_powers(grid), params, cfg))
                 assert row.tobytes() == alone.data.tobytes()
+
+
+class TestSampleStore:
+    def test_store_scores_equal_public_evaluation_bitwise(self, rng):
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=26)
+        params.add(model.classify_head_shapes(cfg, 2), seed=27)
+        params.add(model.forecast_head_shapes(cfg, 3, 2), seed=28)
+        data = labeled_dataset(n=12)
+        data[5] = (PatchGrid(rng.standard_normal((3, 4, 8)), 8, 250.0), 1)
+        windows = forecast_samples_from_grid(PatchGrid(rng.standard_normal((2, 30, 8)), 8, 250.0),
+                                             3, 2, stride=2)
+        subset = [2, 5, 6, 9, 10]
+        store = trainer._Samples([grid for grid, _ in data], cfg)
+        labels = [label for _, label in data]
+        public = evaluate_classify([data[i] for i in subset], params, cfg, 2).to_json()
+        for _ in range(2):  # the second score reads band powers the first computed
+            report = trainer._score_classify(store, subset, labels, params, cfg, 2)
+            assert report.to_json() == public
+        store = trainer._Samples([window.context for window in windows], cfg)
+        public = evaluate_forecast([windows[i] for i in subset], params, cfg, 2).to_json()
+        for _ in range(2):
+            report = trainer._score_forecast(store, subset, windows, params, cfg, 2)
+            assert report.to_json() == public
 
 
 class TestFinetuneClassify:
@@ -433,6 +467,24 @@ class TestFinetuneClassify:
         finetune_classify(labeled_dataset(n=40), params, cfg, flat_lr_config(seed=8),
                           n_classes=2, steps=2)
         assert len(calls) == 32  # 24 training samples + 8 test samples
+
+    def test_band_powers_once_per_sample_across_validations(self, monkeypatch, tmp_path):
+        calls = []
+        original = trainer.band_powers
+
+        def counting(grid, *args, **kwargs):
+            calls.append(grid)
+            return original(grid, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "band_powers", counting)
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=25)
+        finetune_classify(labeled_dataset(n=40), params, cfg,
+                          flat_lr_config(seed=8, checkpoint_every=1), n_classes=2, steps=4,
+                          checkpoint_dir=str(tmp_path))
+        # 24 training + 8 validation + 8 test samples; four validations ran
+        assert len(calls) == 40
+        assert len({id(grid) for grid in calls}) == 40
 
     def test_report_fields_present(self):
         cfg = preset("tiny")
