@@ -3,8 +3,14 @@
 Execution is define-by-run: while a `Tape` is active, every differentiable
 op appends one node (saved inputs + backward closure) to it, and
 `backward(loss)` walks the list in exact reverse execution order,
-accumulating adjoints additively.  Without an active tape the same ops run
-as plain forward kernels.
+accumulating adjoints additively, and writes `.grad` on leaves only.
+Without an active tape the same ops run as plain forward kernels.
+
+A tensor's first adjoint is borrowed as the consumer's backward returned
+it: it may be a view of that op's output adjoint, or the very array handed
+to another input (`add` gives both operands one array).  The first fan-in
+sum allocates a fresh buffer that `backward` owns; only owned buffers are
+summed into in place, so a borrowed array is never written.
 
 Ops are plain numpy/BLAS kernels: a reduction's result depends on the
 order of its terms.  Permutation stability across channels is not an op
@@ -345,7 +351,8 @@ def mse(pred, target) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every reachable requires_grad tensor.
+    """Populate .grad on every leaf (a requires_grad tensor no op produced)
+    that `loss` depends on; intermediates keep .grad None.
 
     Gradients accumulate additively: calling backward twice without zeroing
     doubles every gradient.
@@ -358,7 +365,8 @@ def backward(loss: Tensor) -> None:
             raise ContractError("loss does not depend on any requires_grad tensor")
         raise ContractError("loss was computed outside any active Tape")
     adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
+    owned: set[int] = set()
+    leaves: dict[int, Tensor] = {}
     for node in reversed(tape.nodes[: loss._node_index + 1]):
         g_out = adjoints.get(id(node.out))
         if g_out is None:
@@ -368,15 +376,18 @@ def backward(loss: Tensor) -> None:
             if g is None or not tensor.requires_grad:
                 continue
             key = id(tensor)
-            if key in adjoints:
+            if key in owned:
+                adjoints[key] += g
+            elif key in adjoints:
                 adjoints[key] = adjoints[key] + g
+                owned.add(key)
             else:
                 adjoints[key] = g
-                holders[key] = tensor
-    for key, tensor in holders.items():
-        if tensor.requires_grad:
-            g = adjoints[key]
-            tensor.grad = g.copy() if tensor.grad is None else tensor.grad + g
+                if tensor._tape is None:
+                    leaves[key] = tensor
+    for key, tensor in leaves.items():
+        g = adjoints[key]
+        tensor.grad = g.copy() if tensor.grad is None else tensor.grad + g
 
 
 # ---------------------------------------------------------------------------

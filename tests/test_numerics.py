@@ -209,6 +209,33 @@ class TestBackward:
         assert used.grad is not None
         assert unused.grad is None
 
+    def test_fan_in_grads_only_on_leaves_and_bitwise(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        c = rng.standard_normal((3, 4))
+        with Tape() as tape:
+            h = nm.matmul(x, w)  # h feeds three consumers, x two
+            s = nm.add(nm.add(nm.scale(h, 2.0), nm.mul(h, Tensor(c))), nm.scale(h, -0.5))
+            loss = nm.mean(nm.add(s, x))
+        backward(loss)
+        assert all(node.out.grad is None for node in tape.nodes)
+        g = np.full((3, 4), 1.0) / 12.0
+        gh = g * -0.5 + g * c + g * 2.0  # reverse execution order of h's consumers
+        assert x.grad.tobytes() == (g + gh @ w.data.T).tobytes()
+        assert w.grad.tobytes() == (x.data.T @ gh).tobytes()
+
+    def test_shared_adjoint_is_not_summed_into(self):
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        y = Tensor(np.array([0.5, 0.25, -1.0]), requires_grad=True)
+        with Tape():
+            twice = nm.scale(x, 2.0)
+            both = nm.add(x, y)  # hands x and y one adjoint array
+            loss = nm.mean(nm.add(both, twice))  # x's second consumer runs last
+        backward(loss)
+        g = np.ones(3) / 3.0
+        assert y.grad.tobytes() == g.tobytes()
+        assert x.grad.tobytes() == (g + g * 2.0).tobytes()
+
 
 class TestShapeErrors:
     def test_add_names_shapes(self):
