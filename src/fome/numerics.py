@@ -293,7 +293,7 @@ def gelu(a) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     a = _as_tensor(a)
     x = a.data
-    u = _GELU_C0 * (x + _GELU_C1 * x**3)
+    u = _GELU_C0 * (x + _GELU_C1 * (x * x * x))
     th = np.tanh(u)
     y = 0.5 * x * (1.0 + th)
 

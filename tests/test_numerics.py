@@ -66,6 +66,14 @@ class TestForwardSemantics:
         out = nm.gelu(Tensor(np.array([0.0, 100.0, -100.0])))
         np.testing.assert_allclose(out.data, [0.0, 100.0, 0.0], atol=1e-12)
 
+    def test_gelu_matches_tanh_formula(self, rng):
+        x = np.concatenate([rng.standard_normal(10_000), np.linspace(-30.0, 30.0, 6001)])
+        got = nm.gelu(Tensor(x)).data
+        ref = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+        np.testing.assert_allclose(got[x >= 0], ref[x >= 0], rtol=1e-14, atol=0)
+        # for x < 0, 1 + tanh(u) cancels, so the error is bounded by |x|, not by |y|
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(x))
+
     def test_layer_norm_zero_mean_unit_var(self, rng):
         x = rng.standard_normal((3, 9)) * 4 + 2
         out = nm.layer_norm(Tensor(x), axis=-1)
