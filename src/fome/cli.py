@@ -22,6 +22,8 @@ import sys
 import time
 from dataclasses import asdict
 
+from .errors import ConfigError, DataError, FomeError, decode_text, read_file, write_file
+
 log = logging.getLogger("fome")
 
 _THREAD_VARS = (
@@ -57,11 +59,6 @@ def _configure_logging() -> None:
 
 def _sha256(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
-
-
-def _sha256_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _sha256(fh.read())
 
 
 def _git_describe() -> str:
@@ -100,7 +97,7 @@ class _Manifest:
     def add_output(self, path: str) -> None:
         if path == "-":
             return
-        self.doc["outputs"][path] = _sha256_file(path)
+        self.doc["outputs"][path] = _sha256(read_file(path))
         if self._default_anchor is None:
             self._default_anchor = path
 
@@ -112,39 +109,21 @@ class _Manifest:
             path = self._default_anchor + ".manifest.json"
         if path is None:
             return
-        with open(path, "w") as fh:
-            json.dump(self.doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_file(path, json.dumps(self.doc, indent=2, sort_keys=True) + "\n")
         log.info("manifest written to %s", path)
 
 
 def _read_bytes(path: str) -> bytes:
-    from .errors import IoError
-
-    if path == "-":
-        return sys.stdin.buffer.read()
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    return sys.stdin.buffer.read() if path == "-" else read_file(path)
 
 
-def _write_bytes(path: str, payload: bytes) -> None:
-    if path == "-":
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
-    else:
-        with open(path, "wb") as fh:
-            fh.write(payload)
-
-
-def _write_text(path: str, payload: str) -> None:
-    if path == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(path, "w") as fh:
-            fh.write(payload)
+def _write(path: str, payload: bytes | str) -> None:
+    """Write `payload` to `path`, or to stdout for "-"; a str as UTF-8."""
+    if path != "-":
+        write_file(path, payload)
+        return
+    sys.stdout.buffer.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
+    sys.stdout.buffer.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +141,17 @@ def _parse_components(raw: str | None, channels: int):
         return []
     comps = []
     for item in raw.split(","):
-        parts = item.split(":")
-        if len(parts) != 4:
-            raise argparse.ArgumentTypeError(
-                f"component {item!r} must be channel:freq_hz:amplitude:phase_rad"
-            )
-        comps.append(Component(int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
+        try:
+            channel, freq, amplitude, phase = item.split(":")
+            comps.append(Component(int(channel), float(freq), float(amplitude), float(phase)))
+        except ValueError:
+            raise ConfigError(f"--components item {item!r} must be "
+                              "channel:freq_hz:amplitude:phase_rad") from None
     return comps
 
 
 def _cmd_synth(args, manifest: _Manifest) -> None:
-    from .signal_store import SyntheticSpec, generate_synthetic, recording_to_bytes, write_recording
+    from .signal_store import SyntheticSpec, generate_synthetic, recording_to_bytes
 
     spec = SyntheticSpec(
         channels=args.channels,
@@ -188,17 +167,11 @@ def _cmd_synth(args, manifest: _Manifest) -> None:
         "sample_rate_hz": spec.sample_rate_hz, "seed": spec.seed,
         "noise_std": spec.noise_std, "components": [list(c) for c in spec.components],
     })
-    if args.format == "binary":
-        _write_bytes(args.out, recording_to_bytes(recording))
-    else:
-        if args.out == "-":
-            raise argparse.ArgumentTypeError("csv output requires a file path")
-        write_recording(recording, args.out, format="csv")
+    _write(args.out, recording_to_bytes(recording, args.format))
     manifest.add_output(args.out)
 
 
 def _preprocess_config(args):
-    from .errors import ConfigError
     from .preprocess import PreprocessConfig
 
     try:
@@ -216,19 +189,15 @@ def _preprocess_config(args):
 
 def _cmd_preprocess(args, manifest: _Manifest) -> None:
     from .preprocess import grid_to_bytes, preprocess_pipeline
-    from .signal_store import read_recording, recording_from_bytes
+    from .signal_store import recording_from_bytes
 
     cfg = _preprocess_config(args)
-    if args.format == "csv":
-        recording = read_recording(args.infile, format="csv")
-        manifest.add_input(args.infile, _read_bytes(args.infile))
-    else:
-        payload = _read_bytes(args.infile)
-        manifest.add_input(args.infile, payload)
-        recording = recording_from_bytes(payload, source=args.infile)
+    payload = _read_bytes(args.infile)
+    manifest.add_input(args.infile, payload)
+    recording = recording_from_bytes(payload, source=args.infile, format=args.format)
     grid = preprocess_pipeline(recording, cfg, patch_len=args.patch)
     manifest.add_config("preprocess", asdict(cfg))
-    _write_bytes(args.out, grid_to_bytes(grid))
+    _write(args.out, grid_to_bytes(grid))
     manifest.add_output(args.out)
     log.info("grid: C=%d P=%d L=%d", grid.n_channels, grid.n_patches, grid.patch_len)
 
@@ -244,7 +213,7 @@ def _cmd_spectra(args, manifest: _Manifest) -> None:
     c, p, n = values.shape
     rows = values.reshape(c * p, n).tolist()
     text = "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
-    _write_text(args.out, text)
+    _write(args.out, text)
     manifest.add_config("spectra", {"taper": args.taper, "channels": c, "patches": p})
     manifest.add_output(args.out)
 
@@ -300,7 +269,6 @@ def _train_config(args, **overrides):
 
 
 def _split_into_samples(grid, patches_per_sample: int):
-    from .errors import ConfigError
     from .preprocess import PatchGrid
 
     if patches_per_sample < 1:
@@ -341,7 +309,6 @@ def _init_params(args, model_cfg):
 
 def _cmd_pretrain(args, manifest: _Manifest) -> None:
     from . import model, trainer
-    from .errors import ConfigError
 
     if not args.infile:
         raise ConfigError("pretrain needs at least one --in grid")
@@ -372,12 +339,10 @@ def _read_dataset_manifest(path: str, manifest: _Manifest):
     """CSV rows `grid-path,label[,split]`; paths are relative to the CSV."""
     import csv
 
-    from .errors import DataError
-
     base = os.path.dirname(os.path.abspath(path))
     payload = _read_bytes(path)
     rows = []
-    reader = csv.reader(payload.decode("utf-8").splitlines())
+    reader = csv.reader(decode_text(payload, path).splitlines())
     for row in reader:
         if not row or row[0].startswith("#"):
             continue
@@ -398,7 +363,6 @@ def _read_dataset_manifest(path: str, manifest: _Manifest):
 
 def _cmd_finetune(args, manifest: _Manifest) -> None:
     from . import model, trainer
-    from .errors import ConfigError
     from .rng import Rng
 
     if args.task == "classify" and args.manifest_csv is None:
@@ -458,7 +422,7 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
 
     if args.out_checkpoint:
         model.save_params(params, args.out_checkpoint)
-    _write_text(args.out, report.to_json() + "\n")
+    _write(args.out, report.to_json() + "\n")
     manifest.add_config("model", asdict(model_cfg))
     manifest.add_config("train", asdict(train_cfg))
     manifest.add_config("task", args.task)
@@ -470,12 +434,11 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
 def _cmd_eval(args, manifest: _Manifest) -> None:
     import csv
 
-    from .errors import DataError
     from .trainer import compute_metrics
 
     payload = _read_bytes(args.infile)
     manifest.add_input(args.infile, payload)
-    rows = list(csv.reader(payload.decode("utf-8").splitlines()))
+    rows = list(csv.reader(decode_text(payload, args.infile).splitlines()))
     first = 0 if rows and _is_numeric_row(rows[0]) else 1
     value = (lambda v: int(float(v))) if args.task == "classify" else float
     preds, refs = [], []
@@ -494,7 +457,7 @@ def _cmd_eval(args, manifest: _Manifest) -> None:
         report = compute_metrics(preds, labels=refs, n_classes=n_classes)
     else:
         report = compute_metrics(preds, targets=refs)
-    _write_text(args.out, report.to_json() + "\n")
+    _write(args.out, report.to_json() + "\n")
     manifest.add_output(args.out)
 
 
@@ -507,19 +470,20 @@ def _is_numeric_row(row: list[str]) -> bool:
 
 
 def _cmd_inspect_checkpoint(args, manifest: _Manifest) -> None:
-    from .numerics import load_checkpoint
+    from .numerics import checkpoint_from_bytes
 
-    arrays = load_checkpoint(args.infile)
-    manifest.add_input(args.infile, _read_bytes(args.infile))
+    payload = _read_bytes(args.infile)
+    manifest.add_input(args.infile, payload)
+    arrays = checkpoint_from_bytes(payload, source=args.infile)
     listing = {name: list(arr.shape) for name, arr in arrays.items()}
     if args.json:
-        _write_text(args.out, json.dumps(listing, indent=2) + "\n")
+        _write(args.out, json.dumps(listing, indent=2) + "\n")
     else:
         width = max(len(n) for n in listing) if listing else 0
         lines = [f"{name:<{width}}  {tuple(shape)}" for name, shape in listing.items()]
         total = sum(int(arr.size) for arr in arrays.values())
         lines.append(f"{len(listing)} tensors, {total} scalars")
-        _write_text(args.out, "\n".join(lines) + "\n")
+        _write(args.out, "\n".join(lines) + "\n")
     manifest.add_output(args.out)
 
 
@@ -637,9 +601,6 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    from .errors import FomeError
-
     manifest = _Manifest(args, argv)
     try:
         args.fn(args, manifest)

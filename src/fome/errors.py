@@ -1,4 +1,12 @@
-"""Exception hierarchy shared by all fome modules."""
+"""Exception hierarchy shared by all fome modules, and the file helpers.
+
+Every file this package reads or writes goes through `read_file`,
+`write_file` or `make_dirs`, so a refused file operation is always an
+`IoError` naming the path; `decode_text` turns bytes into text and invalid
+UTF-8 into a `FormatError`.
+"""
+
+import os
 
 
 class FomeError(Exception):
@@ -43,3 +51,39 @@ class CapacityError(FomeError):
 
 class TrainError(FomeError):
     """Training failed mid-run (e.g. non-finite gradient)."""
+
+
+def read_file(path) -> bytes:
+    """The whole content of the file at `path`."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def write_file(path, payload) -> None:
+    """Replace the file at `path` with `payload`; a str is written as UTF-8."""
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
+    try:
+        with open(path, "wb") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def make_dirs(path) -> None:
+    """Create the directory `path` and its parents, unless it exists."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create directory {path}: {exc}") from exc
+
+
+def decode_text(payload: bytes, source) -> str:
+    """`payload` as UTF-8 text; `source` names it in the error."""
+    try:
+        return payload.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{source}: invalid UTF-8 at byte {exc.start}") from None

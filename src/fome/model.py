@@ -24,7 +24,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import numerics as nm
-from .errors import CapacityError, ConfigError, FormatError, IoError, ShapeError
+from .errors import (CapacityError, ConfigError, FormatError, ShapeError, decode_text,
+                     read_file, write_file)
 from .numerics import Tensor
 from .rng import Rng
 
@@ -515,21 +516,13 @@ def head_forecast(e: Tensor, params: ParameterStore, horizon_patches: int) -> Te
 
 
 def write_model_config(cfg: ModelConfig, path) -> None:
-    try:
-        with open(path, "w") as fh:
-            for f in fields(cfg):
-                fh.write(f"{f.name}={getattr(cfg, f.name)}\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_file(path, "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg)))
 
 
 def read_model_config(path) -> ModelConfig:
     """Parse key=value lines; a `preset=<name>` line seeds the defaults."""
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    text = decode_text(read_file(path), path)
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     known = {f.name: f for f in fields(ModelConfig)}
     values: dict = {}
     base: dict = {}

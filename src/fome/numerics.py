@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError, IoError, ShapeError
+from .errors import ContractError, FormatError, ShapeError, read_file, write_file
 
 _LN_EPS = 1e-5
 _GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
@@ -396,22 +396,18 @@ def save_checkpoint(named: dict[str, np.ndarray], path) -> None:
         blob += struct.pack("<BB", tag, array.ndim)
         blob += struct.pack(f"<{array.ndim}Q", *array.shape)
         blob += np.ascontiguousarray(array, dtype=_DTYPE_TAGS[tag]).tobytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(bytes(blob))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_file(path, blob)
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back as name -> float64 array, in file order."""
-    try:
-        with open(path, "rb") as fh:
-            buf = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    return checkpoint_from_bytes(read_file(path), source=str(path))
+
+
+def checkpoint_from_bytes(buf: bytes, source: str = "<bytes>") -> dict[str, np.ndarray]:
+    """Parse an FCKP blob; ``source`` names it in errors."""
     if buf[:4] != _CKPT_MAGIC:
-        raise FormatError(f"{path}: bad magic {buf[:4]!r}, expected {_CKPT_MAGIC!r}")
+        raise FormatError(f"{source}: bad magic {buf[:4]!r}, expected {_CKPT_MAGIC!r}")
     out: dict[str, np.ndarray] = {}
     try:
         (count,) = struct.unpack_from("<I", buf, 4)
@@ -428,14 +424,14 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
             dtype = np.dtype(_DTYPE_TAGS[tag])
             elements = math.prod(dims)
             if elements * dtype.itemsize > len(buf) - offset:
-                raise FormatError(f"{path}: tensor {name!r} of shape {dims} overruns the file")
+                raise FormatError(f"{source}: tensor {name!r} of shape {dims} overruns the file")
             flat = np.frombuffer(buf, dtype=dtype, count=elements, offset=offset)
             offset += elements * dtype.itemsize
             if name in out:
-                raise FormatError(f"{path}: tensor name {name!r} appears twice")
+                raise FormatError(f"{source}: tensor name {name!r} appears twice")
             out[name] = flat.astype(np.float64).reshape(dims)
     except (struct.error, KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: truncated or corrupt tensor record") from exc
+        raise FormatError(f"{source}: truncated or corrupt tensor record") from exc
     if offset != len(buf):
-        raise FormatError(f"{path}: {len(buf) - offset} trailing bytes")
+        raise FormatError(f"{source}: {len(buf) - offset} trailing bytes")
     return out

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.signal import butter, iirnotch, lfilter, sosfilt, upfirdn
 
-from .errors import ConfigError, DataError, EmptyError, FormatError, IoError
+from .errors import ConfigError, DataError, EmptyError, FormatError, read_file, write_file
 from .signal_store import Recording
 
 _KAISER_BETA = 8.6
@@ -244,22 +244,14 @@ def preprocess_pipeline(
 ) -> PatchGrid:
     """Full conditioning chain ending in a standardized PatchGrid."""
     patch_len = cfg.window_len_samples if patch_len is None else patch_len
-    window = cfg.window_len_samples
     stage = notch_filter(r, cfg.notch_hz, cfg.notch_q)
     stage = bandpass_filter(stage, cfg.band_lo_hz, cfg.band_hi_hz)
     stage = resample(stage, cfg.target_rate_hz)
     stage = detrend(stage)
-    n_windows = stage.n_samples // window
-    if n_windows == 0:
-        raise EmptyError(
-            f"{stage.n_samples} samples at {cfg.target_rate_hz} Hz is shorter "
-            f"than one window ({window})"
-        )
-    windows = stage.data[:, : n_windows * window].reshape(stage.channels, n_windows, window)
+    grid = window_and_patch(stage, cfg, patch_len)
+    windows = grid.patches.reshape(grid.n_channels, -1, cfg.window_len_samples)
     standardized, _ = _standardize(windows, cfg.ema_alpha, cfg.eps)
-    signal = standardized.reshape(stage.channels, n_windows * window)
-    windowed = Recording(signal, cfg.target_rate_hz, r.channel_labels, r.id)
-    return window_and_patch(windowed, cfg, patch_len)
+    return PatchGrid(standardized.reshape(grid.patches.shape), patch_len, cfg.target_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +283,8 @@ def grid_from_bytes(buf: bytes, source: str = "<bytes>") -> PatchGrid:
 
 
 def write_patch_grid(grid: PatchGrid, path) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(grid_to_bytes(grid))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_file(path, grid_to_bytes(grid))
 
 
 def read_patch_grid(path) -> PatchGrid:
-    try:
-        with open(path, "rb") as fh:
-            return grid_from_bytes(fh.read(), source=str(path))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    return grid_from_bytes(read_file(path), source=str(path))

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
@@ -80,7 +82,7 @@ class Rng:
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """``k`` distinct integers from [0, n), by partial Fisher-Yates."""
         if not 0 <= k <= n:
-            raise ValueError(f"cannot draw {k} from {n}")
+            raise ConfigError(f"cannot draw {k} from {n}")
         arr = np.arange(n, dtype=np.int64)
         words = self.raw(k)
         for i in range(k):

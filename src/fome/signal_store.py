@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, FormatError, IoError, SpecError
+from .errors import DataError, FormatError, SpecError, decode_text, read_file, write_file
 from .rng import Rng
 
 _MAGIC = b"FEEG"
@@ -138,17 +138,29 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
 
 
 # ---------------------------------------------------------------------------
-# binary format
+# codecs
 # ---------------------------------------------------------------------------
 
 
-def recording_to_bytes(r: Recording) -> bytes:
+def _is_csv(format: str) -> bool:
+    if format not in ("binary", "csv"):
+        raise FormatError(f"unknown format {format!r}")
+    return format == "csv"
+
+
+def recording_to_bytes(r: Recording, format: str = "binary") -> bytes:
+    """``r`` as an FEEG v1 blob, or as UTF-8 CSV for format "csv"."""
+    if _is_csv(format):
+        return _recording_to_csv(r).encode("utf-8")
     header = _HEADER.pack(_MAGIC, _VERSION, r.channels, r.n_samples, r.sample_rate_hz)
     samples = np.ascontiguousarray(r.data, dtype="<f4")
     return header + samples.tobytes()
 
 
-def recording_from_bytes(buf: bytes, source: str = "<bytes>") -> Recording:
+def recording_from_bytes(buf: bytes, source: str = "<bytes>", format: str = "binary") -> Recording:
+    """Parse what `recording_to_bytes` writes; ``source`` names the input in errors."""
+    if _is_csv(format):
+        return _recording_from_csv(decode_text(buf, source), source)
     if len(buf) < _HEADER.size:
         raise FormatError(f"{source}: truncated header ({len(buf)} bytes)")
     magic, version, c, t, rate = _HEADER.unpack_from(buf, 0)
@@ -165,11 +177,6 @@ def recording_from_bytes(buf: bytes, source: str = "<bytes>") -> Recording:
         ch, idx = _first_nonfinite(data)
         raise DataError(f"{source}: non-finite sample at channel {ch}, index {idx}")
     return Recording(data=data, sample_rate_hz=rate, id=source)
-
-
-# ---------------------------------------------------------------------------
-# csv format
-# ---------------------------------------------------------------------------
 
 
 def _recording_to_csv(r: Recording) -> str:
@@ -223,30 +230,9 @@ def write_recording(r: Recording, path, format: str = "binary") -> None:
     if not np.all(np.isfinite(r.data)):
         c, t = _first_nonfinite(r.data)
         raise DataError(f"refusing to write non-finite sample at channel {c}, index {t}")
-    if format == "binary":
-        payload: bytes = recording_to_bytes(r)
-        mode = "wb"
-    elif format == "csv":
-        payload = _recording_to_csv(r)
-        mode = "w"
-    else:
-        raise FormatError(f"unknown format {format!r}")
-    try:
-        with open(path, mode) as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_file(path, recording_to_bytes(r, format))
 
 
 def read_recording(path, format: str = "binary") -> Recording:
     """Load a Recording from ``path`` in the given format."""
-    try:
-        if format == "binary":
-            with open(path, "rb") as fh:
-                return recording_from_bytes(fh.read(), source=str(path))
-        elif format == "csv":
-            with open(path, "r") as fh:
-                return _recording_from_csv(fh.read(), source=str(path))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    raise FormatError(f"unknown format {format!r}")
+    return recording_from_bytes(read_file(path), str(path), format)

@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import model as mdl
 from . import numerics as nm
-from .errors import ConfigError, DataError, TrainError
+from .errors import ConfigError, DataError, TrainError, make_dirs, write_file
 from .model import ModelConfig, ParameterStore
 from .numerics import Tensor
 from .preprocess import PatchGrid
@@ -305,7 +304,7 @@ class _CheckpointKeeper:
         self.opt_steps = 0
         self.best: float | None = None
         if directory is not None:
-            os.makedirs(directory, exist_ok=True)
+            make_dirs(directory)
 
     def after_optimizer_step(self, validation_loss) -> None:
         self.opt_steps += 1
@@ -548,10 +547,8 @@ def pretrain(
 
 
 def write_loss_trace(trace: list[tuple[int, float, float]], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("step,lr,loss\n")
-        for step, lr, loss in trace:
-            fh.write(f"{step},{lr!r},{loss!r}\n")
+    rows = "".join(f"{step},{lr!r},{loss!r}\n" for step, lr, loss in trace)
+    write_file(path, "step,lr,loss\n" + rows)
 
 
 # ---------------------------------------------------------------------------
@@ -663,9 +660,12 @@ def _score_forecast(store: _Samples, idx, samples: list[ForecastSample], params:
     """Forecast metrics of samples `idx`; `samples` is indexed like `store`."""
     preds = _predict(store, idx, params, model_cfg,
                      lambda e: mdl.head_forecast(e, params, horizon_patches))
-    targets = np.stack([samples[i].target for i in idx])
-    persist = np.stack([persistence_forecast(samples[i], horizon_patches) for i in idx])
-    report = regression_metrics(np.stack(preds), targets, task="forecast")
+    # flattened and concatenated, so samples of different montages score together
+    targets = np.concatenate([samples[i].target.ravel() for i in idx])
+    persist = np.concatenate([persistence_forecast(samples[i], horizon_patches).ravel()
+                              for i in idx])
+    report = regression_metrics(np.concatenate([p.ravel() for p in preds]), targets,
+                                task="forecast")
     base = regression_metrics(persist, targets)
     report.baseline = {"persistence_mae": base.mae, "persistence_mse": base.mse}
     return report

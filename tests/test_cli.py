@@ -8,11 +8,17 @@ import sys
 import numpy as np
 import pytest
 
+import fome
+
 CLI = [sys.executable, "-m", "fome.cli"]
+SRC = os.path.dirname(os.path.dirname(fome.__file__))
 
 
 def run_cli(args, stdin_bytes=None, cwd=None):
-    return subprocess.run(CLI + args, input=stdin_bytes, capture_output=True, cwd=cwd)
+    # the command runs the same package these tests import
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(CLI + args, input=stdin_bytes, capture_output=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def run_pipeline(tmp_path, seed=7):
@@ -68,6 +74,21 @@ class TestPipeline:
         ha = {k.split("/")[-1]: v for k, v in ma["outputs"].items()}
         hb = {k.split("/")[-1]: v for k, v in mb["outputs"].items()}
         assert ha == hb
+
+
+    def test_csv_recordings_stream_through_stdin_and_stdout(self, tmp_path):
+        synth = ["synth", "--seed", "4", "--channels", "2", "--duration", "8", "--format", "csv"]
+        path = tmp_path / "rec.csv"
+        piped = run_cli(synth)
+        assert piped.returncode == 0, piped.stderr
+        assert run_cli(synth + ["--out", str(path)]).returncode == 0
+        assert piped.stdout == path.read_bytes()
+        from_stdin = run_cli(["preprocess", "--format", "csv", "--in", "-"],
+                             stdin_bytes=piped.stdout)
+        from_path = run_cli(["preprocess", "--format", "csv", "--in", str(path)])
+        assert from_stdin.returncode == 0, from_stdin.stderr
+        assert from_stdin.stdout[:4] == b"FEGP"
+        assert from_stdin.stdout == from_path.stdout
 
 
 class TestSpectraCommand:
@@ -169,10 +190,13 @@ class TestErrors:
         ["eval", "--in", "HEADER", "--task", "regress"],
         ["eval", "--in", "ONECOL"],
         ["eval", "--in", "NONNUM", "--task", "regress"],
+        ["synth", "--components", "1:2"],
+        ["synth", "--components", "a:b:c:d"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
             "pretrain-no-in", "pps-0", "steps-0", "band-one-number", "band-not-numbers",
             "eval-empty", "eval-header-only-classify", "eval-header-only-regress",
-            "eval-one-column", "eval-non-numeric-row"])
+            "eval-one-column", "eval-non-numeric-row", "components-two-fields",
+            "components-not-numbers"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
         from fome import errors
         from fome.preprocess import PatchGrid, write_patch_grid
@@ -195,7 +219,57 @@ class TestErrors:
         assert issubclass(getattr(errors, payload["error"]), errors.FomeError), payload
         if args[0] == "eval":
             assert payload["error"] == "DataError", payload
+        if args[0] == "synth":
+            assert payload["error"] == "ConfigError", payload
+            assert "--components" in payload["message"], payload
+            assert "channel:freq_hz:amplitude:phase_rad" in payload["message"], payload
         assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in inputs.values())
+
+    @pytest.mark.parametrize("args, error", [
+        (["synth", "--duration", "2", "--out", "MISSING"], "IoError"),
+        (["preprocess", "--in", "REC", "--window", "250", "--out", "MISSING"], "IoError"),
+        (["spectra", "--in", "GRID", "--out", "MISSING"], "IoError"),
+        (["eval", "--in", "PREDS", "--out", "MISSING"], "IoError"),
+        (["inspect-checkpoint", "--in", "CKPT", "--out", "MISSING"], "IoError"),
+        (["finetune", "classify", "--dataset", "DATASET", "--out", "MISSING"], "IoError"),
+        (["synth", "--duration", "2", "--out", "OUT", "--manifest", "MISSING"], "IoError"),
+        (["pretrain", "--in", "GRID", "--pps", "2", "--out", "OUT", "--trace", "MISSING"],
+         "IoError"),
+        (["finetune", "classify", "--dataset", "DATASET", "--checkpoint-dir", "UNDER_FILE",
+          "--out", "OUT"], "IoError"),
+        (["eval", "--in", "NOT_UTF8"], "FormatError"),
+        (["finetune", "classify", "--dataset", "NOT_UTF8"], "FormatError"),
+        (["preprocess", "--format", "csv", "--in", "NOT_UTF8"], "FormatError"),
+    ], ids=["synth-out", "preprocess-out", "spectra-out", "eval-out", "inspect-out",
+            "finetune-out", "manifest", "pretrain-trace", "checkpoint-dir-under-file",
+            "eval-not-utf8", "dataset-not-utf8", "csv-recording-not-utf8"])
+    def test_file_failures_are_typed_errors(self, tmp_path, args, error):
+        import fome.numerics as nm
+        from fome.preprocess import PatchGrid, write_patch_grid
+        from fome.signal_store import Recording, write_recording
+
+        paths = {"MISSING": tmp_path / "no" / "such.out", "OUT": tmp_path / "out.bin",
+                 "UNDER_FILE": tmp_path / "preds.csv" / "checkpoints",
+                 "NOT_UTF8": tmp_path / "bad.csv", "REC": tmp_path / "rec.feeg",
+                 "GRID": tmp_path / "grid.fegp", "PREDS": tmp_path / "preds.csv",
+                 "CKPT": tmp_path / "w.fckp", "DATASET": tmp_path / "dataset.csv"}
+        write_recording(Recording(np.zeros((2, 1000)), 500.0), paths["REC"])
+        patches = np.random.default_rng(0).standard_normal((2, 4, 16))
+        write_patch_grid(PatchGrid(patches, 16, 250.0), paths["GRID"])
+        paths["PREDS"].write_text("1,1\n0,0\n")
+        nm.save_checkpoint({"w": np.ones(3)}, paths["CKPT"])
+        paths["DATASET"].write_text("".join(f"grid.fegp,{i % 2}\n" for i in range(5)))
+        paths["NOT_UTF8"].write_bytes(b"# rate_hz=250.0\n1,\xff\n")
+        train = ["--preset", "tiny", "--steps", "2", "--batch", "1", "--accum", "1"]
+        result = run_cli([str(paths.get(arg, arg)) for arg in args]
+                         + (train if args[0] in ("pretrain", "finetune") else []))
+        assert result.returncode == 1, result.stderr
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1, lines
+        payload = json.loads(lines[0])
+        assert payload["error"] == error, payload
+        culprit = next(paths[arg] for arg in args if arg in ("MISSING", "UNDER_FILE", "NOT_UTF8"))
+        assert str(culprit) in payload["message"], payload
 
     def test_nyquist_violation_from_module(self):
         result = run_cli(["synth", "--channels", "1", "--rate", "40",

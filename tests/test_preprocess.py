@@ -347,6 +347,17 @@ class TestGridFormat:
         with pytest.raises(FormatError):
             grid_from_bytes(b"XXXX" + bytes(20))
 
+    def test_every_truncation_and_byte_flip_parses_or_is_typed_error(self):
+        blob = grid_to_bytes(PatchGrid(np.arange(12.0).reshape(2, 3, 2), 2, 250.0))
+        cases = [blob[:end] for end in range(len(blob))]
+        cases += [blob[:i] + bytes([blob[i] ^ bits]) + blob[i + 1:]
+                  for i in range(len(blob)) for bits in (0x01, 0x80, 0xFF)]
+        for case in cases:
+            try:
+                grid_from_bytes(case)
+            except (FormatError, DataError):
+                pass
+
     def test_size_mismatch(self, rng):
         grid = PatchGrid(rng.standard_normal((1, 2, 8)), 8, 250.0)
         blob = grid_to_bytes(grid)

@@ -99,6 +99,17 @@ class TestBinaryFormat:
             write_recording(r, "/nonexistent-dir/x.feeg")
 
 
+    def test_every_truncation_and_byte_flip_parses_or_is_typed_error(self):
+        blob = recording_to_bytes(Recording(np.arange(6.0).reshape(2, 3), 250.0))
+        cases = [blob[:end] for end in range(len(blob))]
+        cases += [blob[:i] + bytes([blob[i] ^ bits]) + blob[i + 1:]
+                  for i in range(len(blob)) for bits in (0x01, 0x80, 0xFF)]
+        for case in cases:
+            try:
+                recording_from_bytes(case)
+            except (FormatError, DataError):
+                pass
+
     @settings(max_examples=40, deadline=None)
     @given(
         data=hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
@@ -121,6 +132,7 @@ class TestCsvFormat:
         )
         path = tmp_path / "r.csv"
         write_recording(r, path, format="csv")
+        assert path.read_bytes() == recording_to_bytes(r, format="csv")
         back = read_recording(path, format="csv")
         assert back.channel_labels == ["Fz", "Cz"]
         assert back.sample_rate_hz == 512.0

@@ -173,6 +173,11 @@ class TestMaskPlan:
         with pytest.raises(ConfigError):
             make_mask_plan(2, 5, 1.0, Rng(0))
 
+    @pytest.mark.parametrize("n, k", [(3, 4), (3, -1)])
+    def test_impossible_draw_is_config_error(self, n, k):
+        with pytest.raises(ConfigError, match=f"cannot draw {k} from {n}"):
+            Rng(0).sample_without_replacement(n, k)
+
 
 class TestMetrics:
     def test_perfect_binary_confusion(self):
@@ -522,6 +527,22 @@ class TestForecast:
         grid = PatchGrid(rng.standard_normal((1, 3, 8)), 8, 250.0)
         with pytest.raises(ConfigError):
             forecast_samples_from_grid(grid, 3, 2)
+
+    def test_mixed_montages_score_as_one_pool(self, rng):
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=26)
+        params.add(model.forecast_head_shapes(cfg, 3, 2), seed=27)
+        groups = [forecast_samples_from_grid(PatchGrid(rng.standard_normal((c, 10, 8)), 8, 250.0),
+                                             3, 2) for c in (2, 3)]
+        mixed = evaluate_forecast(groups[0] + groups[1], params, cfg, 2)
+        parts = [evaluate_forecast(group, params, cfg, 2) for group in groups]
+        sizes = [sum(sample.target.size for sample in group) for group in groups]
+        for key in ("mae", "mse"):
+            pooled = sum(getattr(part, key) * n for part, n in zip(parts, sizes)) / sum(sizes)
+            assert getattr(mixed, key) == pytest.approx(pooled, rel=1e-12)
+        for key in ("persistence_mae", "persistence_mse"):
+            pooled = sum(part.baseline[key] * n for part, n in zip(parts, sizes)) / sum(sizes)
+            assert mixed.baseline[key] == pytest.approx(pooled, rel=1e-12)
 
     def test_persistence_repeats_last_patch(self, rng):
         grid = PatchGrid(rng.standard_normal((2, 5, 8)), 8, 250.0)
