@@ -376,14 +376,17 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 
 def _canonical_order(x: np.ndarray) -> np.ndarray:
-    """Order of each sample's channel rows by their raw bytes.
+    """Order of each sample's channel rows by their big-endian bytes.
 
     `x` is (..., C, P, D) and the order (..., C).  Rows compare
-    lexicographically byte by byte, so two rows tie only when they are
-    bitwise identical (-0.0 and 0.0 differ), and the gathered array depends
-    only on the set of rows, not on their input order.
+    lexicographically byte by byte, each value from its most significant
+    byte down (sign, exponent, then mantissa), so a last-bit change of the
+    values reorders only rows that agree in every earlier byte.  Two rows
+    tie only when they are bitwise identical (-0.0 and 0.0 differ), and the
+    gathered array depends only on the set of rows, not on their input
+    order.
     """
-    rows = np.ascontiguousarray(x).reshape(x.shape[:-2] + (-1,))
+    rows = np.ascontiguousarray(x, dtype=">f8").reshape(x.shape[:-2] + (-1,))
     keys = rows.view(np.dtype((np.void, rows.shape[-1] * rows.itemsize)))[..., 0]
     return np.argsort(keys, axis=-1, kind="stable")
 

@@ -455,6 +455,15 @@ class TestChannelPermutation:
         shuffled = rows[np.array(perm)]
         assert canon.tobytes() == shuffled[model._canonical_order(shuffled)].tobytes()
 
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_last_bit_changes_keep_the_order(self, seed):
+        # (2, 19, 3, 4): two samples of 19 distinct random channel rows
+        rows = np.random.default_rng(seed).standard_normal((2, 19, 3, 4))
+        flipped = (rows.view(np.uint64) ^ np.uint64(1)).view(np.float64)
+        assert not np.array_equal(flipped, rows)
+        assert np.array_equal(model._canonical_order(flipped), model._canonical_order(rows))
+
 
 class TestPersistence:
     def test_checkpoint_round_trip_with_validation(self, rng, tmp_path):
