@@ -400,20 +400,21 @@ def _predict(store: _Samples, idx, params, model_cfg, head) -> list[np.ndarray]:
     return out
 
 
-def _masked_mse(rec: Tensor, target: np.ndarray, mask: np.ndarray, scope: str) -> Tensor:
-    """Reconstruction MSE over the masked slots, rescaled by the masked
-    fraction; over every slot for scope "all" or an empty mask.
+def _masked_mse(encoded: Tensor, params: ParameterStore, target: np.ndarray, mask: np.ndarray,
+                scope: str) -> Tensor:
+    """Reconstruction MSE of the (..., C, P, D) `encoded` stack against the
+    (..., C, P, L) `target` over the slots where the boolean (..., C, P)
+    `mask` is True; over every slot for scope "all" or an empty mask.
 
-    `mask` is the boolean (..., C, P) mask of the (..., C, P, L) `target`;
-    in a stack every sample masks as many slots (as masks of one shape do).
+    Only the masked rows go through the reconstruction head, as one (n, D)
+    gemm, so the loss and its gradients cost nothing on the visible slots.
     """
-    gate = mask[..., None].astype(np.float64)
-    masked_fraction = float(gate.mean())
-    if scope == "all" or masked_fraction == 0.0:
-        return nm.mse(rec, Tensor(target))
-    return nm.scale(
-        nm.mse(nm.mul(rec, Tensor(gate)), Tensor(target * gate)), 1.0 / masked_fraction
-    )
+    if scope == "all" or not mask.any():
+        return nm.mse(mdl.head_reconstruct(encoded, params), Tensor(target))
+    rows = np.flatnonzero(mask)
+    hidden = nm.embedding_lookup(nm.reshape(encoded, (-1, encoded.shape[-1])), rows)
+    return nm.mse(mdl.head_reconstruct(hidden, params),
+                  Tensor(target.reshape(-1, target.shape[-1])[rows]))
 
 
 def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
@@ -536,8 +537,7 @@ def pretrain(
             patches, powers = _stack(store, [batch[j] for j in pos])
             encoded = mdl.forward(patches, powers, params, model_cfg, mask=mask,
                                   stream=drop_stream)
-            rec = mdl.head_reconstruct(encoded, params)
-            return _masked_mse(rec, patches, mask, cfg.loss_scope)
+            return _masked_mse(encoded, params, patches, mask, cfg.loss_scope)
 
         return _grouped_mean(store, batch, group_loss)
 

@@ -129,8 +129,7 @@ def test_criterion_01_gradient_fidelity():
 
     def loss_fn():
         encoded = model.forward(grid.patches, bands, params, cfg, mask=plan)
-        rec = model.head_reconstruct(encoded, params)
-        return trainer._masked_mse(rec, grid.patches, plan, "masked_only")
+        return trainer._masked_mse(encoded, params, grid.patches, plan, "masked_only")
 
     with Tape():
         loss = loss_fn()

@@ -378,6 +378,72 @@ class TestPretrain:
         assert (tmp_path / "final.fckp").exists()
 
 
+def gated_mse_oracle(encoded, params, target, mask, scope):
+    """The full-head form: every slot through the head, the visible ones
+    gated to zero, the MSE rescaled by the masked fraction."""
+    rec = model.head_reconstruct(encoded, params)
+    gate = mask[..., None].astype(np.float64)
+    fraction = float(gate.mean())
+    if scope == "all" or fraction == 0.0:
+        return nm.mse(rec, Tensor(target))
+    return nm.scale(nm.mse(nm.mul(rec, Tensor(gate)), Tensor(target * gate)), 1.0 / fraction)
+
+
+def _loss_and_grads(masked_mse, shapes, mode, scope="masked_only", empty=False):
+    """The pretraining batch loss over samples of `shapes` (one stack per
+    shape) with `masked_mse` as the loss, and every parameter gradient."""
+    cfg = preset("tiny")
+    params = ParameterStore.initialize(cfg, seed=21)
+    params.add(model.reconstruct_head_shapes(cfg), seed=22)
+    gen = np.random.default_rng(len(shapes))
+    grids = [PatchGrid(gen.standard_normal(shape + (8,)), 8, 250.0) for shape in shapes]
+    store = trainer._Samples(grids, cfg)
+    stream = Rng(23)
+    masks = [np.zeros(shape, dtype=bool) if empty
+             else make_mask_plan(*shape, 0.4, stream, mode) for shape in shapes]
+
+    def group_loss(pos):
+        patches, powers = trainer._stack(store, pos)
+        mask = np.stack([masks[j] for j in pos])
+        encoded = model.forward(patches, powers, params, cfg, mask=mask)
+        return masked_mse(encoded, params, patches, mask, scope)
+
+    with nm.Tape():
+        loss = trainer._grouped_mean(store, list(range(len(grids))), group_loss)
+    nm.backward(loss)
+    return float(loss.data), {name: tensor.grad for name, tensor in params.items()}
+
+
+class TestMaskedLoss:
+    @pytest.mark.parametrize("mode", ["slot", "column"])
+    @pytest.mark.parametrize("shapes", [[(3, 5)], [(3, 5)] * 3, [(2, 5), (3, 4), (2, 5)]],
+                             ids=["B1", "B3", "mixed"])
+    def test_masked_rows_match_the_gated_oracle(self, mode, shapes):
+        loss, grads = _loss_and_grads(trainer._masked_mse, shapes, mode)
+        want, want_grads = _loss_and_grads(gated_mse_oracle, shapes, mode)
+        assert abs(loss - want) <= 1e-12 * abs(want)
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, want_grads[name], rtol=1e-12, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("scope,empty", [("all", False), ("masked_only", True)])
+    def test_scope_all_and_empty_mask_run_the_full_head(self, scope, empty):
+        shapes = [(2, 5), (3, 4)]
+        loss, grads = _loss_and_grads(trainer._masked_mse, shapes, "slot", scope, empty)
+        want, want_grads = _loss_and_grads(gated_mse_oracle, shapes, "slot", scope, empty)
+        assert loss == want
+        for name, grad in grads.items():
+            want_grad = want_grads[name]  # None for embed.mask under an empty mask
+            assert (grad is None and want_grad is None) or grad.tobytes() == want_grad.tobytes()
+
+    def test_only_masked_rows_reach_the_head(self, monkeypatch):
+        rows = []
+        head = model.head_reconstruct
+        monkeypatch.setattr(model, "head_reconstruct",
+                            lambda e, params: rows.append(e.shape) or head(e, params))
+        _loss_and_grads(trainer._masked_mse, [(3, 5)] * 2, "slot")
+        assert rows == [(12, 8)]  # round(0.4 * 15) = 6 hidden slots per sample, L = 8
+
+
 def labeled_dataset(n=20, length=8, patches=4, seed=4):
     gen = Rng(seed)
     data = []
