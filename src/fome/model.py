@@ -19,6 +19,7 @@ Inputs are plain arrays: patches (..., C, P, L), band powers
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -30,6 +31,11 @@ from .numerics import Tensor
 from .rng import Rng
 
 _INIT_STD = 0.02
+
+# smallest value of each integer ModelConfig field (head dims may also be None)
+_MINIMUM = dict(patch_len=1, model_dim=1, heads=1, ffn_dim=1, temporal_layers=0,
+                channel_layers=0, max_patches=1, head_dim_k=1, head_dim_v=1, n_bands=1,
+                conv_kernel=1)
 
 
 @dataclass(frozen=True)
@@ -54,19 +60,28 @@ class ModelConfig:
     interleave: bool = False
 
     def __post_init__(self) -> None:
-        if self.patch_len < 1 or self.model_dim < 1 or self.heads < 1:
-            raise ConfigError("patch_len, model_dim, and heads must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be True or False, got {value!r}")
+            if f.name not in _MINIMUM or (value is None and f.type == "int | None"):
+                continue
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if value < _MINIMUM[f.name]:
+                raise ConfigError(f"{f.name} must be >= {_MINIMUM[f.name]}, got {value}")
+        if (not isinstance(self.dropout, numbers.Real) or isinstance(self.dropout, bool)
+                or not 0 <= self.dropout < 1):
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
+        if self.attn_scale not in ("d", "dk"):
+            raise ConfigError(f"attn_scale must be 'd' or 'dk', got {self.attn_scale!r}")
         if self.model_dim % self.heads != 0 and self.head_dim_k is None:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}; "
                 "set head_dim_k/head_dim_v explicitly"
             )
-        if self.temporal_layers < 0 or self.channel_layers < 0:
-            raise ConfigError("layer counts must be >= 0")
-        if not 0 <= self.dropout < 1:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.attn_scale not in ("d", "dk"):
-            raise ConfigError(f"attn_scale must be 'd' or 'dk', got {self.attn_scale!r}")
+        if self.d_v < 1:
+            raise ConfigError(f"head_dim_v must be >= 1, got model_dim // heads = {self.d_v}")
         if self.conv_embed and self.patch_len % self.conv_kernel != 0:
             raise ConfigError(
                 f"conv_kernel {self.conv_kernel} must divide patch_len {self.patch_len}"

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import encoder_block_oracle
@@ -81,6 +81,17 @@ class TestPresets:
             ModelConfig(attn_scale="sqrt")
         with pytest.raises(ConfigError):
             ModelConfig(dropout=1.0)
+
+    @pytest.mark.parametrize("line", [
+        "patch_len=abc", "conv_embed=True\nconv_kernel=0", "max_patches=-1", "head_dim_k=x",
+        "use_freq_embed=1", "heads=2.0", "dropout=nan", "dropout=True", "ffn_dim=0",
+        "attn_scale=1", "model_dim=4\nheads=8\nhead_dim_k=2",
+    ])
+    def test_config_file_field_types_and_ranges(self, tmp_path, line):
+        path = tmp_path / "model.config"
+        path.write_text(f"preset=tiny\n{line}\n")
+        with pytest.raises(ConfigError):
+            read_model_config(path)
 
 
 class TestEmbed:
@@ -490,6 +501,28 @@ class TestPersistence:
         path = tmp_path / "model.config"
         write_model_config(cfg, path)
         assert read_model_config(path) == cfg
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_corrupt_config_parses_or_is_typed_error(self, tmp_path, data):
+        path = tmp_path / "model.config"
+        write_model_config(tiny_cfg(attn_scale="dk", dropout=0.1, head_dim_v=3), path)
+        blob = path.read_bytes()
+        kind = data.draw(st.sampled_from(["truncate", "flip", "random"]))
+        if kind == "truncate":
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        elif kind == "flip":
+            i = data.draw(st.integers(0, len(blob) - 1))
+            bits = data.draw(st.sampled_from([0x01, 0x80, 0xFF]))
+            blob = blob[:i] + bytes([blob[i] ^ bits]) + blob[i + 1:]
+        else:
+            blob = data.draw(st.binary(max_size=300))
+        path.write_bytes(blob)
+        try:
+            assert isinstance(read_model_config(path), ModelConfig)
+        except (ConfigError, FormatError):
+            pass
 
     def test_config_file_preset_line(self, tmp_path):
         path = tmp_path / "model.config"
