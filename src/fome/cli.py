@@ -299,11 +299,13 @@ def _load_grids(paths: list[str], manifest: _Manifest):
     return grids
 
 
-def _init_params(args, model_cfg):
+def _init_params(args, model_cfg, manifest: _Manifest):
     from . import model
 
     if args.checkpoint:
-        return model.load_params(args.checkpoint, model_cfg)
+        payload = _read_bytes(args.checkpoint)
+        manifest.add_input(args.checkpoint, payload)
+        return model.params_from_bytes(payload, model_cfg, args.checkpoint)
     return model.ParameterStore.initialize(model_cfg, args.seed)
 
 
@@ -320,7 +322,7 @@ def _cmd_pretrain(args, manifest: _Manifest) -> None:
     train_cfg = _train_config(args)
     if args.steps >= 2:
         train_cfg = trainer.scale_schedule(train_cfg, args.steps)
-    params = _init_params(args, model_cfg)
+    params = _init_params(args, model_cfg, manifest)
     trace = trainer.pretrain(corpus, params, model_cfg, train_cfg, steps=args.steps)
     model.save_params(params, args.out)
     model.write_model_config(model_cfg, args.out + ".config")
@@ -388,7 +390,7 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
         )
         first = dataset[0][0]
         model_cfg = _fit_config_to_data(model_cfg, first.patch_len, first.n_patches)
-        params = _init_params(args, model_cfg)
+        params = _init_params(args, model_cfg, manifest)
         report = trainer.finetune_classify(
             dataset, params, model_cfg, train_cfg,
             n_classes=args.classes, steps=args.steps, mode=args.mode,
@@ -402,7 +404,7 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
                 trainer.forecast_samples_from_grid(grid, args.context, args.horizon)
             )
         model_cfg = _fit_config_to_data(model_cfg, grids[0].patch_len, args.context)
-        params = _init_params(args, model_cfg)
+        params = _init_params(args, model_cfg, manifest)
         report = trainer.finetune_forecast(
             samples, params, model_cfg, train_cfg,
             horizon_patches=args.horizon, steps=args.steps, mode=args.mode,
@@ -414,7 +416,7 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
         for grid in grids:
             corpus.extend(_split_into_samples(grid, args.pps))
         model_cfg = _fit_config_to_data(model_cfg, corpus[0].patch_len, args.pps)
-        params = _init_params(args, model_cfg)
+        params = _init_params(args, model_cfg, manifest)
         samples = trainer.make_impute_samples(
             corpus, args.missing_ratio, Rng(args.seed).split(17)
         )
@@ -429,6 +431,8 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
     manifest.add_output(args.out)
     if args.out_checkpoint:
         manifest.add_output(args.out_checkpoint)
+    for path in report.checkpoints:
+        manifest.add_output(path)
 
 
 def _cmd_eval(args, manifest: _Manifest) -> None:

@@ -274,7 +274,13 @@ def save_params(store: ParameterStore, path) -> None:
 
 def load_params(path, cfg: ModelConfig) -> ParameterStore:
     """Load a checkpoint, validating backbone shapes against the config."""
-    arrays = nm.load_checkpoint(path)
+    return params_from_bytes(read_file(path), cfg, str(path))
+
+
+def params_from_bytes(payload: bytes, cfg: ModelConfig, source: str = "<bytes>") -> ParameterStore:
+    """Parse an FCKP blob into a store, validating backbone shapes against
+    the config; ``source`` names it in errors."""
+    arrays = nm.checkpoint_from_bytes(payload, source)
     expected = param_shapes(cfg)
     for name, shape in expected.items():
         if name not in arrays:

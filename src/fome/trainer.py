@@ -3,9 +3,9 @@
 Every task trains through one loop, `_train_loop`.  Per micro-step it takes
 the next batch, stacks the samples of each shape into one (B, C, P, L)
 array, and runs one forward and one backward pass per stack (pre-training
-draws one boolean (C, P) mask per sample, in batch order, and hides the
-slots of the stack's (B, C, P) mask); dropout masks are drawn once per
-stack.  The step's tape is dropped right after backward.  Every
+draws one boolean (C, P) mask per sample, in batch order, hides the slots
+of the stack's (B, C, P) mask, and runs the reconstruction head and its
+loss on the masked rows only); dropout masks are drawn once per stack.  The step's tape is dropped right after backward.  Every
 `grad_accum` micro-steps it applies one AdamW update at the scheduled
 learning rate.  Losses are mean-reduced and micro-batch losses are scaled
 by 1/grad_accum, so accumulation matches a single step on the concatenated
@@ -188,9 +188,12 @@ class MetricsReport:
     mse: float | None = None
     baseline: dict[str, float] | None = None
     notes: dict = field(default_factory=dict)
+    # checkpoint files the training run wrote; run output, not a metric
+    checkpoints: list[str] = field(default_factory=list)
 
     def to_json(self, indent: int | None = 2) -> str:
-        payload = {k: v for k, v in self.__dict__.items() if v is not None}
+        payload = {k: v for k, v in self.__dict__.items()
+                   if v is not None and k != "checkpoints"}
         return json.dumps(payload, indent=indent)
 
 
@@ -295,7 +298,7 @@ def split_blocks(n: int, ratios=(0.6, 0.2, 0.2)) -> tuple[range, range, range]:
 class _CheckpointKeeper:
     """Cadence checkpoints every `checkpoint_every` optimizer steps, plus a
     snapshot at the lowest validation loss; inactive when no directory is
-    given."""
+    given.  `written` lists the paths saved, each once, in first-save order."""
 
     def __init__(self, params: ParameterStore, cfg: TrainConfig, directory):
         self.params = params
@@ -303,22 +306,29 @@ class _CheckpointKeeper:
         self.directory = directory
         self.opt_steps = 0
         self.best: float | None = None
+        self.written: list[str] = []
         if directory is not None:
             make_dirs(directory)
+
+    def _save(self, name: str) -> None:
+        path = f"{self.directory}/{name}"
+        mdl.save_params(self.params, path)
+        if path not in self.written:
+            self.written.append(path)
 
     def after_optimizer_step(self, validation_loss) -> None:
         self.opt_steps += 1
         if self.directory is None or self.opt_steps % self.cfg.checkpoint_every != 0:
             return
-        mdl.save_params(self.params, f"{self.directory}/step-{self.opt_steps:06d}.fckp")
+        self._save(f"step-{self.opt_steps:06d}.fckp")
         loss = validation_loss()
         if loss is not None and (self.best is None or loss < self.best):
             self.best = loss
-            mdl.save_params(self.params, f"{self.directory}/best-validation.fckp")
+            self._save("best-validation.fckp")
 
     def finish(self) -> None:
         if self.directory is not None:
-            mdl.save_params(self.params, f"{self.directory}/final.fckp")
+            self._save("final.fckp")
 
 
 class _Cycler:
@@ -419,8 +429,10 @@ def _masked_mse(encoded: Tensor, params: ParameterStore, target: np.ndarray, mas
 
 def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
                 params: ParameterStore, trainable: dict[str, Tensor], cfg: TrainConfig,
-                steps: int, checkpoint_dir=None, validation=lambda: None) -> list[float]:
-    """The optimizer loop of every task; returns each micro-step's batch loss.
+                steps: int, checkpoint_dir=None,
+                validation=lambda: None) -> tuple[list[float], list[str]]:
+    """The optimizer loop of every task; returns each micro-step's batch loss
+    and the checkpoint files written under `checkpoint_dir`.
 
     Batches are drawn from `train_idx` by an epoch shuffle on `order_stream`,
     after the band powers of every training sample are computed.
@@ -454,7 +466,7 @@ def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
             optimizer.step(lr_at(step, cfg))
             checkpoints.after_optimizer_step(validation)
     checkpoints.finish()
-    return losses
+    return losses, checkpoints.written
 
 
 def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: ParameterStore,
@@ -486,10 +498,12 @@ def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: Param
     def batch_loss(batch: list[int]) -> Tensor:
         return _grouped_mean(store, batch, lambda pos: group_loss([batch[j] for j in pos]))
 
-    _train_loop(batch_loss, store, train_idx, Rng(cfg.seed).split(stream), params, trainable,
-                scale_schedule(cfg, steps), steps, checkpoint_dir,
-                lambda: val_loss(score(val_idx)) if len(val_idx) else None)
-    return score(test_idx)
+    _, written = _train_loop(batch_loss, store, train_idx, Rng(cfg.seed).split(stream), params,
+                             trainable, scale_schedule(cfg, steps), steps, checkpoint_dir,
+                             lambda: val_loss(score(val_idx)) if len(val_idx) else None)
+    report = score(test_idx)
+    report.checkpoints = written
+    return report
 
 
 def _ensure_head(params: ParameterStore, shapes: dict, seed: int) -> None:
@@ -541,8 +555,8 @@ def pretrain(
 
         return _grouped_mean(store, batch, group_loss)
 
-    losses = _train_loop(batch_loss, store, range(len(corpus)), Rng(cfg.seed).split(1), params,
-                         dict(params.items()), cfg, steps, checkpoint_dir)
+    losses, _ = _train_loop(batch_loss, store, range(len(corpus)), Rng(cfg.seed).split(1),
+                            params, dict(params.items()), cfg, steps, checkpoint_dir)
     return [(step, lr_at(step, cfg), loss) for step, loss in enumerate(losses, 1)]
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line runs via subprocess."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -38,6 +39,33 @@ def run_pipeline(tmp_path, seed=7):
     return out
 
 
+def finetune_from_checkpoint(checkpoint, tmp_path):
+    """`finetune classify --checkpoint` for 500 optimizer steps (one cadence
+    checkpoint) into `tmp_path`/ckdir, which already holds a stale file;
+    returns the run's manifest."""
+    from fome.preprocess import PatchGrid, write_patch_grid
+    from fome.rng import Rng
+
+    gen = Rng(8)
+    rows = []
+    for i in range(10):
+        grid = PatchGrid(gen.normals(2 * 3 * 500).reshape(2, 3, 500), 500, 250.0)
+        write_patch_grid(grid, tmp_path / f"g{i}.fegp")
+        rows.append(f"g{i}.fegp,{i % 2}")
+    (tmp_path / "dataset.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "ckdir").mkdir()
+    (tmp_path / "ckdir" / "stale.fckp").write_bytes(b"not written by this run")
+    out = tmp_path / "metrics.json"
+    result = run_cli([
+        "finetune", "classify", "--dataset", str(tmp_path / "dataset.csv"),
+        "--checkpoint", str(checkpoint), "--checkpoint-dir", str(tmp_path / "ckdir"),
+        "--classes", "2", "--steps", "500", "--batch", "1", "--accum", "1",
+        "--lr-peak", "1e-3", "--preset", "tiny", "--seed", "3", "--out", str(out),
+    ])
+    assert result.returncode == 0, result.stderr
+    return json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+
+
 class TestPipeline:
     def test_synth_preprocess_pretrain_chain(self, tmp_path):
         out = run_pipeline(tmp_path)
@@ -73,6 +101,23 @@ class TestPipeline:
         mb = json.loads((tmp_path / "b" / "ck.fckp.manifest.json").read_text())
         ha = {k.split("/")[-1]: v for k, v in ma["outputs"].items()}
         hb = {k.split("/")[-1]: v for k, v in mb["outputs"].items()}
+        assert ha == hb
+        # fine-tuning from the pretrained checkpoint: the manifest pins the
+        # checkpoint it read and lists exactly the checkpoint files it wrote
+        fa = finetune_from_checkpoint(a, tmp_path / "a")
+        fb = finetune_from_checkpoint(b, tmp_path / "b")
+        assert fa["inputs"][str(a)] == hashlib.sha256(a.read_bytes()).hexdigest()
+        ckdir = tmp_path / "a" / "ckdir"
+        assert set(fa["outputs"]) == {str(tmp_path / "a" / "metrics.json")} | {
+            f"{ckdir}/{name}" for name in ("step-000500.fckp", "best-validation.fckp",
+                                           "final.fckp")}
+        for path, digest in fa["outputs"].items():
+            assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
+        ia = {k.split("/")[-1]: v for k, v in fa["inputs"].items()}
+        ib = {k.split("/")[-1]: v for k, v in fb["inputs"].items()}
+        assert ia == ib
+        ha = {k.split("/")[-1]: v for k, v in fa["outputs"].items()}
+        hb = {k.split("/")[-1]: v for k, v in fb["outputs"].items()}
         assert ha == hb
 
 
