@@ -3,10 +3,10 @@
 Every task trains through one loop, `_train_loop`.  Per micro-step it takes
 the next batch, stacks the samples of each shape into one (B, C, P, L)
 array, and runs one forward and one backward pass per stack (pre-training
-draws one boolean (C, P) mask per sample, in batch order, hides the slots
-of the stack's (B, C, P) mask, and runs the reconstruction head and its
-loss on the masked rows only); dropout masks are drawn once per stack.  The step's tape is dropped right after backward.  Every
-`grad_accum` micro-steps it applies one AdamW update at the scheduled
+draws one boolean (C, P) mask per sample, in batch order, hides the stack's
+(B, C, P) mask and reconstructs the masked rows only); dropout masks are
+drawn once per stack.  The step's tape is dropped right after backward.
+Every `grad_accum` micro-steps it applies one AdamW update at the scheduled
 learning rate.  Losses are mean-reduced and micro-batch losses are scaled
 by 1/grad_accum, so accumulation matches a single step on the concatenated
 batch.  A mask is the same boolean (C, P) map wherever it appears: the
@@ -188,12 +188,10 @@ class MetricsReport:
     mse: float | None = None
     baseline: dict[str, float] | None = None
     notes: dict = field(default_factory=dict)
-    # checkpoint files the training run wrote; run output, not a metric
-    checkpoints: list[str] = field(default_factory=list)
+    checkpoints: list[str] = field(default_factory=list)  # files written; not in the JSON
 
     def to_json(self, indent: int | None = 2) -> str:
-        payload = {k: v for k, v in self.__dict__.items()
-                   if v is not None and k != "checkpoints"}
+        payload = {k: v for k, v in self.__dict__.items() if v is not None and k != "checkpoints"}
         return json.dumps(payload, indent=indent)
 
 
@@ -221,8 +219,7 @@ def classification_metrics(preds, labels, n_classes: int) -> MetricsReport:
         if arr.min() < 0 or arr.max() >= n_classes:
             raise DataError(f"{kind} outside [0, {n_classes})")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for y, yhat in zip(labels, preds):
-        confusion[y, yhat] += 1
+    np.add.at(confusion, (labels, preds), 1)
     accuracy = float(np.trace(confusion)) / preds.size
     present = sorted(set(labels.tolist()) | set(preds.tolist()))
     per_class: dict[str, dict[str, float]] = {}
@@ -242,18 +239,8 @@ def classification_metrics(preds, labels, n_classes: int) -> MetricsReport:
         per_class[str(k)] = row
         for key in macro:
             macro[key] += row[key]
-    for key in macro:
-        macro[key] /= len(present)
-    return MetricsReport(
-        task="classification",
-        accuracy=accuracy,
-        precision=macro["precision"],
-        recall=macro["recall"],
-        f1=macro["f1"],
-        f2=macro["f2"],
-        confusion=confusion.tolist(),
-        per_class=per_class,
-    )
+    return MetricsReport(task="classification", accuracy=accuracy, confusion=confusion.tolist(),
+                         per_class=per_class, **{k: v / len(present) for k, v in macro.items()})
 
 
 def regression_metrics(preds, targets, task: str = "regression") -> MetricsReport:
@@ -296,31 +283,27 @@ def split_blocks(n: int, ratios=(0.6, 0.2, 0.2)) -> tuple[range, range, range]:
 
 
 class _CheckpointKeeper:
-    """Cadence checkpoints every `checkpoint_every` optimizer steps, plus a
-    snapshot at the lowest validation loss; inactive when no directory is
-    given.  `written` lists the paths saved, each once, in first-save order."""
+    """Cadence checkpoints every `every` optimizer steps, plus a snapshot at
+    the lowest validation loss; inactive when no directory is given.
+    `written` is the set of paths saved."""
 
-    def __init__(self, params: ParameterStore, cfg: TrainConfig, directory):
+    def __init__(self, params: ParameterStore, every: int, directory):
         self.params = params
-        self.cfg = cfg
+        self.every = every
         self.directory = directory
-        self.opt_steps = 0
         self.best: float | None = None
-        self.written: list[str] = []
+        self.written: set[str] = set()
         if directory is not None:
             make_dirs(directory)
 
     def _save(self, name: str) -> None:
-        path = f"{self.directory}/{name}"
-        mdl.save_params(self.params, path)
-        if path not in self.written:
-            self.written.append(path)
+        self.written.add(f"{self.directory}/{name}")
+        mdl.save_params(self.params, f"{self.directory}/{name}")
 
-    def after_optimizer_step(self, validation_loss) -> None:
-        self.opt_steps += 1
-        if self.directory is None or self.opt_steps % self.cfg.checkpoint_every != 0:
+    def after_optimizer_step(self, opt_step: int, validation_loss) -> None:
+        if self.directory is None or opt_step % self.every != 0:
             return
-        self._save(f"step-{self.opt_steps:06d}.fckp")
+        self._save(f"step-{opt_step:06d}.fckp")
         loss = validation_loss()
         if loss is not None and (self.best is None or loss < self.best):
             self.best = loss
@@ -410,15 +393,11 @@ def _predict(store: _Samples, idx, params, model_cfg, head) -> list[np.ndarray]:
     return out
 
 
-def _masked_mse(encoded: Tensor, params: ParameterStore, target: np.ndarray, mask: np.ndarray,
-                scope: str) -> Tensor:
+def _masked_mse(encoded: Tensor, params, target, mask: np.ndarray, scope: str) -> Tensor:
     """Reconstruction MSE of the (..., C, P, D) `encoded` stack against the
-    (..., C, P, L) `target` over the slots where the boolean (..., C, P)
-    `mask` is True; over every slot for scope "all" or an empty mask.
-
-    Only the masked rows go through the reconstruction head, as one (n, D)
-    gemm, so the loss and its gradients cost nothing on the visible slots.
-    """
+    (..., C, P, L) `target` on the slots of the boolean (..., C, P) `mask`,
+    whose rows alone go through the head as one (n, D) gemm; on every slot
+    (the full head) for scope "all" or an empty mask."""
     if scope == "all" or not mask.any():
         return nm.mse(mdl.head_reconstruct(encoded, params), Tensor(target))
     rows = np.flatnonzero(mask)
@@ -429,10 +408,9 @@ def _masked_mse(encoded: Tensor, params: ParameterStore, target: np.ndarray, mas
 
 def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
                 params: ParameterStore, trainable: dict[str, Tensor], cfg: TrainConfig,
-                steps: int, checkpoint_dir=None,
-                validation=lambda: None) -> tuple[list[float], list[str]]:
+                steps: int, checkpoint_dir=None, validation=lambda: None) -> tuple[list, list]:
     """The optimizer loop of every task; returns each micro-step's batch loss
-    and the checkpoint files written under `checkpoint_dir`.
+    and the sorted paths of the checkpoints written under `checkpoint_dir`.
 
     Batches are drawn from `train_idx` by an epoch shuffle on `order_stream`,
     after the band powers of every training sample are computed.
@@ -446,7 +424,7 @@ def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
         store.powers(i)
     order = _Cycler(list(train_idx), order_stream)
     optimizer = AdamW(trainable, cfg)
-    checkpoints = _CheckpointKeeper(params, cfg, checkpoint_dir)
+    checkpoints = _CheckpointKeeper(params, cfg.checkpoint_every, checkpoint_dir)
     losses: list[float] = []
     for step in range(1, steps + 1):
         batch = order.take(cfg.batch_size)
@@ -464,9 +442,9 @@ def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
         losses.append(float(loss.data))
         if step % cfg.grad_accum == 0:
             optimizer.step(lr_at(step, cfg))
-            checkpoints.after_optimizer_step(validation)
+            checkpoints.after_optimizer_step(optimizer.t, validation)
     checkpoints.finish()
-    return losses, checkpoints.written
+    return losses, sorted(checkpoints.written)
 
 
 def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: ParameterStore,
@@ -501,9 +479,7 @@ def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: Param
     _, written = _train_loop(batch_loss, store, train_idx, Rng(cfg.seed).split(stream), params,
                              trainable, scale_schedule(cfg, steps), steps, checkpoint_dir,
                              lambda: val_loss(score(val_idx)) if len(val_idx) else None)
-    report = score(test_idx)
-    report.checkpoints = written
-    return report
+    return replace(score(test_idx), checkpoints=written)
 
 
 def _ensure_head(params: ParameterStore, shapes: dict, seed: int) -> None:
