@@ -39,6 +39,11 @@ def run_pipeline(tmp_path, seed=7):
     return out
 
 
+def by_name(hashes):
+    """A manifest's path -> sha256 map keyed by file name alone."""
+    return {path.split("/")[-1]: digest for path, digest in hashes.items()}
+
+
 def finetune_from_checkpoint(checkpoint, tmp_path):
     """`finetune classify --checkpoint` for 500 optimizer steps (one cadence
     checkpoint) into `tmp_path`/ckdir, which already holds a stale file;
@@ -99,9 +104,7 @@ class TestPipeline:
         assert a.read_bytes() == b.read_bytes()
         ma = json.loads((tmp_path / "a" / "ck.fckp.manifest.json").read_text())
         mb = json.loads((tmp_path / "b" / "ck.fckp.manifest.json").read_text())
-        ha = {k.split("/")[-1]: v for k, v in ma["outputs"].items()}
-        hb = {k.split("/")[-1]: v for k, v in mb["outputs"].items()}
-        assert ha == hb
+        assert by_name(ma["outputs"]) == by_name(mb["outputs"])
         # fine-tuning from the pretrained checkpoint: the manifest pins the
         # checkpoint it read and lists exactly the checkpoint files it wrote
         fa = finetune_from_checkpoint(a, tmp_path / "a")
@@ -113,12 +116,8 @@ class TestPipeline:
                                            "final.fckp")}
         for path, digest in fa["outputs"].items():
             assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
-        ia = {k.split("/")[-1]: v for k, v in fa["inputs"].items()}
-        ib = {k.split("/")[-1]: v for k, v in fb["inputs"].items()}
-        assert ia == ib
-        ha = {k.split("/")[-1]: v for k, v in fa["outputs"].items()}
-        hb = {k.split("/")[-1]: v for k, v in fb["outputs"].items()}
-        assert ha == hb
+        assert by_name(fa["inputs"]) == by_name(fb["inputs"])
+        assert by_name(fa["outputs"]) == by_name(fb["outputs"])
 
 
     def test_csv_recordings_stream_through_stdin_and_stdout(self, tmp_path):
