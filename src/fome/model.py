@@ -29,8 +29,10 @@ from .errors import (CapacityError, ConfigError, FormatError, ShapeError, decode
                      read_file, write_file)
 from .numerics import Tensor
 from .rng import Rng
+from .spectral import BandScheme
 
 _INIT_STD = 0.02
+_SPECTRAL_BANDS = BandScheme().n_bands  # the bands `spectral.band_powers` yields
 
 # smallest value of each integer ModelConfig field (head dims may also be None)
 _MINIMUM = dict(patch_len=1, model_dim=1, heads=1, ffn_dim=1, temporal_layers=0,
@@ -79,6 +81,11 @@ class ModelConfig:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}; "
                 "set head_dim_k/head_dim_v explicitly"
+            )
+        if self.use_freq_embed and self.n_bands != _SPECTRAL_BANDS:
+            raise ConfigError(
+                f"n_bands must be {_SPECTRAL_BANDS} with the frequency embedding "
+                f"(spectral band powers have {_SPECTRAL_BANDS} bands), got {self.n_bands}"
             )
         if self.d_v < 1:
             raise ConfigError(f"head_dim_v must be >= 1, got model_dim // heads = {self.d_v}")
@@ -333,10 +340,10 @@ def embed(
     if cfg.conv_embed:
         k = cfg.conv_kernel
         windows = nm.reshape(x, patches.shape[:-1] + (length // k, k))
-        moved = nm.matmul(windows, params["embed.patch.w"])
+        moved = nm.linear(windows, params["embed.patch.w"])
         e_patch = nm.add(nm.mean(moved, axis=-2), params["embed.patch.b"])
     else:
-        e_patch = nm.add(nm.matmul(x, params["embed.patch.w"]), params["embed.patch.b"])
+        e_patch = nm.linear(x, params["embed.patch.w"], params["embed.patch.b"])
     total = e_patch
     if cfg.use_freq_embed:
         if bands is None:
@@ -346,7 +353,7 @@ def embed(
                 f"band powers shape {bands.shape} does not match patches {patches.shape[:-1]}"
             )
         weights = nm.softmax(Tensor(bands), axis=-1)
-        e_freq = nm.add(nm.matmul(weights, params["embed.freq.w"]), params["embed.freq.b"])
+        e_freq = nm.linear(weights, params["embed.freq.w"], params["embed.freq.b"])
         total = nm.add(total, e_freq)
     return nm.add(total, _positional_rows(params, p))
 
@@ -382,20 +389,6 @@ def _maybe_dropout(x: Tensor, p: float, stream: Rng | None) -> Tensor:
     return nm.mul(x, Tensor(keep / (1.0 - p)))
 
 
-def _affine_norm(x: Tensor, params: ParameterStore, name: str) -> Tensor:
-    normed = nm.layer_norm(x, axis=-1)
-    return nm.add(nm.mul(normed, params[f"{name}.gain"]), params[f"{name}.bias"])
-
-
-def _split_heads(x: Tensor, heads: int, head_dim: int) -> Tensor:
-    return nm.transpose(nm.reshape(x, x.shape[:-1] + (heads, head_dim)), -3, -2)
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    *lead, h, s, dv = x.shape
-    return nm.reshape(nm.transpose(x, -3, -2), (*lead, s, h * dv))
-
-
 def _canonical_order(x: np.ndarray) -> np.ndarray:
     """Order of each sample's channel rows by their big-endian bytes.
 
@@ -427,17 +420,17 @@ def _encoder_block(
     stream: Rng | None,
 ) -> Tensor:
     """Pre-norm transformer block over the sequence axis of (..., seq, dim)."""
-    a = _affine_norm(x, params, f"{prefix}.ln1")
-    q = _split_heads(nm.matmul(a, params[f"{prefix}.attn.wq"]), cfg.heads, cfg.d_k)
-    k = _split_heads(nm.matmul(a, params[f"{prefix}.attn.wk"]), cfg.heads, cfg.d_k)
-    v = _split_heads(nm.matmul(a, params[f"{prefix}.attn.wv"]), cfg.heads, cfg.d_v)
-    scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / cfg.scale_denominator)
-    probs = nm.softmax(scores, axis=-1)
-    context = nm.matmul(_merge_heads(nm.matmul(probs, v)), params[f"{prefix}.attn.wo"])
-    x = nm.add(x, _maybe_dropout(context, cfg.dropout, stream))
-    f = _affine_norm(x, params, f"{prefix}.ln2")
-    hidden = nm.gelu(nm.add(nm.matmul(f, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"]))
-    produced = nm.add(nm.matmul(hidden, params[f"{prefix}.ffn.w2"]), params[f"{prefix}.ffn.b2"])
+
+    def p(name: str) -> Tensor:
+        return params[f"{prefix}.{name}"]
+
+    a = nm.affine_norm(x, p("ln1.gain"), p("ln1.bias"))
+    q, k, v = nm.linear(a, p("attn.wq")), nm.linear(a, p("attn.wk")), nm.linear(a, p("attn.wv"))
+    mixed = nm.attention(q, k, v, cfg.heads, 1.0 / cfg.scale_denominator)
+    x = nm.add(x, _maybe_dropout(nm.linear(mixed, p("attn.wo")), cfg.dropout, stream))
+    f = nm.affine_norm(x, p("ln2.gain"), p("ln2.bias"))
+    hidden = nm.gelu(nm.linear(f, p("ffn.w1"), p("ffn.b1")))
+    produced = nm.linear(hidden, p("ffn.w2"), p("ffn.b2"))
     return nm.add(x, _maybe_dropout(produced, cfg.dropout, stream))
 
 
@@ -505,7 +498,7 @@ def forward(
 
 def head_reconstruct(e: Tensor, params: ParameterStore) -> Tensor:
     """Per-slot linear map back to waveform space: (..., C, P, D) -> (..., C, P, L)."""
-    return nm.add(nm.matmul(e, params["head.recon.w"]), params["head.recon.b"])
+    return nm.linear(e, params["head.recon.w"], params["head.recon.b"])
 
 
 def head_classify(e: Tensor, params: ParameterStore, n_classes: int) -> Tensor:
@@ -515,9 +508,9 @@ def head_classify(e: Tensor, params: ParameterStore, n_classes: int) -> Tensor:
     lead = e.shape[:-3]
     # one (1, D) row per sample, so a stack runs each sample's own matmuls
     pooled = nm.reshape(nm.mean(ordered, axis=(-3, -2)), lead + (1, e.shape[-1]))
-    h1 = nm.gelu(nm.add(nm.matmul(pooled, params["head.cls.w1"]), params["head.cls.b1"]))
-    h2 = nm.gelu(nm.add(nm.matmul(h1, params["head.cls.w2"]), params["head.cls.b2"]))
-    logits = nm.add(nm.matmul(h2, params["head.cls.w3"]), params["head.cls.b3"])
+    h1 = nm.gelu(nm.linear(pooled, params["head.cls.w1"], params["head.cls.b1"]))
+    h2 = nm.gelu(nm.linear(h1, params["head.cls.w2"], params["head.cls.b2"]))
+    logits = nm.linear(h2, params["head.cls.w3"], params["head.cls.b3"])
     return nm.softmax(nm.reshape(logits, lead + (n_classes,)), axis=-1)
 
 
@@ -531,7 +524,7 @@ def head_forecast(e: Tensor, params: ParameterStore, horizon_patches: int) -> Te
             f"forecast head expects {expected} flattened features, got {p * d}"
         )
     flat = nm.reshape(e, e.shape[:-2] + (p * d,))
-    return nm.add(nm.matmul(flat, params["head.fcst.w"]), params["head.fcst.b"])
+    return nm.linear(flat, params["head.fcst.w"], params["head.fcst.b"])
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,18 @@ accumulating adjoints additively, and writes `.grad` on leaves only.
 Without an active tape the same ops run as plain forward kernels.
 
 A tensor's first adjoint is borrowed as the consumer's backward returned
-it: it may be a view of that op's output adjoint, or the very array handed
-to another input (`add` gives both operands one array).  The first fan-in
+it: it may be that op's output adjoint or a view of it, or the very array
+handed to another input (`add` gives both operands one array).  The first fan-in
 sum allocates a fresh buffer that `backward` owns; only owned buffers are
 summed into in place, so a borrowed array is never written.
 
 Ops are plain numpy/BLAS kernels: a reduction's result depends on the
-order of its terms.  Permutation stability across channels is not an op
+order of its terms.  The fused kernels `linear`, `affine_norm` and
+`attention` each record one node for a chain of ops (matmul and add; layer
+norm, mul and add; head split, scaled scores, softmax, mixing and head
+merge).  Forward and backward run the chain's numpy expressions in the
+same order on arrays of the same layout, so values and gradients are
+bitwise the chain's.  Permutation stability across channels is not an op
 property; the model runs every cross-channel reduction in a canonical
 channel order (see `fome.model`).
 """
@@ -87,8 +92,13 @@ def _as_tensor(value) -> Tensor:
 
 
 def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], bwd: Callable) -> Tensor:
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    if out.requires_grad and _tape_stack:
+    requires_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            requires_grad = True
+            break
+    out = Tensor(out_data, requires_grad)
+    if requires_grad and _tape_stack:
         tape = _tape_stack[-1]
         out._tape = tape
         out._node_index = len(tape.nodes)
@@ -98,6 +108,8 @@ def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], bwd: Callable) -> 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a gradient down to the shape it was broadcast from."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -115,10 +127,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        out = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from None
-    out = a.data + b.data
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -129,10 +140,9 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        out = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
-    out = a.data * b.data
 
     def bwd(g):
         ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
@@ -213,13 +223,11 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul: operands must be >= 2-D, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = a.data @ b.data
     except ValueError:
-        raise ShapeError(f"matmul: batch dims differ, {a.shape} @ {b.shape}") from None
-    out = a.data @ b.data
+        what = "inner" if a.shape[-1] != b.shape[-2] else "batch"
+        raise ShapeError(f"matmul: {what} dims differ, {a.shape} @ {b.shape}") from None
 
     def bwd(g):
         ga = gb = None
@@ -234,6 +242,78 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), bwd)
+
+
+def linear(x, w, b=None) -> Tensor:
+    """`x @ w + b` with a 2-D weight `w` and an optional (M,) bias `b`, as
+    one node."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise ShapeError(f"linear: needs a >= 2-D input and a 2-D weight, "
+                         f"got {x.shape} and {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear: inner dims differ, {x.shape} @ {w.shape}")
+    out = x.data @ w.data
+    inputs = (x, w)
+    if b is not None:
+        b = _as_tensor(b)
+        if b.shape != w.shape[1:]:
+            raise ShapeError(f"linear: bias {b.shape} does not match weight {w.shape}")
+        out += b.data
+        inputs = (x, w, b)
+    k, m = w.shape
+
+    def bwd(g):
+        gx = g @ w.data.T if x.requires_grad else None
+        # one gemm over the folded leading axes: no (N, K, M) intermediate
+        gw = x.data.reshape(-1, k).T @ g.reshape(-1, m) if w.requires_grad else None
+        return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.shape))
+
+    return _record(out, inputs, bwd)
+
+
+def attention(q, k, v, heads: int, factor: float) -> Tensor:
+    """Multi-head attention over the sequence axis, as one node.
+
+    `q` and `k` are (..., S, heads * d_k) and `v` is (..., S, heads * d_v).
+    Each head h attends with softmax(factor * q_h k_h^T) v_h, and the heads'
+    outputs are concatenated back to (..., S, heads * d_v).
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    lead = q.shape[:-1]
+    if (q.data.ndim < 2 or k.shape != q.shape or v.shape[:-1] != lead
+            or q.shape[-1] % heads or v.shape[-1] % heads):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} do not "
+                         f"split into {heads} heads over one sequence")
+    factor = float(factor)
+
+    def split(a: np.ndarray) -> np.ndarray:  # (..., S, H*d) -> (..., H, S, d)
+        return np.swapaxes(a.reshape(lead + (heads, a.shape[-1] // heads)), -3, -2)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # (..., H, S, d) -> (..., S, H*d)
+        return np.swapaxes(a, -3, -2).reshape(lead + (-1,))
+
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    scores = (qs @ np.swapaxes(ks, -2, -1)) * factor
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        g_ctx = split(g)
+        gq = gk = gv = None
+        if q.requires_grad or k.requires_grad:
+            g_probs = g_ctx @ np.swapaxes(vs, -1, -2)
+            inner = (g_probs * probs).sum(axis=-1, keepdims=True)
+            g_scores = probs * (g_probs - inner) * factor
+            if q.requires_grad:
+                gq = merge(g_scores @ ks)
+            if k.requires_grad:
+                gk = merge(np.swapaxes(np.swapaxes(qs, -1, -2) @ g_scores, -2, -1))
+        if v.requires_grad:
+            gv = merge(np.swapaxes(probs, -1, -2) @ g_ctx)
+        return gq, gk, gv
+
+    return _record(merge(probs @ vs), (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +334,30 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _record(s, (a,), bwd)
 
 
-def layer_norm(a, axis: int = -1) -> Tensor:
-    """Normalize to zero mean / unit variance along `axis` (eps 1e-5)."""
-    a = _as_tensor(a)
-    mu = a.data.mean(axis=axis, keepdims=True)
-    xc = a.data - mu
-    var = (xc**2).mean(axis=axis, keepdims=True)
+def affine_norm(x, gain, bias) -> Tensor:
+    """Layer normalization over the last axis (eps 1e-5), then `* gain + bias`
+    with (D,) `gain` and `bias`, as one node."""
+    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
+    if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
+        raise ShapeError(f"affine_norm: gain {gain.shape} and bias {bias.shape} "
+                         f"do not match {x.shape}")
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     y = xc * inv
 
     def bwd(g):
-        gm = g.mean(axis=axis, keepdims=True)
-        gy = (g * y).mean(axis=axis, keepdims=True)
-        return (inv * (g - gm - y * gy),)
+        gx = None
+        if x.requires_grad:
+            gy = g * gain.data
+            gm = gy.mean(axis=-1, keepdims=True)
+            gyy = (gy * y).mean(axis=-1, keepdims=True)
+            gx = inv * (gy - gm - y * gyy)
+        gg = _unbroadcast(g * y, gain.shape) if gain.requires_grad else None
+        return gx, gg, _unbroadcast(g, bias.shape)
 
-    return _record(y, (a,), bwd)
+    return _record(y * gain.data + bias.data, (x, gain, bias), bwd)
 
 
 def gelu(a) -> Tensor:

@@ -14,7 +14,8 @@ slots pre-training hides and the missing patches of an `ImputeSample`.
 
 Each public entry call reads its samples from one `_Samples` store, which
 computes a grid's band powers at most once: for the whole training set before
-the first step, and for scored samples when first scored.
+the first step, and for scored samples when first scored, in one
+`band_powers` call per stack of grids of one shape and rate.
 """
 
 from __future__ import annotations
@@ -333,6 +334,19 @@ class _Cycler:
         return out
 
 
+# grids per stacked pass outside the training step (an evaluation forward
+# pass, or band powers); bounds its memory
+_EVAL_STACK = 32
+
+
+def _shape_groups(keys: list) -> list[list[int]]:
+    """Positions of equal keys (shapes), grouped in first-seen order."""
+    groups: dict = {}
+    for pos, key in enumerate(keys):
+        groups.setdefault(key, []).append(pos)
+    return list(groups.values())
+
+
 class _Samples:
     """A dataset's grids and their band powers, each computed at most once."""
 
@@ -340,19 +354,29 @@ class _Samples:
         self.grids = grids
         self._powers: dict[int, np.ndarray] | None = {} if model_cfg.use_freq_embed else None
 
+    def fill(self, idx) -> None:
+        """Compute the band powers of the samples `idx` that have none yet:
+        one `band_powers` call per stack of at most `_EVAL_STACK` grids of
+        one shape and rate, their channels laid end to end."""
+        if self._powers is None:
+            return
+        missing = list(dict.fromkeys(i for i in idx if i not in self._powers))
+        keys = [(self.grids[i].patches.shape, self.grids[i].source_rate_hz) for i in missing]
+        for group in _shape_groups(keys):
+            (c, p, length), rate = keys[group[0]]
+            for start in range(0, len(group), _EVAL_STACK):
+                chunk = [missing[j] for j in group[start : start + _EVAL_STACK]]
+                rows = np.concatenate([self.grids[i].patches for i in chunk])
+                values = band_powers(PatchGrid(rows, length, rate)).reshape(len(chunk), c, p, -1)
+                self._powers.update(zip(chunk, values))
+
     def powers(self, i: int) -> np.ndarray | None:
         """Sample `i`'s (C, P, n_bands) band powers; None without bands."""
-        if self._powers is not None and i not in self._powers:
-            self._powers[i] = band_powers(self.grids[i])
-        return None if self._powers is None else self._powers[i]
-
-
-def _shape_groups(shapes: list[tuple[int, ...]]) -> list[list[int]]:
-    """Positions of equal shapes, grouped in first-seen order."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for pos, shape in enumerate(shapes):
-        groups.setdefault(shape, []).append(pos)
-    return list(groups.values())
+        if self._powers is None:
+            return None
+        if i not in self._powers:
+            self.fill([i])
+        return self._powers[i]
 
 
 def _grouped_mean(store: _Samples, batch: list[int], group_loss) -> Tensor:
@@ -375,14 +399,11 @@ def _stack(store: _Samples, idx: list[int]):
             None if powers[0] is None else np.stack(powers))
 
 
-# samples per stacked forward pass outside training; bounds its memory
-_EVAL_STACK = 32
-
-
 def _predict(store: _Samples, idx, params, model_cfg, head) -> list[np.ndarray]:
     """`head` applied to the encoded stack, per sample of `idx`, without a
     tape; one forward pass per stack of at most `_EVAL_STACK` of one shape."""
     idx = list(idx)
+    store.fill(idx)
     out: list = [None] * len(idx)
     for group in _shape_groups([store.grids[i].patches.shape for i in idx]):
         for start in range(0, len(group), _EVAL_STACK):
@@ -420,8 +441,7 @@ def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
     accumulation, the AdamW constants, the learning-rate schedule and the
     checkpoint cadence.
     """
-    for i in train_idx:
-        store.powers(i)
+    store.fill(train_idx)
     order = _Cycler(list(train_idx), order_stream)
     optimizer = AdamW(trainable, cfg)
     checkpoints = _CheckpointKeeper(params, cfg.checkpoint_every, checkpoint_dir)

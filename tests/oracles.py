@@ -2,7 +2,10 @@
 
 Everything here is deliberately written straight-line, without touching the
 package's own kernels, so a test comparing the two paths is a genuine
-cross-check rather than a tautology.
+cross-check rather than a tautology.  The one exception is
+`primitive_encoder_block`, which runs the encoder block as the chain of
+primitive taped ops the fused kernels replace, so that the fused block can
+be held to it bit for bit, gradients included.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+import fome.numerics as nm
+from fome.model import _maybe_dropout
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -100,3 +106,54 @@ def finite_difference_gradients(loss_fn, tensors, h=1e-5):
             g[i] = (up - down) / (2.0 * h)
         grads.append(g.reshape(tensor.data.shape))
     return grads
+
+
+def _primitive_layer_norm(a):
+    """Layer normalization over the last axis (eps 1e-5) as its own tape
+    node: the kernel `numerics.affine_norm` fuses with `mul` and `add`."""
+    mu = a.data.mean(axis=-1, keepdims=True)
+    xc = a.data - mu
+    var = (xc**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    y = xc * inv
+
+    def bwd(g):
+        gm = g.mean(axis=-1, keepdims=True)
+        gy = (g * y).mean(axis=-1, keepdims=True)
+        return (inv * (g - gm - y * gy),)
+
+    return nm._record(y, (a,), bwd)
+
+
+def _primitive_split_heads(x, heads, head_dim):
+    return nm.transpose(nm.reshape(x, x.shape[:-1] + (heads, head_dim)), -3, -2)
+
+
+def _primitive_merge_heads(x):
+    *lead, h, s, dv = x.shape
+    return nm.reshape(nm.transpose(x, -3, -2), (*lead, s, h * dv))
+
+
+def primitive_encoder_block(x, params, prefix, cfg, stream=None):
+    """The pre-norm encoder block over (..., seq, dim) as a chain of
+    primitive taped ops: layer norm, mul, add, matmul, reshape, transpose,
+    scale, softmax and gelu.  Dropout draws from `stream` as the model's
+    block does."""
+    def p(name):
+        return params[f"{prefix}.{name}"]
+
+    def affine(t, name):
+        return nm.add(nm.mul(_primitive_layer_norm(t), p(f"{name}.gain")), p(f"{name}.bias"))
+
+    a = affine(x, "ln1")
+    q = _primitive_split_heads(nm.matmul(a, p("attn.wq")), cfg.heads, cfg.d_k)
+    k = _primitive_split_heads(nm.matmul(a, p("attn.wk")), cfg.heads, cfg.d_k)
+    v = _primitive_split_heads(nm.matmul(a, p("attn.wv")), cfg.heads, cfg.d_v)
+    scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / cfg.scale_denominator)
+    probs = nm.softmax(scores, axis=-1)
+    context = nm.matmul(_primitive_merge_heads(nm.matmul(probs, v)), p("attn.wo"))
+    x = nm.add(x, _maybe_dropout(context, cfg.dropout, stream))
+    f = affine(x, "ln2")
+    hidden = nm.gelu(nm.add(nm.matmul(f, p("ffn.w1")), p("ffn.b1")))
+    produced = nm.add(nm.matmul(hidden, p("ffn.w2")), p("ffn.b2"))
+    return nm.add(x, _maybe_dropout(produced, cfg.dropout, stream))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import encoder_block_oracle
+from oracles import encoder_block_oracle, primitive_encoder_block
 
 import fome.numerics as nm
 from fome import model
@@ -34,6 +34,7 @@ from fome.model import (
     write_model_config,
 )
 from fome.numerics import Tensor
+from fome.rng import Rng
 
 
 def tiny_cfg(**kw):
@@ -82,10 +83,18 @@ class TestPresets:
         with pytest.raises(ConfigError):
             ModelConfig(dropout=1.0)
 
+    def test_n_bands_must_match_band_powers(self):
+        with pytest.raises(ConfigError, match=r"n_bands must be 8 .*got 4"):
+            ModelConfig(n_bands=4)
+        with pytest.raises(ConfigError, match="n_bands"):
+            preset("tiny", n_bands=9)
+        # without the frequency embedding the field shapes nothing
+        assert ModelConfig(n_bands=4, use_freq_embed=False).n_bands == 4
+
     @pytest.mark.parametrize("line", [
         "patch_len=abc", "conv_embed=True\nconv_kernel=0", "max_patches=-1", "head_dim_k=x",
         "use_freq_embed=1", "heads=2.0", "dropout=nan", "dropout=True", "ffn_dim=0",
-        "attn_scale=1", "model_dim=4\nheads=8\nhead_dim_k=2",
+        "attn_scale=1", "model_dim=4\nheads=8\nhead_dim_k=2", "n_bands=4",
     ])
     def test_config_file_field_types_and_ranges(self, tmp_path, line):
         path = tmp_path / "model.config"
@@ -174,6 +183,34 @@ class TestEncoderOracles:
         ref = encoder_block_oracle(x, store.arrays(), "temporal0",
                                    cfg.heads, cfg.d_k, cfg.d_v, cfg.scale_denominator)
         assert np.max(np.abs(ours - ref)) < 1e-10
+
+    @pytest.mark.parametrize("overrides, lead", [
+        (dict(), (3,)),
+        (dict(heads=1, model_dim=4, ffn_dim=8, patch_len=6), (2,)),
+        (dict(head_dim_k=3, head_dim_v=5), (2, 3)),
+        (dict(heads=4, attn_scale="dk", dropout=0.2), (2, 3)),
+    ], ids=["heads2", "heads1", "dk3-dv5-batched", "dropout-batched"])
+    def test_fused_block_matches_primitive_ops_bitwise(self, overrides, lead):
+        cfg = tiny_cfg(**overrides)
+        gen = np.random.default_rng(len(lead) + cfg.heads)
+        x_data = gen.standard_normal(lead + (5, cfg.model_dim))
+        target = Tensor(gen.standard_normal(x_data.shape))
+        runs = []
+        for block in (model._encoder_block, primitive_encoder_block):
+            store = ParameterStore.initialize(cfg, seed=31)
+            x = Tensor(x_data.copy(), requires_grad=True)
+            with nm.Tape():
+                out = block(x, store, "temporal0", cfg, Rng(9) if cfg.dropout else None)
+                loss = nm.mse(out, target)
+            nm.backward(loss)
+            grads = {name: t.grad.tobytes() for name, t in store.tensors("temporal0.").items()}
+            runs.append((out.data.tobytes(), x.grad.tobytes(), grads))
+        (fused_out, fused_dx, fused_grads), (ref_out, ref_dx, ref_grads) = runs
+        assert fused_out == ref_out
+        assert fused_dx == ref_dx
+        assert fused_grads.keys() == ref_grads.keys() and len(fused_grads) == 12
+        for name in ref_grads:
+            assert fused_grads[name] == ref_grads[name], name
 
     def test_single_patch_attention_is_value_passthrough(self, rng):
         # with P=1 the softmax weight is exactly 1, so the attention output

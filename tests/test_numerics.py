@@ -75,7 +75,7 @@ class TestForwardSemantics:
 
     def test_layer_norm_zero_mean_unit_var(self, rng):
         x = rng.standard_normal((3, 9)) * 4 + 2
-        out = nm.layer_norm(Tensor(x), axis=-1)
+        out = nm.affine_norm(Tensor(x), Tensor(np.ones(9)), Tensor(np.zeros(9)))
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
 
@@ -91,20 +91,21 @@ class TestGradients:
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         bias = Tensor(rng.standard_normal(5), requires_grad=True)
+        gain = Tensor(rng.standard_normal(5), requires_grad=True)
         table = Tensor(rng.standard_normal((6, 5)), requires_grad=True)
         target = Tensor(rng.standard_normal((2, 5)))
 
         def loss():
             z = nm.add(nm.matmul(a, b), bias)
             z = nm.gelu(z)
-            z = nm.layer_norm(z, axis=-1)
+            z = nm.affine_norm(z, gain, bias)
             z = nm.mul(z, nm.scale(z, 0.5))
             s = nm.softmax(z, axis=-1)
             rows = nm.embedding_lookup(table, np.array([1, 2, 5]))
             piece = nm.slice_(nm.add(s, rows), (slice(1, 3), slice(None)))
             return nm.mse(piece, target)
 
-        grad_check(loss, [a, b, bias, table])
+        grad_check(loss, [a, b, bias, gain, table])
 
     def test_log_and_mean_axis_gradients(self, rng):
         x = Tensor(np.abs(rng.standard_normal((4, 3))) + 0.5, requires_grad=True)
@@ -114,7 +115,7 @@ class TestGradients:
 
         grad_check(loss, [x])
 
-    def test_attn_mix_gradients(self, rng):
+    def test_softmax_matmul_gradients(self, rng):
         p = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
         v = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
         target = Tensor(rng.standard_normal((2, 3, 5)))
@@ -123,6 +124,60 @@ class TestGradients:
             return nm.mse(nm.matmul(nm.softmax(p, axis=-1), v), target)
 
         grad_check(loss, [p, v])
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("const_x", [False, True], ids=["taped-x", "constant-x"])
+    def test_linear_gradients(self, rng, bias, const_x):
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=not const_x)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        b = Tensor(rng.standard_normal(5), requires_grad=True) if bias else None
+        target = Tensor(rng.standard_normal((2, 3, 5)))
+
+        def loss():
+            return nm.mse(nm.gelu(nm.linear(x, w, b)), target)
+
+        grad_check(loss, [t for t in (x, w, b) if t is not None and t.requires_grad])
+        if const_x:
+            assert x.grad is None
+
+    def test_affine_norm_gradients(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 6)) * 3 + 1, requires_grad=True)
+        gain = Tensor(rng.standard_normal(6), requires_grad=True)
+        bias = Tensor(rng.standard_normal(6), requires_grad=True)
+        target = Tensor(rng.standard_normal((2, 3, 6)))
+
+        def loss():
+            return nm.mse(nm.gelu(nm.affine_norm(x, gain, bias)), target)
+
+        grad_check(loss, [x, gain, bias])
+
+    @pytest.mark.parametrize("lead, heads, d_k, d_v", [
+        ((), 1, 3, 3), ((2,), 1, 2, 4), ((2,), 3, 2, 2), ((2, 3), 2, 3, 1),
+    ], ids=["one-head", "one-head-dk-ne-dv", "three-heads", "batched-dk-ne-dv"])
+    def test_attention_gradients(self, rng, lead, heads, d_k, d_v):
+        seq = 4
+        q = Tensor(rng.standard_normal(lead + (seq, heads * d_k)), requires_grad=True)
+        k = Tensor(rng.standard_normal(lead + (seq, heads * d_k)), requires_grad=True)
+        v = Tensor(rng.standard_normal(lead + (seq, heads * d_v)), requires_grad=True)
+        target = Tensor(rng.standard_normal(lead + (seq, heads * d_v)))
+
+        def loss():
+            return nm.mse(nm.attention(q, k, v, heads, 0.7), target)
+
+        grad_check(loss, [q, k, v])
+
+    def test_attention_matches_per_head_formula(self, rng):
+        heads, d_k, d_v = 2, 3, 4
+        q, k = rng.standard_normal((2, 5, heads * d_k))
+        v = rng.standard_normal((5, heads * d_v))
+        out = nm.attention(Tensor(q), Tensor(k), Tensor(v), heads, 0.5).data
+        for h in range(heads):
+            qh, kh = q[:, h * d_k:(h + 1) * d_k], k[:, h * d_k:(h + 1) * d_k]
+            scores = 0.5 * qh @ kh.T
+            probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            probs /= probs.sum(axis=-1, keepdims=True)
+            ref = probs @ v[:, h * d_v:(h + 1) * d_v]
+            np.testing.assert_allclose(out[:, h * d_v:(h + 1) * d_v], ref, rtol=1e-12)
 
     def test_broadcast_add_mul_gradients(self, rng):
         a = Tensor(rng.standard_normal((3, 1, 4)), requires_grad=True)
@@ -170,6 +225,23 @@ class TestGradients:
         ref = np.zeros_like(table.data)
         np.add.at(ref, indices, g)
         assert got.tobytes() == ref.tobytes()
+
+
+class TestDispatch:
+    def test_unbroadcast_returns_matching_gradient_itself(self, rng):
+        g = rng.standard_normal((2, 3))
+        assert nm._unbroadcast(g, (2, 3)) is g
+        np.testing.assert_array_equal(nm._unbroadcast(g, (1, 3)), g.sum(axis=0, keepdims=True))
+        np.testing.assert_array_equal(nm._unbroadcast(g, (3,)), g.sum(axis=0))
+
+    @pytest.mark.parametrize("op", ["add", "mul", "matmul"])
+    def test_constant_operands_record_no_node(self, rng, op):
+        a, b = Tensor(rng.standard_normal((2, 2))), Tensor(rng.standard_normal((2, 2)))
+        with Tape() as tape:
+            out = getattr(nm, op)(a, b)
+            taped = getattr(nm, op)(a, Tensor(b.data, requires_grad=True))
+        assert not out.requires_grad and taped.requires_grad
+        assert len(tape.nodes) == 1 and tape.nodes[0].out is taped
 
 
 class TestBackward:
@@ -260,9 +332,39 @@ class TestShapeErrors:
         with pytest.raises(ShapeError, match="mse"):
             nm.mse(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
-    def test_attn_mix_batch_dims(self):
+    def test_matmul_batch_dims(self):
         with pytest.raises(ShapeError, match="matmul: batch dims differ"):
             nm.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+
+    def test_mul_names_shapes(self):
+        with pytest.raises(ShapeError, match=r"mul: cannot broadcast \(2, 3\) with \(3, 2\)"):
+            nm.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+
+    def test_matmul_inner_dims_named_in_a_batch(self):
+        message = r"matmul: inner dims differ, \(2, 3, 4\) @ \(2, 5, 4\)"
+        with pytest.raises(ShapeError, match=message):
+            nm.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 5, 4))))
+
+    @pytest.mark.parametrize("x, w, b", [
+        ((2, 3), (4, 5), None), ((2, 3), (3, 5, 1), None), ((3,), (3, 5), None),
+        ((2, 3), (3, 5), (4,)),
+    ], ids=["inner", "weight-rank", "input-rank", "bias"])
+    def test_linear_shapes(self, x, w, b):
+        bias = None if b is None else Tensor(np.zeros(b))
+        with pytest.raises(ShapeError, match="linear"):
+            nm.linear(Tensor(np.zeros(x)), Tensor(np.zeros(w)), bias)
+
+    def test_affine_norm_shapes(self):
+        with pytest.raises(ShapeError, match="affine_norm"):
+            nm.affine_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(2)), Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("q, k, v, heads", [
+        ((4, 6), (4, 6), (4, 5), 2), ((4, 6), (4, 4), (4, 6), 2), ((4, 6), (4, 6), (3, 6), 2),
+        ((4, 6), (4, 6), (4, 6), 4), ((6,), (6,), (6,), 1),
+    ], ids=["dv-split", "k-shape", "v-seq", "dk-split", "rank"])
+    def test_attention_shapes(self, q, k, v, heads):
+        with pytest.raises(ShapeError, match="attention"):
+            nm.attention(Tensor(np.zeros(q)), Tensor(np.zeros(k)), Tensor(np.zeros(v)), heads, 1.0)
 
 
 class TestCheckpointFormat:

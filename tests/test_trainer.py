@@ -357,6 +357,22 @@ class TestPretrain:
             gc.enable()
         assert left == 0
 
+    def test_tiny_micro_step_tape_size(self, monkeypatch):
+        # the fused linear, affine_norm and attention kernels keep a tiny
+        # pretrain micro-step at 48 nodes; the unfused op chains recorded 87
+        sizes = []
+        original = nm.backward
+
+        def counting(loss):
+            sizes.append(len(loss._tape.nodes))
+            return original(loss)
+
+        monkeypatch.setattr(nm, "backward", counting)
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=0)
+        pretrain(tiny_corpus(), params, cfg, flat_lr_config(), steps=2)
+        assert sizes == [48, 48]
+
     def test_loss_scope_all_differs_from_masked(self):
         cfg = preset("tiny")
         corpus = tiny_corpus(n=4)
@@ -524,38 +540,64 @@ class TestFinetuneClassify:
         with pytest.raises(DataError):
             finetune_classify(data, params, cfg, flat_lr_config(), n_classes=2, steps=1)
 
-    def test_band_powers_only_for_trained_and_scored_samples(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def count_band_power_grids(monkeypatch) -> list[bytes]:
+        """Patch `trainer.band_powers` to record the bytes of every
+        (2, P, L) sample grid it is given; a call may take several samples'
+        channels laid end to end."""
+        grids = []
         original = trainer.band_powers
 
         def counting(grid, *args, **kwargs):
-            calls.append(grid)
+            grids.extend(sample.tobytes() for sample in grid.patches.reshape(
+                (-1, 2) + grid.patches.shape[1:]))
             return original(grid, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "band_powers", counting)
+        return grids
+
+    def test_band_powers_only_for_trained_and_scored_samples(self, monkeypatch):
+        grids = self.count_band_power_grids(monkeypatch)
         cfg = preset("tiny")
         params = ParameterStore.initialize(cfg, seed=25)
         finetune_classify(labeled_dataset(n=40), params, cfg, flat_lr_config(seed=8),
                           n_classes=2, steps=2)
-        assert len(calls) == 32  # 24 training samples + 8 test samples
+        assert len(grids) == 32  # 24 training samples + 8 test samples
 
     def test_band_powers_once_per_sample_across_validations(self, monkeypatch, tmp_path):
+        grids = self.count_band_power_grids(monkeypatch)
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=25)
+        dataset = labeled_dataset(n=40)
+        finetune_classify(dataset, params, cfg,
+                          flat_lr_config(seed=8, checkpoint_every=1), n_classes=2, steps=4,
+                          checkpoint_dir=str(tmp_path))
+        # 24 training + 8 validation + 8 test samples; four validations ran
+        assert len(grids) == 40
+        assert set(grids) == {grid.patches.tobytes() for grid, _ in dataset}
+
+    def test_band_powers_one_call_per_shape_and_rate(self, monkeypatch):
         calls = []
         original = trainer.band_powers
 
         def counting(grid, *args, **kwargs):
-            calls.append(grid)
+            calls.append((grid.patches.shape, grid.source_rate_hz))
             return original(grid, *args, **kwargs)
 
         monkeypatch.setattr(trainer, "band_powers", counting)
-        cfg = preset("tiny")
-        params = ParameterStore.initialize(cfg, seed=25)
-        finetune_classify(labeled_dataset(n=40), params, cfg,
-                          flat_lr_config(seed=8, checkpoint_every=1), n_classes=2, steps=4,
-                          checkpoint_dir=str(tmp_path))
-        # 24 training + 8 validation + 8 test samples; four validations ran
-        assert len(calls) == 40
-        assert len({id(grid) for grid in calls}) == 40
+        monkeypatch.setattr(trainer, "_EVAL_STACK", 3)
+        short = labeled_dataset(n=4, patches=2)
+        slow = [(PatchGrid(g.patches, g.patch_len, 200.0), label) for g, label in short]
+        data = labeled_dataset(n=7) + short + slow
+        store = trainer._Samples([grid for grid, _ in data], preset("tiny"))
+        store.fill([0, 8, 3, 12, 1, 3])
+        assert calls == [((6, 4, 8), 250.0), ((2, 2, 8), 250.0), ((2, 2, 8), 200.0)]
+        store.fill(range(len(data)))
+        assert calls[3:] == [((6, 4, 8), 250.0), ((2, 4, 8), 250.0), ((6, 2, 8), 250.0),
+                             ((6, 2, 8), 200.0)]
+        for i, (grid, _) in enumerate(data):
+            assert store.powers(i).tobytes() == band_powers(grid).tobytes()
+        assert len(calls) == 7
 
     def test_report_fields_present(self):
         cfg = preset("tiny")
