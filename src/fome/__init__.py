@@ -1,7 +1,8 @@
 """Desk-scale EEG foundation model with temporal-lateral attention scaling.
 
 Submodules are loaded lazily so the CLI can pin thread-count environment
-variables before numpy initializes its BLAS backend.
+variables before numpy initializes its BLAS backend.  Importing the package
+fixes glibc's malloc thresholds once for the process.
 """
 
 import ctypes
@@ -26,6 +27,8 @@ def _fix_malloc_thresholds() -> None:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 

@@ -234,15 +234,6 @@ class TestDispatch:
         np.testing.assert_array_equal(nm._unbroadcast(g, (1, 3)), g.sum(axis=0, keepdims=True))
         np.testing.assert_array_equal(nm._unbroadcast(g, (3,)), g.sum(axis=0))
 
-    @pytest.mark.parametrize("op", ["add", "mul", "matmul"])
-    def test_constant_operands_record_no_node(self, rng, op):
-        a, b = Tensor(rng.standard_normal((2, 2))), Tensor(rng.standard_normal((2, 2)))
-        with Tape() as tape:
-            out = getattr(nm, op)(a, b)
-            taped = getattr(nm, op)(a, Tensor(b.data, requires_grad=True))
-        assert not out.requires_grad and taped.requires_grad
-        assert len(tape.nodes) == 1 and tape.nodes[0].out is taped
-
 
 class TestBackward:
     def test_sum_like_loss_gives_ones(self):

@@ -358,8 +358,8 @@ class TestPretrain:
         assert left == 0
 
     def test_tiny_micro_step_tape_size(self, monkeypatch):
-        # the fused linear, affine_norm and attention kernels keep a tiny
-        # pretrain micro-step at 48 nodes; the unfused op chains recorded 87
+        # linear, affine_norm and attention record one node each; the op
+        # chains they fuse would make it 87, so a rise means a fusion undone
         sizes = []
         original = nm.backward
 
