@@ -438,7 +438,7 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
 def _cmd_eval(args, manifest: _Manifest) -> None:
     import csv
 
-    from .trainer import compute_metrics
+    from .trainer import classification_metrics, regression_metrics
 
     payload = _read_bytes(args.infile)
     manifest.add_input(args.infile, payload)
@@ -458,9 +458,9 @@ def _cmd_eval(args, manifest: _Manifest) -> None:
         raise DataError(f"{args.infile}: no prediction rows")
     if args.task == "classify":
         n_classes = args.classes or (max(max(preds), max(refs)) + 1)
-        report = compute_metrics(preds, labels=refs, n_classes=n_classes)
+        report = classification_metrics(preds, refs, n_classes)
     else:
-        report = compute_metrics(preds, targets=refs)
+        report = regression_metrics(preds, refs)
     _write(args.out, report.to_json() + "\n")
     manifest.add_output(args.out)
 
@@ -609,7 +609,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.fn(args, manifest)
         manifest.write()
-    except (FomeError, IndexError, ValueError) as exc:
+    except FomeError as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

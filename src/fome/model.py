@@ -12,8 +12,14 @@ every head are equivariant to channel reordering, bit for bit.  Every
 function takes one sample's (C, P, ·) arrays or a (B, C, P, ·) stack of
 samples of one shape, and a stack gives each sample the bits it gets alone.
 Inputs are plain arrays: patches (..., C, P, L), band powers
-(..., C, P, n_bands) and a boolean (..., C, P) mask of the hidden
+(..., C, P, spectral.N_BANDS) and a boolean (..., C, P) mask of the hidden
 (channel, patch) slots.
+
+The paper fixes two things the config does not carry.  The band count is
+`spectral`'s, so the frequency embedding always takes its eight bands.
+Every block splits its (D, D) query, key and value maps into `heads` heads
+of d_k = D / heads, so `attn_scale` only picks whether scores are divided
+by sqrt(D) or sqrt(d_k).  Temporal blocks all run before channel blocks.
 """
 
 from __future__ import annotations
@@ -29,15 +35,13 @@ from .errors import (CapacityError, ConfigError, FormatError, ShapeError, decode
                      read_file, write_file)
 from .numerics import Tensor
 from .rng import Rng
-from .spectral import BandScheme
+from .spectral import N_BANDS
 
 _INIT_STD = 0.02
-_SPECTRAL_BANDS = BandScheme().n_bands  # the bands `spectral.band_powers` yields
 
-# smallest value of each integer ModelConfig field (head dims may also be None)
+# smallest value of each integer ModelConfig field
 _MINIMUM = dict(patch_len=1, model_dim=1, heads=1, ffn_dim=1, temporal_layers=0,
-                channel_layers=0, max_patches=1, head_dim_k=1, head_dim_v=1, n_bands=1,
-                conv_kernel=1)
+                channel_layers=0, max_patches=1, conv_kernel=1)
 
 
 @dataclass(frozen=True)
@@ -51,22 +55,18 @@ class ModelConfig:
     temporal_layers: int = 12
     channel_layers: int = 4
     max_patches: int = 15
-    head_dim_k: int | None = None
-    head_dim_v: int | None = None
-    n_bands: int = 8
     dropout: float = 0.1
-    attn_scale: str = "d"  # "d": sqrt(model_dim); "dk": sqrt(head_dim_k)
+    attn_scale: str = "d"  # "d": sqrt(model_dim); "dk": sqrt(model_dim // heads)
     use_freq_embed: bool = True
     conv_embed: bool = False
     conv_kernel: int = 10
-    interleave: bool = False
 
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "bool" and not isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be True or False, got {value!r}")
-            if f.name not in _MINIMUM or (value is None and f.type == "int | None"):
+            if f.name not in _MINIMUM:
                 continue
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
@@ -77,18 +77,8 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.attn_scale not in ("d", "dk"):
             raise ConfigError(f"attn_scale must be 'd' or 'dk', got {self.attn_scale!r}")
-        if self.model_dim % self.heads != 0 and self.head_dim_k is None:
-            raise ConfigError(
-                f"model_dim {self.model_dim} not divisible by heads {self.heads}; "
-                "set head_dim_k/head_dim_v explicitly"
-            )
-        if self.use_freq_embed and self.n_bands != _SPECTRAL_BANDS:
-            raise ConfigError(
-                f"n_bands must be {_SPECTRAL_BANDS} with the frequency embedding "
-                f"(spectral band powers have {_SPECTRAL_BANDS} bands), got {self.n_bands}"
-            )
-        if self.d_v < 1:
-            raise ConfigError(f"head_dim_v must be >= 1, got model_dim // heads = {self.d_v}")
+        if self.model_dim % self.heads != 0:
+            raise ConfigError(f"model_dim {self.model_dim} not divisible by heads {self.heads}")
         if self.conv_embed and self.patch_len % self.conv_kernel != 0:
             raise ConfigError(
                 f"conv_kernel {self.conv_kernel} must divide patch_len {self.patch_len}"
@@ -96,11 +86,7 @@ class ModelConfig:
 
     @property
     def d_k(self) -> int:
-        return self.head_dim_k if self.head_dim_k is not None else self.model_dim // self.heads
-
-    @property
-    def d_v(self) -> int:
-        return self.head_dim_v if self.head_dim_v is not None else self.model_dim // self.heads
+        return self.model_dim // self.heads
 
     @property
     def scale_denominator(self) -> float:
@@ -148,14 +134,14 @@ def apply_ablation(cfg: ModelConfig, name: str) -> ModelConfig:
 
 
 def _layer_shapes(prefix: str, cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
-    d, dk, dv, h = cfg.model_dim, cfg.d_k, cfg.d_v, cfg.heads
+    d = cfg.model_dim
     return {
         f"{prefix}.ln1.gain": (d,),
         f"{prefix}.ln1.bias": (d,),
-        f"{prefix}.attn.wq": (d, h * dk),
-        f"{prefix}.attn.wk": (d, h * dk),
-        f"{prefix}.attn.wv": (d, h * dv),
-        f"{prefix}.attn.wo": (h * dv, d),
+        f"{prefix}.attn.wq": (d, d),
+        f"{prefix}.attn.wk": (d, d),
+        f"{prefix}.attn.wv": (d, d),
+        f"{prefix}.attn.wo": (d, d),
         f"{prefix}.ln2.gain": (d,),
         f"{prefix}.ln2.bias": (d,),
         f"{prefix}.ffn.w1": (d, cfg.ffn_dim),
@@ -175,7 +161,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes["embed.patch.w"] = (cfg.patch_len, d)
     shapes["embed.patch.b"] = (d,)
     if cfg.use_freq_embed:
-        shapes["embed.freq.w"] = (cfg.n_bands, d)
+        shapes["embed.freq.w"] = (N_BANDS, d)
         shapes["embed.freq.b"] = (d,)
     shapes["embed.pos"] = (cfg.max_patches, d)
     shapes["embed.mask"] = (d,)
@@ -327,7 +313,7 @@ def embed(
 ) -> Tensor:
     """Fuse patch content, softmax-normalized band powers, and position.
 
-    `patches` is (..., C, P, L), `bands` the matching (..., C, P, n_bands)
+    `patches` is (..., C, P, L), `bands` the matching (..., C, P, N_BANDS)
     band powers (None when the config has no frequency embedding); returns
     (..., C, P, D).
     """
@@ -477,17 +463,10 @@ def forward(
     e = embed(patches, bands, params, cfg)
     if mask is not None:
         e = apply_mask(e, mask, params, cfg)
-    if cfg.interleave:
-        for i in range(max(cfg.temporal_layers, cfg.channel_layers)):
-            if i < cfg.temporal_layers:
-                e = temporal_attention(e, params, i, cfg, stream)
-            if i < cfg.channel_layers:
-                e = channel_attention(e, params, i, cfg, stream)
-    else:
-        for i in range(cfg.temporal_layers):
-            e = temporal_attention(e, params, i, cfg, stream)
-        for i in range(cfg.channel_layers):
-            e = channel_attention(e, params, i, cfg, stream)
+    for i in range(cfg.temporal_layers):
+        e = temporal_attention(e, params, i, cfg, stream)
+    for i in range(cfg.channel_layers):
+        e = channel_attention(e, params, i, cfg, stream)
     return e
 
 
@@ -561,8 +540,6 @@ def read_model_config(path) -> ModelConfig:
 def _parse_field(raw: str):
     if raw in ("True", "False"):
         return raw == "True"
-    if raw == "None":
-        return None
     try:
         return int(raw)
     except ValueError:

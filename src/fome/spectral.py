@@ -2,13 +2,12 @@
 
 Transforms are numpy's FFT (pocketfft), which handles any length exactly,
 including the canonical 1500-sample patch (2^2 * 3 * 5^3), without padding.
-Band powers are a plain (C, P, n_bands) float64 array, the shape the
-model's frequency embedding takes.
+Band powers are a plain (C, P, N_BANDS) float64 array over the paper's
+eight fixed bands, the shape the model's frequency embedding takes; this
+module is the one owner of the band table and its count.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +55,10 @@ def psd_frequencies(length: int, rate_hz: float) -> np.ndarray:
     return np.arange(length // 2 + 1, dtype=np.float64) * (rate_hz / length)
 
 
-_EIGHT_BANDS: tuple[tuple[float, float], ...] = (
+# The eight bands of the fusion embedding, in Hz.  A bin at frequency f
+# belongs to band [lo, hi) when lo <= f < hi, so a shared edge goes to the
+# upper band; the last band also includes its upper edge.
+_BANDS: tuple[tuple[float, float], ...] = (
     (1.0, 4.0),    # delta
     (4.0, 8.0),    # theta
     (8.0, 13.0),   # alpha
@@ -66,61 +68,32 @@ _EIGHT_BANDS: tuple[tuple[float, float], ...] = (
     (70.0, 90.0),  # gamma3
     (90.0, 100.0), # gamma4
 )
-
-BAND_NAMES = ("delta", "theta", "alpha", "beta", "gamma1", "gamma2", "gamma3", "gamma4")
-
-
-@dataclass(frozen=True)
-class BandScheme:
-    """Ordered frequency bands; shared edges resolve half-open, low side wins.
-
-    A bin at frequency f belongs to band [lo, hi) when lo <= f < hi; the
-    final band additionally includes its upper edge.
-    """
-
-    edges: tuple[tuple[float, float], ...] = _EIGHT_BANDS
-
-    def __post_init__(self) -> None:
-        prev_hi = 0.0
-        for lo, hi in self.edges:
-            if not lo < hi:
-                raise ConfigError(f"band ({lo}, {hi}) is not ascending")
-            if lo < prev_hi:
-                raise ConfigError(f"band ({lo}, {hi}) overlaps the previous one")
-            prev_hi = hi
-
-    @property
-    def n_bands(self) -> int:
-        return len(self.edges)
-
-    def bin_slices(self, length: int, rate_hz: float) -> list[np.ndarray]:
-        """Boolean masks selecting each band's one-sided PSD bins."""
-        freqs = psd_frequencies(length, rate_hz)
-        nyquist = rate_hz / 2.0
-        masks = []
-        for i, (lo, hi) in enumerate(self.edges):
-            if hi > nyquist:
-                raise ConfigError(f"band ({lo}, {hi}) exceeds Nyquist {nyquist} Hz")
-            mask = (freqs >= lo) & (freqs < hi)
-            if i == len(self.edges) - 1:
-                mask |= freqs == hi
-            masks.append(mask)
-        return masks
+N_BANDS = len(_BANDS)
 
 
-def band_powers(
-    grid: PatchGrid, scheme: BandScheme | None = None, taper: str = "none"
-) -> np.ndarray:
-    """Log-compressed in-band PSD sums for every patch: (C, P, n_bands).
+def band_masks(length: int, rate_hz: float) -> list[np.ndarray]:
+    """Boolean masks selecting each band's one-sided PSD bins."""
+    freqs = psd_frequencies(length, rate_hz)
+    nyquist = rate_hz / 2.0
+    masks = []
+    for lo, hi in _BANDS:
+        if hi > nyquist:
+            raise ConfigError(f"band ({lo}, {hi}) exceeds Nyquist {nyquist} Hz")
+        masks.append((freqs >= lo) & (freqs < hi))
+    masks[-1] |= freqs == _BANDS[-1][1]
+    return masks
+
+
+def band_powers(grid: PatchGrid, taper: str = "none") -> np.ndarray:
+    """Log-compressed in-band PSD sums for every patch: (C, P, N_BANDS).
 
     Per patch and band: log10(1 + sum of P(f) over the band's bins), which
     is always >= 0 and exactly invertible via 10**v - 1.
     """
-    scheme = scheme or BandScheme()
     spectra = psd(grid.patches, grid.source_rate_hz, taper=taper)
-    masks = scheme.bin_slices(grid.patch_len, grid.source_rate_hz)
+    masks = band_masks(grid.patch_len, grid.source_rate_hz)
     c, p = grid.patches.shape[:2]
-    values = np.empty((c, p, scheme.n_bands), dtype=np.float64)
+    values = np.empty((c, p, N_BANDS), dtype=np.float64)
     for i, mask in enumerate(masks):
         values[:, :, i] = np.log10(spectra[:, :, mask].sum(axis=-1) + 1.0)
     return values

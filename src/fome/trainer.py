@@ -255,31 +255,18 @@ def regression_metrics(preds, targets, task: str = "regression") -> MetricsRepor
     return MetricsReport(task=task, mae=float(np.mean(np.abs(diff))), mse=float(np.mean(diff**2)))
 
 
-def compute_metrics(preds, labels=None, targets=None, n_classes=None) -> MetricsReport:
-    """Dispatch to classification or regression scoring."""
-    if labels is not None:
-        if n_classes is None:
-            n_classes = int(max(np.max(labels), np.max(preds))) + 1
-        return classification_metrics(preds, labels, n_classes)
-    if targets is not None:
-        return regression_metrics(preds, targets)
-    raise ConfigError("compute_metrics needs labels (classification) or targets (regression)")
-
-
 # ---------------------------------------------------------------------------
 # shared loop machinery
 # ---------------------------------------------------------------------------
 
 
-def split_blocks(n: int, ratios=(0.6, 0.2, 0.2)) -> tuple[range, range, range]:
+def split_blocks(n: int) -> tuple[range, range, range]:
     """Contiguous 6:2:2 index blocks, so neighbouring context never leaks
     across the train/validation/test boundary."""
     if n < 1:
         raise ConfigError("cannot split an empty dataset")
-    n_train = int(round(ratios[0] * n))
-    n_val = int(round(ratios[1] * n))
-    n_train = min(n_train, n)
-    n_val = min(n_val, n - n_train)
+    n_train = int(round(0.6 * n))
+    n_val = min(int(round(0.2 * n)), n - n_train)
     return range(0, n_train), range(n_train, n_train + n_val), range(n_train + n_val, n)
 
 
@@ -371,7 +358,7 @@ class _Samples:
                 self._powers.update(zip(chunk, values))
 
     def powers(self, i: int) -> np.ndarray | None:
-        """Sample `i`'s (C, P, n_bands) band powers; None without bands."""
+        """Sample `i`'s (C, P, N_BANDS) band powers; None without bands."""
         if self._powers is None:
             return None
         if i not in self._powers:

@@ -73,17 +73,17 @@ def _gelu_np(x):
 
 
 def encoder_block_oracle(x: np.ndarray, weights: dict, prefix: str,
-                         heads: int, d_k: int, d_v: int, scale_denom: float) -> np.ndarray:
+                         heads: int, d_k: int, scale_denom: float) -> np.ndarray:
     """Straight-line pre-norm block: attention over the middle axis of
     (batch, seq, dim), then FFN, with residuals around both."""
     b, s, d = x.shape
     a = _layer_norm_np(x, weights[f"{prefix}.ln1.gain"], weights[f"{prefix}.ln1.bias"])
     q = (a @ weights[f"{prefix}.attn.wq"]).reshape(b, s, heads, d_k).transpose(0, 2, 1, 3)
     k = (a @ weights[f"{prefix}.attn.wk"]).reshape(b, s, heads, d_k).transpose(0, 2, 1, 3)
-    v = (a @ weights[f"{prefix}.attn.wv"]).reshape(b, s, heads, d_v).transpose(0, 2, 1, 3)
+    v = (a @ weights[f"{prefix}.attn.wv"]).reshape(b, s, heads, d_k).transpose(0, 2, 1, 3)
     scores = q @ k.transpose(0, 1, 3, 2) / scale_denom
     probs = _softmax_np(scores)
-    context = (probs @ v).transpose(0, 2, 1, 3).reshape(b, s, heads * d_v)
+    context = (probs @ v).transpose(0, 2, 1, 3).reshape(b, s, heads * d_k)
     x1 = x + context @ weights[f"{prefix}.attn.wo"]
     f = _layer_norm_np(x1, weights[f"{prefix}.ln2.gain"], weights[f"{prefix}.ln2.bias"])
     hidden = _gelu_np(f @ weights[f"{prefix}.ffn.w1"] + weights[f"{prefix}.ffn.b1"])
@@ -148,7 +148,7 @@ def primitive_encoder_block(x, params, prefix, cfg, stream=None):
     a = affine(x, "ln1")
     q = _primitive_split_heads(nm.matmul(a, p("attn.wq")), cfg.heads, cfg.d_k)
     k = _primitive_split_heads(nm.matmul(a, p("attn.wk")), cfg.heads, cfg.d_k)
-    v = _primitive_split_heads(nm.matmul(a, p("attn.wv")), cfg.heads, cfg.d_v)
+    v = _primitive_split_heads(nm.matmul(a, p("attn.wv")), cfg.heads, cfg.d_k)
     scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / cfg.scale_denominator)
     probs = nm.softmax(scores, axis=-1)
     context = nm.matmul(_primitive_merge_heads(nm.matmul(probs, v)), p("attn.wo"))

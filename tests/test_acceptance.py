@@ -173,11 +173,11 @@ def test_criterion_02_equation_oracle_equivalence():
         ours_t = model.temporal_attention(
             Tensor(x), store, 0, cfg).data
         ref_t = encoder_block_oracle(x, store.arrays(), "temporal0",
-                                     cfg.heads, cfg.d_k, cfg.d_v, cfg.scale_denominator)
+                                     cfg.heads, cfg.d_k, cfg.scale_denominator)
         ours_c = model.channel_attention(
             Tensor(x), store, 0, cfg).data
         ref_c = encoder_block_oracle(x.transpose(1, 0, 2), store.arrays(), "channel0",
-                                     cfg.heads, cfg.d_k, cfg.d_v,
+                                     cfg.heads, cfg.d_k,
                                      cfg.scale_denominator).transpose(1, 0, 2)
         worst = max(worst, float(np.max(np.abs(ours_t - ref_t))),
                     float(np.max(np.abs(ours_c - ref_c))))

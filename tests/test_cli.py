@@ -180,6 +180,16 @@ class TestEvalCommand:
         report = json.loads(result.stdout)
         assert abs(report["mae"] - 0.5) < 1e-12
 
+    def test_classes_inferred_from_values(self, tmp_path):
+        preds = tmp_path / "preds.csv"
+        preds.write_text("0,0\n1,1\n")
+        report = json.loads(run_cli(["eval", "--in", str(preds)]).stdout)
+        assert report["task"] == "classification" and report["confusion"] == [[1, 0], [0, 1]]
+        preds.write_text("0,0\n2,1\n")
+        assert len(json.loads(run_cli(["eval", "--in", str(preds)]).stdout)["confusion"]) == 3
+        wide = json.loads(run_cli(["eval", "--in", str(preds), "--classes", "4"]).stdout)
+        assert len(wide["confusion"]) == 4
+
 
 class TestErrors:
     def test_unknown_flag_is_usage_error(self):
@@ -314,6 +324,50 @@ class TestErrors:
         assert payload["error"] == error, payload
         culprit = next(paths[arg] for arg in args if arg in ("MISSING", "UNDER_FILE", "NOT_UTF8"))
         assert str(culprit) in payload["message"], payload
+
+    @pytest.mark.parametrize("args, error", [
+        (["synth", "--components", "0:8:x:0"], "ConfigError"),
+        (["preprocess", "--in", "REC"], "FormatError"),
+        (["preprocess", "--in", "CSV_REC", "--format", "csv"], "FormatError"),
+        (["spectra", "--in", "GRID"], "FormatError"),
+        (["pretrain", "--in", "GRID"], "FormatError"),
+        (["pretrain", "--in", "GOOD_GRID", "--pps", "2", "--checkpoint", "CKPT"], "FormatError"),
+        (["finetune", "classify", "--dataset", "DATASET"], "FormatError"),
+        (["finetune", "forecast", "--in", "GRID"], "FormatError"),
+        (["finetune", "impute", "--in", "GRID"], "FormatError"),
+        (["eval", "--in", "PREDS"], "DataError"),
+        (["inspect-checkpoint", "--in", "CKPT"], "FormatError"),
+    ], ids=["synth", "preprocess", "preprocess-csv", "spectra", "pretrain",
+            "pretrain-checkpoint", "finetune-classify", "finetune-forecast", "finetune-impute",
+            "eval", "inspect-checkpoint"])
+    def test_corrupt_input_is_one_typed_json_error(self, tmp_path, args, error):
+        import fome.numerics as nm
+        from fome.preprocess import PatchGrid, grid_to_bytes
+        from fome.signal_store import Recording, recording_to_bytes
+
+        grid = grid_to_bytes(PatchGrid(np.ones((2, 4, 16)), 16, 250.0))
+        recording = recording_to_bytes(Recording(np.ones((2, 1000)), 500.0))
+        nm.save_checkpoint({"w": np.ones(3)}, tmp_path / "whole.fckp")
+        inputs = {"REC": recording[: len(recording) // 2],
+                  "CSV_REC": b"# rate_hz=500.0\n1.0,2.0\n1.0\n",
+                  "GRID": grid[: len(grid) // 2], "GOOD_GRID": grid,
+                  "CKPT": (tmp_path / "whole.fckp").read_bytes()[:-5],
+                  "DATASET": b"grid.fegp,0\ngrid.fegp,1\n",
+                  "PREDS": b"1,1\n0,1e999x\n"}
+        paths = {name: tmp_path / {"DATASET": "dataset.csv", "GRID": "grid.fegp"}.get(name, name)
+                 for name in inputs}
+        for name, payload in inputs.items():
+            paths[name].write_bytes(payload)
+        (tmp_path / "whole.fckp").unlink()
+        train = ["--preset", "tiny", "--steps", "2", "--batch", "1", "--accum", "1"]
+        out = tmp_path / "out.bin"
+        result = run_cli([str(paths.get(arg, arg)) for arg in args] + ["--out", str(out)]
+                         + (train if args[0] in ("pretrain", "finetune") else []))
+        assert result.returncode == 1, result.stderr
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1, lines
+        assert json.loads(lines[0])["error"] == error, lines
+        assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in paths.values())
 
     def test_nyquist_violation_from_module(self):
         result = run_cli(["synth", "--channels", "1", "--rate", "40",

@@ -1,5 +1,6 @@
 """Embedding composition, encoder-oracle equivalence, masking, heads."""
 
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +35,9 @@ from fome.model import (
     write_model_config,
 )
 from fome.numerics import Tensor
+from fome.preprocess import PatchGrid
 from fome.rng import Rng
+from fome.spectral import N_BANDS, band_powers
 
 
 def tiny_cfg(**kw):
@@ -43,7 +46,7 @@ def tiny_cfg(**kw):
 
 def random_inputs(rng, cfg, channels=3, patches=4):
     grid = rng.standard_normal((channels, patches, cfg.patch_len))
-    bands = np.abs(rng.standard_normal((channels, patches, cfg.n_bands)))
+    bands = np.abs(rng.standard_normal((channels, patches, N_BANDS)))
     return grid, bands
 
 
@@ -83,13 +86,45 @@ class TestPresets:
         with pytest.raises(ConfigError):
             ModelConfig(dropout=1.0)
 
-    def test_n_bands_must_match_band_powers(self):
-        with pytest.raises(ConfigError, match=r"n_bands must be 8 .*got 4"):
-            ModelConfig(n_bands=4)
-        with pytest.raises(ConfigError, match="n_bands"):
-            preset("tiny", n_bands=9)
-        # without the frequency embedding the field shapes nothing
-        assert ModelConfig(n_bands=4, use_freq_embed=False).n_bands == 4
+    def test_band_count_has_one_owner(self):
+        # spectral owns the band count; the frequency embedding is sized from it
+        grid = PatchGrid(np.random.default_rng(3).standard_normal((2, 3, 1500)), 1500, 250.0)
+        assert band_powers(grid).shape[-1] == N_BANDS == 8
+        assert param_shapes(tiny_cfg())["embed.freq.w"][0] == N_BANDS
+        assert param_shapes(preset("base"))["embed.freq.w"] == (N_BANDS, 2048)
+
+    @pytest.mark.parametrize("line", ["n_bands=8", "interleave=False", "head_dim_k=None"])
+    def test_removed_config_key_is_named(self, tmp_path, line):
+        path = tmp_path / "model.config"
+        path.write_text(f"preset=tiny\n{line}\n")
+        key = line.split("=")[0]
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            read_model_config(path)
+        with pytest.raises(TypeError):
+            ModelConfig(**{key: 8})
+
+    def test_every_field_has_a_setter(self):
+        # a field that no preset, --ablate value, --scale or the data fit
+        # sets is a knob no command can turn
+        import argparse
+
+        from fome import cli
+
+        def changed(a, b):
+            return {f.name for f in fields(ModelConfig) if getattr(a, f.name) != getattr(b, f.name)}
+
+        set_by = {key for values in model._PRESETS.values() for key in values}
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        flags = {a.dest: a.choices for a in commands["pretrain"]._actions}
+        base = cli._model_config(commands["pretrain"].parse_args([]))
+        for flag in ("scale", "ablate"):
+            for value in flags[flag]:
+                args = commands["pretrain"].parse_args([f"--{flag}", value])
+                set_by |= changed(cli._model_config(args), base)
+        conv = preset("tiny", conv_embed=True)  # conv_kernel 4 does not divide 6
+        set_by |= changed(cli._fit_config_to_data(conv, 6, conv.max_patches + 1), conv)
+        assert set_by == {f.name for f in fields(ModelConfig)}
 
     @pytest.mark.parametrize("line", [
         "patch_len=abc", "conv_embed=True\nconv_kernel=0", "max_patches=-1", "head_dim_k=x",
@@ -118,7 +153,7 @@ class TestEmbed:
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=4)
         patch = rng.standard_normal(cfg.patch_len)
-        band = np.abs(rng.standard_normal(cfg.n_bands))
+        band = np.abs(rng.standard_normal(N_BANDS))
         grid = np.stack([patch, patch])[None, :, :]
         bands = np.stack([band, band])[None, :, :]
         out = embed(grid, bands, store, cfg).data
@@ -150,7 +185,7 @@ class TestEmbed:
         cfg = tiny_cfg()
         store = ParameterStore.initialize(cfg, seed=0)
         grid, _ = random_inputs(rng, cfg)
-        bad = np.zeros((1, 1, cfg.n_bands))
+        bad = np.zeros((1, 1, N_BANDS))
         with pytest.raises(ConfigError):
             embed(grid, bad, store, cfg)
 
@@ -162,7 +197,7 @@ class TestEncoderOracles:
         x = rng.standard_normal((2, 3, 4))
         ours = temporal_attention(Tensor(x), store, 0, cfg).data
         ref = encoder_block_oracle(x, store.arrays(), "temporal0",
-                                   cfg.heads, cfg.d_k, cfg.d_v, cfg.scale_denominator)
+                                   cfg.heads, cfg.d_k, cfg.scale_denominator)
         assert np.max(np.abs(ours - ref)) < 1e-10
 
     def test_channel_block_matches_straight_line(self, rng):
@@ -171,7 +206,7 @@ class TestEncoderOracles:
         x = rng.standard_normal((3, 4, cfg.model_dim))
         ours = channel_attention(Tensor(x), store, 0, cfg).data
         ref = encoder_block_oracle(x.transpose(1, 0, 2), store.arrays(), "channel0",
-                                   cfg.heads, cfg.d_k, cfg.d_v, cfg.scale_denominator)
+                                   cfg.heads, cfg.d_k, cfg.scale_denominator)
         assert np.max(np.abs(ours - ref.transpose(1, 0, 2))) < 1e-10
 
     def test_dk_scaling_variant(self, rng):
@@ -181,15 +216,15 @@ class TestEncoderOracles:
         x = rng.standard_normal((2, 3, cfg.model_dim))
         ours = temporal_attention(Tensor(x), store, 0, cfg).data
         ref = encoder_block_oracle(x, store.arrays(), "temporal0",
-                                   cfg.heads, cfg.d_k, cfg.d_v, cfg.scale_denominator)
+                                   cfg.heads, cfg.d_k, cfg.scale_denominator)
         assert np.max(np.abs(ours - ref)) < 1e-10
 
     @pytest.mark.parametrize("overrides, lead", [
         (dict(), (3,)),
         (dict(heads=1, model_dim=4, ffn_dim=8, patch_len=6), (2,)),
-        (dict(head_dim_k=3, head_dim_v=5), (2, 3)),
+        (dict(model_dim=12, heads=3, ffn_dim=24), (2, 3)),
         (dict(heads=4, attn_scale="dk", dropout=0.2), (2, 3)),
-    ], ids=["heads2", "heads1", "dk3-dv5-batched", "dropout-batched"])
+    ], ids=["heads2", "heads1", "heads3-batched", "dropout-batched"])
     def test_fused_block_matches_primitive_ops_bitwise(self, overrides, lead):
         cfg = tiny_cfg(**overrides)
         gen = np.random.default_rng(len(lead) + cfg.heads)
@@ -220,7 +255,7 @@ class TestEncoderOracles:
         x = rng.standard_normal((2, 1, cfg.model_dim))
         ours = temporal_attention(Tensor(x), store, 0, cfg).data
         ref = encoder_block_oracle(x, store.arrays(), "temporal0",
-                                   cfg.heads, cfg.d_k, cfg.d_v, cfg.scale_denominator)
+                                   cfg.heads, cfg.d_k, cfg.scale_denominator)
         np.testing.assert_allclose(ours, ref, atol=1e-12)
 
     def test_single_channel_degenerates_gracefully(self, rng):
@@ -316,19 +351,8 @@ class TestForward:
             out = forward(grid, bands, store, cfg)
             assert out.shape == (channels, 4, cfg.model_dim)
 
-    def test_interleaved_ordering_differs(self, rng):
-        from dataclasses import replace
-
-        cfg = tiny_cfg(temporal_layers=2, channel_layers=2)
-        store = ParameterStore.initialize(cfg, seed=27)
-        grid, bands = random_inputs(rng, cfg)
-        stacked = forward(grid, bands, store, cfg).data
-        inter = forward(grid, bands, store, replace(cfg, interleave=True)).data
-        assert not np.array_equal(stacked, inter)
-
-
     @pytest.mark.parametrize("overrides", [{}, {"conv_embed": True},
-                                           {"interleave": True, "channel_layers": 2}])
+                                           {"temporal_layers": 2, "channel_layers": 2}])
     def test_stack_with_mask_gates_equals_per_sample_bitwise(self, rng, overrides):
         cfg = tiny_cfg(**overrides)
         store = ParameterStore.initialize(cfg, seed=28)
@@ -451,7 +475,7 @@ PERM_CFG = preset("tiny", model_dim=32, heads=4, ffn_dim=64)
 def _perm_case(duplicate: bool):
     gen = np.random.default_rng(60)
     patches = gen.standard_normal((PERM_C, PERM_P, PERM_CFG.patch_len))
-    powers = np.abs(gen.standard_normal((PERM_C, PERM_P, PERM_CFG.n_bands)))
+    powers = np.abs(gen.standard_normal((PERM_C, PERM_P, N_BANDS)))
     if duplicate:  # channels 7 and 12 copy 3; channel 15 copies 0
         for src, dst in ((3, 7), (3, 12), (0, 15)):
             patches[dst], powers[dst] = patches[src], powers[src]
@@ -544,7 +568,7 @@ class TestPersistence:
     @given(data=st.data())
     def test_corrupt_config_parses_or_is_typed_error(self, tmp_path, data):
         path = tmp_path / "model.config"
-        write_model_config(tiny_cfg(attn_scale="dk", dropout=0.1, head_dim_v=3), path)
+        write_model_config(tiny_cfg(attn_scale="dk", dropout=0.1), path)
         blob = path.read_bytes()
         kind = data.draw(st.sampled_from(["truncate", "flip", "random"]))
         if kind == "truncate":

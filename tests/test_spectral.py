@@ -8,7 +8,7 @@ from oracles import naive_dft
 from fome.errors import ConfigError
 from fome.preprocess import PatchGrid
 from fome.spectral import (
-    BandScheme,
+    band_masks,
     band_powers,
     dft,
     psd,
@@ -134,7 +134,7 @@ class TestBandPowers:
         grid = grid_of(patch.reshape(1, 1, 1500))
         values = band_powers(grid)[0, 0]
         spectrum = psd(patch, 250.0)
-        masks = BandScheme().bin_slices(1500, 250.0)
+        masks = band_masks(1500, 250.0)
         in_band = sum(spectrum[m].sum() for m in masks)
         recovered = np.sum(10.0**values - 1.0)
         assert abs(recovered - in_band) < 1e-9 * in_band
@@ -152,12 +152,6 @@ class TestBandPowers:
         grid = grid_of(np.zeros((1, 1, 64)), rate=150.0)
         with pytest.raises(ConfigError):
             band_powers(grid)
-
-    def test_scheme_validation(self):
-        with pytest.raises(ConfigError):
-            BandScheme(edges=((4.0, 1.0),))
-        with pytest.raises(ConfigError):
-            BandScheme(edges=((1.0, 5.0), (4.0, 8.0)))
 
     def test_values_nonnegative(self, rng):
         patches = rng.standard_normal((2, 3, 1500))

@@ -21,7 +21,6 @@ from fome.trainer import (
     MetricsReport,
     TrainConfig,
     classification_metrics,
-    compute_metrics,
     evaluate_classify,
     evaluate_forecast,
     evaluate_impute,
@@ -238,14 +237,6 @@ class TestMetrics:
     def test_empty_set_is_data_error(self, score):
         with pytest.raises(DataError):
             score()
-
-    def test_compute_metrics_dispatch(self):
-        classify = compute_metrics([0, 1], labels=[0, 1])
-        assert classify.task == "classification" and classify.accuracy == 1.0
-        regress = compute_metrics([1.0, 2.0], targets=[1.0, 3.0])
-        assert regress.mae == 0.5
-        with pytest.raises(ConfigError):
-            compute_metrics([0])
 
     def test_report_json_drops_missing_fields(self):
         report = MetricsReport(task="regression", mae=0.5, mse=1.0)
