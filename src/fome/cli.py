@@ -440,29 +440,40 @@ def _cmd_eval(args, manifest: _Manifest) -> None:
 
     from .trainer import classification_metrics, regression_metrics
 
+    if args.classes is not None and args.classes < 1:
+        raise ConfigError(f"--classes must be >= 1, got {args.classes}")
     payload = _read_bytes(args.infile)
     manifest.add_input(args.infile, payload)
     rows = list(csv.reader(decode_text(payload, args.infile).splitlines()))
     first = 0 if rows and _is_numeric_row(rows[0]) else 1
-    value = (lambda v: int(float(v))) if args.task == "classify" else float
+    classify = args.task == "classify"
+    value = _class_label if classify else float
     preds, refs = [], []
     for number, row in enumerate(rows[first:], start=first + 1):
         try:
             pred, ref = value(row[0]), value(row[1])
         except (IndexError, ValueError, OverflowError):
-            raise DataError(f"{args.infile}: row {number} needs two numeric values, "
+            wanted = "integer class labels" if classify else "numeric values"
+            raise DataError(f"{args.infile}: row {number} needs two {wanted}, "
                             f"got {row!r}") from None
         preds.append(pred)
         refs.append(ref)
     if not preds:
         raise DataError(f"{args.infile}: no prediction rows")
-    if args.task == "classify":
-        n_classes = args.classes or (max(max(preds), max(refs)) + 1)
+    if classify:
+        n_classes = args.classes if args.classes is not None else max(max(preds), max(refs)) + 1
         report = classification_metrics(preds, refs, n_classes)
     else:
         report = regression_metrics(preds, refs)
     _write(args.out, report.to_json() + "\n")
     manifest.add_output(args.out)
+
+
+def _class_label(text: str) -> int:
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(f"{text!r} is not an integer")
+    return int(value)
 
 
 def _is_numeric_row(row: list[str]) -> bool:

@@ -358,9 +358,7 @@ def apply_mask(
     gate = mask[..., None].astype(np.float64)
     mask_row = nm.reshape(params["embed.mask"], (1, 1, d))
     replacement = nm.add(mask_row, _positional_rows(params, p))
-    kept = nm.mul(e_input, Tensor(1.0 - gate))
-    injected = nm.mul(replacement, Tensor(gate))
-    return nm.add(kept, injected)
+    return nm.blend(e_input, replacement, gate)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,20 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Execution is define-by-run: while a `Tape` is active, every differentiable
-op appends one node (saved inputs + backward closure) to it, and
-`backward(loss)` walks the list in exact reverse execution order,
-accumulating adjoints additively, and writes `.grad` on leaves only.
-Without an active tape the same ops run as plain forward kernels.
+op appends one node to it, and `backward(loss)` walks the list in exact
+reverse execution order, accumulating adjoints additively, and writes
+`.grad` on leaves only.  Without an active tape the same ops run as plain
+forward kernels.
+
+A node keeps only what its backward reads.  It holds no Tensor but the
+leaves it differentiates: an intermediate input is named by the index of
+the node that produced it, and an input that takes no gradient gets no
+slot.  Its backward closure captures the arrays, shapes and flags that the
+gradients of the inputs needing one read (`add` keeps two shapes, `mse`
+its difference), so an activation no backward reads is freed as soon as
+the forward pass drops it.  `backward` consumes its tape: it drops each
+node and its output adjoint as soon as that node's backward has run, and
+a second `backward` on the same tape is a `ContractError`.
 
 A tensor's first adjoint is borrowed as the consumer's backward returned
 it: it may be that op's output adjoint or a view of it, or the very array
@@ -13,14 +23,14 @@ sum allocates a fresh buffer that `backward` owns; only owned buffers are
 summed into in place, so a borrowed array is never written.
 
 Ops are plain numpy/BLAS kernels: a reduction's result depends on the
-order of its terms.  The fused kernels `linear`, `affine_norm` and
-`attention` each record one node for a chain of ops (matmul and add; layer
-norm, mul and add; head split, scaled scores, softmax, mixing and head
-merge).  Forward and backward run the chain's numpy expressions in the
-same order on arrays of the same layout, so values and gradients are
-bitwise the chain's.  Permutation stability across channels is not an op
-property; the model runs every cross-channel reduction in a canonical
-channel order (see `fome.model`).
+order of its terms.  The fused kernels `linear`, `affine_norm`,
+`attention` and `blend` each record one node for a chain of ops (matmul
+and add; layer norm, mul and add; head split, scaled scores, softmax,
+mixing and head merge; mul, mul and add).  Forward and backward run the
+chain's numpy expressions in the same order on arrays of the same layout,
+so values and gradients are bitwise the chain's.  Permutation stability
+across channels is not an op property; the model runs every cross-channel
+reduction in a canonical channel order (see `fome.model`).
 """
 
 from __future__ import annotations
@@ -65,19 +75,35 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("out", "inputs", "bwd")
+    """One recorded op.  `bwd(g)` maps the output adjoint to one gradient (or
+    None) per entry of `inputs`; an entry is the producing node's index for
+    an intermediate of the same tape, the Tensor for a leaf, and None for an
+    input that takes no gradient."""
 
-    def __init__(self, out: Tensor, inputs: tuple[Tensor, ...], bwd: Callable):
-        self.out = out
+    __slots__ = ("inputs", "bwd")
+    out = None  # a node never holds its output; tape walkers may read this
+
+    def __init__(self, inputs: tuple, bwd: Callable):
         self.inputs = inputs
         self.bwd = bwd
 
 
+def _slot(t: Tensor, tape: "Tape"):
+    """The entry of input `t` in a `_Node` recorded on `tape`."""
+    if not t.requires_grad:
+        return None
+    if t._tape is None:
+        return t
+    return t._node_index if t._tape is tape else None
+
+
 class Tape:
-    """Ordered record of executed ops; activate with a `with` block."""
+    """Ordered record of executed ops; activate with a `with` block.  One
+    `backward` consumes it."""
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.consumed = False
 
     def __enter__(self) -> "Tape":
         _tape_stack.append(self)
@@ -102,7 +128,7 @@ def _record(out_data: np.ndarray, inputs: tuple[Tensor, ...], bwd: Callable) -> 
         tape = _tape_stack[-1]
         out._tape = tape
         out._node_index = len(tape.nodes)
-        tape.nodes.append(_Node(out, inputs, bwd))
+        tape.nodes.append(_Node(tuple(_slot(t, tape) for t in inputs), bwd))
     return out
 
 
@@ -130,11 +156,8 @@ def add(a, b) -> Tensor:
         out = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from None
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _record(out, (a, b), bwd)
+    sa, sb = a.shape, b.shape
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def mul(a, b) -> Tensor:
@@ -143,10 +166,39 @@ def mul(a, b) -> Tensor:
         out = a.data * b.data
     except ValueError:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
+    sa, sb = a.shape, b.shape
+    # each operand is kept only for the other one's gradient
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
 
     def bwd(g):
-        ga = _unbroadcast(g * b.data, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.shape) if b.requires_grad else None
+        ga = None if bd is None else _unbroadcast(g * bd, sa)
+        gb = None if ad is None else _unbroadcast(g * ad, sb)
+        return ga, gb
+
+    return _record(out, (a, b), bwd)
+
+
+def blend(a, b, gate) -> Tensor:
+    """`a * (1 - gate) + b * gate` with a constant array `gate`, as one node.
+
+    Forward and backward run the expressions of the mul, mul, add chain it
+    replaces, so values and gradients are bitwise the chain's."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    gate = np.asarray(gate, dtype=np.float64)
+    keep = 1.0 - gate
+    try:
+        kept, injected = a.data * keep, b.data * gate
+        out = kept + injected
+    except ValueError:
+        raise ShapeError(f"blend: cannot broadcast {a.shape}, {b.shape} and gate "
+                         f"{gate.shape}") from None
+    sa, sb, sk, si = a.shape, b.shape, kept.shape, injected.shape
+    a_grad, b_grad = a.requires_grad, b.requires_grad
+
+    def bwd(g):
+        ga = _unbroadcast(_unbroadcast(g, sk) * keep, sa) if a_grad else None
+        gb = _unbroadcast(_unbroadcast(g, si) * gate, sb) if b_grad else None
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -160,11 +212,8 @@ def scale(a, factor: float) -> Tensor:
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-
-    def bwd(g):
-        return (g / a.data,)
-
-    return _record(np.log(a.data), (a,), bwd)
+    x = a.data
+    return _record(np.log(x), (a,), lambda g: (g / x,))
 
 
 def transpose(a, axis1: int = -2, axis2: int = -1) -> Tensor:
@@ -180,7 +229,8 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
         out = a.data.reshape(shape)
     except ValueError:
         raise ShapeError(f"reshape: {a.shape} does not fit {shape}") from None
-    return _record(out, (a,), lambda g: (g.reshape(a.shape),))
+    old = a.shape
+    return _record(out, (a,), lambda g: (g.reshape(old),))
 
 
 def slice_(a, key) -> Tensor:
@@ -188,9 +238,10 @@ def slice_(a, key) -> Tensor:
     element at most once; gradient scatters back."""
     a = _as_tensor(a)
     out = a.data[key]
+    shape = a.shape
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[key] = g
         return (full,)
 
@@ -202,9 +253,10 @@ def embedding_lookup(table, indices) -> Tensor:
     table = _as_tensor(table)
     indices = np.asarray(indices, dtype=np.int64)
     out = table.data[indices]
+    shape = table.shape
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape)
         if np.unique(indices).size == indices.size:
             gt[indices] += g  # 0.0 + g, bit for bit what np.add.at stores
         else:
@@ -228,17 +280,20 @@ def matmul(a, b) -> Tensor:
     except ValueError:
         what = "inner" if a.shape[-1] != b.shape[-2] else "batch"
         raise ShapeError(f"matmul: {what} dims differ, {a.shape} @ {b.shape}") from None
+    sa, sb = a.shape, b.shape
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
 
     def bwd(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if b.requires_grad and b.data.ndim == 2:
+        if bd is not None:
+            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa)
+        if ad is not None and len(sb) == 2:
             # one gemm over the folded leading axes: no (N, K, M) intermediate
-            k, m = b.shape
-            gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
-        elif b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            k, m = sb
+            gb = ad.reshape(-1, k).T @ g.reshape(-1, m)
+        elif ad is not None:
+            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -262,12 +317,15 @@ def linear(x, w, b=None) -> Tensor:
         out += b.data
         inputs = (x, w, b)
     k, m = w.shape
+    wd = w.data if x.requires_grad else None
+    xd = x.data if w.requires_grad else None
+    sb = None if b is None else b.shape
 
     def bwd(g):
-        gx = g @ w.data.T if x.requires_grad else None
+        gx = None if wd is None else g @ wd.T
         # one gemm over the folded leading axes: no (N, K, M) intermediate
-        gw = x.data.reshape(-1, k).T @ g.reshape(-1, m) if w.requires_grad else None
-        return (gx, gw) if b is None else (gx, gw, _unbroadcast(g, b.shape))
+        gw = None if xd is None else xd.reshape(-1, k).T @ g.reshape(-1, m)
+        return (gx, gw) if sb is None else (gx, gw, _unbroadcast(g, sb))
 
     return _record(out, inputs, bwd)
 
@@ -297,23 +355,29 @@ def attention(q, k, v, heads: int, factor: float) -> Tensor:
     scores = (qs @ np.swapaxes(ks, -2, -1)) * factor
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / e.sum(axis=-1, keepdims=True)
+    out = merge(probs @ vs)
+    # q's gradient reads k, k's reads q, and both read v
+    kept_q = qs if k.requires_grad else None
+    kept_k = ks if q.requires_grad else None
+    kept_v = vs if q.requires_grad or k.requires_grad else None
+    v_grad = v.requires_grad
 
     def bwd(g):
         g_ctx = split(g)
         gq = gk = gv = None
-        if q.requires_grad or k.requires_grad:
-            g_probs = g_ctx @ np.swapaxes(vs, -1, -2)
+        if kept_v is not None:
+            g_probs = g_ctx @ np.swapaxes(kept_v, -1, -2)
             inner = (g_probs * probs).sum(axis=-1, keepdims=True)
             g_scores = probs * (g_probs - inner) * factor
-            if q.requires_grad:
-                gq = merge(g_scores @ ks)
-            if k.requires_grad:
-                gk = merge(np.swapaxes(np.swapaxes(qs, -1, -2) @ g_scores, -2, -1))
-        if v.requires_grad:
+            if kept_k is not None:
+                gq = merge(g_scores @ kept_k)
+            if kept_q is not None:
+                gk = merge(np.swapaxes(np.swapaxes(kept_q, -1, -2) @ g_scores, -2, -1))
+        if v_grad:
             gv = merge(np.swapaxes(probs, -1, -2) @ g_ctx)
         return gq, gk, gv
 
-    return _record(merge(probs @ vs), (q, k, v), bwd)
+    return _record(out, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +410,21 @@ def affine_norm(x, gain, bias) -> Tensor:
     var = (xc**2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
     y = xc * inv
+    out = y * gain.data + bias.data
+    gd, x_grad, gain_grad = gain.data, x.requires_grad, gain.requires_grad
+    sg, sb = gain.shape, bias.shape
 
     def bwd(g):
         gx = None
-        if x.requires_grad:
-            gy = g * gain.data
+        if x_grad:
+            gy = g * gd
             gm = gy.mean(axis=-1, keepdims=True)
             gyy = (gy * y).mean(axis=-1, keepdims=True)
             gx = inv * (gy - gm - y * gyy)
-        gg = _unbroadcast(g * y, gain.shape) if gain.requires_grad else None
-        return gx, gg, _unbroadcast(g, bias.shape)
+        gg = _unbroadcast(g * y, sg) if gain_grad else None
+        return gx, gg, _unbroadcast(g, sb)
 
-    return _record(y * gain.data + bias.data, (x, gain, bias), bwd)
+    return _record(out, (x, gain, bias), bwd)
 
 
 def gelu(a) -> Tensor:
@@ -395,9 +462,10 @@ def mean(a, axis=None) -> Tensor:
     a = _as_tensor(a)
     out = a.data.mean(axis=axis)
     count = a.data.size / max(1, np.asarray(out).size)
+    shape = a.shape
 
     def bwd(g):
-        return (_expand_axes(np.asarray(g), axis, a.shape) / count,)
+        return (_expand_axes(np.asarray(g), axis, shape) / count,)
 
     return _record(out, (a,), bwd)
 
@@ -408,10 +476,11 @@ def mse(pred, target) -> Tensor:
         raise ShapeError(f"mse: shapes differ, {pred.shape} vs {target.shape}")
     diff = pred.data - target.data
     out = np.mean(diff**2)
+    pred_grad, target_grad = pred.requires_grad, target.requires_grad
 
     def bwd(g):
         gp = g * 2.0 * diff / diff.size
-        return gp if pred.requires_grad else None, -gp if target.requires_grad else None
+        return gp if pred_grad else None, -gp if target_grad else None
 
     return _record(out, (pred, target), bwd)
 
@@ -425,8 +494,11 @@ def backward(loss: Tensor) -> None:
     """Populate .grad on every leaf (a requires_grad tensor no op produced)
     that `loss` depends on; intermediates keep .grad None.
 
-    Gradients accumulate additively: calling backward twice without zeroing
-    doubles every gradient.
+    Consumes the loss's tape: each node, and the adjoint of its output, is
+    released as soon as that node's backward has run, and a second call on
+    the same tape raises `ContractError`.  Leaf gradients accumulate
+    additively across tapes: two losses built from the same leaves on two
+    tapes, each passed to backward, double every gradient.
     """
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise ContractError("backward requires a scalar Tensor loss")
@@ -435,18 +507,22 @@ def backward(loss: Tensor) -> None:
         if not loss.requires_grad:
             raise ContractError("loss does not depend on any requires_grad tensor")
         raise ContractError("loss was computed outside any active Tape")
-    adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    owned: set[int] = set()
-    leaves: dict[int, Tensor] = {}
-    for node in reversed(tape.nodes[: loss._node_index + 1]):
-        g_out = adjoints.get(id(node.out))
+    if tape.consumed:
+        raise ContractError("backward already ran on this loss's tape")
+    tape.consumed = True
+    nodes = tape.nodes
+    del nodes[loss._node_index + 1 :]
+    # keyed by node index for intermediates and by the Tensor for leaves
+    adjoints: dict = {loss._node_index: np.ones_like(loss.data)}
+    owned: set = set()
+    for i in range(loss._node_index, -1, -1):
+        node = nodes.pop()
+        g_out = adjoints.pop(i, None)
         if g_out is None:
             continue
-        grads = node.bwd(g_out)
-        for tensor, g in zip(node.inputs, grads):
-            if g is None or not tensor.requires_grad:
+        for key, g in zip(node.inputs, node.bwd(g_out)):
+            if g is None or key is None:
                 continue
-            key = id(tensor)
             if key in owned:
                 adjoints[key] += g
             elif key in adjoints:
@@ -454,11 +530,8 @@ def backward(loss: Tensor) -> None:
                 owned.add(key)
             else:
                 adjoints[key] = g
-                if tensor._tape is None:
-                    leaves[key] = tensor
-    for key, tensor in leaves.items():
-        g = adjoints[key]
-        tensor.grad = g.copy() if tensor.grad is None else tensor.grad + g
+    for leaf, g in adjoints.items():  # every node's adjoint was popped
+        leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
 
 # ---------------------------------------------------------------------------

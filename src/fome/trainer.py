@@ -5,7 +5,7 @@ the next batch, stacks the samples of each shape into one (B, C, P, L)
 array, and runs one forward and one backward pass per stack (pre-training
 draws one boolean (C, P) mask per sample, in batch order, hides the stack's
 (B, C, P) mask and reconstructs the masked rows only); dropout masks are
-drawn once per stack.  The step's tape is dropped right after backward.
+drawn once per stack.  Backward consumes the step's tape as it runs.
 Every `grad_accum` micro-steps it applies one AdamW update at the scheduled
 learning rate.  Losses are mean-reduced and micro-batch losses are scaled
 by 1/grad_accum, so accumulation matches a single step on the concatenated
@@ -435,17 +435,10 @@ def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
     losses: list[float] = []
     for step in range(1, steps + 1):
         batch = order.take(cfg.batch_size)
-        tape = nm.Tape()
-        try:
-            with tape:
-                loss = batch_loss(batch)
-                scaled = nm.scale(loss, 1.0 / cfg.grad_accum)
-            nm.backward(scaled)
-        finally:
-            # out Tensor -> Tape -> node -> out Tensor is a reference cycle:
-            # emptying the tape frees the step's activations now, not at
-            # the next cyclic garbage collection
-            tape.nodes.clear()
+        with nm.Tape():
+            loss = batch_loss(batch)
+            scaled = nm.scale(loss, 1.0 / cfg.grad_accum)
+        nm.backward(scaled)
         losses.append(float(loss.data))
         if step % cfg.grad_accum == 0:
             optimizer.step(lr_at(step, cfg))

@@ -8,8 +8,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mutations import mutated
 
 import fome
+from fome import cli
+from fome.errors import DataError, FormatError
 
 CLI = [sys.executable, "-m", "fome.cli"]
 SRC = os.path.dirname(os.path.dirname(fome.__file__))
@@ -191,6 +197,43 @@ class TestEvalCommand:
         assert len(wide["confusion"]) == 4
 
 
+class TestCorruptCsv:
+    """In process: every corrupt CSV parses or raises its documented error."""
+
+    @pytest.fixture(autouse=True)
+    def _no_git(self, monkeypatch):
+        monkeypatch.setattr(cli, "_git_describe", lambda: "test")
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_dataset_csv_parses_or_is_typed_error(self, tmp_path, data):
+        path = tmp_path / "dataset.csv"
+        path.write_bytes(mutated(data, b"# grid,label,split\na.fegp,0,train\n"
+                                       b"b.fegp,1,val\nc.fegp,1,test\n"))
+        argv = ["finetune", "classify", "--dataset", str(path)]
+        args = cli.build_parser().parse_args(argv)
+        try:
+            rows = cli._read_dataset_manifest(str(path), cli._Manifest(args, argv))
+            assert rows and all(isinstance(label, int) for _, label, _ in rows)
+        except (DataError, FormatError):
+            pass
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), task=st.sampled_from(["classify", "regress"]))
+    def test_predictions_csv_scores_or_is_typed_error(self, tmp_path, data, task):
+        path, out = tmp_path / "preds.csv", tmp_path / "report.json"
+        path.write_bytes(mutated(data, b"pred,ref\n0,0\n1,1\n2,1\n"))
+        argv = ["eval", "--in", str(path), "--task", task, "--out", str(out)]
+        args = cli.build_parser().parse_args(argv)
+        try:
+            cli._cmd_eval(args, cli._Manifest(args, argv))
+            assert json.loads(out.read_text())["task"] in ("classification", "regression")
+        except (DataError, FormatError):
+            pass
+
+
 class TestErrors:
     def test_unknown_flag_is_usage_error(self):
         result = run_cli(["synth", "--frobnicate"])
@@ -244,12 +287,15 @@ class TestErrors:
         ["eval", "--in", "HEADER", "--task", "regress"],
         ["eval", "--in", "ONECOL"],
         ["eval", "--in", "NONNUM", "--task", "regress"],
+        ["eval", "--in", "NONINT"],
+        ["eval", "--in", "PREDS", "--classes", "0"],
         ["synth", "--components", "1:2"],
         ["synth", "--components", "a:b:c:d"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
             "pretrain-no-in", "pps-0", "steps-0", "band-one-number", "band-not-numbers",
             "eval-empty", "eval-header-only-classify", "eval-header-only-regress",
-            "eval-one-column", "eval-non-numeric-row", "components-two-fields",
+            "eval-one-column", "eval-non-numeric-row", "eval-non-integer-class",
+            "eval-classes-0", "components-two-fields",
             "components-not-numbers"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
         from fome import errors
@@ -258,12 +304,15 @@ class TestErrors:
 
         inputs = {"GRID": tmp_path / "grid.fegp", "EMPTY": tmp_path / "empty.csv",
                   "HEADER": tmp_path / "header.csv", "ONECOL": tmp_path / "onecol.csv",
-                  "NONNUM": tmp_path / "nonnum.csv", "REC": tmp_path / "rec.bin"}
+                  "NONNUM": tmp_path / "nonnum.csv", "NONINT": tmp_path / "nonint.csv",
+                  "PREDS": tmp_path / "preds.csv", "REC": tmp_path / "rec.bin"}
         write_patch_grid(PatchGrid(np.zeros((2, 4, 16)), 16, 250.0), inputs["GRID"])
         inputs["EMPTY"].write_text("")
         inputs["HEADER"].write_text("pred,ref\n")
         inputs["ONECOL"].write_text("1\n0\n")
         inputs["NONNUM"].write_text("pred,ref\n1.5,2\n0.5,x\n")
+        inputs["NONINT"].write_text("1.7,1\n0,0\n")
+        inputs["PREDS"].write_text("0,0\n1,1\n")
         write_recording(Recording(np.zeros((2, 1000)), 500.0), inputs["REC"])
         args = [str(inputs.get(arg, arg)) for arg in args]
         preset = ["--preset", "tiny"] if args[0] in ("pretrain", "finetune") else []
@@ -271,8 +320,13 @@ class TestErrors:
         assert result.returncode == 1, result.stderr
         payload = json.loads(result.stderr)
         assert issubclass(getattr(errors, payload["error"]), errors.FomeError), payload
-        if args[0] == "eval":
+        if "--classes" in args:
+            assert payload["error"] == "ConfigError", payload
+            assert "--classes" in payload["message"], payload
+        elif args[0] == "eval":
             assert payload["error"] == "DataError", payload
+        if str(inputs["NONINT"]) in args:
+            assert "row 1 " in payload["message"], payload
         if args[0] == "synth":
             assert payload["error"] == "ConfigError", payload
             assert "--components" in payload["message"], payload

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mutations import mutated
 from oracles import encoder_block_oracle, primitive_encoder_block
 
 import fome.numerics as nm
@@ -569,17 +570,7 @@ class TestPersistence:
     def test_corrupt_config_parses_or_is_typed_error(self, tmp_path, data):
         path = tmp_path / "model.config"
         write_model_config(tiny_cfg(attn_scale="dk", dropout=0.1), path)
-        blob = path.read_bytes()
-        kind = data.draw(st.sampled_from(["truncate", "flip", "random"]))
-        if kind == "truncate":
-            blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
-        elif kind == "flip":
-            i = data.draw(st.integers(0, len(blob) - 1))
-            bits = data.draw(st.sampled_from([0x01, 0x80, 0xFF]))
-            blob = blob[:i] + bytes([blob[i] ^ bits]) + blob[i + 1:]
-        else:
-            blob = data.draw(st.binary(max_size=300))
-        path.write_bytes(blob)
+        path.write_bytes(mutated(data, path.read_bytes()))
         try:
             assert isinstance(read_model_config(path), ModelConfig)
         except (ConfigError, FormatError):

@@ -1,6 +1,7 @@
 """Forward semantics, gradient fidelity, tape behaviour, checkpoint format."""
 
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -179,6 +180,28 @@ class TestGradients:
             ref = probs @ v[:, h * d_v:(h + 1) * d_v]
             np.testing.assert_allclose(out[:, h * d_v:(h + 1) * d_v], ref, rtol=1e-12)
 
+    @pytest.mark.parametrize("a_shape, b_shape, gate_shape", [
+        ((2, 3, 4, 5), (1, 4, 5), (2, 3, 4, 1)),  # apply_mask's layout
+        ((2, 3, 4, 5), (4, 1), (1, 3, 4, 1)),  # b * gate is smaller than the output
+    ], ids=["mask-layout", "narrow-b"])
+    def test_blend_is_the_mul_mul_add_chain_bitwise(self, rng, a_shape, b_shape, gate_shape):
+        a_data, b_data = rng.standard_normal(a_shape), rng.standard_normal(b_shape)
+        gate = (rng.uniform(size=gate_shape) < 0.4).astype(np.float64)
+        weights = Tensor(rng.standard_normal(a_shape))
+        runs = []
+        for fused in (True, False):
+            a, b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+            with Tape():
+                x, y = nm.scale(a, 1.5), nm.scale(b, -0.5)  # intermediates, as in the model
+                if fused:
+                    out = nm.blend(x, y, gate)
+                else:
+                    out = nm.add(nm.mul(x, Tensor(1.0 - gate)), nm.mul(y, Tensor(gate)))
+                loss = nm.mean(nm.mul(out, weights))
+            backward(loss)
+            runs.append((out.data.tobytes(), a.grad.tobytes(), b.grad.tobytes()))
+        assert runs[0] == runs[1]
+
     def test_broadcast_add_mul_gradients(self, rng):
         a = Tensor(rng.standard_normal((3, 1, 4)), requires_grad=True)
         b = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
@@ -245,11 +268,16 @@ class TestBackward:
 
     def test_repeated_backward_doubles(self, rng):
         w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
-        with Tape():
-            loss = nm.mse(nm.matmul(w, w), Tensor(np.zeros((3, 3))))
-        backward(loss)
+        losses = []
+        for _ in range(2):  # the same loss on two tapes, from the same leaf
+            with Tape():
+                losses.append(nm.mse(nm.matmul(w, w), Tensor(np.zeros((3, 3)))))
+        backward(losses[0])
         first = w.grad.copy()
-        backward(loss)
+        backward(losses[1])
+        assert np.array_equal(w.grad, 2.0 * first)
+        with pytest.raises(ContractError):
+            backward(losses[1])  # backward consumed that tape
         assert np.array_equal(w.grad, 2.0 * first)
 
     def test_non_scalar_loss_rejected(self):
@@ -282,16 +310,42 @@ class TestBackward:
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
         c = rng.standard_normal((3, 4))
-        with Tape() as tape:
+        with Tape():
             h = nm.matmul(x, w)  # h feeds three consumers, x two
-            s = nm.add(nm.add(nm.scale(h, 2.0), nm.mul(h, Tensor(c))), nm.scale(h, -0.5))
-            loss = nm.mean(nm.add(s, x))
+            twice, weighted = nm.scale(h, 2.0), nm.mul(h, Tensor(c))
+            partial = nm.add(twice, weighted)
+            halved = nm.scale(h, -0.5)
+            s = nm.add(partial, halved)
+            total = nm.add(s, x)
+            loss = nm.mean(total)
         backward(loss)
-        assert all(node.out.grad is None for node in tape.nodes)
+        assert all(t.grad is None for t in (h, twice, weighted, partial, halved, s, total, loss))
         g = np.full((3, 4), 1.0) / 12.0
         gh = g * -0.5 + g * c + g * 2.0  # reverse execution order of h's consumers
         assert x.grad.tobytes() == (g + gh @ w.data.T).tobytes()
         assert w.grad.tobytes() == (x.data.T @ gh).tobytes()
+
+    def test_tape_frees_what_no_backward_reads(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
+        gain = Tensor(np.ones(4), requires_grad=True)
+        bias = Tensor(np.zeros(4), requires_grad=True)
+        with Tape() as tape:
+            h = nm.linear(x, w)
+            s = nm.add(h, x)  # reads neither operand
+            n = nm.affine_norm(s, gain, bias)  # keeps its normalised rows, not s
+            a = nm.gelu(n)  # keeps n
+            target = Tensor(rng.standard_normal((3, 4)))
+            loss = nm.mse(a, target)  # keeps the difference only
+        unread = [weakref.ref(t.data) for t in (h, s, a, target)]
+        read = weakref.ref(n.data)
+        del h, s, n, a, target
+        assert [r() is None for r in unread] == [True] * 4
+        assert read() is not None
+        backward(loss)
+        assert read() is None
+        assert tape.nodes == []
+        assert all(t.grad is not None for t in (x, w, gain, bias))
 
     def test_shared_adjoint_is_not_summed_into(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mutations import mutated
+
 from fome.errors import DataError, FormatError, IoError, SpecError
 from fome.signal_store import (
     Component,
@@ -124,6 +126,17 @@ class TestBinaryFormat:
 
 
 class TestCsvFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_corrupt_csv_parses_or_is_typed_error(self, data):
+        r = Recording(np.array([[0.5, -1.25, 3.0], [2.0, 0.0, -0.75]]), 512.0,
+                      channel_labels=["Fz", "Cz"])
+        blob = mutated(data, recording_to_bytes(r, format="csv"))
+        try:
+            assert isinstance(recording_from_bytes(blob, format="csv"), Recording)
+        except (FormatError, DataError):
+            pass
+
     def test_round_trip(self, rng, tmp_path):
         r = Recording(
             rng.standard_normal((2, 40)).astype(np.float32).astype(np.float64),
