@@ -372,7 +372,7 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
     if args.task != "classify" and not args.infile:
         raise ConfigError(f"finetune {args.task} needs at least one --in grid")
     model_cfg = _model_config(args)
-    train_cfg = _train_config(args)
+    train_cfg = _train_config(args, checkpoint_every=args.checkpoint_every)
 
     if args.task == "classify":
         rows = _read_dataset_manifest(args.manifest_csv, manifest)
@@ -584,6 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-checkpoint", dest="out_checkpoint", default=None)
     p.add_argument("--checkpoint-dir", dest="checkpoint_dir", default=None,
                    help="directory for cadence + best-validation checkpoints")
+    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=500,
+                   help="optimizer steps between cadence checkpoints (default 500)")
     p.add_argument("--classes", type=int, default=2)
     p.add_argument("--mode", choices=("full", "probe"), default="full")
     p.add_argument("--context", type=int, default=15)

@@ -75,6 +75,8 @@ class PatchGrid:
             raise DataError(
                 f"patch_len {self.patch_len} != trailing dim {self.patches.shape[2]}"
             )
+        if not (np.isfinite(self.source_rate_hz) and self.source_rate_hz > 0):
+            raise DataError(f"sample rate must be finite and positive, got {self.source_rate_hz} Hz")
         if not np.all(np.isfinite(self.patches)):
             raise DataError("patch values must be finite")
 
@@ -147,8 +149,8 @@ def resample(r: Recording, target_hz: float) -> Recording:
     Output length is round(T * target / source); the FIR group delay is
     compensated so output sample m sits at time m / target.
     """
-    if target_hz <= 0:
-        raise ConfigError(f"target rate must be positive, got {target_hz}")
+    if not (np.isfinite(target_hz) and target_hz > 0):
+        raise ConfigError(f"target rate must be finite and positive, got {target_hz}")
     up, down = _rate_ratio(target_hz, r.sample_rate_hz)
     if up == down:
         return Recording(r.data.copy(), r.sample_rate_hz, r.channel_labels, r.id)

@@ -50,8 +50,8 @@ class Recording:
             raise DataError(f"data must be 2-D (channels, samples), got shape {self.data.shape}")
         if self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise DataError(f"need at least one channel and one sample, got {self.data.shape}")
-        if self.sample_rate_hz <= 0:
-            raise DataError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise DataError(f"sample rate must be finite and positive, got {self.sample_rate_hz} Hz")
         if not np.all(np.isfinite(self.data)):
             c, t = _first_nonfinite(self.data)
             raise DataError(f"non-finite sample at channel {c}, index {t}")
@@ -96,8 +96,9 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.channels < 1:
             raise SpecError(f"channels must be >= 1, got {self.channels}")
-        if self.duration_s <= 0 or self.sample_rate_hz <= 0:
-            raise SpecError("duration_s and sample_rate_hz must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in (self.duration_s, self.sample_rate_hz)):
+            raise SpecError("duration_s and sample_rate_hz must be finite and positive, got "
+                            f"{self.duration_s} s and {self.sample_rate_hz} Hz")
         if self.noise_std < 0:
             raise SpecError(f"noise_std must be >= 0, got {self.noise_std}")
         self.components = [Component(*c) for c in self.components]

@@ -15,7 +15,9 @@ slots pre-training hides and the missing patches of an `ImputeSample`.
 Each public entry call reads its samples from one `_Samples` store, which
 computes a grid's band powers at most once: for the whole training set before
 the first step, and for scored samples when first scored, in one
-`band_powers` call per stack of grids of one shape and rate.
+`band_powers` call per stack of grids of one shape and rate.  Imputation
+scoring is the exception: `evaluate_impute` scores each sample once, so it
+keeps no store and holds one zeroed grid at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .model import ModelConfig, ParameterStore
 from .numerics import Tensor
 from .preprocess import PatchGrid
 from .rng import Rng
-from .spectral import band_powers
+from .spectral import N_BANDS, band_powers
 
 
 @dataclass
@@ -68,6 +70,8 @@ class TrainConfig:
             raise ConfigError(f"loss_scope must be masked_only|all, got {self.loss_scope!r}")
         if self.mask_mode not in ("slot", "column"):
             raise ConfigError(f"mask_mode must be slot|column, got {self.mask_mode!r}")
+        if self.checkpoint_every < 1:
+            raise ConfigError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
 
 
 def scale_schedule(cfg: TrainConfig, steps: int) -> TrainConfig:
@@ -203,13 +207,21 @@ def fbeta(precision: float, recall: float, beta: float) -> float:
     return (1.0 + beta**2) * precision * recall / denom
 
 
+# 2^24 int64 cells: a 128 MiB confusion matrix, 4096 classes
+_MAX_CONFUSION_CELLS = 1 << 24
+
+
 def classification_metrics(preds, labels, n_classes: int) -> MetricsReport:
     """Confusion matrix plus accuracy and macro precision/recall/F1/F2.
 
     Macro averages run over the classes that occur in the labels or the
     predictions; a class with zero predicted and zero actual instances does
-    not dilute them.  Empty precision/recall denominators count as 0.
+    not dilute them.  Empty precision/recall denominators count as 0.  A
+    confusion matrix over `_MAX_CONFUSION_CELLS` cells is refused.
     """
+    if int(n_classes) ** 2 > _MAX_CONFUSION_CELLS:
+        raise DataError(f"{n_classes} classes need a {n_classes}x{n_classes} confusion matrix, "
+                        f"over the limit of {_MAX_CONFUSION_CELLS} cells")
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape:
@@ -735,43 +747,61 @@ def make_impute_samples(
     ]
 
 
+def _channel_means(sample: ImputeSample) -> list[float]:
+    """Each channel's mean over its observed samples; 0.0 for a channel
+    with every patch missing."""
+    means = []
+    for c in range(sample.grid.n_channels):
+        observed = sample.grid.patches[c, ~sample.missing[c]]
+        means.append(float(observed.mean()) if observed.size else 0.0)
+    return means
+
+
 def mean_imputation(sample: ImputeSample) -> np.ndarray:
     """Fill missing patches with the channel's mean over observed samples."""
     filled = sample.grid.patches.copy()
-    for c in range(sample.grid.n_channels):
-        observed = sample.grid.patches[c, ~sample.missing[c]]
-        value = float(observed.mean()) if observed.size else 0.0
+    for c, value in enumerate(_channel_means(sample)):
         filled[c, sample.missing[c]] = value
     return filled
-
-
-def _observed_grid(sample: ImputeSample) -> PatchGrid:
-    """The model's view: missing patches zeroed (their content is replaced
-    by the mask embedding anyway, but band powers must not see the truth)."""
-    patches = np.where(sample.missing[..., None], 0.0, sample.grid.patches)
-    return PatchGrid(patches, sample.grid.patch_len, sample.grid.source_rate_hz)
 
 
 def evaluate_impute(
     samples: list[ImputeSample], params: ParameterStore, model_cfg: ModelConfig
 ) -> MetricsReport:
-    """Reconstruction error on missing patches only, vs mean imputation;
-    one unstacked forward pass per sample with missing patches."""
-    scored = [sample for sample in samples if sample.missing.any()]
-    if not scored:
-        return MetricsReport(task="imputation", notes={"no-missing": True})
-    store = _Samples([_observed_grid(sample) for sample in scored], model_cfg)
+    """Reconstruction error on missing patches only, vs mean imputation.
+
+    One unstacked forward pass per sample with missing patches, scored one
+    sample at a time.  The model sees a copy of the grid with its missing
+    patches zeroed, so nothing it reads comes from the truth; band powers
+    are computed for the observed patches only, in one call, since a zero
+    patch's are exactly 0.  The baseline reads each channel's observed mean
+    without filling a grid.
+    """
     pred_vals, base_vals, true_vals = [], [], []
-    for i, sample in enumerate(scored):
-        encoded = mdl.forward(store.grids[i].patches, store.powers(i), params, model_cfg,
-                              mask=sample.missing)
-        rec = mdl.head_reconstruct(encoded, params).data
-        pred_vals.append(rec[sample.missing].ravel())
-        base_vals.append(mean_imputation(sample)[sample.missing].ravel())
-        true_vals.append(sample.grid.patches[sample.missing].ravel())
-    preds = np.concatenate(pred_vals)
+    for sample in samples:
+        missing = sample.missing
+        if not missing.any():
+            continue
+        patches = sample.grid.patches
+        observed = patches.copy()
+        observed[missing] = 0.0
+        powers = None
+        if model_cfg.use_freq_embed:
+            powers = np.zeros(missing.shape + (N_BANDS,))
+            kept = ~missing
+            if kept.any():
+                grid = PatchGrid(patches[kept][None], sample.grid.patch_len,
+                                 sample.grid.source_rate_hz)
+                powers[kept] = band_powers(grid)[0]
+        encoded = mdl.forward(observed, powers, params, model_cfg, mask=missing)
+        pred_vals.append(mdl.head_reconstruct(encoded, params).data[missing].ravel())
+        counts = missing.sum(axis=1) * sample.grid.patch_len
+        base_vals.append(np.repeat(_channel_means(sample), counts))
+        true_vals.append(patches[missing].ravel())
+    if not pred_vals:
+        return MetricsReport(task="imputation", notes={"no-missing": True})
     truth = np.concatenate(true_vals)
-    report = regression_metrics(preds, truth, task="imputation")
+    report = regression_metrics(np.concatenate(pred_vals), truth, task="imputation")
     base = regression_metrics(np.concatenate(base_vals), truth)
     report.baseline = {"mean_imputation_mae": base.mae, "mean_imputation_mse": base.mse}
     return report

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -50,25 +52,32 @@ def by_name(hashes):
     return {path.split("/")[-1]: digest for path, digest in hashes.items()}
 
 
+def write_classify_dataset(directory, seed):
+    """Ten seeded (2, 3, 500) grids labelled alternately 0 and 1, listed in
+    `directory`/dataset.csv; returns the CSV's path."""
+    from fome.preprocess import PatchGrid, write_patch_grid
+    from fome.rng import Rng
+
+    gen = Rng(seed)
+    rows = []
+    for i in range(10):
+        grid = PatchGrid(gen.normals(2 * 3 * 500).reshape(2, 3, 500), 500, 250.0)
+        write_patch_grid(grid, directory / f"g{i}.fegp")
+        rows.append(f"g{i}.fegp,{i % 2}")
+    (directory / "dataset.csv").write_text("\n".join(rows) + "\n")
+    return directory / "dataset.csv"
+
+
 def finetune_from_checkpoint(checkpoint, tmp_path):
     """`finetune classify --checkpoint` for 500 optimizer steps (one cadence
     checkpoint) into `tmp_path`/ckdir, which already holds a stale file;
     returns the run's manifest."""
-    from fome.preprocess import PatchGrid, write_patch_grid
-    from fome.rng import Rng
-
-    gen = Rng(8)
-    rows = []
-    for i in range(10):
-        grid = PatchGrid(gen.normals(2 * 3 * 500).reshape(2, 3, 500), 500, 250.0)
-        write_patch_grid(grid, tmp_path / f"g{i}.fegp")
-        rows.append(f"g{i}.fegp,{i % 2}")
-    (tmp_path / "dataset.csv").write_text("\n".join(rows) + "\n")
+    dataset = write_classify_dataset(tmp_path, seed=8)
     (tmp_path / "ckdir").mkdir()
     (tmp_path / "ckdir" / "stale.fckp").write_bytes(b"not written by this run")
     out = tmp_path / "metrics.json"
     result = run_cli([
-        "finetune", "classify", "--dataset", str(tmp_path / "dataset.csv"),
+        "finetune", "classify", "--dataset", str(dataset),
         "--checkpoint", str(checkpoint), "--checkpoint-dir", str(tmp_path / "ckdir"),
         "--classes", "2", "--steps", "500", "--batch", "1", "--accum", "1",
         "--lr-peak", "1e-3", "--preset", "tiny", "--seed", "3", "--out", str(out),
@@ -282,6 +291,7 @@ class TestErrors:
         ["pretrain", "--in", "GRID", "--pps", "2", "--steps", "0"],
         ["preprocess", "--in", "REC", "--band", "1"],
         ["preprocess", "--in", "REC", "--band", "a:b"],
+        ["preprocess", "--in", "REC", "--rate", "nan"],
         ["eval", "--in", "EMPTY"],
         ["eval", "--in", "HEADER"],
         ["eval", "--in", "HEADER", "--task", "regress"],
@@ -289,13 +299,15 @@ class TestErrors:
         ["eval", "--in", "NONNUM", "--task", "regress"],
         ["eval", "--in", "NONINT"],
         ["eval", "--in", "PREDS", "--classes", "0"],
+        ["eval", "--in", "HUGE"],
         ["synth", "--components", "1:2"],
         ["synth", "--components", "a:b:c:d"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
             "pretrain-no-in", "pps-0", "steps-0", "band-one-number", "band-not-numbers",
+            "target-rate-nan",
             "eval-empty", "eval-header-only-classify", "eval-header-only-regress",
             "eval-one-column", "eval-non-numeric-row", "eval-non-integer-class",
-            "eval-classes-0", "components-two-fields",
+            "eval-classes-0", "eval-huge-class", "components-two-fields",
             "components-not-numbers"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
         from fome import errors
@@ -305,7 +317,8 @@ class TestErrors:
         inputs = {"GRID": tmp_path / "grid.fegp", "EMPTY": tmp_path / "empty.csv",
                   "HEADER": tmp_path / "header.csv", "ONECOL": tmp_path / "onecol.csv",
                   "NONNUM": tmp_path / "nonnum.csv", "NONINT": tmp_path / "nonint.csv",
-                  "PREDS": tmp_path / "preds.csv", "REC": tmp_path / "rec.bin"}
+                  "PREDS": tmp_path / "preds.csv", "REC": tmp_path / "rec.bin",
+                  "HUGE": tmp_path / "huge.csv"}
         write_patch_grid(PatchGrid(np.zeros((2, 4, 16)), 16, 250.0), inputs["GRID"])
         inputs["EMPTY"].write_text("")
         inputs["HEADER"].write_text("pred,ref\n")
@@ -313,6 +326,7 @@ class TestErrors:
         inputs["NONNUM"].write_text("pred,ref\n1.5,2\n0.5,x\n")
         inputs["NONINT"].write_text("1.7,1\n0,0\n")
         inputs["PREDS"].write_text("0,0\n1,1\n")
+        inputs["HUGE"].write_text("1000000,0\n0,0\n")
         write_recording(Recording(np.zeros((2, 1000)), 500.0), inputs["REC"])
         args = [str(inputs.get(arg, arg)) for arg in args]
         preset = ["--preset", "tiny"] if args[0] in ("pretrain", "finetune") else []
@@ -327,6 +341,8 @@ class TestErrors:
             assert payload["error"] == "DataError", payload
         if str(inputs["NONINT"]) in args:
             assert "row 1 " in payload["message"], payload
+        if str(inputs["HUGE"]) in args:
+            assert payload["message"].startswith("1000001 classes"), payload
         if args[0] == "synth":
             assert payload["error"] == "ConfigError", payload
             assert "--components" in payload["message"], payload
@@ -391,9 +407,15 @@ class TestErrors:
         (["finetune", "impute", "--in", "GRID"], "FormatError"),
         (["eval", "--in", "PREDS"], "DataError"),
         (["inspect-checkpoint", "--in", "CKPT"], "FormatError"),
+        (["preprocess", "--in", "CSV_REC_NAN_RATE", "--format", "csv"], "DataError"),
+        (["preprocess", "--in", "REC_INF_RATE"], "DataError"),
+        (["spectra", "--in", "GRID_NAN_RATE"], "DataError"),
+        (["spectra", "--in", "GRID_INF_RATE"], "DataError"),
+        (["spectra", "--in", "GRID_ZERO_RATE"], "DataError"),
     ], ids=["synth", "preprocess", "preprocess-csv", "spectra", "pretrain",
             "pretrain-checkpoint", "finetune-classify", "finetune-forecast", "finetune-impute",
-            "eval", "inspect-checkpoint"])
+            "eval", "inspect-checkpoint", "csv-recording-nan-rate", "recording-inf-rate",
+            "grid-nan-rate", "grid-inf-rate", "grid-zero-rate"])
     def test_corrupt_input_is_one_typed_json_error(self, tmp_path, args, error):
         import fome.numerics as nm
         from fome.preprocess import PatchGrid, grid_to_bytes
@@ -407,7 +429,11 @@ class TestErrors:
                   "GRID": grid[: len(grid) // 2], "GOOD_GRID": grid,
                   "CKPT": (tmp_path / "whole.fckp").read_bytes()[:-5],
                   "DATASET": b"grid.fegp,0\ngrid.fegp,1\n",
-                  "PREDS": b"1,1\n0,1e999x\n"}
+                  "PREDS": b"1,1\n0,1e999x\n",
+                  "CSV_REC_NAN_RATE": b"# rate_hz=nan\nFz\n1.0\n2.0\n",
+                  "REC_INF_RATE": struct.pack("<4sBIQd", b"FEEG", 1, 1, 2, math.inf) + bytes(8),
+                  **{f"GRID_{name}_RATE": struct.pack("<4sIIId", b"FEGP", 1, 1, 4, rate) + bytes(16)
+                     for name, rate in (("NAN", math.nan), ("INF", math.inf), ("ZERO", 0.0))}}
         paths = {name: tmp_path / {"DATASET": "dataset.csv", "GRID": "grid.fegp"}.get(name, name)
                  for name in inputs}
         for name, payload in inputs.items():
@@ -488,6 +514,35 @@ class TestFinetuneCommand:
         report = json.loads(out.read_text())
         # explicit test block has 2 samples
         assert int(np.sum(report["confusion"])) == 2
+
+
+class TestCheckpointEvery:
+    def run(self, tmp_path, every):
+        dataset = write_classify_dataset(tmp_path, seed=9)
+        return run_cli([
+            "finetune", "classify", "--dataset", str(dataset),
+            "--checkpoint-dir", str(tmp_path / "ckdir"), "--checkpoint-every", str(every),
+            "--classes", "2", "--steps", "4", "--batch", "1", "--accum", "1",
+            "--lr-peak", "1e-3", "--preset", "tiny", "--out", str(tmp_path / "metrics.json"),
+        ])
+
+    def test_cadence_checkpoints_listed_in_manifest(self, tmp_path):
+        result = self.run(tmp_path, 2)
+        assert result.returncode == 0, result.stderr
+        ckdir = tmp_path / "ckdir"
+        names = ("step-000002.fckp", "step-000004.fckp", "best-validation.fckp", "final.fckp")
+        assert sorted(os.listdir(ckdir)) == sorted(names)
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert set(manifest["outputs"]) == {str(tmp_path / "metrics.json")} | {
+            f"{ckdir}/{name}" for name in names}
+
+    def test_cadence_below_one_is_config_error(self, tmp_path):
+        result = self.run(tmp_path, 0)
+        assert result.returncode == 1, result.stderr
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "ConfigError", payload
+        assert "checkpoint_every" in payload["message"], payload
+        assert not (tmp_path / "ckdir").exists()
 
 
 class TestThreads:

@@ -1,5 +1,6 @@
 """Filter attenuation contracts, resampling, standardization, patching."""
 
+import re
 import struct
 
 import numpy as np
@@ -346,6 +347,14 @@ class TestGridFormat:
     def test_bad_magic(self):
         with pytest.raises(FormatError):
             grid_from_bytes(b"XXXX" + bytes(20))
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0, -250.0])
+    def test_non_finite_or_non_positive_rate_rejected(self, rate):
+        named = re.escape(f"got {rate} Hz")
+        with pytest.raises(DataError, match=named):
+            PatchGrid(np.zeros((1, 1, 4)), 4, rate)
+        with pytest.raises(DataError, match=named):
+            grid_from_bytes(struct.pack("<4sIIId", b"FEGP", 1, 1, 4, rate) + bytes(16))
 
     def test_every_truncation_and_byte_flip_parses_or_is_typed_error(self):
         blob = grid_to_bytes(PatchGrid(np.arange(12.0).reshape(2, 3, 2), 2, 250.0))

@@ -1,5 +1,6 @@
 """Recording I/O round-trips, format errors, and synthetic generation."""
 
+import re
 import struct
 
 import numpy as np
@@ -237,3 +238,21 @@ class TestRecordingInvariants:
     def test_label_count_checked(self):
         with pytest.raises(DataError):
             Recording(np.zeros((2, 4)), 250.0, channel_labels=["one"])
+
+
+class TestSampleRate:
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0, -250.0])
+    def test_non_finite_or_non_positive_rate_rejected_by_each_codec(self, rate):
+        named = re.escape(f"got {rate} Hz")
+        with pytest.raises(DataError, match=named):
+            Recording(np.zeros((1, 2)), rate)
+        feeg = struct.pack("<4sBIQd", b"FEEG", 1, 1, 2, rate) + bytes(8)
+        with pytest.raises(DataError, match=named):
+            recording_from_bytes(feeg)
+        with pytest.raises(DataError, match=named):
+            recording_from_bytes(f"# rate_hz={rate!r}\nFz\n1.0\n2.0\n".encode(), format="csv")
+
+    @pytest.mark.parametrize("duration_s, rate", [(1.0, float("nan")), (float("inf"), 250.0)])
+    def test_synthetic_spec_needs_finite_duration_and_rate(self, duration_s, rate):
+        with pytest.raises(SpecError, match="finite and positive"):
+            SyntheticSpec(channels=1, duration_s=duration_s, sample_rate_hz=rate, seed=0)

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import adamw_scalar, fbeta_closed_form
+from oracles import adamw_scalar, fbeta_closed_form, impute_report_oracle
 
 from fome import model, trainer
 from fome.errors import ConfigError, DataError, TrainError
-from fome.model import ParameterStore, preset
+from fome.model import ModelConfig, ParameterStore, preset
 import fome.numerics as nm
 from fome.numerics import Tensor
 from fome.preprocess import PatchGrid
@@ -73,6 +73,10 @@ class TestSchedule:
         steps = np.linspace(cfg.warmup_steps, cfg.total_steps, 50, dtype=int)
         values = [lr_at(int(s), cfg) for s in steps]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_checkpoint_cadence_below_one_rejected(self):
+        with pytest.raises(ConfigError, match="checkpoint_every"):
+            TrainConfig(checkpoint_every=0)
 
     def test_scale_schedule_keeps_ratio(self):
         cfg = scale_schedule(TrainConfig(), 2000)
@@ -224,6 +228,19 @@ class TestMetrics:
     def test_label_out_of_range(self):
         with pytest.raises(DataError):
             classification_metrics([0, 1], [0, 2], 2)
+
+    @pytest.mark.parametrize("preds, labels, n_classes", [
+        ([1_000_000, 0], [0, 0], 1_000_001),
+        ([1, 0], [0, 0], 4097),
+    ], ids=["inferred", "explicit"])
+    def test_huge_class_count_refused_before_allocating(self, monkeypatch, preds, labels,
+                                                        n_classes):
+        def no_zeros(*args, **kwargs):
+            raise AssertionError("allocated a confusion matrix")
+
+        monkeypatch.setattr(trainer.np, "zeros", no_zeros)
+        with pytest.raises(DataError, match=f"^{n_classes} classes"):
+            classification_metrics(preds, labels, n_classes)
 
     def test_regression_zero_on_equal(self, rng):
         x = rng.standard_normal(40)
@@ -673,6 +690,62 @@ class TestImpute:
         observed_mean = grid.patches[0, [0, 2, 3]].mean()
         np.testing.assert_allclose(filled[0, 1], observed_mean)
         np.testing.assert_array_equal(filled[0, 0], grid.patches[0, 0])
+
+    @staticmethod
+    def _scored(cfg, channels, patches, length, seed=41):
+        """Fresh parameters with the reconstruction head, and seeded 40 %
+        missing samples of the given channel counts."""
+        params = ParameterStore.initialize(cfg, seed=seed)
+        params.add(model.reconstruct_head_shapes(cfg), seed=seed + 1)
+        gen = Rng(seed)
+        grids = [PatchGrid(gen.normals(c * patches * length).reshape(c, patches, length),
+                           length, 250.0) for c in channels]
+        return params, make_impute_samples(grids, 0.40, Rng(seed + 2))
+
+    @pytest.mark.parametrize("case", ["desk", "mixed-montages", "channel-all-missing",
+                                      "nothing-observed", "ablate-freq"])
+    def test_report_matches_oracle_bitwise(self, case):
+        if case == "desk":
+            cfg = ModelConfig(patch_len=1500, model_dim=64, heads=4, ffn_dim=128,
+                              temporal_layers=2, channel_layers=1, max_patches=15)
+            params, samples = self._scored(cfg, [19], 15, 1500)
+        else:
+            cfg = preset("tiny")
+            if case == "ablate-freq":
+                cfg = model.apply_ablation(cfg, "freq")
+            params, samples = self._scored(cfg, [2, 3, 2, 3], 5, 8)
+        if case == "channel-all-missing":
+            samples[1].missing[2] = True
+        elif case == "nothing-observed":
+            samples[2].missing[:] = True
+        assert repr(evaluate_impute(samples, params, cfg)) == repr(
+            impute_report_oracle(samples, params, cfg))
+
+    def test_model_sees_observed_patches_only(self, monkeypatch):
+        cfg = preset("tiny")
+        params, samples = self._scored(cfg, [2, 3, 3], 5, 8)
+        samples[1].missing[0] = True
+        samples[2].missing[:] = True
+        counts, inputs = [], []
+
+        def counting(grid, *args, **kwargs):
+            counts.append(int(np.prod(grid.patches.shape[:2])))
+            return band_powers(grid, *args, **kwargs)
+
+        def recording(patches, *args, **kwargs):
+            inputs.append(patches.copy())
+            return forward(patches, *args, **kwargs)
+
+        forward = model.forward
+        monkeypatch.setattr(trainer, "band_powers", counting)
+        monkeypatch.setattr(model, "forward", recording)
+        evaluate_impute(samples, params, cfg)
+        # a sample with nothing observed needs no call
+        assert counts == [int((~s.missing).sum()) for s in samples if (~s.missing).any()]
+        for seen, sample in zip(inputs, samples, strict=True):
+            assert not seen[sample.missing].any()
+            np.testing.assert_array_equal(seen[~sample.missing],
+                                          sample.grid.patches[~sample.missing])
 
     def test_no_missing_reported(self):
         cfg = preset("tiny")
