@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
-One command is one process.  Every run that writes a primary output also
-emits a JSON manifest (command line, resolved configs, seed, input/output
-hashes, wall time, git describe) sufficient to re-execute it exactly.
+One command is one process; a caller that runs several commands in one
+process through `main` reuses the argument parser and the `git describe`
+result.  Every run that writes a primary output also emits a JSON manifest
+(command line, resolved configs, seed, input/output hashes, wall time, git
+describe of the fome source tree) sufficient to re-execute it exactly.
 Recordings and patch grids stream through stdin/stdout when a path is "-",
 so stages compose as shell pipelines.
 
@@ -13,6 +15,7 @@ BLAS thread count must be pinned before numpy loads.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -61,11 +64,15 @@ def _sha256(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
+@functools.cache
 def _git_describe() -> str:
+    """`git describe` of the fome source tree that is running, whatever the
+    caller's working directory; "unknown" outside a git checkout."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True, text=True, timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         if out.returncode == 0:
             return out.stdout.strip()
@@ -288,7 +295,7 @@ def _split_into_samples(grid, patches_per_sample: int):
     ]
 
 
-def _load_grids(paths: list[str], manifest: _Manifest):
+def _load_grids(paths: list[str] | tuple[str, ...], manifest: _Manifest):
     from .preprocess import grid_from_bytes
 
     grids = []
@@ -529,7 +536,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", default=None, help="initialize from this checkpoint")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `fome` parser, built once per process; defaults are immutable so
+    that no parse can change what the next one sees."""
     parser = argparse.ArgumentParser(prog="fome", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -567,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="masked-reconstruction pre-training")
     _add_common(p)
     _add_train_flags(p)
-    p.add_argument("--in", dest="infile", nargs="*", default=["-"])
+    p.add_argument("--in", dest="infile", nargs="*", default=("-",))
     p.add_argument("--out", default="checkpoint.fckp")
     p.add_argument("--trace", default=None, help="loss trace CSV path")
     p.add_argument("--pps", type=int, default=15, help="patches per sample")
@@ -577,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_train_flags(p)
     p.add_argument("task", choices=("classify", "forecast", "impute"))
-    p.add_argument("--in", dest="infile", nargs="*", default=[])
+    p.add_argument("--in", dest="infile", nargs="*", default=())
     p.add_argument("--dataset", dest="manifest_csv", default=None,
                    help="labeled dataset manifest CSV (classify)")
     p.add_argument("--out", default="-", help="metrics JSON path")

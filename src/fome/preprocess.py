@@ -94,26 +94,34 @@ class PatchGrid:
 # ---------------------------------------------------------------------------
 
 
-def notch_filter(r: Recording, f0_hz: float, q: float = 35.0) -> Recording:
-    """Second-order IIR notch at f0, applied causally per channel."""
-    nyquist = r.sample_rate_hz / 2.0
+def _notch_sos(rate_hz: float, f0_hz: float, q: float) -> np.ndarray:
+    """The notch biquad as one second-order section; f0 must lie below Nyquist."""
+    nyquist = rate_hz / 2.0
     if not 0 < f0_hz < nyquist:
         raise ConfigError(f"notch frequency {f0_hz} Hz outside (0, {nyquist}) Hz")
-    b, a = iirnotch(f0_hz, q, fs=r.sample_rate_hz)
-    sos = np.hstack([b, a]).reshape(1, 6)
-    out = sosfilt(sos, r.data, axis=1)
+    b, a = iirnotch(f0_hz, q, fs=rate_hz)
+    return np.hstack([b, a]).reshape(1, 6)
+
+
+def _bandpass_sos(rate_hz: float, lo_hz: float, hi_hz: float) -> np.ndarray:
+    """The Butterworth band-pass as two second-order sections."""
+    nyquist = rate_hz / 2.0
+    if not 0 < lo_hz < hi_hz < nyquist:
+        raise ConfigError(
+            f"band ({lo_hz}, {hi_hz}) Hz invalid for Nyquist {nyquist} Hz"
+        )
+    return butter(2, [lo_hz, hi_hz], btype="bandpass", output="sos", fs=rate_hz)
+
+
+def notch_filter(r: Recording, f0_hz: float, q: float = 35.0) -> Recording:
+    """Second-order IIR notch at f0, applied causally per channel."""
+    out = sosfilt(_notch_sos(r.sample_rate_hz, f0_hz, q), r.data, axis=1)
     return Recording(out, r.sample_rate_hz, r.channel_labels, r.id)
 
 
 def bandpass_filter(r: Recording, lo_hz: float, hi_hz: float) -> Recording:
     """4th-order Butterworth band-pass as cascaded biquads, causal."""
-    nyquist = r.sample_rate_hz / 2.0
-    if not 0 < lo_hz < hi_hz < nyquist:
-        raise ConfigError(
-            f"band ({lo_hz}, {hi_hz}) Hz invalid for Nyquist {nyquist} Hz"
-        )
-    sos = butter(2, [lo_hz, hi_hz], btype="bandpass", output="sos", fs=r.sample_rate_hz)
-    out = sosfilt(sos, r.data, axis=1)
+    out = sosfilt(_bandpass_sos(r.sample_rate_hz, lo_hz, hi_hz), r.data, axis=1)
     return Recording(out, r.sample_rate_hz, r.channel_labels, r.id)
 
 
@@ -244,10 +252,16 @@ def window_and_patch(r: Recording, cfg: PreprocessConfig, patch_len: int) -> Pat
 def preprocess_pipeline(
     r: Recording, cfg: PreprocessConfig, patch_len: int | None = None
 ) -> PatchGrid:
-    """Full conditioning chain ending in a standardized PatchGrid."""
+    """Full conditioning chain ending in a standardized PatchGrid.
+
+    The notch and the band-pass run as one cascaded `sosfilt` over their
+    three sections.  `sosfilt` takes each sample through the sections in
+    turn, so the result is bitwise `bandpass_filter(notch_filter(r))`.
+    """
     patch_len = cfg.window_len_samples if patch_len is None else patch_len
-    stage = notch_filter(r, cfg.notch_hz, cfg.notch_q)
-    stage = bandpass_filter(stage, cfg.band_lo_hz, cfg.band_hi_hz)
+    sos = np.vstack([_notch_sos(r.sample_rate_hz, cfg.notch_hz, cfg.notch_q),
+                     _bandpass_sos(r.sample_rate_hz, cfg.band_lo_hz, cfg.band_hi_hz)])
+    stage = Recording(sosfilt(sos, r.data, axis=1), r.sample_rate_hz, r.channel_labels, r.id)
     stage = resample(stage, cfg.target_rate_hz)
     stage = detrend(stage)
     grid = window_and_patch(stage, cfg, patch_len)

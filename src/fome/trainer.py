@@ -211,6 +211,13 @@ def fbeta(precision: float, recall: float, beta: float) -> float:
 _MAX_CONFUSION_CELLS = 1 << 24
 
 
+def _check_class_count(n_classes: int) -> None:
+    """Refuse a class count whose confusion matrix passes `_MAX_CONFUSION_CELLS`."""
+    if int(n_classes) ** 2 > _MAX_CONFUSION_CELLS:
+        raise DataError(f"{n_classes} classes need a {n_classes}x{n_classes} confusion matrix, "
+                        f"over the limit of {_MAX_CONFUSION_CELLS} cells")
+
+
 def classification_metrics(preds, labels, n_classes: int) -> MetricsReport:
     """Confusion matrix plus accuracy and macro precision/recall/F1/F2.
 
@@ -219,9 +226,7 @@ def classification_metrics(preds, labels, n_classes: int) -> MetricsReport:
     not dilute them.  Empty precision/recall denominators count as 0.  A
     confusion matrix over `_MAX_CONFUSION_CELLS` cells is refused.
     """
-    if int(n_classes) ** 2 > _MAX_CONFUSION_CELLS:
-        raise DataError(f"{n_classes} classes need a {n_classes}x{n_classes} confusion matrix, "
-                        f"over the limit of {_MAX_CONFUSION_CELLS} cells")
+    _check_class_count(n_classes)
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape:
@@ -263,8 +268,11 @@ def regression_metrics(preds, targets, task: str = "regression") -> MetricsRepor
         raise DataError(f"preds shape {preds.shape} != targets shape {targets.shape}")
     if preds.size == 0:
         raise DataError("cannot score an empty prediction set")
-    diff = preds - targets
-    return MetricsReport(task=task, mae=float(np.mean(np.abs(diff))), mse=float(np.mean(diff**2)))
+    # one buffer: |d|, then |d|*|d|, which is d**2 bit for bit
+    buf = np.atleast_1d(preds - targets)
+    mae = float(np.mean(np.abs(buf, out=buf)))
+    mse = float(np.mean(np.multiply(buf, buf, out=buf)))
+    return MetricsReport(task=task, mae=mae, mse=mse)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +606,7 @@ def finetune_classify(
     for _, label in dataset:
         if not 0 <= int(label) < n_classes:
             raise DataError(f"label {label} outside [0, {n_classes})")
+    _check_class_count(n_classes)
     _ensure_head(params, mdl.classify_head_shapes(model_cfg, n_classes), seed=cfg.seed + 2)
     splits = splits if splits is not None else split_blocks(len(dataset))
     labels = np.array([int(label) for _, label in dataset])

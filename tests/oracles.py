@@ -2,10 +2,11 @@
 
 Everything here is deliberately written straight-line, without touching the
 package's own kernels, so a test comparing the two paths is a genuine
-cross-check rather than a tautology.  The one exception is
-`primitive_encoder_block`, which runs the encoder block as the chain of
-primitive taped ops the fused kernels replace, so that the fused block can
-be held to it bit for bit, gradients included.
+cross-check rather than a tautology.  Two exceptions hold a fused path to
+the chain of package stages it replaces, bit for bit:
+`primitive_encoder_block` runs the encoder block as primitive taped ops,
+gradients included, and `conditioning_oracle` runs the preprocessing
+pipeline one public stage at a time.
 """
 
 from __future__ import annotations
@@ -159,11 +160,33 @@ def primitive_encoder_block(x, params, prefix, cfg, stream=None):
     return nm.add(x, _maybe_dropout(produced, cfg.dropout, stream))
 
 
+def conditioning_oracle(recording, cfg, patch_len=None):
+    """`preprocess_pipeline` as its stage chain: notch, band-pass, resample,
+    detrend, window and patch, then each window standardized on its own."""
+    from fome.preprocess import (PatchGrid, _standardize, bandpass_filter, detrend,
+                                 notch_filter, resample, window_and_patch)
+
+    patch_len = cfg.window_len_samples if patch_len is None else patch_len
+    stage = notch_filter(recording, cfg.notch_hz, cfg.notch_q)
+    stage = bandpass_filter(stage, cfg.band_lo_hz, cfg.band_hi_hz)
+    stage = detrend(resample(stage, cfg.target_rate_hz))
+    grid = window_and_patch(stage, cfg, patch_len)
+    windows = grid.patches.reshape(grid.n_channels, -1, cfg.window_len_samples)
+    standardized, _ = _standardize(windows, cfg.ema_alpha, cfg.eps)
+    return PatchGrid(standardized.reshape(grid.patches.shape), patch_len, cfg.target_rate_hz)
+
+
+def _plain_errors(preds, truth):
+    """(MAE, MSE) with a full-size temporary for each term."""
+    diff = preds - truth
+    return float(np.mean(np.abs(diff))), float(np.mean(diff**2))
+
+
 def impute_report_oracle(samples, params, model_cfg):
     """`evaluate_impute` the plain way: per sample with a missing patch, band
     powers of the whole zeroed grid, the forward pass, the full
     reconstruction head and the `mean_imputation` grid, each read at the
-    missing patches."""
+    missing patches, scored without `regression_metrics`."""
     from fome import model, trainer
     from fome.preprocess import PatchGrid
     from fome.spectral import band_powers
@@ -183,7 +206,7 @@ def impute_report_oracle(samples, params, model_cfg):
     if not preds:
         return trainer.MetricsReport(task="imputation", notes={"no-missing": True})
     truth = np.concatenate(truths)
-    report = trainer.regression_metrics(np.concatenate(preds), truth, task="imputation")
-    base = trainer.regression_metrics(np.concatenate(bases), truth)
-    report.baseline = {"mean_imputation_mae": base.mae, "mean_imputation_mse": base.mse}
-    return report
+    mae, mse = _plain_errors(np.concatenate(preds), truth)
+    base_mae, base_mse = _plain_errors(np.concatenate(bases), truth)
+    return trainer.MetricsReport(task="imputation", mae=mae, mse=mse, baseline={
+        "mean_imputation_mae": base_mae, "mean_imputation_mse": base_mse})

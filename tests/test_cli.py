@@ -1,5 +1,6 @@
 """End-to-end command-line runs via subprocess."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -148,6 +149,77 @@ class TestPipeline:
         assert from_stdin.returncode == 0, from_stdin.stderr
         assert from_stdin.stdout[:4] == b"FEGP"
         assert from_stdin.stdout == from_path.stdout
+
+
+class TestIngestBytes:
+    # sha256 prefixes recorded with notch and band-pass as two filter passes;
+    # the cascaded pass must reproduce every byte
+    @pytest.mark.parametrize("flags, digests", [
+        ([], ("1c337a0fa8c38571", "b4c0004d12d7afd8", "4249c5a40f7959e1")),
+        (["--notch", "60", "--band", "1:40"],
+         ("1c337a0fa8c38571", "40efd8e13ab95a15", "cace3e464da2ee69")),
+    ], ids=["notch-50", "notch-60-narrow-band"])
+    def test_synth_preprocess_spectra_bytes_pinned(self, tmp_path, flags, digests):
+        feeg, fegp, csv = (tmp_path / name for name in ("r.feeg", "r.fegp", "r.csv"))
+        for args in (["synth", "--seed", "3", "--channels", "3", "--duration", "24",
+                      "--rate", "500", "--noise", "2", "--out", str(feeg)],
+                     ["preprocess", "--in", str(feeg), "--out", str(fegp)] + flags,
+                     ["spectra", "--in", str(fegp), "--out", str(csv)]):
+            result = run_cli(args)
+            assert result.returncode == 0, result.stderr
+        assert tuple(hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                     for path in (feeg, fegp, csv)) == digests
+
+
+class TestProcessState:
+    """In process: what `main` builds once and reuses across commands."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_environment(self, monkeypatch):
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, os.environ.get(var, "1"))
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_git_describe_runs_once_in_the_package_directory(self, tmp_path, monkeypatch):
+        calls = []
+        run = subprocess.run
+
+        def spy(cmd, *args, **kwargs):
+            if cmd[:2] == ["git", "describe"]:
+                calls.append(kwargs.get("cwd"))
+            return run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(cli.subprocess, "run", spy)
+        cli._git_describe.cache_clear()
+        outs = []
+        for i, cwd in enumerate((tmp_path, tmp_path / "elsewhere", tmp_path / "elsewhere")):
+            cwd.mkdir(exist_ok=True)
+            monkeypatch.chdir(cwd)
+            outs.append(tmp_path / f"rec{i}.feeg")
+            assert cli.main(["synth", "--channels", "1", "--duration", "2",
+                             "--out", str(outs[-1])]) == 0
+        assert calls == [os.path.dirname(os.path.abspath(cli.__file__))]
+        described = {json.loads(out.with_name(out.name + ".manifest.json").read_text())
+                     ["git_describe"] for out in outs}
+        assert described == {cli._git_describe()}
+
+    def test_parses_do_not_share_list_values(self):
+        parser = cli.build_parser()
+        first = parser.parse_args(["pretrain", "--ablate", "freq"])
+        first.ablate.append("channel")
+        second = parser.parse_args(["pretrain", "--ablate", "temporal"])
+        assert (first.ablate, second.ablate) == (["freq", "channel"], ["temporal"])
+        assert parser.parse_args(["pretrain"]).ablate is None
+        assert parser.parse_args(["pretrain"]).infile == ("-",)
+        assert parser.parse_args(["finetune", "impute"]).infile == ()
+        assert parser.parse_args(["finetune", "impute", "--in", "a", "b"]).infile == ["a", "b"]
+        commands = next(action for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for name, sub in commands.choices.items():
+            for action in sub._actions:
+                assert not isinstance(action.default, (list, dict, set)), (name, action.dest)
 
 
 class TestSpectraCommand:
@@ -448,6 +520,22 @@ class TestErrors:
         assert len(lines) == 1, lines
         assert json.loads(lines[0])["error"] == error, lines
         assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in paths.values())
+
+    def test_huge_class_count_refused_before_training(self, tmp_path):
+        dataset = write_classify_dataset(tmp_path, seed=10)
+        before = sorted(os.listdir(tmp_path))
+        result = run_cli([
+            "finetune", "classify", "--dataset", str(dataset), "--classes", "100000",
+            "--steps", "40", "--batch", "1", "--accum", "1", "--preset", "tiny",
+            "--out", str(tmp_path / "metrics.json"),
+            "--checkpoint-dir", str(tmp_path / "ckdir"),
+        ])
+        assert result.returncode == 1, result.stderr
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1, lines
+        payload = json.loads(lines[0])
+        assert payload["error"] == "DataError" and "100000" in payload["message"], payload
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_nyquist_violation_from_module(self):
         result = run_cli(["synth", "--channels", "1", "--rate", "40",

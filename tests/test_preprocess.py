@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import interior_tone_amplitude, make_tone, rms, steady_state_db
-from oracles import ema_standardize_scalar
+from oracles import conditioning_oracle, ema_standardize_scalar
 
 from fome.errors import ConfigError, DataError, EmptyError, FormatError
 from fome.preprocess import (
@@ -311,6 +311,36 @@ class TestPipeline:
         assert grid.patch_len == 1500
         assert grid.source_rate_hz == 250.0
         assert grid.n_patches == 5
+
+    @pytest.mark.parametrize("band", [(0.5, 100.5), (1.0, 40.0)], ids=["wide", "narrow"])
+    @pytest.mark.parametrize("notch", [50.0, 60.0])
+    @pytest.mark.parametrize("rate", [250.0, 256.0, 500.0, 512.0, 1000.0])
+    def test_cascaded_filter_equals_stage_chain_bitwise(self, rate, notch, band):
+        spec = SyntheticSpec(channels=3, duration_s=12.0, sample_rate_hz=rate,
+                             seed=int(rate) + int(notch), noise_std=6.0,
+                             components=[Component(0, 10.0, 20.0, 0.0),
+                                         Component(2, notch, 15.0, 0.5)])
+        r = generate_synthetic(spec)
+        cfg = PreprocessConfig(notch_hz=notch, band_lo_hz=band[0], band_hi_hz=band[1])
+        for patch_len in (None, 500):
+            got = preprocess_pipeline(r, cfg, patch_len)
+            want = conditioning_oracle(r, cfg, patch_len)
+            assert got.patches.tobytes() == want.patches.tobytes()
+            assert (got.patch_len, got.source_rate_hz) == (want.patch_len, want.source_rate_hz)
+
+    @pytest.mark.parametrize("rate, message", [
+        (100.0, "notch frequency 50.0 Hz outside (0, 50.0) Hz"),
+        (200.0, "band (0.5, 100.5) Hz invalid for Nyquist 100.0 Hz"),
+    ], ids=["notch-and-band-invalid", "band-invalid"])
+    def test_notch_checked_before_band(self, rate, message):
+        r = Recording(np.zeros((2, 4000)), rate)
+        cfg = PreprocessConfig()
+        with pytest.raises(ConfigError) as caught:
+            preprocess_pipeline(r, cfg)
+        assert str(caught.value) == message
+        with pytest.raises(ConfigError) as staged:
+            conditioning_oracle(r, cfg)
+        assert str(staged.value) == message
 
 
 class TestGridFormat:

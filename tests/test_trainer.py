@@ -242,6 +242,14 @@ class TestMetrics:
         with pytest.raises(DataError, match=f"^{n_classes} classes"):
             classification_metrics(preds, labels, n_classes)
 
+    @pytest.mark.parametrize("shape", [(), (1,), (40,), (6, 7)])
+    def test_regression_errors_equal_plain_formula_bitwise(self, rng, shape):
+        preds, targets = 3.0 * rng.standard_normal(shape), rng.standard_normal(shape)
+        report = regression_metrics(preds, targets)
+        diff = preds - targets
+        assert (report.mae, report.mse) == (float(np.mean(np.abs(diff))),
+                                            float(np.mean(diff**2)))
+
     def test_regression_zero_on_equal(self, rng):
         x = rng.standard_normal(40)
         report = regression_metrics(x, x.copy())
@@ -547,6 +555,17 @@ class TestFinetuneClassify:
         data[3] = (data[3][0], 7)
         with pytest.raises(DataError):
             finetune_classify(data, params, cfg, flat_lr_config(), n_classes=2, steps=1)
+
+    def test_huge_class_count_refused_before_training(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(trainer.AdamW, "step", lambda self, lr: steps.append(lr))
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=24)
+        with pytest.raises(DataError, match="^100000 classes"):
+            finetune_classify(labeled_dataset(n=10), params, cfg, flat_lr_config(),
+                              n_classes=100_000, steps=40)
+        assert steps == []
+        assert "head.cls.w1" not in params
 
     @staticmethod
     def count_band_power_grids(monkeypatch) -> list[bytes]:
