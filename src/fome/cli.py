@@ -101,10 +101,12 @@ class _Manifest:
     def add_input(self, name: str, payload: bytes) -> None:
         self.doc["inputs"][name] = _sha256(payload)
 
-    def add_output(self, path: str) -> None:
+    def add_output(self, path: str, payload: bytes | None = None) -> None:
+        """Record the sha256 of the output at `path`: of `payload`, the bytes
+        just written there, or else of the file read back."""
         if path == "-":
             return
-        self.doc["outputs"][path] = _sha256(read_file(path))
+        self.doc["outputs"][path] = _sha256(read_file(path) if payload is None else payload)
         if self._default_anchor is None:
             self._default_anchor = path
 
@@ -124,13 +126,17 @@ def _read_bytes(path: str) -> bytes:
     return sys.stdin.buffer.read() if path == "-" else read_file(path)
 
 
-def _write(path: str, payload: bytes | str) -> None:
-    """Write `payload` to `path`, or to stdout for "-"; a str as UTF-8."""
-    if path != "-":
+def _write(path: str, payload: bytes | str, manifest: _Manifest) -> None:
+    """Write `payload` to `path`, or to stdout for "-", a str as UTF-8, and
+    record it as an output of `manifest`."""
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
+    if path == "-":
+        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.flush()
+    else:
         write_file(path, payload)
-        return
-    sys.stdout.buffer.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
-    sys.stdout.buffer.flush()
+    manifest.add_output(path, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +180,7 @@ def _cmd_synth(args, manifest: _Manifest) -> None:
         "sample_rate_hz": spec.sample_rate_hz, "seed": spec.seed,
         "noise_std": spec.noise_std, "components": [list(c) for c in spec.components],
     })
-    _write(args.out, recording_to_bytes(recording, args.format))
-    manifest.add_output(args.out)
+    _write(args.out, recording_to_bytes(recording, args.format), manifest)
 
 
 def _preprocess_config(args):
@@ -204,8 +209,7 @@ def _cmd_preprocess(args, manifest: _Manifest) -> None:
     recording = recording_from_bytes(payload, source=args.infile, format=args.format)
     grid = preprocess_pipeline(recording, cfg, patch_len=args.patch)
     manifest.add_config("preprocess", asdict(cfg))
-    _write(args.out, grid_to_bytes(grid))
-    manifest.add_output(args.out)
+    _write(args.out, grid_to_bytes(grid), manifest)
     log.info("grid: C=%d P=%d L=%d", grid.n_channels, grid.n_patches, grid.patch_len)
 
 
@@ -220,9 +224,8 @@ def _cmd_spectra(args, manifest: _Manifest) -> None:
     c, p, n = values.shape
     rows = values.reshape(c * p, n).tolist()
     text = "\n".join(",".join(map(repr, row)) for row in rows) + "\n"
-    _write(args.out, text)
+    _write(args.out, text, manifest)
     manifest.add_config("spectra", {"taper": args.taper, "channels": c, "patches": p})
-    manifest.add_output(args.out)
 
 
 def _model_config(args):
@@ -431,11 +434,10 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
 
     if args.out_checkpoint:
         model.save_params(params, args.out_checkpoint)
-    _write(args.out, report.to_json() + "\n")
+    _write(args.out, report.to_json() + "\n", manifest)
     manifest.add_config("model", asdict(model_cfg))
     manifest.add_config("train", asdict(train_cfg))
     manifest.add_config("task", args.task)
-    manifest.add_output(args.out)
     if args.out_checkpoint:
         manifest.add_output(args.out_checkpoint)
     for path in report.checkpoints:
@@ -472,8 +474,7 @@ def _cmd_eval(args, manifest: _Manifest) -> None:
         report = classification_metrics(preds, refs, n_classes)
     else:
         report = regression_metrics(preds, refs)
-    _write(args.out, report.to_json() + "\n")
-    manifest.add_output(args.out)
+    _write(args.out, report.to_json() + "\n", manifest)
 
 
 def _class_label(text: str) -> int:
@@ -499,14 +500,13 @@ def _cmd_inspect_checkpoint(args, manifest: _Manifest) -> None:
     arrays = checkpoint_from_bytes(payload, source=args.infile)
     listing = {name: list(arr.shape) for name, arr in arrays.items()}
     if args.json:
-        _write(args.out, json.dumps(listing, indent=2) + "\n")
+        _write(args.out, json.dumps(listing, indent=2) + "\n", manifest)
     else:
         width = max(len(n) for n in listing) if listing else 0
         lines = [f"{name:<{width}}  {tuple(shape)}" for name, shape in listing.items()]
         total = sum(int(arr.size) for arr in arrays.values())
         lines.append(f"{len(listing)} tensors, {total} scalars")
-        _write(args.out, "\n".join(lines) + "\n")
-    manifest.add_output(args.out)
+        _write(args.out, "\n".join(lines) + "\n", manifest)
 
 
 # ---------------------------------------------------------------------------

@@ -369,8 +369,7 @@ def apply_mask(
 def _maybe_dropout(x: Tensor, p: float, stream: Rng | None) -> Tensor:
     if p <= 0.0 or stream is None:
         return x
-    keep = (stream.uniforms(x.size) >= p).astype(np.float64).reshape(x.shape)
-    return nm.mul(x, Tensor(keep / (1.0 - p)))
+    return nm.dropout(x, (stream.uniforms(x.size) >= p).reshape(x.shape), p)
 
 
 def _canonical_order(x: np.ndarray) -> np.ndarray:
@@ -389,11 +388,17 @@ def _canonical_order(x: np.ndarray) -> np.ndarray:
     return np.argsort(keys, axis=-1, kind="stable")
 
 
+def _stack_rows(order: np.ndarray) -> np.ndarray:
+    """Each sample's channel `order` (..., C) as rows of its stack folded to
+    (-1, P, D)."""
+    c = order.shape[-1]
+    return np.arange(0, order.size, c).reshape(order.shape[:-1] + (1,)) + order
+
+
 def _gather_channels(x: Tensor, order: np.ndarray) -> Tensor:
     """Each sample's channel rows of a (..., C, P, D) tensor in `order` (..., C)."""
-    c, p, d = x.shape[-3:]
-    first_rows = np.arange(0, order.size, c).reshape(order.shape[:-1] + (1,))
-    return nm.embedding_lookup(nm.reshape(x, (-1, p, d)), first_rows + order)
+    p, d = x.shape[-2:]
+    return nm.embedding_lookup(nm.reshape(x, (-1, p, d)), _stack_rows(order))
 
 
 def _encoder_block(
@@ -443,9 +448,9 @@ def channel_attention(
     permutation.
     """
     order = _canonical_order(e.data)
-    ordered = nm.transpose(_gather_channels(e, order), -3, -2)
+    ordered = nm.gather_swap(e, _stack_rows(order))  # (..., P, C, D)
     out = _encoder_block(ordered, params, f"channel{layer}", cfg, stream)
-    return _gather_channels(nm.transpose(out, -3, -2), np.argsort(order, axis=-1))
+    return nm.gather_swap(out, _stack_rows(np.argsort(order, axis=-1)), swap_first=True)
 
 
 def forward(
@@ -478,6 +483,14 @@ def head_reconstruct(e: Tensor, params: ParameterStore) -> Tensor:
     return nm.linear(e, params["head.recon.w"], params["head.recon.b"])
 
 
+def reconstruct_mse(e: Tensor, params: ParameterStore, target: np.ndarray,
+                    rows: np.ndarray | None = None) -> Tensor:
+    """`mse(head_reconstruct(e, params), target[rows])` as one
+    `numerics.linear_mse` node: (..., D) rows `e` against the matching
+    (..., L) rows of `target` (all of it when `rows` is None)."""
+    return nm.linear_mse(e, params["head.recon.w"], params["head.recon.b"], target, rows)
+
+
 def head_classify(e: Tensor, params: ParameterStore, n_classes: int) -> Tensor:
     """Mean-pool each sample over channels (in canonical order) and patches,
     reduce three times, softmax: (..., C, P, D) -> (..., n_classes)."""
@@ -494,14 +507,25 @@ def head_classify(e: Tensor, params: ParameterStore, n_classes: int) -> Tensor:
 def head_forecast(e: Tensor, params: ParameterStore, horizon_patches: int) -> Tensor:
     """Flatten each channel's (P, D) block and project to the horizon:
     (..., C, P, D) -> (..., C, horizon_patches * L)."""
+    return nm.linear(_forecast_features(e, params), params["head.fcst.w"], params["head.fcst.b"])
+
+
+def forecast_mse(e: Tensor, params: ParameterStore, target: np.ndarray) -> Tensor:
+    """`mse(head_forecast(e, ...), target)` as one `numerics.linear_mse` node,
+    against the (..., C, horizon_patches * L) `target`."""
+    return nm.linear_mse(_forecast_features(e, params), params["head.fcst.w"],
+                         params["head.fcst.b"], target)
+
+
+def _forecast_features(e: Tensor, params: ParameterStore) -> Tensor:
+    """Each channel's (P, D) block of `e` flattened to the forecast head's input."""
     p, d = e.shape[-2:]
     expected = params["head.fcst.w"].shape[0]
     if p * d != expected:
         raise ConfigError(
             f"forecast head expects {expected} flattened features, got {p * d}"
         )
-    flat = nm.reshape(e, e.shape[:-2] + (p * d,))
-    return nm.linear(flat, params["head.fcst.w"], params["head.fcst.b"])
+    return nm.reshape(e, e.shape[:-2] + (p * d,))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ the node that produced it, and an input that takes no gradient gets no
 slot.  Its backward closure captures the arrays, shapes and flags that the
 gradients of the inputs needing one read (`add` keeps two shapes, `mse`
 its difference), so an activation no backward reads is freed as soon as
-the forward pass drops it.  `backward` consumes its tape: it drops each
+the forward pass drops it.  Where a smaller array serves, the node keeps
+it: `gelu` keeps its derivative, computed in the forward pass under a
+tape, not its input and `tanh`; `dropout` keeps its boolean keep mask and
+rescales it in backward.  `backward` consumes its tape: it drops each
 node and its output adjoint as soon as that node's backward has run, and
 a second `backward` on the same tape is a `ContractError`.
 
@@ -23,14 +26,26 @@ sum allocates a fresh buffer that `backward` owns; only owned buffers are
 summed into in place, so a borrowed array is never written.
 
 Ops are plain numpy/BLAS kernels: a reduction's result depends on the
-order of its terms.  The fused kernels `linear`, `affine_norm`,
-`attention` and `blend` each record one node for a chain of ops (matmul
-and add; layer norm, mul and add; head split, scaled scores, softmax,
-mixing and head merge; mul, mul and add).  Forward and backward run the
-chain's numpy expressions in the same order on arrays of the same layout,
-so values and gradients are bitwise the chain's.  Permutation stability
-across channels is not an op property; the model runs every cross-channel
-reduction in a canonical channel order (see `fome.model`).
+order of its terms.  The fused kernels each record one node for a chain
+of ops and keep:
+  - `linear` (matmul and add): the weight for the input's gradient and
+    the input for the weight's;
+  - `affine_norm` (layer norm, mul and add): the normalised rows, their
+    inverse deviations and the gain;
+  - `attention` (head split, scaled scores, softmax, mixing and head
+    merge): the split q, k and v and the probabilities;
+  - `blend` (mul, mul and add): the gate and its complement;
+  - `gather_swap` (reshape, embedding lookup and transpose, in either
+    order): the gathered rows;
+  - `linear_mse` (linear, then mse against gathered target rows): what
+    `linear` keeps and the difference.  It holds at most two
+    prediction-sized buffers at once, and its backward overwrites the
+    difference with the prediction's gradient.
+Forward and backward run the chain's numpy expressions in the same order
+on arrays of the same layout, so values and gradients are bitwise the
+chain's.  Permutation stability across channels is not an op property;
+the model runs every cross-channel reduction in a canonical channel order
+(see `fome.model`).
 """
 
 from __future__ import annotations
@@ -266,6 +281,31 @@ def embedding_lookup(table, indices) -> Tensor:
     return _record(out, (table,), bwd)
 
 
+def gather_swap(a, rows, swap_first: bool = False) -> Tensor:
+    """The (S, D) blocks `rows` of `a` folded to (-1, S, D), with axes -3
+    and -2 swapped after the gather, or before the fold when `swap_first`,
+    as one node.  `rows` names each block at most once.
+
+    It is the reshape, embedding_lookup and transpose chain (transpose,
+    reshape and embedding_lookup when `swap_first`): forward builds the same
+    views and copies, and backward scatters `0.0 + g` into zeros as the
+    lookup does, so values, layouts and gradients are bitwise the chain's."""
+    a = _as_tensor(a)
+    rows = np.asarray(rows, dtype=np.int64)
+    src = np.swapaxes(a.data, -3, -2) if swap_first else a.data
+    unfolded = src.shape
+    folded = (math.prod(unfolded[:-2]),) + unfolded[-2:]
+    out = src.reshape(folded)[rows]
+
+    def bwd(g):
+        full = np.zeros(folded)
+        full[rows] += g if swap_first else np.swapaxes(g, -3, -2)  # 0.0 + g
+        full = full.reshape(unfolded)
+        return (np.swapaxes(full, -3, -2) if swap_first else full,)
+
+    return _record(out if swap_first else np.swapaxes(out, -3, -2), (a,), bwd)
+
+
 # ---------------------------------------------------------------------------
 # contractions
 # ---------------------------------------------------------------------------
@@ -299,35 +339,42 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def _affine(op: str, x: Tensor, w: Tensor, b: Tensor | None):
+    """Checked `x @ w + b` for `linear` and `linear_mse`: the output, the
+    node's inputs, and the weight, input and bias shape `_linear_grads`
+    reads (each None where no gradient needs it)."""
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise ShapeError(f"{op}: needs a >= 2-D input and a 2-D weight, "
+                         f"got {x.shape} and {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"{op}: inner dims differ, {x.shape} @ {w.shape}")
+    out = x.data @ w.data
+    inputs = (x, w)
+    if b is not None:
+        if b.shape != w.shape[1:]:
+            raise ShapeError(f"{op}: bias {b.shape} does not match weight {w.shape}")
+        out += b.data
+        inputs = (x, w, b)
+    wd = w.data if x.requires_grad else None
+    xd = x.data if w.requires_grad else None
+    return out, inputs, wd, xd, None if b is None else b.shape
+
+
+def _linear_grads(g: np.ndarray, wd, xd, sb) -> tuple:
+    """The gradients of `linear`'s inputs from its output adjoint `g`."""
+    gx = None if wd is None else g @ wd.T
+    # one gemm over the folded leading axes: no (N, K, M) intermediate
+    gw = None if xd is None else xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return (gx, gw) if sb is None else (gx, gw, _unbroadcast(g, sb))
+
+
 def linear(x, w, b=None) -> Tensor:
     """`x @ w + b` with a 2-D weight `w` and an optional (M,) bias `b`, as
     one node."""
     x, w = _as_tensor(x), _as_tensor(w)
-    if x.data.ndim < 2 or w.data.ndim != 2:
-        raise ShapeError(f"linear: needs a >= 2-D input and a 2-D weight, "
-                         f"got {x.shape} and {w.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"linear: inner dims differ, {x.shape} @ {w.shape}")
-    out = x.data @ w.data
-    inputs = (x, w)
-    if b is not None:
-        b = _as_tensor(b)
-        if b.shape != w.shape[1:]:
-            raise ShapeError(f"linear: bias {b.shape} does not match weight {w.shape}")
-        out += b.data
-        inputs = (x, w, b)
-    k, m = w.shape
-    wd = w.data if x.requires_grad else None
-    xd = x.data if w.requires_grad else None
-    sb = None if b is None else b.shape
-
-    def bwd(g):
-        gx = None if wd is None else g @ wd.T
-        # one gemm over the folded leading axes: no (N, K, M) intermediate
-        gw = None if xd is None else xd.reshape(-1, k).T @ g.reshape(-1, m)
-        return (gx, gw) if sb is None else (gx, gw, _unbroadcast(g, sb))
-
-    return _record(out, inputs, bwd)
+    b = None if b is None else _as_tensor(b)
+    out, inputs, wd, xd, sb = _affine("linear", x, w, b)
+    return _record(out, inputs, lambda g: _linear_grads(g, wd, xd, sb))
 
 
 def attention(q, k, v, heads: int, factor: float) -> Tensor:
@@ -428,19 +475,39 @@ def affine_norm(x, gain, bias) -> Tensor:
 
 
 def gelu(a) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
+    """Gaussian error linear unit, tanh approximation.
+
+    Under a tape, with `a` taking a gradient, the forward pass also computes
+    the derivative and the node keeps it alone; without one it computes y
+    only."""
     a = _as_tensor(a)
     x = a.data
     u = _GELU_C0 * (x + _GELU_C1 * (x * x * x))
     th = np.tanh(u)
     y = 0.5 * x * (1.0 + th)
-
-    def bwd(g):
+    bwd = None
+    if a.requires_grad and _tape_stack:
         du = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x**2)
         dy = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
-        return (g * dy,)
+
+        def bwd(g):
+            return (g * dy,)
 
     return _record(y, (a,), bwd)
+
+
+def dropout(x, keep, p: float) -> Tensor:
+    """`x * (keep / (1 - p))` with a boolean array `keep` of `x`'s shape, as
+    one node that holds `keep` alone.  `keep / (1 - p)` is the float64 mask
+    a `mul` would keep, recomputed in backward, so values and gradients are
+    bitwise the `mul`'s."""
+    x = _as_tensor(x)
+    keep = np.asarray(keep)
+    if keep.dtype != np.bool_ or keep.shape != x.shape:
+        raise ShapeError(f"dropout: keep must be a boolean {x.shape} array, "
+                         f"got {keep.dtype} {keep.shape}")
+    p = float(p)
+    return _record(x.data * (keep / (1.0 - p)), (x,), lambda g: (g * (keep / (1.0 - p)),))
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +550,38 @@ def mse(pred, target) -> Tensor:
         return gp if pred_grad else None, -gp if target_grad else None
 
     return _record(out, (pred, target), bwd)
+
+
+def linear_mse(x, w, b, target, rows=None) -> Tensor:
+    """`mse(linear(x, w, b), target[rows])` (all of `target` when `rows` is
+    None) with a constant array `target`, as one node.
+
+    The prediction buffer becomes the difference in place.  Gathered target
+    rows are a buffer the kernel owns, and it then holds the squares; whole,
+    `target` is the caller's, and one squares buffer is allocated.  So at
+    most two prediction-sized buffers are live, and the node keeps the
+    difference alone.  Backward writes the prediction's gradient over the
+    difference (a tape runs backward once) and returns `linear`'s gradients.
+    Both passes run the chain's expressions in its order (`diff * diff` is
+    `diff**2` bit for bit), so values and gradients are the chain's."""
+    x, w = _as_tensor(x), _as_tensor(w)
+    b = None if b is None else _as_tensor(b)
+    diff, inputs, wd, xd, sb = _affine("linear_mse", x, w, b)
+    target = np.asarray(target, dtype=np.float64)
+    owned = rows is not None
+    if owned:
+        target = target[rows]
+    if diff.shape != target.shape:
+        raise ShapeError(f"linear_mse: prediction {diff.shape} and target {target.shape} differ")
+    diff -= target
+    out = np.mean(np.multiply(diff, diff, out=target if owned else None))
+
+    def bwd(g):
+        np.multiply(g * 2.0, diff, out=diff)
+        np.divide(diff, diff.size, out=diff)
+        return _linear_grads(diff, wd, xd, sb)
+
+    return _record(out, inputs, bwd)
 
 
 # ---------------------------------------------------------------------------

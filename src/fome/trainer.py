@@ -4,8 +4,9 @@ Every task trains through one loop, `_train_loop`.  Per micro-step it takes
 the next batch, stacks the samples of each shape into one (B, C, P, L)
 array, and runs one forward and one backward pass per stack (pre-training
 draws one boolean (C, P) mask per sample, in batch order, hides the stack's
-(B, C, P) mask and reconstructs the masked rows only); dropout masks are
-drawn once per stack.  Backward consumes the step's tape as it runs.
+(B, C, P) mask and reconstructs the masked rows only, the head and the MSE
+as one `numerics.linear_mse` node that holds the difference alone);
+dropout masks are drawn once per stack.  Backward consumes the step's tape as it runs.
 Every `grad_accum` micro-steps it applies one AdamW update at the scheduled
 learning rate.  Losses are mean-reduced and micro-batch losses are scaled
 by 1/grad_accum, so accumulation matches a single step on the concatenated
@@ -425,13 +426,14 @@ def _masked_mse(encoded: Tensor, params, target, mask: np.ndarray, scope: str) -
     """Reconstruction MSE of the (..., C, P, D) `encoded` stack against the
     (..., C, P, L) `target` on the slots of the boolean (..., C, P) `mask`,
     whose rows alone go through the head as one (n, D) gemm; on every slot
-    (the full head) for scope "all" or an empty mask."""
+    (the full head) for scope "all" or an empty mask.  Head and MSE are one
+    `model.reconstruct_mse` node, which gathers the target rows itself and
+    holds at most two (n, L) buffers at once."""
     if scope == "all" or not mask.any():
-        return nm.mse(mdl.head_reconstruct(encoded, params), Tensor(target))
+        return mdl.reconstruct_mse(encoded, params, target)
     rows = np.flatnonzero(mask)
     hidden = nm.embedding_lookup(nm.reshape(encoded, (-1, encoded.shape[-1])), rows)
-    return nm.mse(mdl.head_reconstruct(hidden, params),
-                  Tensor(target.reshape(-1, target.shape[-1])[rows]))
+    return mdl.reconstruct_mse(hidden, params, target.reshape(-1, target.shape[-1]), rows)
 
 
 def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
@@ -713,8 +715,7 @@ def finetune_forecast(
     store = _Samples([sample.context for sample in dataset], model_cfg)
 
     def forecast_mse(encoded: Tensor, idx: list[int]) -> Tensor:
-        pred = mdl.head_forecast(encoded, params, horizon_patches)
-        return nm.mse(pred, Tensor(np.stack([dataset[i].target for i in idx])))
+        return mdl.forecast_mse(encoded, params, np.stack([dataset[i].target for i in idx]))
 
     def score(idx) -> MetricsReport:
         return _score_forecast(store, idx, dataset, params, model_cfg, horizon_patches)

@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 import fome.numerics as nm
-from fome.model import _maybe_dropout
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -126,6 +125,31 @@ def _primitive_layer_norm(a):
     return nm._record(y, (a,), bwd)
 
 
+def primitive_gelu(a):
+    """GELU (tanh approximation) as a node that keeps its input and `tanh`
+    and forms the derivative in backward: the form `numerics.gelu` replaces
+    with a derivative computed in the forward pass."""
+    x = a.data
+    th = np.tanh(nm._GELU_C0 * (x + nm._GELU_C1 * (x * x * x)))
+
+    def bwd(g):
+        du = nm._GELU_C0 * (1.0 + 3.0 * nm._GELU_C1 * x**2)
+        dy = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
+        return (g * dy,)
+
+    return nm._record(0.5 * x * (1.0 + th), (a,), bwd)
+
+
+def primitive_dropout(x, p, stream):
+    """Dropout as a `mul` by the float64 scaled keep mask, drawn from
+    `stream` as the model's `_maybe_dropout` draws it; `x` unchanged
+    without a stream or for p = 0."""
+    if p <= 0.0 or stream is None:
+        return x
+    keep = (stream.uniforms(x.size) >= p).astype(np.float64).reshape(x.shape)
+    return nm.mul(x, nm.Tensor(keep / (1.0 - p)))
+
+
 def _primitive_split_heads(x, heads, head_dim):
     return nm.transpose(nm.reshape(x, x.shape[:-1] + (heads, head_dim)), -3, -2)
 
@@ -138,8 +162,8 @@ def _primitive_merge_heads(x):
 def primitive_encoder_block(x, params, prefix, cfg, stream=None):
     """The pre-norm encoder block over (..., seq, dim) as a chain of
     primitive taped ops: layer norm, mul, add, matmul, reshape, transpose,
-    scale, softmax and gelu.  Dropout draws from `stream` as the model's
-    block does."""
+    scale, softmax and gelu.  Dropout is a `mul` by the float64 mask drawn
+    from `stream` as the model's block draws it."""
     def p(name):
         return params[f"{prefix}.{name}"]
 
@@ -153,11 +177,11 @@ def primitive_encoder_block(x, params, prefix, cfg, stream=None):
     scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / cfg.scale_denominator)
     probs = nm.softmax(scores, axis=-1)
     context = nm.matmul(_primitive_merge_heads(nm.matmul(probs, v)), p("attn.wo"))
-    x = nm.add(x, _maybe_dropout(context, cfg.dropout, stream))
+    x = nm.add(x, primitive_dropout(context, cfg.dropout, stream))
     f = affine(x, "ln2")
-    hidden = nm.gelu(nm.add(nm.matmul(f, p("ffn.w1")), p("ffn.b1")))
+    hidden = primitive_gelu(nm.add(nm.matmul(f, p("ffn.w1")), p("ffn.b1")))
     produced = nm.add(nm.matmul(hidden, p("ffn.w2")), p("ffn.b2"))
-    return nm.add(x, _maybe_dropout(produced, cfg.dropout, stream))
+    return nm.add(x, primitive_dropout(produced, cfg.dropout, stream))
 
 
 def conditioning_oracle(recording, cfg, patch_len=None):

@@ -205,6 +205,26 @@ class TestProcessState:
                      ["git_describe"] for out in outs}
         assert described == {cli._git_describe()}
 
+    def test_ingest_commands_hash_outputs_without_reading_them_back(self, tmp_path,
+                                                                     monkeypatch):
+        import fome.errors
+
+        reads = []
+        read = fome.errors.read_file
+        for module in (fome.errors, cli):
+            monkeypatch.setattr(module, "read_file", lambda path: reads.append(str(path))
+                                or read(path))
+        monkeypatch.setattr(cli, "_git_describe", lambda: "test")
+        feeg, fegp, csv = (str(tmp_path / name) for name in ("r.feeg", "r.fegp", "r.csv"))
+        for argv in (["synth", "--channels", "2", "--duration", "12"],
+                     ["preprocess", "--in", feeg, "--window", "500"],
+                     ["spectra", "--in", fegp]):
+            out = {"synth": feeg, "preprocess": fegp, "spectra": csv}[argv[0]]
+            assert cli.main(argv + ["--out", out]) == 0
+            manifest = json.loads(read(out + ".manifest.json"))
+            assert manifest["outputs"] == {out: hashlib.sha256(read(out)).hexdigest()}
+        assert reads == [feeg, fegp]  # each input once, no output
+
     def test_parses_do_not_share_list_values(self):
         parser = cli.build_parser()
         first = parser.parse_args(["pretrain", "--ablate", "freq"])

@@ -1,7 +1,10 @@
 """Forward semantics, gradient fidelity, tape behaviour, checkpoint format."""
 
 import struct
+import tracemalloc
 import weakref
+
+import math
 
 import numpy as np
 import pytest
@@ -9,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import finite_difference_gradients
+from oracles import finite_difference_gradients, primitive_dropout, primitive_gelu
 
 import fome.numerics as nm
 from fome.errors import ContractError, FormatError, ShapeError
 from fome.numerics import Tape, Tensor, backward
+from fome.rng import Rng
 
 
 def grad_check(build_loss, tensors, tol=1e-5):
@@ -250,6 +254,147 @@ class TestGradients:
         assert got.tobytes() == ref.tobytes()
 
 
+def _chain_and_fused(fused, chain, leaves, weights):
+    """Output bytes and leaf gradient bytes of `fused` and of `chain`, each
+    applied to scaled copies of the leaf arrays (intermediates, as in the
+    model) under a tape, with the loss `mean(out * weights)` (or `out`
+    itself when it is a scalar)."""
+    runs = []
+    for build in (fused, chain):
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in leaves]
+        with Tape():
+            out = build(*[nm.scale(t, 1.5) for t in tensors])
+            loss = out if out.size == 1 else nm.mean(nm.mul(out, Tensor(weights)))
+        backward(loss)
+        runs.append((out.data.tobytes(), out.data.strides,
+                     [t.grad.tobytes() for t in tensors]))
+    return runs
+
+
+class TestMemoryKernels:
+    """`linear_mse`, `gelu`, `dropout` and `gather_swap` hold the primitive
+    chains they replace to the bit, and keep only what their backward reads."""
+
+    @pytest.mark.parametrize("x_shape, rows", [
+        ((6, 4), None), ((6, 4), np.array([7, 0, 3, 9, 2, 5])),
+        ((2, 3, 2, 4), None), ((2, 3, 2, 4), np.array([[1, 4, 0], [6, 2, 3]])),
+    ], ids=["2d", "2d-rows", "4d", "4d-rows"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    def test_linear_mse_is_the_mse_linear_chain_bitwise(self, rng, x_shape, rows, bias):
+        lead = x_shape[:-1] if rows is None else (10,) + x_shape[rows.ndim:-1]
+        target = rng.standard_normal(lead + (5,))
+        leaves = [rng.standard_normal(x_shape), rng.standard_normal((4, 5))]
+        leaves += [rng.standard_normal(5)] if bias else []
+        picked = target if rows is None else target[rows]
+
+        def fused(x, w, b=None):
+            return nm.linear_mse(x, w, b, target, rows)
+
+        def chain(x, w, b=None):
+            return nm.mse(nm.linear(x, w, b), Tensor(picked))
+
+        runs = _chain_and_fused(fused, chain, leaves, None)
+        assert runs[0] == runs[1]
+
+    def test_linear_mse_shapes(self):
+        x, w = Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 5)))
+        with pytest.raises(ShapeError, match=r"linear_mse: prediction \(3, 5\)"):
+            nm.linear_mse(x, w, None, np.zeros((4, 5)))
+        with pytest.raises(ShapeError, match="linear_mse: inner dims"):
+            nm.linear_mse(x, Tensor(np.zeros((3, 5))), None, np.zeros((3, 5)))
+
+    def test_gelu_is_the_backward_derivative_node_bitwise(self, rng):
+        x = rng.standard_normal((3, 4, 5)) * 3
+        runs = _chain_and_fused(nm.gelu, primitive_gelu, [x], rng.standard_normal(x.shape))
+        assert runs[0] == runs[1]
+        assert nm.gelu(Tensor(x * 1.5)).data.tobytes() == runs[0][0]  # untaped
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_dropout_is_the_float_mask_mul_bitwise(self, rng, p):
+        x = rng.standard_normal((3, 4, 5))
+        keep = (Rng(7).uniforms(x.size) >= p).reshape(x.shape)
+        runs = _chain_and_fused(lambda t: nm.dropout(t, keep, p),
+                                lambda t: primitive_dropout(t, p, Rng(7)),
+                                [x], rng.standard_normal(x.shape))
+        assert runs[0] == runs[1]
+
+    def test_dropout_needs_a_boolean_mask_of_the_input_shape(self):
+        x = Tensor(np.zeros((2, 3)))
+        for keep in (np.ones((2, 3)), np.ones((3,), dtype=bool)):
+            with pytest.raises(ShapeError, match="dropout"):
+                nm.dropout(x, keep, 0.1)
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["sample", "stack"])
+    @pytest.mark.parametrize("swap_first", [False, True], ids=["gather-swap", "swap-gather"])
+    def test_gather_swap_is_the_reshape_lookup_transpose_chain_bitwise(self, rng, lead,
+                                                                        swap_first):
+        c, p, d = 4, 3, 5
+        orders = np.stack([rng.permutation(c) for _ in range(max(1, math.prod(lead)))])
+        rows = (np.arange(0, orders.size, c)[:, None] + orders).reshape(lead + (c,))
+        shape = lead + ((p, c, d) if swap_first else (c, p, d))
+        weights = rng.standard_normal(lead + ((c, p, d) if swap_first else (p, c, d)))
+        weights.flat[::4] = -0.0  # adjoints of -0.0, which `0.0 + g` turns to 0.0
+
+        def chain(x):
+            if swap_first:
+                x = nm.transpose(x, -3, -2)
+            out = nm.embedding_lookup(nm.reshape(x, (-1, x.shape[-2], d)), rows)
+            return out if swap_first else nm.transpose(out, -3, -2)
+
+        runs = _chain_and_fused(lambda x: nm.gather_swap(x, rows, swap_first), chain,
+                                [rng.standard_normal(shape)], weights)
+        assert runs[0] == runs[1]
+
+    @staticmethod
+    def _held_bytes(build) -> int:
+        """Bytes that stay allocated after `build()` runs under a tape and
+        its outputs are dropped: what the tape's nodes keep."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                build()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert tape.nodes
+        return held
+
+    def test_linear_mse_allocates_at_most_two_prediction_buffers(self, rng):
+        # the pretrain-desk loss: 456 masked rows of D = 64 against L = 1500
+        n, d, length = 456, 64, 1500
+        rows = np.sort(rng.choice(4 * 19 * 15, size=n, replace=False))
+        target = rng.standard_normal((4 * 19 * 15, length))
+        x = Tensor(rng.standard_normal((n, d)), requires_grad=True)
+        w = Tensor(rng.standard_normal((d, length)) * 0.1, requires_grad=True)
+        b = Tensor(np.zeros(length), requires_grad=True)
+        buffer = n * length * 8
+        for picked, index in ((target, rows), (target[rows], None)):
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                with Tape():
+                    loss = nm.linear_mse(x, w, b, picked, index)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - before <= 2 * buffer + 65536
+            assert current - before <= buffer + 65536  # the difference alone is kept
+            backward(loss)
+
+    def test_taped_gelu_keeps_one_array_of_its_input_size(self, rng):
+        x = Tensor(rng.standard_normal((200, 300)), requires_grad=True)
+        held = self._held_bytes(lambda: nm.gelu(nm.scale(x, 1.0)))
+        assert x.data.nbytes <= held < x.data.nbytes + 65536
+
+    def test_dropout_keeps_a_boolean_mask(self, rng):
+        x = Tensor(rng.standard_normal((200, 300)), requires_grad=True)
+        keep = rng.uniform(size=x.shape) >= 0.1
+        held = self._held_bytes(lambda: nm.dropout(nm.scale(x, 1.0), keep.copy(), 0.1))
+        assert keep.nbytes <= held < keep.nbytes + 65536
+
+
 class TestDispatch:
     def test_unbroadcast_returns_matching_gradient_itself(self, rng):
         g = rng.standard_normal((2, 3))
@@ -334,13 +479,15 @@ class TestBackward:
             h = nm.linear(x, w)
             s = nm.add(h, x)  # reads neither operand
             n = nm.affine_norm(s, gain, bias)  # keeps its normalised rows, not s
-            a = nm.gelu(n)  # keeps n
+            a = nm.gelu(n)  # keeps its derivative, not n
             target = Tensor(rng.standard_normal((3, 4)))
             loss = nm.mse(a, target)  # keeps the difference only
-        unread = [weakref.ref(t.data) for t in (h, s, a, target)]
-        read = weakref.ref(n.data)
-        del h, s, n, a, target
-        assert [r() is None for r in unread] == [True] * 4
+        unread = [weakref.ref(t.data) for t in (h, s, n, a, target)]
+        cells = [cell.cell_contents for cell in tape.nodes[3].bwd.__closure__]
+        assert [c.shape for c in cells if isinstance(c, np.ndarray)] == [n.shape]
+        read = weakref.ref(cells[0])
+        del h, s, n, a, target, cells
+        assert [r() is None for r in unread] == [True] * 5
         assert read() is not None
         backward(loss)
         assert read() is None

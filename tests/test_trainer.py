@@ -374,8 +374,8 @@ class TestPretrain:
         assert left == 0
 
     def test_tiny_micro_step_tape_size(self, monkeypatch):
-        # linear, affine_norm, attention and blend record one node each; the
-        # op chains they fuse would make it 87, so a rise means a fusion undone
+        # linear, affine_norm, attention, blend, linear_mse and gather_swap
+        # record one node each for an op chain, so a rise means a fusion undone
         sizes = []
         original = nm.backward
 
@@ -387,7 +387,7 @@ class TestPretrain:
         cfg = preset("tiny")
         params = ParameterStore.initialize(cfg, seed=0)
         pretrain(tiny_corpus(), params, cfg, flat_lr_config(), steps=2)
-        assert sizes == [46, 46]
+        assert sizes == [41, 41]
 
     def test_loss_scope_all_differs_from_masked(self):
         cfg = preset("tiny")
@@ -469,11 +469,11 @@ class TestMaskedLoss:
 
     def test_only_masked_rows_reach_the_head(self, monkeypatch):
         rows = []
-        head = model.head_reconstruct
-        monkeypatch.setattr(model, "head_reconstruct",
-                            lambda e, params: rows.append(e.shape) or head(e, params))
+        loss = model.reconstruct_mse
+        monkeypatch.setattr(model, "reconstruct_mse",
+                            lambda e, *args: rows.append(e.shape) or loss(e, *args))
         _loss_and_grads(trainer._masked_mse, [(3, 5)] * 2, "slot")
-        assert rows == [(12, 8)]  # round(0.4 * 15) = 6 hidden slots per sample, L = 8
+        assert rows == [(12, 8)]  # round(0.4 * 15) = 6 hidden slots per sample, D = 8
 
 
 def labeled_dataset(n=20, length=8, patches=4, seed=4):
