@@ -553,8 +553,9 @@ def mse(pred, target) -> Tensor:
 
 
 def linear_mse(x, w, b, target, rows=None) -> Tensor:
-    """`mse(linear(x, w, b), target[rows])` (all of `target` when `rows` is
-    None) with a constant array `target`, as one node.
+    """`mse(linear(x, w, b), target[rows])` with a constant array `target`
+    and an integer index array `rows` (all of `target` when None), as one
+    node.
 
     The prediction buffer becomes the difference in place.  Gathered target
     rows are a buffer the kernel owns, and it then holds the squares; whole,
@@ -570,7 +571,7 @@ def linear_mse(x, w, b, target, rows=None) -> Tensor:
     target = np.asarray(target, dtype=np.float64)
     owned = rows is not None
     if owned:
-        target = target[rows]
+        target = target[np.asarray(rows, dtype=np.int64)]  # a copy, never a view
     if diff.shape != target.shape:
         raise ShapeError(f"linear_mse: prediction {diff.shape} and target {target.shape} differ")
     diff -= target

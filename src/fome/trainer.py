@@ -6,11 +6,11 @@ array, and runs one forward and one backward pass per stack (pre-training
 draws one boolean (C, P) mask per sample, in batch order, hides the stack's
 (B, C, P) mask and reconstructs the masked rows only, the head and the MSE
 as one `numerics.linear_mse` node that holds the difference alone);
-dropout masks are drawn once per stack.  Backward consumes the step's tape as it runs.
-Every `grad_accum` micro-steps it applies one AdamW update at the scheduled
-learning rate.  Losses are mean-reduced and micro-batch losses are scaled
-by 1/grad_accum, so accumulation matches a single step on the concatenated
-batch.  A mask is the same boolean (C, P) map wherever it appears: the
+dropout masks are drawn once per stack.  Backward consumes the step's tape
+as it runs.  Every `grad_accum` micro-steps it applies one AdamW update at
+the scheduled learning rate.  Losses are mean-reduced and micro-batch
+losses are scaled by 1/grad_accum, so accumulation matches a single step
+on the concatenated batch.  A mask is the same boolean (C, P) map wherever it appears: the
 slots pre-training hides and the missing patches of an `ImputeSample`.
 
 Each public entry call reads its samples from one `_Samples` store, which
