@@ -126,6 +126,14 @@ def _read_bytes(path: str) -> bytes:
     return sys.stdin.buffer.read() if path == "-" else read_file(path)
 
 
+def _load(path: str, manifest: _Manifest, decode):
+    """``decode(payload, path)`` of the bytes at `path`, recorded as an input of
+    `manifest`; the bytes are released when this returns."""
+    payload = _read_bytes(path)
+    manifest.add_input(path, payload)
+    return decode(payload, path)
+
+
 def _write(path: str, payload: bytes | str, manifest: _Manifest) -> None:
     """Write `payload` to `path`, or to stdout for "-", a str as UTF-8, and
     record it as an output of `manifest`."""
@@ -204,10 +212,11 @@ def _cmd_preprocess(args, manifest: _Manifest) -> None:
     from .signal_store import recording_from_bytes
 
     cfg = _preprocess_config(args)
-    payload = _read_bytes(args.infile)
-    manifest.add_input(args.infile, payload)
-    recording = recording_from_bytes(payload, source=args.infile, format=args.format)
-    grid = preprocess_pipeline(recording, cfg, patch_len=args.patch)
+    # the pipeline holds the only reference to the decoded recording and
+    # drops it once filtered
+    grid = preprocess_pipeline(
+        _load(args.infile, manifest, functools.partial(recording_from_bytes, format=args.format)),
+        cfg, patch_len=args.patch)
     manifest.add_config("preprocess", asdict(cfg))
     _write(args.out, grid_to_bytes(grid), manifest)
     log.info("grid: C=%d P=%d L=%d", grid.n_channels, grid.n_patches, grid.patch_len)
@@ -217,9 +226,7 @@ def _cmd_spectra(args, manifest: _Manifest) -> None:
     from .preprocess import grid_from_bytes
     from .spectral import band_powers
 
-    payload = _read_bytes(args.infile)
-    manifest.add_input(args.infile, payload)
-    grid = grid_from_bytes(payload, source=args.infile)
+    grid = _load(args.infile, manifest, grid_from_bytes)
     values = band_powers(grid, taper=args.taper)
     c, p, n = values.shape
     rows = values.reshape(c * p, n).tolist()
@@ -301,21 +308,15 @@ def _split_into_samples(grid, patches_per_sample: int):
 def _load_grids(paths: list[str] | tuple[str, ...], manifest: _Manifest):
     from .preprocess import grid_from_bytes
 
-    grids = []
-    for path in paths:
-        payload = _read_bytes(path)
-        manifest.add_input(path, payload)
-        grids.append(grid_from_bytes(payload, source=path))
-    return grids
+    return [_load(path, manifest, grid_from_bytes) for path in paths]
 
 
 def _init_params(args, model_cfg, manifest: _Manifest):
     from . import model
 
     if args.checkpoint:
-        payload = _read_bytes(args.checkpoint)
-        manifest.add_input(args.checkpoint, payload)
-        return model.params_from_bytes(payload, model_cfg, args.checkpoint)
+        return _load(args.checkpoint, manifest,
+                     lambda payload, path: model.params_from_bytes(payload, model_cfg, path))
     return model.ParameterStore.initialize(model_cfg, args.seed)
 
 
@@ -495,9 +496,7 @@ def _is_numeric_row(row: list[str]) -> bool:
 def _cmd_inspect_checkpoint(args, manifest: _Manifest) -> None:
     from .numerics import checkpoint_from_bytes
 
-    payload = _read_bytes(args.infile)
-    manifest.add_input(args.infile, payload)
-    arrays = checkpoint_from_bytes(payload, source=args.infile)
+    arrays = _load(args.infile, manifest, checkpoint_from_bytes)
     listing = {name: list(arr.shape) for name, arr in arrays.items()}
     if args.json:
         _write(args.out, json.dumps(listing, indent=2) + "\n", manifest)

@@ -5,6 +5,11 @@ per-window exponential-moving standardization -> patching.  Filters are
 causal (forward-only) IIR biquads; resampling is polyphase FIR over the
 reduced rational rate ratio with a Kaiser-windowed low-pass (beta 8.6,
 64 taps per phase).
+
+`preprocess_pipeline` filters and resamples one channel at a time into a
+single (C, T_out) array and runs the later stages on that array in place,
+so its memory is about three arrays of the resampled signal's size; each
+channel's result is bitwise what the whole-array stage functions give.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from scipy.signal import butter, iirnotch, lfilter, sosfilt, upfirdn
 
 from .errors import ConfigError, DataError, EmptyError, FormatError, read_file, write_file
-from .signal_store import Recording
+from .signal_store import Recording, f32_blob
 
 _KAISER_BETA = 8.6
 _TAPS_PER_PHASE = 64
@@ -151,30 +156,42 @@ def _kaiser_lowpass(up: int, down: int, source_hz: float) -> np.ndarray:
     return taps * (up / taps.sum())
 
 
+def _polyphase(source_hz: float, target_hz: float, n_samples: int):
+    """``(n_out, convert)`` for a conversion of `n_samples` from `source_hz`
+    to `target_hz`; `convert` maps a (..., n_samples) array to (..., n_out)
+    along its last axis, and is None when the rates match."""
+    if not (np.isfinite(target_hz) and target_hz > 0):
+        raise ConfigError(f"target rate must be finite and positive, got {target_hz}")
+    up, down = _rate_ratio(target_hz, source_hz)
+    if up == down:
+        return n_samples, None
+    n_out = int(round(n_samples * up / down))
+    if n_out < 1:
+        raise EmptyError("resampled signal would be empty")
+    taps = _kaiser_lowpass(up, down, source_hz)
+    half = (len(taps) - 1) // 2
+    n_pre = (-half) % down
+    taps_padded = np.concatenate([np.zeros(n_pre), taps])
+    skip = (half + n_pre) // down
+    pad_tail = len(taps_padded) // up + down + 2
+
+    def convert(x: np.ndarray) -> np.ndarray:
+        x = np.concatenate([x, np.zeros(x.shape[:-1] + (pad_tail,))], axis=-1)
+        return upfirdn(taps_padded, x, up=up, down=down, axis=-1)[..., skip : skip + n_out]
+
+    return n_out, convert
+
+
 def resample(r: Recording, target_hz: float) -> Recording:
     """Polyphase rational-rate conversion; exact identity when rates match.
 
     Output length is round(T * target / source); the FIR group delay is
     compensated so output sample m sits at time m / target.
     """
-    if not (np.isfinite(target_hz) and target_hz > 0):
-        raise ConfigError(f"target rate must be finite and positive, got {target_hz}")
-    up, down = _rate_ratio(target_hz, r.sample_rate_hz)
-    if up == down:
+    _, convert = _polyphase(r.sample_rate_hz, target_hz, r.n_samples)
+    if convert is None:
         return Recording(r.data.copy(), r.sample_rate_hz, r.channel_labels, r.id)
-    n_out = int(round(r.n_samples * up / down))
-    if n_out < 1:
-        raise EmptyError("resampled signal would be empty")
-    taps = _kaiser_lowpass(up, down, r.sample_rate_hz)
-    half = (len(taps) - 1) // 2
-    n_pre = (-half) % down
-    taps_padded = np.concatenate([np.zeros(n_pre), taps])
-    skip = (half + n_pre) // down
-    pad_tail = len(taps_padded) // up + down + 2
-    x = np.concatenate([r.data, np.zeros((r.channels, pad_tail))], axis=1)
-    filtered = upfirdn(taps_padded, x, up=up, down=down, axis=1)
-    out = filtered[:, skip : skip + n_out]
-    return Recording(out, target_hz, r.channel_labels, r.id)
+    return Recording(convert(r.data), target_hz, r.channel_labels, r.id)
 
 
 # ---------------------------------------------------------------------------
@@ -182,26 +199,38 @@ def resample(r: Recording, target_hz: float) -> Recording:
 # ---------------------------------------------------------------------------
 
 
+def _detrend(x: np.ndarray) -> None:
+    """Remove the least-squares line from each row of the 2-D array x, in place."""
+    if x.shape[1] < 2:
+        raise ConfigError("detrend needs at least two samples")
+    t = np.arange(x.shape[1], dtype=np.float64)
+    tc = t - t.mean()
+    slope = (x @ tc) / (tc @ tc)
+    intercept = x.mean(axis=1) - slope * t.mean()
+    x -= intercept[:, None] + slope[:, None] * t
+
+
 def detrend(r: Recording) -> Recording:
     """Remove the per-channel least-squares line."""
-    if r.n_samples < 2:
-        raise ConfigError("detrend needs at least two samples")
-    t = np.arange(r.n_samples, dtype=np.float64)
-    tc = t - t.mean()
-    slope = (r.data @ tc) / (tc @ tc)
-    intercept = r.data.mean(axis=1) - slope * t.mean()
-    out = r.data - (intercept[:, None] + slope[:, None] * t)
+    out = r.data.copy()
+    _detrend(out)
     return Recording(out, r.sample_rate_hz, r.channel_labels, r.id)
 
 
-def _standardize(x: np.ndarray, alpha: float, eps: float) -> tuple[np.ndarray, StandardizerState]:
-    """`standardize_ema` along the last axis of x, every leading index on its own."""
+def _standardize(x: np.ndarray, alpha: float, eps: float) -> StandardizerState:
+    """`standardize_ema` along the last axis of x, in place, every leading
+    index on its own; returns the final running statistics."""
     b, a = [alpha], [1.0, alpha - 1.0]
     ema, _ = lfilter(b, a, x, axis=-1, zi=(1.0 - alpha) * x[..., :1])
-    dev = x - ema
-    var, _ = lfilter(b, a, dev**2, axis=-1, zi=np.zeros_like(x[..., :1]))
-    esd = np.sqrt(var)
-    return dev / (esd + eps), StandardizerState(ema=ema[..., -1], esd=esd[..., -1])
+    x -= ema
+    last_ema = ema[..., -1].copy()
+    var, _ = lfilter(b, a, np.square(x, out=ema), axis=-1, zi=np.zeros_like(x[..., :1]))
+    del ema
+    esd = np.sqrt(var, out=var)
+    state = StandardizerState(ema=last_ema, esd=esd[..., -1].copy())
+    esd += eps
+    x /= esd
+    return state
 
 
 def standardize_ema(
@@ -219,7 +248,8 @@ def standardize_ema(
     Both recurrences run as first-order IIR filters; esd is filtered as the
     variance esd_t^2 and square-rooted afterwards.
     """
-    out, state = _standardize(r.data, cfg.ema_alpha, cfg.eps)
+    out = r.data.copy()
+    state = _standardize(out, cfg.ema_alpha, cfg.eps)
     return Recording(out, r.sample_rate_hz, r.channel_labels, r.id), state
 
 
@@ -228,23 +258,28 @@ def standardize_ema(
 # ---------------------------------------------------------------------------
 
 
+def _windowed_length(n_samples: int, cfg: PreprocessConfig, patch_len: int) -> int:
+    """Samples kept by whole windows; checks that patches tile a window."""
+    window = cfg.window_len_samples
+    if patch_len < 1:
+        raise ConfigError("patch_len must be >= 1")
+    if window % patch_len != 0:
+        raise ConfigError(f"patch_len {patch_len} must divide window {window}")
+    n_windows = n_samples // window
+    if n_windows == 0:
+        raise EmptyError(
+            f"signal of {n_samples} samples is shorter than one window ({window})"
+        )
+    return n_windows * window
+
+
 def window_and_patch(r: Recording, cfg: PreprocessConfig, patch_len: int) -> PatchGrid:
     """Cut into complete windows, then non-overlapping patches of patch_len.
 
     Trailing samples short of a full window are dropped; with the default
     window == patch this is exactly floor(T / L) patches.
     """
-    window = cfg.window_len_samples
-    if patch_len < 1:
-        raise ConfigError("patch_len must be >= 1")
-    if window % patch_len != 0:
-        raise ConfigError(f"patch_len {patch_len} must divide window {window}")
-    n_windows = r.n_samples // window
-    if n_windows == 0:
-        raise EmptyError(
-            f"signal of {r.n_samples} samples is shorter than one window ({window})"
-        )
-    total = n_windows * window
+    total = _windowed_length(r.n_samples, cfg, patch_len)
     patches = r.data[:, :total].reshape(r.channels, total // patch_len, patch_len)
     return PatchGrid(patches=patches.copy(), patch_len=patch_len, source_rate_hz=r.sample_rate_hz)
 
@@ -257,17 +292,26 @@ def preprocess_pipeline(
     The notch and the band-pass run as one cascaded `sosfilt` over their
     three sections.  `sosfilt` takes each sample through the sections in
     turn, so the result is bitwise `bandpass_filter(notch_filter(r))`.
+    Filtering and resampling run one channel at a time into a single
+    (C, T_out) array; detrend, windowing and standardization then work on
+    that array in place.  The pipeline drops its reference to ``r`` once
+    every channel is filtered, so a caller that passes a recording it does
+    not keep (as the CLI does) frees the input before detrend.
     """
     patch_len = cfg.window_len_samples if patch_len is None else patch_len
     sos = np.vstack([_notch_sos(r.sample_rate_hz, cfg.notch_hz, cfg.notch_q),
                      _bandpass_sos(r.sample_rate_hz, cfg.band_lo_hz, cfg.band_hi_hz)])
-    stage = Recording(sosfilt(sos, r.data, axis=1), r.sample_rate_hz, r.channel_labels, r.id)
-    stage = resample(stage, cfg.target_rate_hz)
-    stage = detrend(stage)
-    grid = window_and_patch(stage, cfg, patch_len)
-    windows = grid.patches.reshape(grid.n_channels, -1, cfg.window_len_samples)
-    standardized, _ = _standardize(windows, cfg.ema_alpha, cfg.eps)
-    return PatchGrid(standardized.reshape(grid.patches.shape), patch_len, cfg.target_rate_hz)
+    n_out, convert = _polyphase(r.sample_rate_hz, cfg.target_rate_hz, r.n_samples)
+    x = np.empty((r.channels, n_out), dtype=np.float64)
+    for c in range(r.channels):
+        filtered = sosfilt(sos, r.data[c])
+        x[c] = filtered if convert is None else convert(filtered)
+    del r
+    _detrend(x)
+    total = _windowed_length(n_out, cfg, patch_len)
+    x = x[:, :total].reshape(x.shape[0], -1, cfg.window_len_samples)
+    _standardize(x, cfg.ema_alpha, cfg.eps)
+    return PatchGrid(x.reshape(x.shape[0], -1, patch_len), patch_len, cfg.target_rate_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +322,10 @@ _GRID_MAGIC = b"FEGP"
 _GRID_HEADER = struct.Struct("<4sIIId")
 
 
-def grid_to_bytes(grid: PatchGrid) -> bytes:
+def grid_to_bytes(grid: PatchGrid) -> bytearray:
     c, p, length = grid.patches.shape
-    header = _GRID_HEADER.pack(_GRID_MAGIC, c, p, length, grid.source_rate_hz)
-    return header + np.ascontiguousarray(grid.patches, dtype="<f4").tobytes()
+    return f32_blob(_GRID_HEADER.pack(_GRID_MAGIC, c, p, length, grid.source_rate_hz),
+                    grid.patches)
 
 
 def grid_from_bytes(buf: bytes, source: str = "<bytes>") -> PatchGrid:

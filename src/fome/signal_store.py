@@ -123,18 +123,29 @@ def generate_synthetic(spec: SyntheticSpec) -> Recording:
     Sample t of channel c is the sum of that channel's sinusoid components
     plus N(0, noise_std) noise drawn row-major over (channel, time) from the
     seeded stream.  Output is quantized to the float32 storage grid.
+
+    The noise is drawn straight into the (C, T) result and scaled there;
+    each channel's components are summed in one row buffer before they are
+    added, and each row is quantized in place, so the result is the only
+    signal-sized array.
     """
     n = int(round(spec.duration_s * spec.sample_rate_hz))
     t = np.arange(n, dtype=np.float64) / spec.sample_rate_hz
-    data = np.zeros((spec.channels, n), dtype=np.float64)
-    for comp in spec.components:
-        data[comp.channel] += comp.amplitude * np.sin(
-            2.0 * np.pi * comp.frequency_hz * t + comp.phase_rad
-        )
     if spec.noise_std > 0:
-        noise = Rng(spec.seed).normals(spec.channels * n)
-        data += spec.noise_std * noise.reshape(spec.channels, n)
-    data = data.astype(np.float32).astype(np.float64)
+        data = Rng(spec.seed).normals(spec.channels * n).reshape(spec.channels, n)
+        data *= spec.noise_std
+    else:
+        data = np.zeros((spec.channels, n), dtype=np.float64)
+    tones = np.empty(n, dtype=np.float64)
+    for c, row in enumerate(data):
+        tones.fill(0.0)
+        for comp in spec.components:
+            if comp.channel == c:
+                tones += comp.amplitude * np.sin(
+                    2.0 * np.pi * comp.frequency_hz * t + comp.phase_rad
+                )
+        row += tones
+        row[:] = row.astype(np.float32)
     return Recording(data=data, sample_rate_hz=spec.sample_rate_hz, id=f"synth-{spec.seed}")
 
 
@@ -149,13 +160,21 @@ def _is_csv(format: str) -> bool:
     return format == "csv"
 
 
-def recording_to_bytes(r: Recording, format: str = "binary") -> bytes:
+def f32_blob(header: bytes, values: np.ndarray) -> bytearray:
+    """``header`` followed by ``values`` as little-endian float32 in C order,
+    cast straight into one buffer of the final size."""
+    blob = bytearray(len(header) + 4 * values.size)
+    blob[: len(header)] = header
+    np.frombuffer(blob, dtype="<f4", offset=len(header)).reshape(values.shape)[...] = values
+    return blob
+
+
+def recording_to_bytes(r: Recording, format: str = "binary") -> bytes | bytearray:
     """``r`` as an FEEG v1 blob, or as UTF-8 CSV for format "csv"."""
     if _is_csv(format):
         return _recording_to_csv(r).encode("utf-8")
-    header = _HEADER.pack(_MAGIC, _VERSION, r.channels, r.n_samples, r.sample_rate_hz)
-    samples = np.ascontiguousarray(r.data, dtype="<f4")
-    return header + samples.tobytes()
+    return f32_blob(_HEADER.pack(_MAGIC, _VERSION, r.channels, r.n_samples, r.sample_rate_hz),
+                    r.data)
 
 
 def recording_from_bytes(buf: bytes, source: str = "<bytes>", format: str = "binary") -> Recording:

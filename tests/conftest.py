@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,22 @@ def interior_tone_amplitude(x: np.ndarray, fs: float, freq_hz: float) -> tuple[i
     spectrum = np.abs(np.fft.rfft(seg))
     peak = int(np.argmax(spectrum[1:])) + 1
     return peak, 2.0 * spectrum[peak] / seg.size
+
+
+def traced_peak(fn) -> tuple[object, int]:
+    """``(fn(), bytes)``: the result, and the traced peak of the allocations
+    `fn` made above what was allocated when it started."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+MiB = 1 << 20
 
 
 @pytest.fixture

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written straight-line, without touching the
 package's own kernels, so a test comparing the two paths is a genuine
-cross-check rather than a tautology.  Two exceptions hold a fused path to
-the chain of package stages it replaces, bit for bit:
+cross-check rather than a tautology.  Three exceptions hold a fused or
+blocked path to the formulas it replaces, bit for bit:
 `primitive_encoder_block` runs the encoder block as primitive taped ops,
-gradients included, and `conditioning_oracle` runs the preprocessing
-pipeline one public stage at a time.
+gradients included, `conditioning_oracle` runs the preprocessing
+pipeline one public stage at a time, and `OracleRng` draws the random
+streams with whole-array formulas.
 """
 
 from __future__ import annotations
@@ -196,8 +197,8 @@ def conditioning_oracle(recording, cfg, patch_len=None):
     stage = detrend(resample(stage, cfg.target_rate_hz))
     grid = window_and_patch(stage, cfg, patch_len)
     windows = grid.patches.reshape(grid.n_channels, -1, cfg.window_len_samples)
-    standardized, _ = _standardize(windows, cfg.ema_alpha, cfg.eps)
-    return PatchGrid(standardized.reshape(grid.patches.shape), patch_len, cfg.target_rate_hz)
+    _standardize(windows, cfg.ema_alpha, cfg.eps)  # in place, so into grid.patches
+    return PatchGrid(grid.patches, patch_len, cfg.target_rate_hz)
 
 
 def _plain_errors(preds, truth):
@@ -234,3 +235,72 @@ def impute_report_oracle(samples, params, model_cfg):
     base_mae, base_mse = _plain_errors(np.concatenate(bases), truth)
     return trainer.MetricsReport(task="imputation", mae=mae, mse=mse, baseline={
         "mean_imputation_mae": base_mae, "mean_imputation_mse": base_mse})
+
+
+# ---------------------------------------------------------------------------
+# random streams
+# ---------------------------------------------------------------------------
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_INV_2_53 = float(2.0**-53)
+
+
+def _mix64(z):
+    with np.errstate(over="ignore"):
+        z = z ^ (z >> np.uint64(30))
+        z = z * np.uint64(0xBF58476D1CE4E5B9)
+        z = z ^ (z >> np.uint64(27))
+        z = z * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+class OracleRng:
+    """`fome.rng.Rng` as whole-array splitmix64 and Box-Muller formulas."""
+
+    def __init__(self, seed: int):
+        self._seed = np.uint64(int(seed) & ((1 << 64) - 1))
+        self._count = 0
+
+    def raw(self, n):
+        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        self._count += n
+        with np.errstate(over="ignore"):
+            return _mix64(self._seed + idx * _GOLDEN)
+
+    def uniforms(self, n):
+        return (self.raw(n) >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+    def normals(self, n):
+        pairs = (n + 1) // 2
+        words = self.raw(2 * pairs)
+        u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV_2_53
+        u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        r = np.sqrt(-2.0 * np.log(u1))
+        out = np.empty(2 * pairs, dtype=np.float64)
+        out[0::2] = r * np.cos(2.0 * np.pi * u2)
+        out[1::2] = r * np.sin(2.0 * np.pi * u2)
+        return out[:n]
+
+    def sample_without_replacement(self, n, k):
+        arr = np.arange(n, dtype=np.int64)
+        words = self.raw(k)
+        for i in range(k):
+            j = i + int(words[i] % np.uint64(n - i))
+            arr[i], arr[j] = arr[j], arr[i]
+        return arr[:k]
+
+
+def synthetic_oracle(spec):
+    """The data of `generate_synthetic(spec)`: every component summed into
+    a zero (C, T) array, whole-array noise added, then quantized."""
+    n = int(round(spec.duration_s * spec.sample_rate_hz))
+    t = np.arange(n, dtype=np.float64) / spec.sample_rate_hz
+    data = np.zeros((spec.channels, n), dtype=np.float64)
+    for comp in spec.components:
+        data[comp.channel] += comp.amplitude * np.sin(
+            2.0 * np.pi * comp.frequency_hz * t + comp.phase_rad
+        )
+    if spec.noise_std > 0:
+        noise = OracleRng(spec.seed).normals(spec.channels * n)
+        data += spec.noise_std * noise.reshape(spec.channels, n)
+    return data.astype(np.float32).astype(np.float64)

@@ -225,6 +225,25 @@ class TestProcessState:
             assert manifest["outputs"] == {out: hashlib.sha256(read(out)).hexdigest()}
         assert reads == [feeg, fegp]  # each input once, no output
 
+    def test_ingest_commands_peak_memory(self, tmp_path, monkeypatch):
+        from conftest import MiB, traced_peak
+
+        monkeypatch.setattr(cli, "_git_describe", lambda: "test")
+        feeg, fegp = str(tmp_path / "r.feeg"), str(tmp_path / "r.fegp")
+        # the ingest workload's commands: a 19 ch x 60 s recording at 500 Hz
+        # (4.35 MiB in float64, 2.17 MiB on disk)
+        synth = ["synth", "--seed", "11", "--channels", "19", "--duration", "60",
+                 "--rate", "500", "--out", feeg]
+        preprocess = ["preprocess", "--in", feeg, "--out", fegp, "--window", "1500"]
+        # measured 6.5 and 7.1 MiB, from 24.2 and 23.9 with whole-array
+        # noise, filtering and codecs; holding the decoded recording through
+        # the pipeline would put preprocess above 11 MiB
+        for argv, bound in ((synth, 8 * MiB), (preprocess, 9 * MiB)):
+            assert cli.main(argv) == 0  # first run imports and builds the parser
+            code, peak = traced_peak(lambda: cli.main(argv))
+            assert code == 0
+            assert peak <= bound, argv[0]
+
     def test_parses_do_not_share_list_values(self):
         parser = cli.build_parser()
         first = parser.parse_args(["pretrain", "--ablate", "freq"])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import interior_tone_amplitude, make_tone, rms, steady_state_db
+from conftest import MiB, interior_tone_amplitude, make_tone, rms, steady_state_db, traced_peak
 from oracles import conditioning_oracle, ema_standardize_scalar
 
 from fome.errors import ConfigError, DataError, EmptyError, FormatError
@@ -193,6 +193,15 @@ class TestStandardizeEma:
         assert abs(state.ema[0] - ema) < 1e-15
         assert abs(state.esd[0] - esd) < 1e-15
 
+    def test_state_owns_one_value_per_channel(self, rng):
+        r = Recording(rng.standard_normal((3, 400)), 250.0)
+        before = r.data.copy()
+        out, state = standardize_ema(r, self.cfg(0.05))
+        for stat in (state.ema, state.esd):
+            assert stat.shape == (3,)
+            assert stat.base is None  # keeping the state keeps no signal-sized array
+        assert np.array_equal(r.data, before)  # the input is not standardized in place
+
 
 class TestWindowAndPatch:
     def cfg(self, window=1500):
@@ -327,6 +336,18 @@ class TestPipeline:
             want = conditioning_oracle(r, cfg, patch_len)
             assert got.patches.tobytes() == want.patches.tobytes()
             assert (got.patch_len, got.source_rate_hz) == (want.patch_len, want.source_rate_hz)
+
+    def test_ingest_recording_peak(self):
+        # the ingest workload's recording: 19 ch x 60 s at 500 Hz (4.35 MiB)
+        spec = SyntheticSpec(channels=19, duration_s=60.0, sample_rate_hz=500.0, seed=11,
+                             noise_std=5.0, components=[Component(c, 8.0 + 2.0 * c, 20.0, 0.0)
+                                                        for c in range(19)])
+        r = generate_synthetic(spec)
+        grid, peak = traced_peak(lambda: preprocess_pipeline(r, PreprocessConfig()))
+        assert grid.patches.shape == (19, 10, 1500)
+        # measured 7.0 MiB: the (C, T_out) result plus two arrays of its
+        # size while standardizing; whole-array stages took 17.4 MiB
+        assert peak <= 8 * MiB
 
     @pytest.mark.parametrize("rate, message", [
         (100.0, "notch frequency 50.0 Hz outside (0, 50.0) Hz"),

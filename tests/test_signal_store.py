@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import MiB, traced_peak
 from mutations import mutated
+from oracles import synthetic_oracle
 
 from fome.errors import DataError, FormatError, IoError, SpecError
 from fome.signal_store import (
@@ -66,6 +68,11 @@ class TestBinaryFormat:
         write_recording(r, p1)
         write_recording(read_recording(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_blob_is_header_then_float32_payload(self, rng):
+        r = random_f32_recording(rng, 3, 101, 250.0)
+        header = struct.pack("<4sBIQd", b"FEEG", 1, 3, 101, 250.0)
+        assert recording_to_bytes(r) == header + r.data.astype("<f4").tobytes()
 
     def test_single_sample_round_trip(self, tmp_path):
         r = Recording(np.zeros((1, 1)), 100.0)
@@ -198,6 +205,29 @@ class TestGenerateSynthetic:
         expected = np.sin(2 * np.pi * 10 * t) + 0.5 * np.sin(2 * np.pi * 20 * t + 1.0)
         assert np.allclose(r.data[0], expected, atol=1e-6)
         assert np.allclose(r.data[1], 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(channels=st.integers(1, 4), n=st.integers(1, 700), noise=st.sampled_from([0.0, 0.5, 3.0]),
+           seed=st.integers(0, 2**32),
+           comps=st.lists(st.tuples(st.integers(0, 3), st.floats(0.0, 49.0),
+                                    st.floats(-30.0, 30.0), st.floats(-4.0, 4.0)), max_size=5))
+    def test_matches_whole_array_formula_bitwise(self, channels, n, noise, seed, comps):
+        # several components on one channel, no noise, and odd C*T (a
+        # Box-Muller pair split across two channels) all occur here
+        spec = SyntheticSpec(channels=channels, duration_s=n / 100.0, sample_rate_hz=100.0,
+                             seed=seed, noise_std=noise,
+                             components=[Component(c % channels, *rest) for c, *rest in comps])
+        got = generate_synthetic(spec).data
+        assert got.tobytes() == synthetic_oracle(spec).tobytes()
+
+    def test_ingest_recording_peak(self):
+        spec = SyntheticSpec(channels=19, duration_s=60.0, sample_rate_hz=500.0, seed=11,
+                             noise_std=5.0, components=[Component(c, 8.0 + 2.0 * c, 20.0, 0.0)
+                                                        for c in range(19)])
+        r, peak = traced_peak(lambda: generate_synthetic(spec))
+        # measured 5.5 MiB: the 4.35 MiB result plus one block of noise
+        # scratch and a few rows; whole-array noise and quantizing took 24.2 MiB
+        assert peak <= r.data.nbytes + 2 * MiB
 
     def test_nyquist_rejected(self):
         with pytest.raises(SpecError):
