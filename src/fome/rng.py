@@ -33,7 +33,7 @@ _TWO_PI = 2.0 * np.pi
 _MIX_STEPS = ((np.uint64(30), _MIX1), (np.uint64(27), _MIX2), (np.uint64(31), None))
 _SHIFT_53 = np.uint64(11)  # keeps a word's top 53 bits
 
-_BLOCK = 1 << 15  # words per block (even, so a block holds whole Box-Muller pairs)
+_BLOCK = 1 << 13  # words per block (even, so a block holds whole Box-Muller pairs)
 _STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * _GOLDEN  # (k + 1) * GOLDEN, wrapped
 
 

@@ -2,12 +2,13 @@
 
 Everything here is deliberately written straight-line, without touching the
 package's own kernels, so a test comparing the two paths is a genuine
-cross-check rather than a tautology.  Three exceptions hold a fused or
+cross-check rather than a tautology.  Four exceptions hold a fused or
 blocked path to the formulas it replaces, bit for bit:
 `primitive_encoder_block` runs the encoder block as primitive taped ops,
 gradients included, `conditioning_oracle` runs the preprocessing
-pipeline one public stage at a time, and `OracleRng` draws the random
-streams with whole-array formulas.
+pipeline one public stage at a time, and `OracleRng` and
+`synthetic_oracle` draw the random streams and the synthetic recording
+with whole-array formulas.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import MiB, traced_peak
 from mutations import mutated
 
 import fome
@@ -226,8 +227,6 @@ class TestProcessState:
         assert reads == [feeg, fegp]  # each input once, no output
 
     def test_ingest_commands_peak_memory(self, tmp_path, monkeypatch):
-        from conftest import MiB, traced_peak
-
         monkeypatch.setattr(cli, "_git_describe", lambda: "test")
         feeg, fegp = str(tmp_path / "r.feeg"), str(tmp_path / "r.fegp")
         # the ingest workload's commands: a 19 ch x 60 s recording at 500 Hz

@@ -196,7 +196,7 @@ class TestStandardizeEma:
     def test_state_owns_one_value_per_channel(self, rng):
         r = Recording(rng.standard_normal((3, 400)), 250.0)
         before = r.data.copy()
-        out, state = standardize_ema(r, self.cfg(0.05))
+        _, state = standardize_ema(r, self.cfg(0.05))
         for stat in (state.ema, state.esd):
             assert stat.shape == (3,)
             assert stat.base is None  # keeping the state keeps no signal-sized array
