@@ -310,26 +310,33 @@ def embed(
     bands: np.ndarray | None,
     params: ParameterStore,
     cfg: ModelConfig,
+    mask: np.ndarray | None = None,
 ) -> Tensor:
     """Fuse patch content, softmax-normalized band powers, and position.
 
     `patches` is (..., C, P, L), `bands` the matching (..., C, P, N_BANDS)
     band powers (None when the config has no frequency embedding); returns
-    (..., C, P, D).
+    (..., C, P, D).  The patches where the boolean (..., C, P) `mask` is
+    True are never read: the patch projection, linear or convolutional,
+    runs on the other patches only, and a masked patch's projection is the
+    bias, what a zero patch projects to, bit for bit.  `forward` then
+    replaces those rows (`apply_mask`).
     """
     p, length = patches.shape[-2:]
     if length != cfg.patch_len:
         raise ConfigError(f"grid patch_len {length} != config patch_len {cfg.patch_len}")
     if p > cfg.max_patches:
         raise CapacityError(f"{p} patches exceeds max_patches {cfg.max_patches}")
+    if mask is not None and mask.shape != patches.shape[:-1]:
+        raise ShapeError(f"mask shape {mask.shape} != patch slots {patches.shape[:-1]}")
     x = Tensor(patches)
     if cfg.conv_embed:
         k = cfg.conv_kernel
         windows = nm.reshape(x, patches.shape[:-1] + (length // k, k))
-        moved = nm.linear(windows, params["embed.patch.w"])
+        moved = nm.linear(windows, params["embed.patch.w"], skip=mask)
         e_patch = nm.add(nm.mean(moved, axis=-2), params["embed.patch.b"])
     else:
-        e_patch = nm.linear(x, params["embed.patch.w"], params["embed.patch.b"])
+        e_patch = nm.linear(x, params["embed.patch.w"], params["embed.patch.b"], skip=mask)
     total = e_patch
     if cfg.use_freq_embed:
         if bands is None:
@@ -462,8 +469,9 @@ def forward(
     stream: Rng | None = None,
 ) -> Tensor:
     """Embed, mask the slots where the boolean (..., C, P) `mask` is True,
-    then run the full encoder stack; returns (..., C, P, D)."""
-    e = embed(patches, bands, params, cfg)
+    then run the full encoder stack; returns (..., C, P, D).  The masked
+    patches are never read."""
+    e = embed(patches, bands, params, cfg, mask)
     if mask is not None:
         e = apply_mask(e, mask, params, cfg)
     for i in range(cfg.temporal_layers):

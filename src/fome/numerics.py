@@ -29,7 +29,8 @@ Ops are plain numpy/BLAS kernels: a reduction's result depends on the
 order of its terms.  The fused kernels each record one node for a chain
 of ops and keep:
   - `linear` (matmul and add): the weight for the input's gradient and
-    the input for the weight's;
+    the input for the weight's, and with `skip` the boolean map of the
+    rows it left out;
   - `affine_norm` (layer norm, mul and add): the normalised rows, their
     inverse deviations and the gain;
   - `attention` (head split, scaled scores, softmax, mixing and head
@@ -339,16 +340,17 @@ def matmul(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def _affine(op: str, x: Tensor, w: Tensor, b: Tensor | None):
-    """Checked `x @ w + b` for `linear` and `linear_mse`: the output, the
-    node's inputs, and the weight, input and bias shape `_linear_grads`
-    reads (each None where no gradient needs it)."""
+def _affine(op: str, x: Tensor, w: Tensor, b: Tensor | None, skip=None):
+    """Checked `x @ w + b` for `linear` and `linear_mse`, on the rows that
+    the boolean `skip` over x's leading axes leaves (every row when None):
+    the output, the node's inputs, and the weight, input and bias shape
+    `_linear_grads` reads (each None where no gradient needs it)."""
     if x.data.ndim < 2 or w.data.ndim != 2:
         raise ShapeError(f"{op}: needs a >= 2-D input and a 2-D weight, "
                          f"got {x.shape} and {w.shape}")
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"{op}: inner dims differ, {x.shape} @ {w.shape}")
-    out = x.data @ w.data
+    out = x.data @ w.data if skip is None else _kept_product(x.data, w.data, skip)
     inputs = (x, w)
     if b is not None:
         if b.shape != w.shape[1:]:
@@ -360,21 +362,73 @@ def _affine(op: str, x: Tensor, w: Tensor, b: Tensor | None):
     return out, inputs, wd, xd, None if b is None else b.shape
 
 
-def _linear_grads(g: np.ndarray, wd, xd, sb) -> tuple:
-    """The gradients of `linear`'s inputs from its output adjoint `g`."""
+def _kept_product(x: np.ndarray, w: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """`x @ w` on the entries of x's leading axes where the boolean `skip`
+    is False, and zeros where it is True; a skipped entry is never read.
+
+    numpy runs `x @ w` as one gemm per trailing (S, K) matrix of `x`, and
+    BLAS picks its kernel by the call's shape.  So the kept entries are
+    gathered and multiplied in calls of that same shape: whole matrices, or
+    kept rows in (S, K) blocks, the last one padded with zero rows.  A row's
+    bits depend only on its values and the call's shape, so every kept row
+    gets the bits of the full product."""
+    inner = x.shape[skip.ndim:]
+    width = inner[:-1] + w.shape[1:]
+    kept = np.flatnonzero(~skip)
+    out = np.zeros(skip.shape + width)
+    if kept.size == 0:
+        return out
+    flat = x.reshape((-1,) + inner)
+    if len(inner) > 1:  # each kept entry is one or more whole matrices
+        out.reshape((-1,) + width)[kept] = flat[kept] @ w
+        return out
+    per = x.shape[-2]
+    rows = np.empty((-(-kept.size // per) * per, inner[0]))
+    np.take(flat, kept, axis=0, out=rows[: kept.size], mode="clip")
+    rows[kept.size :] = 0.0
+    product = rows.reshape(-1, per, inner[0]) @ w
+    out.reshape(-1, w.shape[1])[kept] = product.reshape(-1, w.shape[1])[: kept.size]
+    return out
+
+
+def _linear_grads(g: np.ndarray, wd, xd, sb, keep=None) -> tuple:
+    """The gradients of `linear`'s inputs from its output adjoint `g`, with
+    the rows where the boolean `keep` is False zeroed first (`g * keep`
+    leaves a zero adjoint's sign as it is)."""
+    if keep is not None:
+        g = g * keep
     gx = None if wd is None else g @ wd.T
     # one gemm over the folded leading axes: no (N, K, M) intermediate
     gw = None if xd is None else xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
     return (gx, gw) if sb is None else (gx, gw, _unbroadcast(g, sb))
 
 
-def linear(x, w, b=None) -> Tensor:
+def linear(x, w, b=None, skip=None) -> Tensor:
     """`x @ w + b` with a 2-D weight `w` and an optional (M,) bias `b`, as
-    one node."""
+    one node.
+
+    `skip`, a boolean array over the leading axes of `x`, leaves out the
+    entries where it is True: the product runs on the other rows only (see
+    `_kept_product`) and bitwise as it does on the full `x`, while a skipped
+    entry's output rows hold `b` (0 without it), what a zero row gives, and
+    its input values are never read.  Backward zeroes the output adjoint on
+    the skipped rows and then runs as without `skip`, on the full `x`.
+    """
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)
-    out, inputs, wd, xd, sb = _affine("linear", x, w, b)
-    return _record(out, inputs, lambda g: _linear_grads(g, wd, xd, sb))
+    keep = None
+    if skip is not None:
+        skip = np.asarray(skip)
+        if (skip.dtype != np.bool_ or skip.ndim >= x.data.ndim
+                or skip.shape != x.shape[: skip.ndim]):
+            raise ShapeError(f"linear: skip must be a boolean array over the leading axes "
+                             f"of {x.shape}, got {skip.dtype} {skip.shape}")
+        if skip.any():
+            keep = ~skip.reshape(skip.shape + (1,) * (x.data.ndim - skip.ndim))
+        else:
+            skip = None
+    out, inputs, wd, xd, sb = _affine("linear", x, w, b, skip)
+    return _record(out, inputs, lambda g: _linear_grads(g, wd, xd, sb, keep))
 
 
 def attention(q, k, v, heads: int, factor: float) -> Tensor:

@@ -21,7 +21,9 @@ memory.  Everything produced by `generate_synthetic` is quantized to the
 
 from __future__ import annotations
 
+import io
 import struct
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -172,7 +174,7 @@ def f32_blob(header: bytes, values: np.ndarray) -> bytearray:
 def recording_to_bytes(r: Recording, format: str = "binary") -> bytes | bytearray:
     """``r`` as an FEEG v1 blob, or as UTF-8 CSV for format "csv"."""
     if _is_csv(format):
-        return _recording_to_csv(r).encode("utf-8")
+        return _recording_to_csv(r)
     return f32_blob(_HEADER.pack(_MAGIC, _VERSION, r.channels, r.n_samples, r.sample_rate_hz),
                     r.data)
 
@@ -180,7 +182,7 @@ def recording_to_bytes(r: Recording, format: str = "binary") -> bytes | bytearra
 def recording_from_bytes(buf: bytes, source: str = "<bytes>", format: str = "binary") -> Recording:
     """Parse what `recording_to_bytes` writes; ``source`` names the input in errors."""
     if _is_csv(format):
-        return _recording_from_csv(decode_text(buf, source), source)
+        return _recording_from_csv(buf, source)
     if len(buf) < _HEADER.size:
         raise FormatError(f"{source}: truncated header ({len(buf)} bytes)")
     magic, version, c, t, rate = _HEADER.unpack_from(buf, 0)
@@ -199,26 +201,79 @@ def recording_from_bytes(buf: bytes, source: str = "<bytes>", format: str = "bin
     return Recording(data=data, sample_rate_hz=rate, id=source)
 
 
-def _recording_to_csv(r: Recording) -> str:
+# rows the CSV writer formats per `%` call
+_CSV_BLOCK = 1024
+# the line breaks of `str.splitlines` other than "\n" that an ASCII file can hold
+_OTHER_BREAKS = (b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _recording_to_csv(r: Recording) -> bytearray:
+    """The CSV layout of `r` as UTF-8.  Each value is its float32 storage
+    value formatted "%.9g", a block of rows per `%` call."""
     labels = r.channel_labels or [f"ch{i}" for i in range(r.channels)]
-    lines = [f"# rate_hz={r.sample_rate_hz!r}", ",".join(labels)]
-    cols = r.data.astype(np.float32).T
-    for row in cols:
-        lines.append(",".join(f"{v:.9g}" for v in row))
-    return "\n".join(lines) + "\n"
+    out = bytearray(f"# rate_hz={r.sample_rate_hz!r}\n{','.join(labels)}\n".encode("utf-8"))
+    row = ",".join(["%.9g"] * r.channels) + "\n"
+    cols = r.data.T
+    for start in range(0, r.n_samples, _CSV_BLOCK):
+        block = cols[start : start + _CSV_BLOCK].astype(np.float32)
+        out += ((row * len(block)) % tuple(block.ravel().tolist())).encode("ascii")
+    return out
 
 
-def _recording_from_csv(text: str, source: str) -> Recording:
+def _recording_from_csv(buf: bytes, source: str) -> Recording:
+    """Parse the CSV layout.  Each value is read as `float` reads it and
+    rounded to float32.
+
+    An ASCII file whose only line break is "\n" is read by `np.loadtxt`
+    straight from `buf`.  Any other file, or one whose rows `np.loadtxt`
+    rejects, goes through the line loop (`_csv_rows`), which names the first
+    bad line."""
+    values = None
+    if buf.isascii() and not any(brk in buf for brk in _OTHER_BREAKS):
+        second = buf.find(b"\n", buf.find(b"\n") + 1)
+        if 0 < second < len(buf) - 1:  # a third line follows the header
+            rate, labels = _csv_header(*buf[:second].decode("ascii").split("\n"), source)
+            values = _loadtxt_rows(buf, len(labels))
+    if values is None:
+        rate, labels, values = _csv_rows(decode_text(buf, source), source)
+    data = values.T.astype(np.float64)
+    if not np.all(np.isfinite(data)):
+        ch, idx = _first_nonfinite(data)
+        raise DataError(f"{source}: non-finite sample at channel {ch}, index {idx}")
+    return Recording(data=data, sample_rate_hz=rate, channel_labels=labels, id=source)
+
+
+def _csv_header(first: str, second: str, source: str) -> tuple[float, list[str]]:
+    """The sample rate and channel labels of the two header lines."""
+    if not first.startswith("# rate_hz="):
+        raise FormatError(f"{source}: first line must be '# rate_hz=<float>'")
+    try:
+        rate = float(first.removeprefix("# rate_hz="))
+    except ValueError as exc:
+        raise FormatError(f"{source}: unparseable sample rate: {first!r}") from exc
+    return rate, [s.strip() for s in second.split(",")]
+
+
+def _loadtxt_rows(buf: bytes, channels: int) -> np.ndarray | None:
+    """The (T, channels) float32 sample rows after the header of the ASCII
+    CSV `buf`, or None where `np.loadtxt` rejects them or finds no row."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a body without rows warns
+        try:
+            values = np.loadtxt(io.BytesIO(buf), dtype=np.float32, delimiter=",", skiprows=2,
+                                comments=None, ndmin=2, encoding="ascii")
+        except (ValueError, UserWarning):
+            return None
+    return values if values.shape[1] == channels else None
+
+
+def _csv_rows(text: str, source: str) -> tuple[float, list[str], np.ndarray]:
+    """The sample rate, the labels and the (T, C) float32 rows of the CSV
+    `text`, line by line."""
     lines = text.splitlines()
     if len(lines) < 3:
         raise FormatError(f"{source}: need a 2-line header plus at least one sample row")
-    if not lines[0].startswith("# rate_hz="):
-        raise FormatError(f"{source}: first line must be '# rate_hz=<float>'")
-    try:
-        rate = float(lines[0].removeprefix("# rate_hz="))
-    except ValueError as exc:
-        raise FormatError(f"{source}: unparseable sample rate: {lines[0]!r}") from exc
-    labels = [s.strip() for s in lines[1].split(",")]
+    rate, labels = _csv_header(lines[0], lines[1], source)
     c = len(labels)
     rows = []
     for lineno, line in enumerate(lines[2:], start=3):
@@ -233,11 +288,7 @@ def _recording_from_csv(text: str, source: str) -> Recording:
             rows.append([np.float32(p) for p in parts])
         except ValueError as exc:
             raise FormatError(f"{source}: line {lineno}: unparseable value") from exc
-    data = np.array(rows, dtype=np.float32).T.astype(np.float64)
-    if not np.all(np.isfinite(data)):
-        ch, idx = _first_nonfinite(data)
-        raise DataError(f"{source}: non-finite sample at channel {ch}, index {idx}")
-    return Recording(data=data, sample_rate_hz=rate, channel_labels=labels, id=source)
+    return rate, labels, np.array(rows, dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------

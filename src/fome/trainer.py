@@ -18,7 +18,9 @@ computes a grid's band powers at most once: for the whole training set before
 the first step, and for scored samples when first scored, in one
 `band_powers` call per stack of grids of one shape and rate.  Imputation
 scoring is the exception: `evaluate_impute` scores each sample once, so it
-keeps no store and holds one zeroed grid at a time.
+keeps no store.  It hands the model each grid as it is, with the missing
+patches as the mask, which the model never reads, and scores from the
+observed patches gathered once.
 """
 
 from __future__ import annotations
@@ -269,11 +271,15 @@ def regression_metrics(preds, targets, task: str = "regression") -> MetricsRepor
         raise DataError(f"preds shape {preds.shape} != targets shape {targets.shape}")
     if preds.size == 0:
         raise DataError("cannot score an empty prediction set")
-    # one buffer: |d|, then |d|*|d|, which is d**2 bit for bit
-    buf = np.atleast_1d(preds - targets)
-    mae = float(np.mean(np.abs(buf, out=buf)))
-    mse = float(np.mean(np.multiply(buf, buf, out=buf)))
+    mae, mse = _mean_errors(np.atleast_1d(preds - targets))
     return MetricsReport(task=task, mae=mae, mse=mse)
+
+
+def _mean_errors(diff: np.ndarray) -> tuple[float, float]:
+    """(MAE, MSE) of the prediction-minus-truth buffer `diff`, which it
+    overwrites: |d|, then |d|*|d|, which is d**2 bit for bit."""
+    mae = float(np.mean(np.abs(diff, out=diff)))
+    return mae, float(np.mean(np.multiply(diff, diff, out=diff)))
 
 
 # ---------------------------------------------------------------------------
@@ -757,20 +763,24 @@ def make_impute_samples(
     ]
 
 
-def _channel_means(sample: ImputeSample) -> list[float]:
-    """Each channel's mean over its observed samples; 0.0 for a channel
-    with every patch missing."""
-    means = []
-    for c in range(sample.grid.n_channels):
-        observed = sample.grid.patches[c, ~sample.missing[c]]
-        means.append(float(observed.mean()) if observed.size else 0.0)
+def _channel_means(observed: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Each channel's mean over its observed samples, from `observed`, the
+    (n, L) rows `patches[kept]` of a grid with the boolean (C, P) map `kept`,
+    in which each channel's rows are contiguous; 0.0 for a channel with no
+    observed patch."""
+    counts = kept.sum(axis=1)
+    means = np.zeros(len(counts))
+    for c, end in enumerate(np.cumsum(counts)):
+        if counts[c]:
+            means[c] = observed[end - counts[c] : end].mean()
     return means
 
 
 def mean_imputation(sample: ImputeSample) -> np.ndarray:
     """Fill missing patches with the channel's mean over observed samples."""
+    kept = ~sample.missing
     filled = sample.grid.patches.copy()
-    for c, value in enumerate(_channel_means(sample)):
+    for c, value in enumerate(_channel_means(filled[kept], kept)):
         filled[c, sample.missing[c]] = value
     return filled
 
@@ -781,40 +791,46 @@ def evaluate_impute(
     """Reconstruction error on missing patches only, vs mean imputation.
 
     One unstacked forward pass per sample with missing patches, scored one
-    sample at a time.  The model sees a copy of the grid with its missing
-    patches zeroed, so nothing it reads comes from the truth; band powers
-    are computed for the observed patches only, in one call, since a zero
-    patch's are exactly 0.  The baseline reads each channel's observed mean
-    without filling a grid.
+    sample at a time.  The model gets the grid with its missing patches as
+    the mask, and never reads them (see `model.embed`).  The observed
+    patches are gathered once: their band powers come from one call (a zero
+    patch's are exactly 0, so the missing slots hold zeros) and each
+    channel's baseline mean from its rows of that gather.  The full
+    reconstruction is then read at the missing patches into one
+    prediction-minus-truth buffer for every scored sample, and the baseline
+    into one baseline-minus-truth buffer.
     """
-    pred_vals, base_vals, true_vals = [], [], []
-    for sample in samples:
-        missing = sample.missing
-        if not missing.any():
-            continue
-        patches = sample.grid.patches
-        observed = patches.copy()
-        observed[missing] = 0.0
+    scored = [sample for sample in samples if sample.missing.any()]
+    if not scored:
+        return MetricsReport(task="imputation", notes={"no-missing": True})
+    sizes = [int(s.missing.sum()) * s.grid.patch_len for s in scored]
+    pred_err, base_err = np.empty(sum(sizes)), np.empty(sum(sizes))
+    start = 0
+    for sample, size in zip(scored, sizes):
+        missing, kept = sample.missing, ~sample.missing
+        patches, length = sample.grid.patches, sample.grid.patch_len
+        observed = patches[kept]
         powers = None
         if model_cfg.use_freq_embed:
             powers = np.zeros(missing.shape + (N_BANDS,))
-            kept = ~missing
-            if kept.any():
-                grid = PatchGrid(patches[kept][None], sample.grid.patch_len,
-                                 sample.grid.source_rate_hz)
+            if observed.size:
+                grid = PatchGrid(observed[None], length, sample.grid.source_rate_hz)
                 powers[kept] = band_powers(grid)[0]
-        encoded = mdl.forward(observed, powers, params, model_cfg, mask=missing)
-        pred_vals.append(mdl.head_reconstruct(encoded, params).data[missing].ravel())
-        counts = missing.sum(axis=1) * sample.grid.patch_len
-        base_vals.append(np.repeat(_channel_means(sample), counts))
-        true_vals.append(patches[missing].ravel())
-    if not pred_vals:
-        return MetricsReport(task="imputation", notes={"no-missing": True})
-    truth = np.concatenate(true_vals)
-    report = regression_metrics(np.concatenate(pred_vals), truth, task="imputation")
-    base = regression_metrics(np.concatenate(base_vals), truth)
-    report.baseline = {"mean_imputation_mae": base.mae, "mean_imputation_mse": base.mse}
-    return report
+        encoded = mdl.forward(patches, powers, params, model_cfg, mask=missing)
+        recon = mdl.head_reconstruct(encoded, params).data
+        rows = np.flatnonzero(missing)
+        pred = pred_err[start : start + size].reshape(rows.size, length)
+        truth = base_err[start : start + size].reshape(rows.size, length)
+        np.take(patches.reshape(-1, length), rows, axis=0, out=truth, mode="clip")
+        np.take(recon.reshape(-1, length), rows, axis=0, out=pred, mode="clip")
+        pred -= truth
+        means = _channel_means(observed, kept)[rows // missing.shape[1]]
+        np.subtract(means[:, None], truth, out=truth)
+        start += size
+    mae, mse = _mean_errors(pred_err)
+    base_mae, base_mse = _mean_errors(base_err)
+    return MetricsReport(task="imputation", mae=mae, mse=mse, baseline={
+        "mean_imputation_mae": base_mae, "mean_imputation_mse": base_mse})
 
 
 def impute(

@@ -2,13 +2,15 @@
 
 Everything here is deliberately written straight-line, without touching the
 package's own kernels, so a test comparing the two paths is a genuine
-cross-check rather than a tautology.  Four exceptions hold a fused or
-blocked path to the formulas it replaces, bit for bit:
+cross-check rather than a tautology.  The exceptions hold a fused, blocked
+or pruned path to the formulas it replaces, bit for bit:
 `primitive_encoder_block` runs the encoder block as primitive taped ops,
-gradients included, `conditioning_oracle` runs the preprocessing
-pipeline one public stage at a time, and `OracleRng` and
-`synthetic_oracle` draw the random streams and the synthetic recording
-with whole-array formulas.
+gradients included, `full_row_forward` projects masked patches before
+replacing them, `conditioning_oracle` runs the preprocessing pipeline one
+public stage at a time, `OracleRng` and `synthetic_oracle` draw the random
+streams and the synthetic recording with whole-array formulas, and
+`csv_to_text` and `csv_from_text` are the recording CSV codec one value at
+a time.
 """
 
 from __future__ import annotations
@@ -186,6 +188,21 @@ def primitive_encoder_block(x, params, prefix, cfg, stream=None):
     return nm.add(x, primitive_dropout(produced, cfg.dropout, stream))
 
 
+def full_row_forward(patches, bands, params, cfg, mask, stream=None):
+    """`model.forward` with the patch projection (linear, or the
+    convolutional form) run on every patch, masked ones included, before
+    `apply_mask` replaces their rows: the chain a masked forward pass
+    skips the masked patches of."""
+    from fome import model
+
+    e = model.apply_mask(model.embed(patches, bands, params, cfg), mask, params, cfg)
+    for i in range(cfg.temporal_layers):
+        e = model.temporal_attention(e, params, i, cfg, stream)
+    for i in range(cfg.channel_layers):
+        e = model.channel_attention(e, params, i, cfg, stream)
+    return e
+
+
 def conditioning_oracle(recording, cfg, patch_len=None):
     """`preprocess_pipeline` as its stage chain: notch, band-pass, resample,
     detrend, window and patch, then each window standardized on its own."""
@@ -236,6 +253,50 @@ def impute_report_oracle(samples, params, model_cfg):
     base_mae, base_mse = _plain_errors(np.concatenate(bases), truth)
     return trainer.MetricsReport(task="imputation", mae=mae, mse=mse, baseline={
         "mean_imputation_mae": base_mae, "mean_imputation_mse": base_mse})
+
+
+def csv_to_text(r):
+    """The recording CSV layout, one f-string per value."""
+    labels = r.channel_labels or [f"ch{i}" for i in range(r.channels)]
+    lines = [f"# rate_hz={r.sample_rate_hz!r}", ",".join(labels)]
+    for row in r.data.astype(np.float32).T:
+        lines.append(",".join(f"{v:.9g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def csv_from_text(text, source):
+    """The `Recording` of a recording CSV, one `np.float32` per value;
+    raises `FormatError` naming the first bad line."""
+    from fome.errors import DataError, FormatError
+    from fome.signal_store import Recording
+
+    lines = text.splitlines()
+    if len(lines) < 3:
+        raise FormatError(f"{source}: need a 2-line header plus at least one sample row")
+    if not lines[0].startswith("# rate_hz="):
+        raise FormatError(f"{source}: first line must be '# rate_hz=<float>'")
+    try:
+        rate = float(lines[0].removeprefix("# rate_hz="))
+    except ValueError as exc:
+        raise FormatError(f"{source}: unparseable sample rate: {lines[0]!r}") from exc
+    labels = [s.strip() for s in lines[1].split(",")]
+    rows = []
+    for lineno, line in enumerate(lines[2:], start=3):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != len(labels):
+            raise FormatError(
+                f"{source}: line {lineno} has {len(parts)} values for {len(labels)} channels")
+        try:
+            rows.append([np.float32(p) for p in parts])
+        except ValueError as exc:
+            raise FormatError(f"{source}: line {lineno}: unparseable value") from exc
+    data = np.array(rows, dtype=np.float32).T.astype(np.float64)
+    if not np.all(np.isfinite(data)):
+        ch, idx = (int(i) for i in np.argwhere(~np.isfinite(data))[0])
+        raise DataError(f"{source}: non-finite sample at channel {ch}, index {idx}")
+    return Recording(data=data, sample_rate_hz=rate, channel_labels=labels, id=source)
 
 
 # ---------------------------------------------------------------------------

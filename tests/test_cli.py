@@ -243,6 +243,22 @@ class TestProcessState:
             assert code == 0
             assert peak <= bound, argv[0]
 
+    def test_csv_ingest_commands_peak_memory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_git_describe", lambda: "test")
+        csv, fegp = str(tmp_path / "r.csv"), str(tmp_path / "r.fegp")
+        # the same recording as CSV: 6.2 MiB on disk
+        synth = ["synth", "--seed", "11", "--channels", "19", "--duration", "60",
+                 "--rate", "500", "--format", "csv", "--out", csv]
+        preprocess = ["preprocess", "--in", csv, "--format", "csv", "--out", fegp,
+                      "--window", "1500"]
+        # measured 11.5 and 13.3 MiB, from 26.8 and 47.1 with one Python
+        # object per value
+        for argv, bound in ((synth, 13 * MiB), (preprocess, 15 * MiB)):
+            assert cli.main(argv) == 0
+            code, peak = traced_peak(lambda: cli.main(argv))
+            assert code == 0
+            assert peak <= bound, argv[0]
+
     def test_parses_do_not_share_list_values(self):
         parser = cli.build_parser()
         first = parser.parse_args(["pretrain", "--ablate", "freq"])

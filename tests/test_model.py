@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mutations import mutated
-from oracles import encoder_block_oracle, primitive_encoder_block
+from oracles import encoder_block_oracle, full_row_forward, primitive_encoder_block
 
 import fome.numerics as nm
 from fome import model
@@ -371,6 +371,50 @@ class TestForward:
             alone = forward(grid, bands, store, cfg, mask=masks[b])
             for head in heads:
                 assert head(e).data[b].tobytes() == head(alone).data.tobytes()
+
+
+class TestMaskedEmbedding:
+    @staticmethod
+    def _taped(run, patches, bands, store, cfg, mask, target):
+        """The output and every parameter's gradient (None where it gets
+        none) of `run` under an MSE loss, as bytes."""
+        for _, tensor in store.items():
+            tensor.grad = None
+        with nm.Tape():
+            out = run(patches, bands, store, cfg, mask)
+            loss = nm.mse(out, Tensor(target))
+        nm.backward(loss)
+        return out.data.tobytes(), {name: None if t.grad is None else t.grad.tobytes()
+                                    for name, t in store.items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), ablation=st.sampled_from([None, "conv-embed"]),
+           lead=st.sampled_from([(), (1,), (2,), (3,)]),
+           kind=st.sampled_from(["random", "none", "all"]))
+    def test_masked_forward_matches_full_row_chain_bitwise(self, data, ablation, lead, kind):
+        cfg = tiny_cfg() if ablation is None else apply_ablation(tiny_cfg(), ablation)
+        channels = data.draw(st.integers(1, 4))
+        slots = lead + (channels, data.draw(st.integers(1, cfg.max_patches)))
+        n = int(np.prod(slots))
+        if kind == "random":
+            mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            mask = np.full(n, kind == "all")
+        mask = mask.reshape(slots)
+        gen = Rng(data.draw(st.integers(0, 2**32 - 1)))
+        patches = gen.normals(n * cfg.patch_len).reshape(slots + (cfg.patch_len,))
+        bands = np.abs(gen.normals(n * N_BANDS)).reshape(slots + (N_BANDS,))
+        target = gen.normals(n * cfg.model_dim).reshape(slots + (cfg.model_dim,))
+        store = ParameterStore.initialize(cfg, seed=data.draw(st.integers(0, 2**16)))
+
+        out, grads = self._taped(forward, patches, bands, store, cfg, mask, target)
+        ref_out, ref_grads = self._taped(full_row_forward, patches, bands, store, cfg, mask,
+                                         target)
+        assert out == ref_out
+        assert grads == ref_grads
+        assert grads["embed.patch.w"] is not None
+        poisoned = np.where(mask[..., None], np.nan, patches)
+        assert forward(poisoned, bands, store, cfg, mask=mask).data.tobytes() == out
 
 
 class TestAblations:

@@ -395,6 +395,65 @@ class TestMemoryKernels:
         assert keep.nbytes <= held < keep.nbytes + 65536
 
 
+class TestSkippedRows:
+    """`linear(..., skip=...)` runs the product on the kept rows only, each
+    bitwise as in the full product, and never reads a skipped row."""
+
+    # (leading axes, trailing axes of x, output width, share of entries skipped)
+    CASES = [
+        ((4, 19, 10), (1500,), 64, 0.4),  # (10, 1500) calls: a small-matrix kernel's size
+        ((2, 19, 15), (1500,), 64, 0.97),  # a few kept rows of (15, 1500) calls
+        ((3, 5), (8,), 8, 0.8),
+        ((6,), (8,), 8, 0.5),
+        ((2, 3), (2, 4), 8, 0.5),  # whole (2, 4) matrices per entry: the convolutional form
+        ((2, 3), (4,), 5, 1.0),
+    ]
+
+    @staticmethod
+    def _case(lead, inner, width, share, seed):
+        gen = np.random.default_rng(seed)
+        skip = gen.random(lead) < share
+        return (skip, gen.standard_normal(lead + inner), gen.standard_normal((inner[-1], width)),
+                gen.standard_normal(width))
+
+    @pytest.mark.parametrize("lead, inner, width, share", CASES)
+    def test_kept_rows_are_the_full_product_and_skipped_rows_unread(self, lead, inner, width,
+                                                                     share):
+        skip, x, w, b = self._case(lead, inner, width, share, seed=len(lead) + width)
+        full = nm.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        poisoned = np.where(skip.reshape(lead + (1,) * len(inner)), np.nan, x)
+        out = nm.linear(Tensor(poisoned), Tensor(w), Tensor(b), skip=skip).data
+        assert out[~skip].tobytes() == full[~skip].tobytes()
+        assert out[skip].tobytes() == np.broadcast_to(b, out[skip].shape).tobytes()
+
+    @pytest.mark.parametrize("lead, inner, width, share", CASES)
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    def test_gradients_are_the_full_row_chain_with_skipped_rows_replaced(
+            self, lead, inner, width, share, bias):
+        skip, x, w, b = self._case(lead, inner, width, share, seed=width)
+        gate = skip.reshape(lead + (1,) * len(inner)).astype(np.float64)
+        weights = np.random.default_rng(1).standard_normal(lead + inner[:-1] + (width,))
+        leaves = [x, w] + ([b] if bias else [])
+
+        def fused(x, w, b=None):
+            return nm.linear(x, w, b, skip=skip)
+
+        def chain(x, w, b=None):
+            held = np.zeros(width) if b is None else b.data
+            return nm.blend(nm.linear(x, w, b), Tensor(np.broadcast_to(held, weights.shape)),
+                            gate)
+
+        runs = _chain_and_fused(fused, chain, leaves, weights)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("skip", [np.zeros((2, 3), dtype=int), np.zeros((3, 2), dtype=bool),
+                                      np.zeros((2, 3, 4), dtype=bool)],
+                             ids=["not-boolean", "shape", "rank"])
+    def test_skip_shapes(self, skip):
+        with pytest.raises(ShapeError, match="linear: skip"):
+            nm.linear(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))), skip=skip)
+
+
 class TestDispatch:
     def test_unbroadcast_returns_matching_gradient_itself(self, rng):
         g = rng.standard_normal((2, 3))

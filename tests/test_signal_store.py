@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import MiB, traced_peak
 from mutations import mutated
-from oracles import synthetic_oracle
+from oracles import csv_from_text, csv_to_text, synthetic_oracle
 
 from fome.errors import DataError, FormatError, IoError, SpecError
 from fome.signal_store import (
@@ -139,6 +139,61 @@ class TestCsvFormat:
             assert isinstance(recording_from_bytes(blob, format="csv"), Recording)
         except (FormatError, DataError):
             pass
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                        elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+        labels=st.booleans(),
+    )
+    def test_codec_is_the_per_value_codec_bitwise(self, data, labels):
+        names = [f"é{i}" for i in range(data.shape[0])] if labels else None
+        r = Recording(data, 250.0, channel_labels=names)
+        blob = recording_to_bytes(r, format="csv")
+        assert bytes(blob) == csv_to_text(r).encode("utf-8")
+        back = recording_from_bytes(blob, source="r.csv", format="csv")
+        want = csv_from_text(blob.decode("utf-8"), "r.csv")
+        assert (back.sample_rate_hz, back.channel_labels) == (want.sample_rate_hz,
+                                                             want.channel_labels)
+        assert back.data.tobytes() == want.data.tobytes()
+
+    def test_codec_across_row_blocks(self, rng):
+        r = Recording(1e3 * rng.standard_normal((3, 2500)), 500.0)
+        blob = recording_to_bytes(r, format="csv")
+        assert bytes(blob) == csv_to_text(r).encode("utf-8")
+        back = recording_from_bytes(blob, format="csv")
+        assert back.data.tobytes() == csv_from_text(blob.decode(), "<bytes>").data.tobytes()
+
+    # values and line breaks on which a fast reader could part from the
+    # per-value one: whitespace, underscores, non-ASCII digits, NUL, exotic breaks
+    TOKENS = ["1.5", "-0", " 2", "3 ", "\t4", "1_0", "nan", "-inf", "1e400", "1e-50",
+              "0.100000001", "1.00000005960464477539062501", "", " ", "x", "\x00", "1.5\x00",
+              "0x1", "+.5", "5.", "\u0661", "#1"]
+    BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\v", "\x1c", "\x85", "\u2028"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reader_matches_the_per_value_reader(self, data):
+        channels = data.draw(st.integers(1, 3))
+        lines = ["# rate_hz=250.0", ",".join(f"c{i}" for i in range(channels))]
+        for _ in range(data.draw(st.integers(0, 4))):
+            # mostly the right arity from well-formed tokens, at times anything
+            tokens = st.sampled_from(self.TOKENS[:12])
+            width = st.just(channels)
+            if data.draw(st.integers(0, 5)) == 0:
+                tokens, width = st.sampled_from(self.TOKENS), st.integers(1, 4)
+            n = data.draw(width)
+            lines.append(",".join(data.draw(st.lists(tokens, min_size=n, max_size=n))))
+        text = "".join(line + data.draw(st.sampled_from(self.BREAKS)) for line in lines)
+        outcomes = []
+        for read in (csv_from_text, lambda text, source: recording_from_bytes(
+                text.encode("utf-8"), source=source, format="csv")):
+            try:
+                r = read(text, "x.csv")
+                outcomes.append((r.sample_rate_hz, r.channel_labels, r.data.tobytes()))
+            except (FormatError, DataError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
     def test_round_trip(self, rng, tmp_path):
         r = Recording(

@@ -722,7 +722,7 @@ class TestImpute:
         return params, make_impute_samples(grids, 0.40, Rng(seed + 2))
 
     @pytest.mark.parametrize("case", ["desk", "mixed-montages", "channel-all-missing",
-                                      "nothing-observed", "ablate-freq"])
+                                      "nothing-observed", "ablate-freq", "conv-embed"])
     def test_report_matches_oracle_bitwise(self, case):
         if case == "desk":
             cfg = ModelConfig(patch_len=1500, model_dim=64, heads=4, ffn_dim=128,
@@ -730,8 +730,8 @@ class TestImpute:
             params, samples = self._scored(cfg, [19], 15, 1500)
         else:
             cfg = preset("tiny")
-            if case == "ablate-freq":
-                cfg = model.apply_ablation(cfg, "freq")
+            if case in ("ablate-freq", "conv-embed"):
+                cfg = model.apply_ablation(cfg, case.removeprefix("ablate-"))
             params, samples = self._scored(cfg, [2, 3, 2, 3], 5, 8)
         if case == "channel-all-missing":
             samples[1].missing[2] = True
@@ -745,26 +745,23 @@ class TestImpute:
         params, samples = self._scored(cfg, [2, 3, 3], 5, 8)
         samples[1].missing[0] = True
         samples[2].missing[:] = True
-        counts, inputs = [], []
+        clean = repr(evaluate_impute(samples, params, cfg))
+        counts = []
 
         def counting(grid, *args, **kwargs):
             counts.append(int(np.prod(grid.patches.shape[:2])))
             return band_powers(grid, *args, **kwargs)
 
-        def recording(patches, *args, **kwargs):
-            inputs.append(patches.copy())
-            return forward(patches, *args, **kwargs)
+        def poisoned(patches, *args, mask, **kwargs):
+            return forward(np.where(mask[..., None], np.nan, patches), *args, mask=mask,
+                           **kwargs)
 
         forward = model.forward
         monkeypatch.setattr(trainer, "band_powers", counting)
-        monkeypatch.setattr(model, "forward", recording)
-        evaluate_impute(samples, params, cfg)
+        monkeypatch.setattr(model, "forward", poisoned)
+        assert repr(evaluate_impute(samples, params, cfg)) == clean
         # a sample with nothing observed needs no call
         assert counts == [int((~s.missing).sum()) for s in samples if (~s.missing).any()]
-        for seen, sample in zip(inputs, samples, strict=True):
-            assert not seen[sample.missing].any()
-            np.testing.assert_array_equal(seen[~sample.missing],
-                                          sample.grid.patches[~sample.missing])
 
     def test_no_missing_reported(self):
         cfg = preset("tiny")
