@@ -327,8 +327,6 @@ def embed(
         raise ConfigError(f"grid patch_len {length} != config patch_len {cfg.patch_len}")
     if p > cfg.max_patches:
         raise CapacityError(f"{p} patches exceeds max_patches {cfg.max_patches}")
-    if mask is not None and mask.shape != patches.shape[:-1]:
-        raise ShapeError(f"mask shape {mask.shape} != patch slots {patches.shape[:-1]}")
     x = Tensor(patches)
     if cfg.conv_embed:
         k = cfg.conv_kernel

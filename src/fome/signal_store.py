@@ -203,8 +203,8 @@ def recording_from_bytes(buf: bytes, source: str = "<bytes>", format: str = "bin
 
 # rows the CSV writer formats per `%` call
 _CSV_BLOCK = 1024
-# the line breaks of `str.splitlines` other than "\n" that an ASCII file can hold
-_OTHER_BREAKS = (b"\r", b"\v", b"\f", b"\x1c", b"\x1d", b"\x1e")
+# the line breaks of `str.splitlines` other than "\n", in UTF-8
+_OTHER_BREAKS = tuple(brk.encode() for brk in "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _recording_to_csv(r: Recording) -> bytearray:
@@ -224,16 +224,18 @@ def _recording_from_csv(buf: bytes, source: str) -> Recording:
     """Parse the CSV layout.  Each value is read as `float` reads it and
     rounded to float32.
 
-    An ASCII file whose only line break is "\n" is read by `np.loadtxt`
-    straight from `buf`.  Any other file, or one whose rows `np.loadtxt`
-    rejects, goes through the line loop (`_csv_rows`), which names the first
-    bad line."""
+    The rows of a file whose only line break is "\n" and whose rows are
+    ASCII are read by `np.loadtxt` straight from `buf`.  Any other file, or
+    one whose rows `np.loadtxt` rejects, goes through the line loop
+    (`_csv_rows`), which names the first bad line."""
     values = None
-    if buf.isascii() and not any(brk in buf for brk in _OTHER_BREAKS):
-        second = buf.find(b"\n", buf.find(b"\n") + 1)
-        if 0 < second < len(buf) - 1:  # a third line follows the header
-            rate, labels = _csv_header(*buf[:second].decode("ascii").split("\n"), source)
-            values = _loadtxt_rows(buf, len(labels))
+    second = buf.find(b"\n", buf.find(b"\n") + 1)
+    if (0 < second < len(buf) - 1  # a third line follows the header
+            and np.frombuffer(buf, np.uint8, offset=second + 1).max() < 0x80
+            and not any(brk in buf for brk in _OTHER_BREAKS)):
+        # with ASCII rows, an invalid byte can only be in the header
+        rate, labels = _csv_header(*decode_text(buf[:second], source).split("\n"), source)
+        values = _loadtxt_rows(buf, len(labels))
     if values is None:
         rate, labels, values = _csv_rows(decode_text(buf, source), source)
     data = values.T.astype(np.float64)
@@ -255,13 +257,14 @@ def _csv_header(first: str, second: str, source: str) -> tuple[float, list[str]]
 
 
 def _loadtxt_rows(buf: bytes, channels: int) -> np.ndarray | None:
-    """The (T, channels) float32 sample rows after the header of the ASCII
-    CSV `buf`, or None where `np.loadtxt` rejects them or finds no row."""
+    """The (T, channels) float32 sample rows after the header of the CSV
+    `buf`, or None where `np.loadtxt` rejects them or finds no row."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a body without rows warns
         try:
+            # latin-1 decodes any header byte; the rows are ASCII, which it keeps
             values = np.loadtxt(io.BytesIO(buf), dtype=np.float32, delimiter=",", skiprows=2,
-                                comments=None, ndmin=2, encoding="ascii")
+                                comments=None, ndmin=2, encoding="latin-1")
         except (ValueError, UserWarning):
             return None
     return values if values.shape[1] == channels else None
