@@ -316,11 +316,13 @@ def embed(
 
     `patches` is (..., C, P, L), `bands` the matching (..., C, P, N_BANDS)
     band powers (None when the config has no frequency embedding); returns
-    (..., C, P, D).  The patches where the boolean (..., C, P) `mask` is
-    True are never read: the patch projection, linear or convolutional,
-    runs on the other patches only, and a masked patch's projection is the
-    bias, what a zero patch projects to, bit for bit.  `forward` then
-    replaces those rows (`apply_mask`).
+    (..., C, P, D).  The forward pass never reads the patches where the
+    boolean (..., C, P) `mask` is True: the patch projection, linear or
+    convolutional, runs on the other patches only, and a masked patch's
+    projection is the bias, what a zero patch projects to, bit for bit.
+    `forward` then replaces those rows (`apply_mask`).  Under a tape the
+    projection's weight gradient reads every patch, a masked one times a
+    zero adjoint.
     """
     p, length = patches.shape[-2:]
     if length != cfg.patch_len:
@@ -467,8 +469,8 @@ def forward(
     stream: Rng | None = None,
 ) -> Tensor:
     """Embed, mask the slots where the boolean (..., C, P) `mask` is True,
-    then run the full encoder stack; returns (..., C, P, D).  The masked
-    patches are never read."""
+    then run the full encoder stack; returns (..., C, P, D).  The forward
+    pass never reads the masked patches."""
     e = embed(patches, bands, params, cfg, mask)
     if mask is not None:
         e = apply_mask(e, mask, params, cfg)
