@@ -348,8 +348,13 @@ def _cmd_pretrain(args, manifest: _Manifest) -> None:
     log.info("final loss %.6f over %d samples", trace[-1][2], len(corpus))
 
 
+# the values of a dataset manifest's split column, in split order
+_SPLITS = ("train", "val", "test")
+
+
 def _read_dataset_manifest(path: str, manifest: _Manifest):
-    """CSV rows `grid-path,label[,split]`; paths are relative to the CSV."""
+    """CSV rows `grid-path,label[,split]`; paths are relative to the CSV.
+    A split is one of `_SPLITS`, and either every row has one or none has."""
     import csv
 
     base = os.path.dirname(os.path.abspath(path))
@@ -360,13 +365,16 @@ def _read_dataset_manifest(path: str, manifest: _Manifest):
         if not row or row[0].startswith("#"):
             continue
         grid_path = row[0] if os.path.isabs(row[0]) else os.path.join(base, row[0])
+        where = f"{path}: row {reader.line_num} ({row[0]!r})"
         try:
             label = int(row[1])
         except (IndexError, ValueError):
-            raise DataError(
-                f"{path}: row {reader.line_num} ({row[0]!r}) has no integer label"
-            ) from None
+            raise DataError(f"{where} has no integer label") from None
         split = row[2].strip() if len(row) > 2 else None
+        if split is not None and split not in _SPLITS:
+            raise DataError(f"{where} has split {split!r}, not one of {', '.join(_SPLITS)}")
+        if rows and (split is None) != (rows[0][2] is None):
+            raise DataError(f"{where}: either every row has a split or none has")
         rows.append((grid_path, label, split))
     if not rows:
         raise DataError(f"{path}: no dataset rows")
@@ -387,18 +395,12 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
 
     if args.task == "classify":
         rows = _read_dataset_manifest(args.manifest_csv, manifest)
-        dataset = []
-        explicit: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-        for i, (grid_path, label, split) in enumerate(rows):
-            grid = _load_grids([grid_path], manifest)[0]
-            dataset.append((grid, label))
-            if split in explicit:
-                explicit[split].append(i)
-        has_split_column = any(explicit.values())
-        splits = (
-            (explicit["train"], explicit["val"], explicit["test"])
-            if has_split_column else None
-        )
+        grids = _load_grids([grid_path for grid_path, _, _ in rows], manifest)
+        dataset = [(grid, label) for grid, (_, label, _) in zip(grids, rows)]
+        splits = None
+        if rows[0][2] is not None:
+            splits = tuple([i for i, row in enumerate(rows) if row[2] == name]
+                           for name in _SPLITS)
         first = dataset[0][0]
         model_cfg = _fit_config_to_data(model_cfg, first.patch_len, first.n_patches)
         params = _init_params(args, model_cfg, manifest)

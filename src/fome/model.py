@@ -242,9 +242,6 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self._tensors
 
-    def names(self) -> list[str]:
-        return list(self._tensors)
-
     def items(self):
         return self._tensors.items()
 

@@ -10,12 +10,12 @@ A node keeps only what its backward reads.  It holds no Tensor but the
 leaves it differentiates: an intermediate input is named by the index of
 the node that produced it, and an input that takes no gradient gets no
 slot.  Its backward closure captures the arrays, shapes and flags that the
-gradients of the inputs needing one read (`add` keeps two shapes, `mse`
-its difference), so an activation no backward reads is freed as soon as
-the forward pass drops it.  Where a smaller array serves, the node keeps
-it: `gelu` keeps its derivative, computed in the forward pass under a
-tape, not its input and `tanh`; `dropout` keeps its boolean keep mask and
-rescales it in backward.  `backward` consumes its tape: it drops each
+gradients of the inputs needing one read (`add` keeps two shapes,
+`linear_mse` the difference), so an activation no backward reads is freed
+as soon as the forward pass drops it.  Where a smaller array serves, the
+node keeps it: `gelu` keeps its derivative, computed in the forward pass
+under a tape, not its input and `tanh`; `dropout` keeps its boolean keep
+mask and rescales it in backward.  `backward` consumes its tape: it drops each
 node and its output adjoint as soon as that node's backward has run, and
 a second `backward` on the same tape is a `ContractError`.
 
@@ -44,9 +44,11 @@ of ops and keep:
     difference with the prediction's gradient.
 Forward and backward run the chain's numpy expressions in the same order
 on arrays of the same layout, so values and gradients are bitwise the
-chain's.  Permutation stability across channels is not an op property;
-the model runs every cross-channel reduction in a canonical channel order
-(see `fome.model`).
+chain's.  The primitive ops of those chains that the model does not call
+(`mul`, `transpose`, `matmul` and `mse`) live with the test oracles.
+Permutation stability across channels is not an op property; the model
+runs every cross-channel reduction in a canonical channel order (see
+`fome.model`).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError, ShapeError, read_file, write_file
+from .errors import ContractError, FormatError, ShapeError, write_file
 
 _LN_EPS = 1e-5
 _GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
@@ -176,25 +178,6 @@ def add(a, b) -> Tensor:
     return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
-    sa, sb = a.shape, b.shape
-    # each operand is kept only for the other one's gradient
-    bd = b.data if a.requires_grad else None
-    ad = a.data if b.requires_grad else None
-
-    def bwd(g):
-        ga = None if bd is None else _unbroadcast(g * bd, sa)
-        gb = None if ad is None else _unbroadcast(g * ad, sb)
-        return ga, gb
-
-    return _record(out, (a, b), bwd)
-
-
 def blend(a, b, gate) -> Tensor:
     """`a * (1 - gate) + b * gate` with a constant array `gate`, as one node.
 
@@ -230,12 +213,6 @@ def log(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
     return _record(np.log(x), (a,), lambda g: (g / x,))
-
-
-def transpose(a, axis1: int = -2, axis2: int = -1) -> Tensor:
-    a = _as_tensor(a)
-    out = np.swapaxes(a.data, axis1, axis2)
-    return _record(out, (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:
@@ -310,34 +287,6 @@ def gather_swap(a, rows, swap_first: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # contractions
 # ---------------------------------------------------------------------------
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul: operands must be >= 2-D, got {a.shape} and {b.shape}")
-    try:
-        out = a.data @ b.data
-    except ValueError:
-        what = "inner" if a.shape[-1] != b.shape[-2] else "batch"
-        raise ShapeError(f"matmul: {what} dims differ, {a.shape} @ {b.shape}") from None
-    sa, sb = a.shape, b.shape
-    bd = b.data if a.requires_grad else None
-    ad = a.data if b.requires_grad else None
-
-    def bwd(g):
-        ga = gb = None
-        if bd is not None:
-            ga = _unbroadcast(g @ np.swapaxes(bd, -1, -2), sa)
-        if ad is not None and len(sb) == 2:
-            # one gemm over the folded leading axes: no (N, K, M) intermediate
-            k, m = sb
-            gb = ad.reshape(-1, k).T @ g.reshape(-1, m)
-        elif ad is not None:
-            gb = _unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)
-        return ga, gb
-
-    return _record(out, (a, b), bwd)
 
 
 def _affine(op: str, x: Tensor, w: Tensor, b: Tensor | None, skip=None):
@@ -591,21 +540,6 @@ def mean(a, axis=None) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def mse(pred, target) -> Tensor:
-    pred, target = _as_tensor(pred), _as_tensor(target)
-    if pred.shape != target.shape:
-        raise ShapeError(f"mse: shapes differ, {pred.shape} vs {target.shape}")
-    diff = pred.data - target.data
-    out = np.mean(diff**2)
-    pred_grad, target_grad = pred.requires_grad, target.requires_grad
-
-    def bwd(g):
-        gp = g * 2.0 * diff / diff.size
-        return gp if pred_grad else None, -gp if target_grad else None
-
-    return _record(out, (pred, target), bwd)
-
-
 def linear_mse(x, w, b, target, rows=None) -> Tensor:
     """`mse(linear(x, w, b), target[rows])` with a constant array `target`
     and an integer index array `rows` (all of `target` when None), as one
@@ -713,11 +647,6 @@ def save_checkpoint(named: dict[str, np.ndarray], path) -> None:
         blob += struct.pack(f"<{array.ndim}Q", *array.shape)
         blob += np.ascontiguousarray(array, dtype=_DTYPE_TAGS[tag]).tobytes()
     write_file(path, blob)
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back as name -> float64 array, in file order."""
-    return checkpoint_from_bytes(read_file(path), source=str(path))
 
 
 def checkpoint_from_bytes(buf: bytes, source: str = "<bytes>") -> dict[str, np.ndarray]:

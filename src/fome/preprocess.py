@@ -8,8 +8,12 @@ reduced rational rate ratio with a Kaiser-windowed low-pass (beta 8.6,
 
 `preprocess_pipeline` filters and resamples one channel at a time into a
 single (C, T_out) array and runs the later stages on that array in place,
-so its memory is about three arrays of the resampled signal's size; each
-channel's result is bitwise what the whole-array stage functions give.
+so its memory is about three arrays of the resampled signal's size.  Each
+channel's result is bitwise that of the stage chain: `notch_filter`,
+`bandpass_filter` and `resample` on the whole recording, then the
+least-squares detrend, the cut into windows and patches, and
+`standardize_ema` on each window.  Those four functions each run one stage
+on a whole `Recording`; the pipeline calls none of them.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.signal import butter, iirnotch, lfilter, sosfilt, upfirdn
 
-from .errors import ConfigError, DataError, EmptyError, FormatError, read_file, write_file
+from .errors import ConfigError, DataError, EmptyError, FormatError
 from .signal_store import Recording, f32_blob
 
 _KAISER_BETA = 8.6
@@ -210,13 +214,6 @@ def _detrend(x: np.ndarray) -> None:
     x -= intercept[:, None] + slope[:, None] * t
 
 
-def detrend(r: Recording) -> Recording:
-    """Remove the per-channel least-squares line."""
-    out = r.data.copy()
-    _detrend(out)
-    return Recording(out, r.sample_rate_hz, r.channel_labels, r.id)
-
-
 def _standardize(x: np.ndarray, alpha: float, eps: float) -> StandardizerState:
     """`standardize_ema` along the last axis of x, in place, every leading
     index on its own; returns the final running statistics."""
@@ -271,17 +268,6 @@ def _windowed_length(n_samples: int, cfg: PreprocessConfig, patch_len: int) -> i
             f"signal of {n_samples} samples is shorter than one window ({window})"
         )
     return n_windows * window
-
-
-def window_and_patch(r: Recording, cfg: PreprocessConfig, patch_len: int) -> PatchGrid:
-    """Cut into complete windows, then non-overlapping patches of patch_len.
-
-    Trailing samples short of a full window are dropped; with the default
-    window == patch this is exactly floor(T / L) patches.
-    """
-    total = _windowed_length(r.n_samples, cfg, patch_len)
-    patches = r.data[:, :total].reshape(r.channels, total // patch_len, patch_len)
-    return PatchGrid(patches=patches.copy(), patch_len=patch_len, source_rate_hz=r.sample_rate_hz)
 
 
 def preprocess_pipeline(
@@ -340,11 +326,3 @@ def grid_from_bytes(buf: bytes, source: str = "<bytes>") -> PatchGrid:
     flat = np.frombuffer(buf, dtype="<f4", offset=_GRID_HEADER.size)
     patches = flat.astype(np.float64).reshape(c, p, length)
     return PatchGrid(patches=patches, patch_len=length, source_rate_hz=rate)
-
-
-def write_patch_grid(grid: PatchGrid, path) -> None:
-    write_file(path, grid_to_bytes(grid))
-
-
-def read_patch_grid(path) -> PatchGrid:
-    return grid_from_bytes(read_file(path), source=str(path))

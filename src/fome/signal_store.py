@@ -1,6 +1,8 @@
-"""Recording data model, bit-exact file I/O, and synthetic-signal generation.
+"""Recording data model, bit-exact byte codecs, and synthetic-signal generation.
 
-Two on-disk formats are supported.  The authoritative one is the binary
+`recording_to_bytes` and `recording_from_bytes` encode and decode the two
+on-disk formats; callers read and write the bytes with `fome.errors`'
+`read_file` and `write_file`.  The authoritative format is the binary
 "FEEG v1" layout::
 
     magic 0x46 0x45 0x45 0x47 ("FEEG")
@@ -16,7 +18,10 @@ rows of C values.
 
 Samples are stored as 32-bit floats on disk and widened to float64 in
 memory.  Everything produced by `generate_synthetic` is quantized to the
-32-bit storage grid up front, so write -> read round-trips are bit-exact.
+32-bit storage grid up front, so encode -> decode round-trips are bit-exact.
+A `Recording` checks that its samples are finite when it is built, and
+the decoders refuse a non-finite sample in their input; the encoders do
+not check again.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, FormatError, SpecError, decode_text, read_file, write_file
+from .errors import DataError, FormatError, SpecError, decode_text
 from .rng import Rng
 
 _MAGIC = b"FEEG"
@@ -292,21 +297,3 @@ def _csv_rows(text: str, source: str) -> tuple[float, list[str], np.ndarray]:
         except ValueError as exc:
             raise FormatError(f"{source}: line {lineno}: unparseable value") from exc
     return rate, labels, np.array(rows, dtype=np.float32)
-
-
-# ---------------------------------------------------------------------------
-# file-level API
-# ---------------------------------------------------------------------------
-
-
-def write_recording(r: Recording, path, format: str = "binary") -> None:
-    """Serialize ``r`` to ``path``; rejects invalid data before writing."""
-    if not np.all(np.isfinite(r.data)):
-        c, t = _first_nonfinite(r.data)
-        raise DataError(f"refusing to write non-finite sample at channel {c}, index {t}")
-    write_file(path, recording_to_bytes(r, format))
-
-
-def read_recording(path, format: str = "binary") -> Recording:
-    """Load a Recording from ``path`` in the given format."""
-    return recording_from_bytes(read_file(path), str(path), format)

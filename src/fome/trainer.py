@@ -8,10 +8,12 @@ draws one boolean (C, P) mask per sample, in batch order, hides the stack's
 as one `numerics.linear_mse` node that holds the difference alone);
 dropout masks are drawn once per stack.  Backward consumes the step's tape
 as it runs.  Every `grad_accum` micro-steps it applies one AdamW update at
-the scheduled learning rate.  Losses are mean-reduced and micro-batch
-losses are scaled by 1/grad_accum, so accumulation matches a single step
-on the concatenated batch.  A mask is the same boolean (C, P) map wherever it appears: the
-slots pre-training hides and the missing patches of an `ImputeSample`.
+the scheduled learning rate; the step count must be a multiple of
+`grad_accum`, so every micro-step's gradient reaches an update.  Losses
+are mean-reduced and micro-batch losses are scaled by 1/grad_accum, so
+accumulation matches a single step on the concatenated batch.  A mask is
+the same boolean (C, P) map wherever it appears: the slots pre-training
+hides and the missing patches of an `ImputeSample`.
 
 Each public entry call reads its samples from one `_Samples` store, which
 computes a grid's band powers at most once: for the whole training set before
@@ -454,8 +456,14 @@ def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
     `batch` (see `_grouped_mean`); `validation()` is the validation loss
     (None without a validation set).  `cfg` sets the batch size, the
     accumulation, the AdamW constants, the learning-rate schedule and the
-    checkpoint cadence.
+    checkpoint cadence.  A `steps` that is not a multiple of
+    `cfg.grad_accum` is a `ConfigError`, raised before the first micro-step:
+    the trailing micro-steps' gradients would reach no optimizer step and
+    stay on the parameters.
     """
+    if steps % cfg.grad_accum:
+        raise ConfigError(f"steps ({steps}) must be a multiple of grad_accum "
+                          f"({cfg.grad_accum})")
     store.fill(train_idx)
     order = _Cycler(list(train_idx), order_stream)
     optimizer = AdamW(trainable, cfg)
@@ -583,17 +591,6 @@ def _score_classify(store: _Samples, idx, labels, params: ParameterStore,
     return classification_metrics(preds, [int(labels[i]) for i in idx], n_classes)
 
 
-def evaluate_classify(
-    dataset: list[tuple[PatchGrid, int]],
-    params: ParameterStore,
-    model_cfg: ModelConfig,
-    n_classes: int,
-) -> MetricsReport:
-    store = _Samples([grid for grid, _ in dataset], model_cfg)
-    return _score_classify(store, range(len(dataset)), [label for _, label in dataset], params,
-                           model_cfg, n_classes)
-
-
 def finetune_classify(
     dataset: list[tuple[PatchGrid, int]],
     params: ParameterStore,
@@ -690,17 +687,6 @@ def _score_forecast(store: _Samples, idx, samples: list[ForecastSample], params:
     return report
 
 
-def evaluate_forecast(
-    samples: list[ForecastSample],
-    params: ParameterStore,
-    model_cfg: ModelConfig,
-    horizon_patches: int,
-) -> MetricsReport:
-    store = _Samples([sample.context for sample in samples], model_cfg)
-    return _score_forecast(store, range(len(samples)), samples, params, model_cfg,
-                           horizon_patches)
-
-
 def finetune_forecast(
     dataset: list[ForecastSample],
     params: ParameterStore,
@@ -745,14 +731,6 @@ class ImputeSample:
     missing: np.ndarray
 
 
-def missing_patches_from_sample_mask(sample_missing: np.ndarray, patch_len: int) -> np.ndarray:
-    """Patch-level missingness: a patch with any missing value is missing."""
-    c, t = sample_missing.shape
-    p = t // patch_len
-    trimmed = sample_missing[:, : p * patch_len].reshape(c, p, patch_len)
-    return trimmed.any(axis=2)
-
-
 def make_impute_samples(
     grids: list[PatchGrid], missing_ratio: float, stream: Rng
 ) -> list[ImputeSample]:
@@ -774,15 +752,6 @@ def _channel_means(observed: np.ndarray, kept: np.ndarray) -> np.ndarray:
         if counts[c]:
             means[c] = observed[end - counts[c] : end].mean()
     return means
-
-
-def mean_imputation(sample: ImputeSample) -> np.ndarray:
-    """Fill missing patches with the channel's mean over observed samples."""
-    kept = ~sample.missing
-    filled = sample.grid.patches.copy()
-    for c, value in enumerate(_channel_means(filled[kept], kept)):
-        filled[c, sample.missing[c]] = value
-    return filled
 
 
 def evaluate_impute(

@@ -7,10 +7,12 @@ or pruned path to the formulas it replaces, bit for bit:
 `primitive_encoder_block` runs the encoder block as primitive taped ops,
 gradients included, `full_row_forward` projects masked patches before
 replacing them, `conditioning_oracle` runs the preprocessing pipeline one
-public stage at a time, `OracleRng` and `synthetic_oracle` draw the random
+stage at a time, `OracleRng` and `synthetic_oracle` draw the random
 streams and the synthetic recording with whole-array formulas, and
 `csv_to_text` and `csv_from_text` are the recording CSV codec one value at
-a time.
+a time.  `mul`, `transpose`, `matmul` and `mse` are the primitive taped ops
+those chains and the gradient checks are built from; the model runs only
+the fused kernels in `fome.numerics`.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import numpy as np
 
 import fome.numerics as nm
+from fome.errors import ShapeError
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -112,6 +115,74 @@ def finite_difference_gradients(loss_fn, tensors, h=1e-5):
     return grads
 
 
+def mul(a, b):
+    a, b = nm._as_tensor(a), nm._as_tensor(b)
+    try:
+        out = a.data * b.data
+    except ValueError:
+        raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from None
+    sa, sb = a.shape, b.shape
+    # each operand is kept only for the other one's gradient
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
+
+    def bwd(g):
+        ga = None if bd is None else nm._unbroadcast(g * bd, sa)
+        gb = None if ad is None else nm._unbroadcast(g * ad, sb)
+        return ga, gb
+
+    return nm._record(out, (a, b), bwd)
+
+
+def transpose(a, axis1: int = -2, axis2: int = -1):
+    a = nm._as_tensor(a)
+    out = np.swapaxes(a.data, axis1, axis2)
+    return nm._record(out, (a,), lambda g: (np.swapaxes(g, axis1, axis2),))
+
+
+def matmul(a, b):
+    a, b = nm._as_tensor(a), nm._as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul: operands must be >= 2-D, got {a.shape} and {b.shape}")
+    try:
+        out = a.data @ b.data
+    except ValueError:
+        what = "inner" if a.shape[-1] != b.shape[-2] else "batch"
+        raise ShapeError(f"matmul: {what} dims differ, {a.shape} @ {b.shape}") from None
+    sa, sb = a.shape, b.shape
+    bd = b.data if a.requires_grad else None
+    ad = a.data if b.requires_grad else None
+
+    def bwd(g):
+        ga = gb = None
+        if bd is not None:
+            ga = nm._unbroadcast(g @ np.swapaxes(bd, -1, -2), sa)
+        if ad is not None and len(sb) == 2:
+            # one gemm over the folded leading axes: no (N, K, M) intermediate
+            k, m = sb
+            gb = ad.reshape(-1, k).T @ g.reshape(-1, m)
+        elif ad is not None:
+            gb = nm._unbroadcast(np.swapaxes(ad, -1, -2) @ g, sb)
+        return ga, gb
+
+    return nm._record(out, (a, b), bwd)
+
+
+def mse(pred, target):
+    pred, target = nm._as_tensor(pred), nm._as_tensor(target)
+    if pred.shape != target.shape:
+        raise ShapeError(f"mse: shapes differ, {pred.shape} vs {target.shape}")
+    diff = pred.data - target.data
+    out = np.mean(diff**2)
+    pred_grad, target_grad = pred.requires_grad, target.requires_grad
+
+    def bwd(g):
+        gp = g * 2.0 * diff / diff.size
+        return gp if pred_grad else None, -gp if target_grad else None
+
+    return nm._record(out, (pred, target), bwd)
+
+
 def _primitive_layer_norm(a):
     """Layer normalization over the last axis (eps 1e-5) as its own tape
     node: the kernel `numerics.affine_norm` fuses with `mul` and `add`."""
@@ -151,16 +222,16 @@ def primitive_dropout(x, p, stream):
     if p <= 0.0 or stream is None:
         return x
     keep = (stream.uniforms(x.size) >= p).astype(np.float64).reshape(x.shape)
-    return nm.mul(x, nm.Tensor(keep / (1.0 - p)))
+    return mul(x, nm.Tensor(keep / (1.0 - p)))
 
 
 def _primitive_split_heads(x, heads, head_dim):
-    return nm.transpose(nm.reshape(x, x.shape[:-1] + (heads, head_dim)), -3, -2)
+    return transpose(nm.reshape(x, x.shape[:-1] + (heads, head_dim)), -3, -2)
 
 
 def _primitive_merge_heads(x):
     *lead, h, s, dv = x.shape
-    return nm.reshape(nm.transpose(x, -3, -2), (*lead, s, h * dv))
+    return nm.reshape(transpose(x, -3, -2), (*lead, s, h * dv))
 
 
 def primitive_encoder_block(x, params, prefix, cfg, stream=None):
@@ -172,19 +243,19 @@ def primitive_encoder_block(x, params, prefix, cfg, stream=None):
         return params[f"{prefix}.{name}"]
 
     def affine(t, name):
-        return nm.add(nm.mul(_primitive_layer_norm(t), p(f"{name}.gain")), p(f"{name}.bias"))
+        return nm.add(mul(_primitive_layer_norm(t), p(f"{name}.gain")), p(f"{name}.bias"))
 
     a = affine(x, "ln1")
-    q = _primitive_split_heads(nm.matmul(a, p("attn.wq")), cfg.heads, cfg.d_k)
-    k = _primitive_split_heads(nm.matmul(a, p("attn.wk")), cfg.heads, cfg.d_k)
-    v = _primitive_split_heads(nm.matmul(a, p("attn.wv")), cfg.heads, cfg.d_k)
-    scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / cfg.scale_denominator)
+    q = _primitive_split_heads(matmul(a, p("attn.wq")), cfg.heads, cfg.d_k)
+    k = _primitive_split_heads(matmul(a, p("attn.wk")), cfg.heads, cfg.d_k)
+    v = _primitive_split_heads(matmul(a, p("attn.wv")), cfg.heads, cfg.d_k)
+    scores = nm.scale(matmul(q, transpose(k)), 1.0 / cfg.scale_denominator)
     probs = nm.softmax(scores, axis=-1)
-    context = nm.matmul(_primitive_merge_heads(nm.matmul(probs, v)), p("attn.wo"))
+    context = matmul(_primitive_merge_heads(matmul(probs, v)), p("attn.wo"))
     x = nm.add(x, primitive_dropout(context, cfg.dropout, stream))
     f = affine(x, "ln2")
-    hidden = primitive_gelu(nm.add(nm.matmul(f, p("ffn.w1")), p("ffn.b1")))
-    produced = nm.add(nm.matmul(hidden, p("ffn.w2")), p("ffn.b2"))
+    hidden = primitive_gelu(nm.add(matmul(f, p("ffn.w1")), p("ffn.b1")))
+    produced = nm.add(matmul(hidden, p("ffn.w2")), p("ffn.b2"))
     return nm.add(x, primitive_dropout(produced, cfg.dropout, stream))
 
 
@@ -203,11 +274,33 @@ def full_row_forward(patches, bands, params, cfg, mask, stream=None):
     return e
 
 
+def detrend(r):
+    """Remove the per-channel least-squares line."""
+    from fome.preprocess import _detrend
+    from fome.signal_store import Recording
+
+    out = r.data.copy()
+    _detrend(out)
+    return Recording(out, r.sample_rate_hz, r.channel_labels, r.id)
+
+
+def window_and_patch(r, cfg, patch_len):
+    """Cut into complete windows, then non-overlapping patches of patch_len.
+
+    Trailing samples short of a full window are dropped; with the default
+    window == patch this is exactly floor(T / L) patches.
+    """
+    from fome.preprocess import PatchGrid, _windowed_length
+
+    total = _windowed_length(r.n_samples, cfg, patch_len)
+    patches = r.data[:, :total].reshape(r.channels, total // patch_len, patch_len)
+    return PatchGrid(patches=patches.copy(), patch_len=patch_len, source_rate_hz=r.sample_rate_hz)
+
+
 def conditioning_oracle(recording, cfg, patch_len=None):
     """`preprocess_pipeline` as its stage chain: notch, band-pass, resample,
     detrend, window and patch, then each window standardized on its own."""
-    from fome.preprocess import (PatchGrid, _standardize, bandpass_filter, detrend,
-                                 notch_filter, resample, window_and_patch)
+    from fome.preprocess import PatchGrid, _standardize, bandpass_filter, notch_filter, resample
 
     patch_len = cfg.window_len_samples if patch_len is None else patch_len
     stage = notch_filter(recording, cfg.notch_hz, cfg.notch_q)
@@ -223,6 +316,17 @@ def _plain_errors(preds, truth):
     """(MAE, MSE) with a full-size temporary for each term."""
     diff = preds - truth
     return float(np.mean(np.abs(diff))), float(np.mean(diff**2))
+
+
+def mean_imputation(sample):
+    """Fill missing patches with the channel's mean over observed samples."""
+    from fome.trainer import _channel_means
+
+    kept = ~sample.missing
+    filled = sample.grid.patches.copy()
+    for c, value in enumerate(_channel_means(filled[kept], kept)):
+        filled[c, sample.missing[c]] = value
+    return filled
 
 
 def impute_report_oracle(samples, params, model_cfg):
@@ -244,7 +348,7 @@ def impute_report_oracle(samples, params, model_cfg):
                   if model_cfg.use_freq_embed else None)
         encoded = model.forward(zeroed, powers, params, model_cfg, mask=sample.missing)
         preds.append(model.head_reconstruct(encoded, params).data[sample.missing].ravel())
-        bases.append(trainer.mean_imputation(sample)[sample.missing].ravel())
+        bases.append(mean_imputation(sample)[sample.missing].ravel())
         truths.append(grid.patches[sample.missing].ravel())
     if not preds:
         return trainer.MetricsReport(task="imputation", notes={"no-missing": True})

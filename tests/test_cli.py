@@ -19,7 +19,7 @@ from mutations import mutated
 
 import fome
 from fome import cli
-from fome.errors import DataError, FormatError
+from fome.errors import DataError, FormatError, write_file
 
 CLI = [sys.executable, "-m", "fome.cli"]
 SRC = os.path.dirname(os.path.dirname(fome.__file__))
@@ -57,14 +57,14 @@ def by_name(hashes):
 def write_classify_dataset(directory, seed):
     """Ten seeded (2, 3, 500) grids labelled alternately 0 and 1, listed in
     `directory`/dataset.csv; returns the CSV's path."""
-    from fome.preprocess import PatchGrid, write_patch_grid
+    from fome.preprocess import PatchGrid, grid_to_bytes
     from fome.rng import Rng
 
     gen = Rng(seed)
     rows = []
     for i in range(10):
         grid = PatchGrid(gen.normals(2 * 3 * 500).reshape(2, 3, 500), 500, 250.0)
-        write_patch_grid(grid, directory / f"g{i}.fegp")
+        write_file(directory / f"g{i}.fegp", grid_to_bytes(grid))
         rows.append(f"g{i}.fegp,{i % 2}")
     (directory / "dataset.csv").write_text("\n".join(rows) + "\n")
     return directory / "dataset.csv"
@@ -390,11 +390,11 @@ class TestErrors:
         assert payload["error"] == "IoError"
 
     def test_dataset_row_without_label_is_data_error(self, tmp_path):
-        from fome.preprocess import PatchGrid, write_patch_grid
+        from fome.preprocess import PatchGrid, grid_to_bytes
 
         grid = PatchGrid(np.zeros((2, 4, 16)), 16, 250.0)
         for name in ("a.fegp", "b.fegp"):
-            write_patch_grid(grid, tmp_path / name)
+            write_file(tmp_path / name, grid_to_bytes(grid))
         manifest_csv = tmp_path / "dataset.csv"
         manifest_csv.write_text("a.fegp,0\nb.fegp\n")
         result = run_cli([
@@ -415,6 +415,8 @@ class TestErrors:
         ["pretrain", "--in"],
         ["pretrain", "--in", "GRID", "--pps", "0"],
         ["pretrain", "--in", "GRID", "--pps", "2", "--steps", "0"],
+        ["pretrain", "--in", "GRID", "--pps", "2", "--steps", "3", "--accum", "4"],
+        ["pretrain", "--in", "GRID", "--pps", "2", "--steps", "6", "--accum", "4"],
         ["preprocess", "--in", "REC", "--band", "1"],
         ["preprocess", "--in", "REC", "--band", "a:b"],
         ["preprocess", "--in", "REC", "--rate", "nan"],
@@ -429,7 +431,8 @@ class TestErrors:
         ["synth", "--components", "1:2"],
         ["synth", "--components", "a:b:c:d"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
-            "pretrain-no-in", "pps-0", "steps-0", "band-one-number", "band-not-numbers",
+            "pretrain-no-in", "pps-0", "steps-0", "steps-below-accum", "steps-not-multiple-of-accum",
+            "band-one-number", "band-not-numbers",
             "target-rate-nan",
             "eval-empty", "eval-header-only-classify", "eval-header-only-regress",
             "eval-one-column", "eval-non-numeric-row", "eval-non-integer-class",
@@ -437,15 +440,15 @@ class TestErrors:
             "components-not-numbers"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
         from fome import errors
-        from fome.preprocess import PatchGrid, write_patch_grid
-        from fome.signal_store import Recording, write_recording
+        from fome.preprocess import PatchGrid, grid_to_bytes
+        from fome.signal_store import Recording, recording_to_bytes
 
         inputs = {"GRID": tmp_path / "grid.fegp", "EMPTY": tmp_path / "empty.csv",
                   "HEADER": tmp_path / "header.csv", "ONECOL": tmp_path / "onecol.csv",
                   "NONNUM": tmp_path / "nonnum.csv", "NONINT": tmp_path / "nonint.csv",
                   "PREDS": tmp_path / "preds.csv", "REC": tmp_path / "rec.bin",
                   "HUGE": tmp_path / "huge.csv"}
-        write_patch_grid(PatchGrid(np.zeros((2, 4, 16)), 16, 250.0), inputs["GRID"])
+        write_file(inputs["GRID"], grid_to_bytes(PatchGrid(np.zeros((2, 4, 16)), 16, 250.0)))
         inputs["EMPTY"].write_text("")
         inputs["HEADER"].write_text("pred,ref\n")
         inputs["ONECOL"].write_text("1\n0\n")
@@ -453,13 +456,16 @@ class TestErrors:
         inputs["NONINT"].write_text("1.7,1\n0,0\n")
         inputs["PREDS"].write_text("0,0\n1,1\n")
         inputs["HUGE"].write_text("1000000,0\n0,0\n")
-        write_recording(Recording(np.zeros((2, 1000)), 500.0), inputs["REC"])
+        write_file(inputs["REC"], recording_to_bytes(Recording(np.zeros((2, 1000)), 500.0)))
         args = [str(inputs.get(arg, arg)) for arg in args]
         preset = ["--preset", "tiny"] if args[0] in ("pretrain", "finetune") else []
         result = run_cli(args + preset + ["--out", str(tmp_path / "out.bin")])
         assert result.returncode == 1, result.stderr
         payload = json.loads(result.stderr)
         assert issubclass(getattr(errors, payload["error"]), errors.FomeError), payload
+        if "--accum" in args:
+            assert payload["error"] == "ConfigError", payload
+            assert "multiple of grad_accum" in payload["message"], payload
         if "--classes" in args:
             assert payload["error"] == "ConfigError", payload
             assert "--classes" in payload["message"], payload
@@ -495,17 +501,17 @@ class TestErrors:
             "eval-not-utf8", "dataset-not-utf8", "csv-recording-not-utf8"])
     def test_file_failures_are_typed_errors(self, tmp_path, args, error):
         import fome.numerics as nm
-        from fome.preprocess import PatchGrid, write_patch_grid
-        from fome.signal_store import Recording, write_recording
+        from fome.preprocess import PatchGrid, grid_to_bytes
+        from fome.signal_store import Recording, recording_to_bytes
 
         paths = {"MISSING": tmp_path / "no" / "such.out", "OUT": tmp_path / "out.bin",
                  "UNDER_FILE": tmp_path / "preds.csv" / "checkpoints",
                  "NOT_UTF8": tmp_path / "bad.csv", "REC": tmp_path / "rec.feeg",
                  "GRID": tmp_path / "grid.fegp", "PREDS": tmp_path / "preds.csv",
                  "CKPT": tmp_path / "w.fckp", "DATASET": tmp_path / "dataset.csv"}
-        write_recording(Recording(np.zeros((2, 1000)), 500.0), paths["REC"])
+        write_file(paths["REC"], recording_to_bytes(Recording(np.zeros((2, 1000)), 500.0)))
         patches = np.random.default_rng(0).standard_normal((2, 4, 16))
-        write_patch_grid(PatchGrid(patches, 16, 250.0), paths["GRID"])
+        write_file(paths["GRID"], grid_to_bytes(PatchGrid(patches, 16, 250.0)))
         paths["PREDS"].write_text("1,1\n0,0\n")
         nm.save_checkpoint({"w": np.ones(3)}, paths["CKPT"])
         paths["DATASET"].write_text("".join(f"grid.fegp,{i % 2}\n" for i in range(5)))
@@ -529,6 +535,8 @@ class TestErrors:
         (["pretrain", "--in", "GRID"], "FormatError"),
         (["pretrain", "--in", "GOOD_GRID", "--pps", "2", "--checkpoint", "CKPT"], "FormatError"),
         (["finetune", "classify", "--dataset", "DATASET"], "FormatError"),
+        (["finetune", "classify", "--dataset", "DATASET_BAD_SPLIT"], "DataError"),
+        (["finetune", "classify", "--dataset", "DATASET_MIXED_SPLIT"], "DataError"),
         (["finetune", "forecast", "--in", "GRID"], "FormatError"),
         (["finetune", "impute", "--in", "GRID"], "FormatError"),
         (["eval", "--in", "PREDS"], "DataError"),
@@ -539,7 +547,8 @@ class TestErrors:
         (["spectra", "--in", "GRID_INF_RATE"], "DataError"),
         (["spectra", "--in", "GRID_ZERO_RATE"], "DataError"),
     ], ids=["synth", "preprocess", "preprocess-csv", "spectra", "pretrain",
-            "pretrain-checkpoint", "finetune-classify", "finetune-forecast", "finetune-impute",
+            "pretrain-checkpoint", "finetune-classify", "dataset-unknown-split",
+            "dataset-mixed-split", "finetune-forecast", "finetune-impute",
             "eval", "inspect-checkpoint", "csv-recording-nan-rate", "recording-inf-rate",
             "grid-nan-rate", "grid-inf-rate", "grid-zero-rate"])
     def test_corrupt_input_is_one_typed_json_error(self, tmp_path, args, error):
@@ -555,6 +564,8 @@ class TestErrors:
                   "GRID": grid[: len(grid) // 2], "GOOD_GRID": grid,
                   "CKPT": (tmp_path / "whole.fckp").read_bytes()[:-5],
                   "DATASET": b"grid.fegp,0\ngrid.fegp,1\n",
+                  "DATASET_BAD_SPLIT": b"grid.fegp,0,train\ngrid.fegp,1,valid\n",
+                  "DATASET_MIXED_SPLIT": b"grid.fegp,0,train\ngrid.fegp,1\n",
                   "PREDS": b"1,1\n0,1e999x\n",
                   "CSV_REC_NAN_RATE": b"# rate_hz=nan\nFz\n1.0\n2.0\n",
                   "REC_INF_RATE": struct.pack("<4sBIQd", b"FEEG", 1, 1, 2, math.inf) + bytes(8),
@@ -572,7 +583,10 @@ class TestErrors:
         assert result.returncode == 1, result.stderr
         lines = result.stderr.decode().splitlines()
         assert len(lines) == 1, lines
-        assert json.loads(lines[0])["error"] == error, lines
+        payload = json.loads(lines[0])
+        assert payload["error"] == error, lines
+        if args[-1].endswith("_SPLIT"):  # the second row, by number and grid path
+            assert "row 2 ('grid.fegp')" in payload["message"], payload
         assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in paths.values())
 
     def test_huge_class_count_refused_before_training(self, tmp_path):
@@ -601,7 +615,7 @@ class TestErrors:
 
 class TestFinetuneCommand:
     def test_classify_via_manifest(self, tmp_path):
-        from fome.preprocess import PatchGrid, write_patch_grid
+        from fome.preprocess import PatchGrid, grid_to_bytes
         from fome.rng import Rng
 
         gen = Rng(5)
@@ -613,7 +627,7 @@ class TestFinetuneCommand:
             x = np.sin(2 * np.pi * freq * t + float(gen.uniforms(1)[0]))
             grid = PatchGrid(np.stack([x, 0.5 * x]).reshape(2, 4, 16), 16, 250.0)
             name = f"g{i}.fegp"
-            write_patch_grid(grid, tmp_path / name)
+            write_file(tmp_path / name, grid_to_bytes(grid))
             rows.append(f"{name},{label}")
         manifest_csv = tmp_path / "dataset.csv"
         manifest_csv.write_text("\n".join(rows) + "\n")
@@ -629,7 +643,7 @@ class TestFinetuneCommand:
         assert "accuracy" in report
 
     def test_classify_manifest_split_column(self, tmp_path):
-        from fome.preprocess import PatchGrid, write_patch_grid
+        from fome.preprocess import PatchGrid, grid_to_bytes
         from fome.rng import Rng
 
         gen = Rng(6)
@@ -642,7 +656,7 @@ class TestFinetuneCommand:
             x = np.sin(2 * np.pi * freq * t + float(gen.uniforms(1)[0]))
             grid = PatchGrid(np.stack([x, 0.5 * x]).reshape(2, 4, 16), 16, 250.0)
             name = f"g{i}.fegp"
-            write_patch_grid(grid, tmp_path / name)
+            write_file(tmp_path / name, grid_to_bytes(grid))
             rows.append(f"{name},{label},{splits[i]}")
         manifest_csv = tmp_path / "dataset.csv"
         manifest_csv.write_text("\n".join(rows) + "\n")

@@ -1,5 +1,7 @@
-"""Process-wide settings made at `import fome`."""
+"""Process-wide settings made at `import fome`, and the package's public
+surface."""
 
+import ast
 import ctypes
 import os
 import subprocess
@@ -46,3 +48,36 @@ def test_freed_heap_is_reused_without_page_faults():
     # the first round maps the memory; later rounds reuse the heap the frees
     # left in place (glibc's default thresholds return it each round)
     assert all(f < 1000 for f in faults[1:]), faults
+
+
+# public module-level functions and classes that no code in src/fome names,
+# each with the reason it stays
+UNCALLED = {
+    "preprocess.notch_filter": "acceptance criterion 4 runs the stage on a whole recording",
+    "preprocess.bandpass_filter": "acceptance criterion 4 runs the stage on a whole recording",
+    "preprocess.resample": "acceptance criterion 4 runs the stage on a whole recording",
+    "preprocess.standardize_ema": "acceptance criterion 4 runs the stage on a whole recording",
+    "spectral.dft": "acceptance criterion 3 checks it against the naive transform",
+    "model.load_params": "acceptance criterion 7 loads its checkpoint through it",
+    "model.read_model_config": "reads the sidecar `fome pretrain` writes; ROADMAP item 2 "
+                               "moves the config into the checkpoint",
+}
+
+
+def test_every_public_definition_is_named_in_the_package():
+    src = Path(fome.__file__).resolve().parent
+    defined, named = {}, set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined[f"{path.stem}.{node.name}"] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    uncalled = {key for key, name in defined.items() if name not in named}
+    assert uncalled == set(UNCALLED)

@@ -10,23 +10,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import MiB, interior_tone_amplitude, make_tone, rms, steady_state_db, traced_peak
-from oracles import conditioning_oracle, ema_standardize_scalar
+from oracles import conditioning_oracle, detrend, ema_standardize_scalar, window_and_patch
 
 from fome.errors import ConfigError, DataError, EmptyError, FormatError
 from fome.preprocess import (
     PatchGrid,
     PreprocessConfig,
     bandpass_filter,
-    detrend,
     grid_from_bytes,
     grid_to_bytes,
     notch_filter,
     preprocess_pipeline,
-    read_patch_grid,
     resample,
     standardize_ema,
-    window_and_patch,
-    write_patch_grid,
 )
 from fome.signal_store import Component, Recording, SyntheticSpec, generate_synthetic
 
@@ -121,6 +117,9 @@ class TestResample:
 
 
 class TestDetrend:
+    """The pipeline's least-squares detrend, `preprocess._detrend`, through
+    the oracle's whole-recording stage."""
+
     def test_constant_removed(self):
         r = Recording(np.full((2, 100), 7.5), 100.0)
         assert np.max(np.abs(detrend(r).data)) < 1e-9
@@ -204,6 +203,9 @@ class TestStandardizeEma:
 
 
 class TestWindowAndPatch:
+    """The pipeline's window arithmetic, `preprocess._windowed_length`,
+    through the oracle's whole-recording stage."""
+
     def cfg(self, window=1500):
         return PreprocessConfig(window_len_samples=window)
 
@@ -365,12 +367,10 @@ class TestPipeline:
 
 
 class TestGridFormat:
-    def test_round_trip(self, rng, tmp_path):
+    def test_round_trip(self, rng):
         patches = rng.standard_normal((3, 4, 100)).astype(np.float32).astype(np.float64)
         grid = PatchGrid(patches, 100, 250.0)
-        path = tmp_path / "g.fegp"
-        write_patch_grid(grid, path)
-        back = read_patch_grid(path)
+        back = grid_from_bytes(grid_to_bytes(grid))
         assert np.array_equal(back.patches, grid.patches)
         assert back.patch_len == 100 and back.source_rate_hz == 250.0
 

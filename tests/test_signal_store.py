@@ -1,4 +1,4 @@
-"""Recording I/O round-trips, format errors, and synthetic generation."""
+"""Recording codec round-trips, format errors, and synthetic generation."""
 
 import re
 import struct
@@ -13,16 +13,14 @@ from conftest import MiB, traced_peak
 from mutations import mutated
 from oracles import csv_from_text, csv_to_text, synthetic_oracle
 
-from fome.errors import DataError, FormatError, IoError, SpecError, decode_text
+from fome.errors import DataError, FormatError, SpecError, decode_text
 from fome.signal_store import (
     Component,
     Recording,
     SyntheticSpec,
     generate_synthetic,
-    read_recording,
     recording_from_bytes,
     recording_to_bytes,
-    write_recording,
 )
 
 
@@ -32,16 +30,14 @@ def random_f32_recording(rng, channels, samples, rate):
 
 
 class TestBinaryFormat:
-    def test_round_trip_bit_identical(self, rng, tmp_path):
+    def test_round_trip_bit_identical(self, rng):
         r = random_f32_recording(rng, 3, 500, 250.0)
-        path = tmp_path / "r.feeg"
-        write_recording(r, path)
-        back = read_recording(path)
+        back = recording_from_bytes(recording_to_bytes(r))
         assert np.array_equal(back.data, r.data)
         assert back.sample_rate_hz == r.sample_rate_hz
         assert back.channels == 3 and back.n_samples == 500
 
-    def test_file_constructed_byte_by_byte(self, tmp_path):
+    def test_file_constructed_byte_by_byte(self):
         c, t, rate = 3, 1500, 250.0
         payload = bytearray()
         payload += b"FEEG"
@@ -51,57 +47,35 @@ class TestBinaryFormat:
         payload += struct.pack("<d", rate)
         values = np.arange(c * t, dtype="<f4") * 0.25
         payload += values.tobytes()
-        path = tmp_path / "built.feeg"
-        path.write_bytes(bytes(payload))
-        r = read_recording(path)
+        r = recording_from_bytes(bytes(payload))
         assert r.channels == 3 and r.n_samples == 1500
         assert r.sample_rate_hz == 250.0
         assert np.array_equal(r.data, values.astype(np.float64).reshape(c, t))
 
-    def test_double_round_trip_byte_compare(self, rng, tmp_path):
+    def test_double_round_trip_byte_compare(self):
         spec = SyntheticSpec(channels=64, duration_s=10.0, sample_rate_hz=500.0,
                              seed=7, noise_std=12.5,
                              components=[Component(0, 11.0, 30.0, 0.4)])
         r = generate_synthetic(spec)
         assert r.channels == 64 and r.n_samples == 5000
-        p1, p2 = tmp_path / "a.feeg", tmp_path / "b.feeg"
-        write_recording(r, p1)
-        write_recording(read_recording(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        first = recording_to_bytes(r)
+        assert recording_to_bytes(recording_from_bytes(first)) == first
 
-    def test_single_sample_round_trip(self, tmp_path):
+    def test_single_sample_round_trip(self):
         r = Recording(np.zeros((1, 1)), 100.0)
-        path = tmp_path / "tiny.feeg"
-        write_recording(r, path)
-        back = read_recording(path)
+        back = recording_from_bytes(recording_to_bytes(r))
         assert np.array_equal(back.data, r.data)
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.feeg"
-        path.write_bytes(b"NOPE" + bytes(30))
+    def test_bad_magic(self):
         with pytest.raises(FormatError):
-            read_recording(path)
+            recording_from_bytes(b"NOPE" + bytes(30))
 
-    def test_truncated_payload(self, tmp_path, rng):
+    def test_truncated_payload(self, rng):
         r = random_f32_recording(rng, 2, 100, 250.0)
         blob = recording_to_bytes(r)
-        path = tmp_path / "short.feeg"
-        path.write_bytes(blob[:-8])
         with pytest.raises(FormatError):
-            read_recording(path)
+            recording_from_bytes(blob[:-8])
 
-    def test_nan_rejected_before_write(self, tmp_path):
-        r = Recording(np.ones((2, 4)), 250.0)
-        r.data[1, 2] = np.nan
-        path = tmp_path / "nan.feeg"
-        with pytest.raises(DataError, match="channel 1, index 2"):
-            write_recording(r, path)
-        assert not path.exists()
-
-    def test_unwritable_path(self, rng):
-        r = random_f32_recording(rng, 1, 10, 100.0)
-        with pytest.raises(IoError):
-            write_recording(r, "/nonexistent-dir/x.feeg")
 
 
     def test_every_truncation_and_byte_flip_parses_or_is_typed_error(self):
@@ -221,31 +195,25 @@ class TestCsvFormat:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]
 
-    def test_round_trip(self, rng, tmp_path):
+    def test_round_trip(self, rng):
         r = Recording(
             rng.standard_normal((2, 40)).astype(np.float32).astype(np.float64),
             512.0,
             channel_labels=["Fz", "Cz"],
         )
-        path = tmp_path / "r.csv"
-        write_recording(r, path, format="csv")
-        assert path.read_bytes() == recording_to_bytes(r, format="csv")
-        back = read_recording(path, format="csv")
+        back = recording_from_bytes(recording_to_bytes(r, format="csv"), format="csv")
         assert back.channel_labels == ["Fz", "Cz"]
         assert back.sample_rate_hz == 512.0
         assert np.array_equal(back.data, r.data)
 
-    def test_arity_mismatch(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("# rate_hz=250.0\ncha,chb\n1.0,2.0\n1.0,2.0,3.0\n")
+    def test_arity_mismatch(self):
         with pytest.raises(FormatError, match="line 4"):
-            read_recording(path, format="csv")
+            recording_from_bytes(b"# rate_hz=250.0\ncha,chb\n1.0,2.0\n1.0,2.0,3.0\n",
+                                 format="csv")
 
-    def test_missing_rate_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("cha,chb\n1.0,2.0\n1.0,2.0\n")
+    def test_missing_rate_header(self):
         with pytest.raises(FormatError):
-            read_recording(path, format="csv")
+            recording_from_bytes(b"cha,chb\n1.0,2.0\n1.0,2.0\n", format="csv")
 
 
 class TestGenerateSynthetic:

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import adamw_scalar, fbeta_closed_form, impute_report_oracle
+from oracles import (adamw_scalar, fbeta_closed_form, impute_report_oracle, mean_imputation,
+                     mse, mul)
 
 from fome import model, trainer
 from fome.errors import ConfigError, DataError, TrainError
@@ -21,8 +22,6 @@ from fome.trainer import (
     MetricsReport,
     TrainConfig,
     classification_metrics,
-    evaluate_classify,
-    evaluate_forecast,
     evaluate_impute,
     fbeta,
     finetune_classify,
@@ -30,8 +29,6 @@ from fome.trainer import (
     lr_at,
     make_impute_samples,
     make_mask_plan,
-    mean_imputation,
-    missing_patches_from_sample_mask,
     persistence_forecast,
     pretrain,
     regression_metrics,
@@ -312,6 +309,26 @@ class TestPretrain:
         with pytest.raises(ConfigError):
             pretrain(tiny_corpus(), params, cfg, flat_lr_config(), steps=0)
 
+    @pytest.mark.parametrize("steps", [3, 6], ids=["below-accum", "not-a-multiple"])
+    def test_steps_not_a_multiple_of_accum_rejected_before_any_step(self, steps):
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=0)
+        before = {name: tensor.data.copy() for name, tensor in params.items()}
+        with pytest.raises(ConfigError, match="multiple of grad_accum"):
+            pretrain(tiny_corpus(), params, cfg, flat_lr_config(grad_accum=4), steps=steps)
+        assert all(tensor.grad is None for _, tensor in params.items())
+        for name, data in before.items():
+            assert params[name].data.tobytes() == data.tobytes()
+
+    def test_no_gradient_outlives_a_training_call(self):
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=0)
+        pretrain(tiny_corpus(), params, cfg, flat_lr_config(grad_accum=2), steps=4)
+        assert all(tensor.grad is None for _, tensor in params.items())
+        finetune_classify(labeled_dataset(n=10), params, cfg, flat_lr_config(grad_accum=2), 2,
+                          steps=4)
+        assert all(tensor.grad is None for _, tensor in params.items())
+
     def test_trace_rows_and_mask_count(self):
         cfg = preset("tiny")
         params = ParameterStore.initialize(cfg, seed=0)
@@ -410,6 +427,13 @@ class TestPretrain:
         assert (tmp_path / "final.fckp").exists()
 
 
+def score_forecast(samples, params, cfg, horizon_patches):
+    """The forecast report of `samples` alone, from a store of their own."""
+    store = trainer._Samples([sample.context for sample in samples], cfg)
+    return trainer._score_forecast(store, range(len(samples)), samples, params, cfg,
+                                   horizon_patches)
+
+
 def gated_mse_oracle(encoded, params, target, mask, scope):
     """The full-head form: every slot through the head, the visible ones
     gated to zero, the MSE rescaled by the masked fraction."""
@@ -417,8 +441,8 @@ def gated_mse_oracle(encoded, params, target, mask, scope):
     gate = mask[..., None].astype(np.float64)
     fraction = float(gate.mean())
     if scope == "all" or fraction == 0.0:
-        return nm.mse(rec, Tensor(target))
-    return nm.scale(nm.mse(nm.mul(rec, Tensor(gate)), Tensor(target * gate)), 1.0 / fraction)
+        return mse(rec, Tensor(target))
+    return nm.scale(mse(mul(rec, Tensor(gate)), Tensor(target * gate)), 1.0 / fraction)
 
 
 def _loss_and_grads(masked_mse, shapes, mode, scope="masked_only", empty=False):
@@ -506,7 +530,7 @@ class TestStackedPrediction:
 
 
 class TestSampleStore:
-    def test_store_scores_equal_public_evaluation_bitwise(self, rng):
+    def test_store_scores_equal_a_fresh_store_bitwise(self, rng):
         cfg = preset("tiny")
         params = ParameterStore.initialize(cfg, seed=26)
         params.add(model.classify_head_shapes(cfg, 2), seed=27)
@@ -518,15 +542,17 @@ class TestSampleStore:
         subset = [2, 5, 6, 9, 10]
         store = trainer._Samples([grid for grid, _ in data], cfg)
         labels = [label for _, label in data]
-        public = evaluate_classify([data[i] for i in subset], params, cfg, 2).to_json()
+        fresh = trainer._Samples([data[i][0] for i in subset], cfg)
+        alone = trainer._score_classify(fresh, range(len(subset)), [labels[i] for i in subset],
+                                        params, cfg, 2).to_json()
         for _ in range(2):  # the second score reads band powers the first computed
             report = trainer._score_classify(store, subset, labels, params, cfg, 2)
-            assert report.to_json() == public
+            assert report.to_json() == alone
         store = trainer._Samples([window.context for window in windows], cfg)
-        public = evaluate_forecast([windows[i] for i in subset], params, cfg, 2).to_json()
+        alone = score_forecast([windows[i] for i in subset], params, cfg, 2).to_json()
         for _ in range(2):
             report = trainer._score_forecast(store, subset, windows, params, cfg, 2)
-            assert report.to_json() == public
+            assert report.to_json() == alone
 
 
 class TestFinetuneClassify:
@@ -669,8 +695,8 @@ class TestForecast:
         params.add(model.forecast_head_shapes(cfg, 3, 2), seed=27)
         groups = [forecast_samples_from_grid(PatchGrid(rng.standard_normal((c, 10, 8)), 8, 250.0),
                                              3, 2) for c in (2, 3)]
-        mixed = evaluate_forecast(groups[0] + groups[1], params, cfg, 2)
-        parts = [evaluate_forecast(group, params, cfg, 2) for group in groups]
+        mixed = score_forecast(groups[0] + groups[1], params, cfg, 2)
+        parts = [score_forecast(group, params, cfg, 2) for group in groups]
         sizes = [sum(sample.target.size for sample in group) for group in groups]
         for key in ("mae", "mse"):
             pooled = sum(getattr(part, key) * n for part, n in zip(parts, sizes)) / sum(sizes)
@@ -688,14 +714,6 @@ class TestForecast:
 
 
 class TestImpute:
-    def test_whole_patch_missing_rule(self):
-        missing_values = np.zeros((2, 40), dtype=bool)
-        missing_values[0, 17] = True  # one missing sample inside patch 2
-        patch_level = missing_patches_from_sample_mask(missing_values, patch_len=8)
-        assert patch_level.shape == (2, 5)
-        assert patch_level[0].tolist() == [False, False, True, False, False]
-        assert not patch_level[1].any()
-
     def test_make_samples_ratio(self, rng):
         grids = [PatchGrid(rng.standard_normal((2, 10, 8)), 8, 250.0)]
         samples = make_impute_samples(grids, 0.40, Rng(7))
