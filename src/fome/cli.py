@@ -38,20 +38,18 @@ _THREAD_VARS = (
 )
 
 
-def _apply_threads(argv: list[str]) -> None:
+def _apply_threads(threads: int | None) -> None:
     """Pin BLAS/OpenMP threads: an explicit --threads overrides the
-    environment, otherwise variables already set are kept and the rest get 1."""
-    threads = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
+    environment, otherwise variables already set are kept and the rest get 1.
+    A count below 1 is a `ConfigError`, raised before any variable is set:
+    OpenBLAS reads 0 or a negative count as every core."""
+    if threads is not None and threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {threads}")
     for var in _THREAD_VARS:
         if threads is None:
             os.environ.setdefault(var, "1")
         else:
-            os.environ[var] = threads
+            os.environ[var] = str(threads)
 
 
 def _configure_logging() -> None:
@@ -235,36 +233,39 @@ def _cmd_spectra(args, manifest: _Manifest) -> None:
     manifest.add_config("spectra", {"taper": args.taper, "channels": c, "patches": p})
 
 
-def _model_config(args):
+def _fit_model(args, samples, manifest: _Manifest):
+    """The model config of `args` fitted to `samples`, the grids the model
+    reads, and its parameters: from --checkpoint, else initialized from
+    --seed.
+
+    The preset, --scale and --ablate fix the architecture; the patch
+    geometry follows the data.  `patch_len` is the samples' one patch length
+    (a mix of lengths is a `ConfigError` naming them), `max_patches` grows to
+    the longest sample, and a conv embedding's kernel shrinks to the largest
+    of 10, 5, 4, 2, 1 that divides the patch length."""
+    from dataclasses import replace
+
     from . import model
 
+    lengths = sorted({grid.patch_len for grid in samples})
+    if len(lengths) > 1:
+        raise ConfigError(f"samples mix patch lengths {lengths}; one model takes one length")
     cfg = model.preset(args.preset)
     if args.scale:
-        from dataclasses import replace
         cfg = replace(cfg, attn_scale=args.scale)
     for name in args.ablate or []:
         cfg = model.apply_ablation(cfg, name)
-    return cfg
-
-
-def _fit_config_to_data(cfg, patch_len: int, needed_patches: int):
-    """Presets fix the architecture dims; patch geometry follows the data."""
-    from dataclasses import replace
-
-    changes = {}
-    if cfg.patch_len != patch_len:
-        changes["patch_len"] = patch_len
-    if cfg.max_patches < needed_patches:
-        changes["max_patches"] = needed_patches
-    if cfg.conv_embed and patch_len % cfg.conv_kernel != 0:
-        for k in (10, 5, 4, 2, 1):
-            if patch_len % k == 0:
-                changes["conv_kernel"] = k
-                break
-    if changes:
-        log.info("adapting model config to data: %s", changes)
-        cfg = replace(cfg, **changes)
-    return cfg
+    patch_len, kernel = lengths[0], cfg.conv_kernel
+    if cfg.conv_embed and patch_len % kernel:
+        kernel = next(k for k in (10, 5, 4, 2, 1) if patch_len % k == 0)
+    fitted = replace(cfg, patch_len=patch_len, conv_kernel=kernel,
+                     max_patches=max([cfg.max_patches] + [grid.n_patches for grid in samples]))
+    if fitted != cfg:
+        log.info("model config fitted to data: %s", fitted)
+    if args.checkpoint:
+        return fitted, _load(args.checkpoint, manifest, lambda payload, path:
+                             model.params_from_bytes(payload, fitted, path))
+    return fitted, model.ParameterStore.initialize(fitted, args.seed)
 
 
 def _train_config(args, **overrides):
@@ -285,39 +286,10 @@ def _train_config(args, **overrides):
     return TrainConfig(**fields)
 
 
-def _split_into_samples(grid, patches_per_sample: int):
-    from .preprocess import PatchGrid
-
-    if patches_per_sample < 1:
-        raise ConfigError(f"--pps must be >= 1, got {patches_per_sample}")
-    n = grid.n_patches // patches_per_sample
-    if n == 0:
-        raise ConfigError(
-            f"grid has {grid.n_patches} patches; need >= {patches_per_sample} per sample"
-        )
-    return [
-        PatchGrid(
-            grid.patches[:, i * patches_per_sample : (i + 1) * patches_per_sample],
-            grid.patch_len,
-            grid.source_rate_hz,
-        )
-        for i in range(n)
-    ]
-
-
 def _load_grids(paths: list[str] | tuple[str, ...], manifest: _Manifest):
     from .preprocess import grid_from_bytes
 
     return [_load(path, manifest, grid_from_bytes) for path in paths]
-
-
-def _init_params(args, model_cfg, manifest: _Manifest):
-    from . import model
-
-    if args.checkpoint:
-        return _load(args.checkpoint, manifest,
-                     lambda payload, path: model.params_from_bytes(payload, model_cfg, path))
-    return model.ParameterStore.initialize(model_cfg, args.seed)
 
 
 def _cmd_pretrain(args, manifest: _Manifest) -> None:
@@ -325,15 +297,10 @@ def _cmd_pretrain(args, manifest: _Manifest) -> None:
 
     if not args.infile:
         raise ConfigError("pretrain needs at least one --in grid")
-    model_cfg = _model_config(args)
-    corpus = []
-    for grid in _load_grids(args.infile, manifest):
-        corpus.extend(_split_into_samples(grid, args.pps))
-    model_cfg = _fit_config_to_data(model_cfg, corpus[0].patch_len, args.pps)
     train_cfg = _train_config(args)
-    if args.steps >= 2:
-        train_cfg = trainer.scale_schedule(train_cfg, args.steps)
-    params = _init_params(args, model_cfg, manifest)
+    corpus = [window for grid in _load_grids(args.infile, manifest)
+              for window in trainer.grid_windows(grid, args.pps)]
+    model_cfg, params = _fit_model(args, corpus, manifest)
     trace = trainer.pretrain(corpus, params, model_cfg, train_cfg, steps=args.steps)
     model.save_params(params, args.out)
     model.write_model_config(model_cfg, args.out + ".config")
@@ -390,7 +357,6 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
         raise ConfigError("finetune classify needs --dataset")
     if args.task != "classify" and not args.infile:
         raise ConfigError(f"finetune {args.task} needs at least one --in grid")
-    model_cfg = _model_config(args)
     train_cfg = _train_config(args, checkpoint_every=args.checkpoint_every)
 
     if args.task == "classify":
@@ -401,35 +367,26 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
         if rows[0][2] is not None:
             splits = tuple([i for i, row in enumerate(rows) if row[2] == name]
                            for name in _SPLITS)
-        first = dataset[0][0]
-        model_cfg = _fit_config_to_data(model_cfg, first.patch_len, first.n_patches)
-        params = _init_params(args, model_cfg, manifest)
+        model_cfg, params = _fit_model(args, grids, manifest)
         report = trainer.finetune_classify(
             dataset, params, model_cfg, train_cfg,
             n_classes=args.classes, steps=args.steps, mode=args.mode,
             checkpoint_dir=args.checkpoint_dir, splits=splits,
         )
     elif args.task == "forecast":
-        grids = _load_grids(args.infile, manifest)
-        samples = []
-        for grid in grids:
-            samples.extend(
-                trainer.forecast_samples_from_grid(grid, args.context, args.horizon)
-            )
-        model_cfg = _fit_config_to_data(model_cfg, grids[0].patch_len, args.context)
-        params = _init_params(args, model_cfg, manifest)
+        samples = [sample for grid in _load_grids(args.infile, manifest)
+                   for sample in trainer.forecast_samples_from_grid(grid, args.context,
+                                                                    args.horizon)]
+        model_cfg, params = _fit_model(args, [sample.context for sample in samples], manifest)
         report = trainer.finetune_forecast(
             samples, params, model_cfg, train_cfg,
             horizon_patches=args.horizon, steps=args.steps, mode=args.mode,
             checkpoint_dir=args.checkpoint_dir,
         )
     else:  # impute
-        grids = _load_grids(args.infile, manifest)
-        corpus = []
-        for grid in grids:
-            corpus.extend(_split_into_samples(grid, args.pps))
-        model_cfg = _fit_config_to_data(model_cfg, corpus[0].patch_len, args.pps)
-        params = _init_params(args, model_cfg, manifest)
+        corpus = [window for grid in _load_grids(args.infile, manifest)
+                  for window in trainer.grid_windows(grid, args.pps)]
+        model_cfg, params = _fit_model(args, corpus, manifest)
         samples = trainer.make_impute_samples(
             corpus, args.missing_ratio, Rng(args.seed).split(17)
         )
@@ -517,7 +474,8 @@ def _cmd_inspect_checkpoint(args, manifest: _Manifest) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="BLAS/OpenMP threads (default 1)")
+    p.add_argument("--threads", type=int, default=None,
+                   help="BLAS/OpenMP threads (default: the environment's, else 1)")
     p.add_argument("--manifest", default=None, help="explicit manifest path")
 
 
@@ -625,12 +583,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    _apply_threads(argv)
-    _configure_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    manifest = _Manifest(args, argv)
     try:
+        args = build_parser().parse_args(argv)
+        _apply_threads(args.threads)
+        _configure_logging()
+        manifest = _Manifest(args, argv)
         args.fn(args, manifest)
         manifest.write()
     except FomeError as exc:

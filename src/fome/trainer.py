@@ -8,12 +8,15 @@ draws one boolean (C, P) mask per sample, in batch order, hides the stack's
 as one `numerics.linear_mse` node that holds the difference alone);
 dropout masks are drawn once per stack.  Backward consumes the step's tape
 as it runs.  Every `grad_accum` micro-steps it applies one AdamW update at
-the scheduled learning rate; the step count must be a multiple of
-`grad_accum`, so every micro-step's gradient reaches an update.  Losses
-are mean-reduced and micro-batch losses are scaled by 1/grad_accum, so
-accumulation matches a single step on the concatenated batch.  A mask is
-the same boolean (C, P) map wherever it appears: the slots pre-training
-hides and the missing patches of an `ImputeSample`.
+the rate of the warmup+cosine schedule, which the loop alone fits to its
+step count; the step count must be a multiple of `grad_accum`, so every
+micro-step's gradient reaches an update.  Losses are mean-reduced and
+micro-batch losses are scaled by 1/grad_accum, so accumulation matches a
+single step on the concatenated batch.  A mask is the same boolean (C, P)
+map wherever it appears: the slots pre-training hides and the missing
+patches of an `ImputeSample`.  Every entry point checks all its inputs
+before it adds its task head to the caller's store, so a refused call
+leaves the store as it was.
 
 Each public entry call reads its samples from one `_Samples` store, which
 computes a grid's band powers at most once: for the whole training set before
@@ -444,11 +447,32 @@ def _masked_mse(encoded: Tensor, params, target, mask: np.ndarray, scope: str) -
     return mdl.reconstruct_mse(hidden, params, target.reshape(-1, target.shape[-1]), rows)
 
 
+def _ensure_head(params: ParameterStore, head: tuple[dict, int], cfg: TrainConfig,
+                 steps: int) -> None:
+    """An entry point's last checks, then its first change to the caller's
+    store: add the tensors of `head`, (shapes, seed), that `params` lacks.
+    A `steps` below 1 or not a multiple of `cfg.grad_accum` (the trailing
+    micro-steps' gradients would reach no optimizer step and stay on the
+    parameters) is a `ConfigError`, and so is a store with part of the head."""
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if steps % cfg.grad_accum:
+        raise ConfigError(f"steps ({steps}) must be a multiple of grad_accum "
+                          f"({cfg.grad_accum})")
+    shapes, seed = head
+    missing = {k: v for k, v in shapes.items() if k not in params}
+    if missing and len(missing) != len(shapes):
+        raise ConfigError("parameter store holds a partial head; refusing to mix")
+    if missing:
+        params.add(missing, seed)
+
+
 def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
                 params: ParameterStore, trainable: dict[str, Tensor], cfg: TrainConfig,
                 steps: int, checkpoint_dir=None, validation=lambda: None) -> tuple[list, list]:
-    """The optimizer loop of every task; returns each micro-step's batch loss
-    and the sorted paths of the checkpoints written under `checkpoint_dir`.
+    """The optimizer loop of every task; returns each micro-step's (lr, batch
+    loss) and the sorted paths of the checkpoints written under
+    `checkpoint_dir`.  The caller has checked `steps` (`_ensure_head`).
 
     Batches are drawn from `train_idx` by an epoch shuffle on `order_stream`,
     after the band powers of every training sample are computed.
@@ -456,51 +480,53 @@ def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
     `batch` (see `_grouped_mean`); `validation()` is the validation loss
     (None without a validation set).  `cfg` sets the batch size, the
     accumulation, the AdamW constants, the learning-rate schedule and the
-    checkpoint cadence.  A `steps` that is not a multiple of
-    `cfg.grad_accum` is a `ConfigError`, raised before the first micro-step:
-    the trailing micro-steps' gradients would reach no optimizer step and
-    stay on the parameters.
+    checkpoint cadence.  The schedule is fitted to `steps` (`scale_schedule`)
+    when there are two or more; a one-step run keeps it as configured.
     """
-    if steps % cfg.grad_accum:
-        raise ConfigError(f"steps ({steps}) must be a multiple of grad_accum "
-                          f"({cfg.grad_accum})")
+    if steps >= 2:
+        cfg = scale_schedule(cfg, steps)
     store.fill(train_idx)
     order = _Cycler(list(train_idx), order_stream)
     optimizer = AdamW(trainable, cfg)
     checkpoints = _CheckpointKeeper(params, cfg.checkpoint_every, checkpoint_dir)
-    losses: list[float] = []
+    history: list[tuple[float, float]] = []
     for step in range(1, steps + 1):
+        lr = lr_at(step, cfg)
         batch = order.take(cfg.batch_size)
         with nm.Tape():
             loss = batch_loss(batch)
             scaled = nm.scale(loss, 1.0 / cfg.grad_accum)
         nm.backward(scaled)
-        losses.append(float(loss.data))
+        history.append((lr, float(loss.data)))
         if step % cfg.grad_accum == 0:
-            optimizer.step(lr_at(step, cfg))
+            optimizer.step(lr)
             checkpoints.after_optimizer_step(optimizer.t, validation)
     checkpoints.finish()
-    return losses, sorted(checkpoints.written)
+    return history, sorted(checkpoints.written)
 
 
 def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: ParameterStore,
-              model_cfg: ModelConfig, cfg: TrainConfig, steps: int, mode: str, head: str,
+              model_cfg: ModelConfig, cfg: TrainConfig, steps: int, mode: str, head,
               stream: int, checkpoint_dir) -> MetricsReport:
     """Supervised training on the train block of the (train, val, test)
     `splits` of `store`; returns `score` of the test block.
 
     `head_loss(encoded, idx)` is the taped mean loss of the encoded stack
     of samples `idx`, `score(idx)` their report, and `val_loss(report)` the
-    validation loss.  Probe mode trains the `head.<head>.` tensors only, on
-    encodings computed once: the frozen backbone maps each sample to the
-    same rows at every step."""
+    validation loss.  `head` is the (shapes, seed) of the task head, added
+    to `params` once `mode`, the splits and `steps` pass their checks.
+    Probe mode trains the head's tensors only, on encodings computed once:
+    the frozen backbone maps each sample to the same rows at every step."""
+    if mode not in ("full", "probe"):
+        raise ConfigError(f"mode must be full|probe, got {mode!r}")
     train_idx, val_idx, test_idx = splits
     if len(train_idx) == 0 or len(test_idx) == 0:
         raise ConfigError(f"dataset of {len(store.grids)} samples leaves an empty split")
+    _ensure_head(params, head, cfg, steps)
     trainable = dict(params.items())
     if mode == "probe":
         frozen = dict(zip(train_idx, _predict(store, train_idx, params, model_cfg, lambda e: e)))
-        trainable = params.tensors(f"head.{head}.")
+        trainable = {name: params[name] for name in head[0]}
 
     def group_loss(idx: list[int]) -> Tensor:
         if mode == "probe":
@@ -513,17 +539,9 @@ def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: Param
         return _grouped_mean(store, batch, lambda pos: group_loss([batch[j] for j in pos]))
 
     _, written = _train_loop(batch_loss, store, train_idx, Rng(cfg.seed).split(stream), params,
-                             trainable, scale_schedule(cfg, steps), steps, checkpoint_dir,
+                             trainable, cfg, steps, checkpoint_dir,
                              lambda: val_loss(score(val_idx)) if len(val_idx) else None)
     return replace(score(test_idx), checkpoints=written)
-
-
-def _ensure_head(params: ParameterStore, shapes: dict, seed: int) -> None:
-    missing = {k: v for k, v in shapes.items() if k not in params}
-    if missing and len(missing) != len(shapes):
-        raise ConfigError("parameter store holds a partial head; refusing to mix")
-    if missing:
-        params.add(missing, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -541,14 +559,13 @@ def pretrain(
 ) -> list[tuple[int, float, float]]:
     """Masked signal reconstruction; returns the (step, lr, loss) trace.
 
-    Loss column is the batch-mean reconstruction MSE over the configured
-    scope, before gradient-accumulation scaling.
+    The lr column is the micro-step's rate on the schedule fitted to
+    `steps`; the loss column is the batch-mean reconstruction MSE over the
+    configured scope, before gradient-accumulation scaling.
     """
     if not corpus:
         raise ConfigError("pretrain needs a non-empty corpus")
-    if steps < 1:
-        raise ConfigError(f"pretrain needs at least 1 step, got {steps}")
-    _ensure_head(params, mdl.reconstruct_head_shapes(model_cfg), seed=cfg.seed + 1)
+    _ensure_head(params, (mdl.reconstruct_head_shapes(model_cfg), cfg.seed + 1), cfg, steps)
     store = _Samples(corpus, model_cfg)
     mask_stream = Rng(cfg.seed).split(2)
     drop_stream = Rng(cfg.seed).split(3) if model_cfg.dropout > 0 else None
@@ -567,9 +584,9 @@ def pretrain(
 
         return _grouped_mean(store, batch, group_loss)
 
-    losses, _ = _train_loop(batch_loss, store, range(len(corpus)), Rng(cfg.seed).split(1),
-                            params, dict(params.items()), cfg, steps, checkpoint_dir)
-    return [(step, lr_at(step, cfg), loss) for step, loss in enumerate(losses, 1)]
+    history, _ = _train_loop(batch_loss, store, range(len(corpus)), Rng(cfg.seed).split(1),
+                             params, dict(params.items()), cfg, steps, checkpoint_dir)
+    return [(step, lr, loss) for step, (lr, loss) in enumerate(history, 1)]
 
 
 def write_loss_trace(trace: list[tuple[int, float, float]], path) -> None:
@@ -606,13 +623,10 @@ def finetune_classify(
     block.  `probe` freezes the backbone (its tensors stay bit-identical).
     `splits` overrides the default split with explicit (train, val, test)
     index collections, e.g. from a dataset manifest's split column."""
-    if mode not in ("full", "probe"):
-        raise ConfigError(f"mode must be full|probe, got {mode!r}")
     for _, label in dataset:
         if not 0 <= int(label) < n_classes:
             raise DataError(f"label {label} outside [0, {n_classes})")
     _check_class_count(n_classes)
-    _ensure_head(params, mdl.classify_head_shapes(model_cfg, n_classes), seed=cfg.seed + 2)
     splits = splits if splits is not None else split_blocks(len(dataset))
     labels = np.array([int(label) for _, label in dataset])
     store = _Samples([grid for grid, _ in dataset], model_cfg)
@@ -625,8 +639,9 @@ def finetune_classify(
     def score(idx) -> MetricsReport:
         return _score_classify(store, idx, labels, params, model_cfg, n_classes)
 
+    head = (mdl.classify_head_shapes(model_cfg, n_classes), cfg.seed + 2)
     report = _finetune(cross_entropy, score, lambda r: -r.accuracy, store, splits, params,
-                       model_cfg, cfg, steps, mode, "cls", 4, checkpoint_dir)
+                       model_cfg, cfg, steps, mode, head, 4, checkpoint_dir)
     report.notes.update({"mode": mode, "steps": steps, "train_samples": len(splits[0])})
     return report
 
@@ -634,6 +649,19 @@ def finetune_classify(
 # ---------------------------------------------------------------------------
 # forecasting
 # ---------------------------------------------------------------------------
+
+
+def grid_windows(grid: PatchGrid, span: int, stride: int | None = None) -> list[PatchGrid]:
+    """Windows of `span` patches cut along the patch axis of `grid`, starting
+    `stride` patches apart (default `span`: back to back); patches after the
+    last whole window are left out."""
+    if span < 1:
+        raise ConfigError(f"a window needs at least 1 patch, got {span}")
+    if grid.n_patches < span:
+        raise ConfigError(f"grid has {grid.n_patches} patches, window needs {span}")
+    stride = span if stride is None else stride
+    return [PatchGrid(grid.patches[:, start : start + span], grid.patch_len, grid.source_rate_hz)
+            for start in range(0, grid.n_patches - span + 1, stride)]
 
 
 @dataclass(eq=False)
@@ -648,19 +676,11 @@ def forecast_samples_from_grid(
     grid: PatchGrid, context_patches: int, horizon_patches: int, stride: int | None = None
 ) -> list[ForecastSample]:
     """Cut sliding (context, horizon) windows along the patch axis."""
-    span = context_patches + horizon_patches
-    if grid.n_patches < span:
-        raise ConfigError(f"grid has {grid.n_patches} patches, window needs {span}")
-    stride = span if stride is None else stride
     samples = []
-    for start in range(0, grid.n_patches - span + 1, stride):
-        ctx = PatchGrid(
-            grid.patches[:, start : start + context_patches],
-            grid.patch_len,
-            grid.source_rate_hz,
-        )
-        fut = grid.patches[:, start + context_patches : start + span]
-        target = fut.reshape(grid.n_channels, horizon_patches * grid.patch_len)
+    for window in grid_windows(grid, context_patches + horizon_patches, stride):
+        ctx = PatchGrid(window.patches[:, :context_patches], grid.patch_len, grid.source_rate_hz)
+        target = window.patches[:, context_patches:].reshape(
+            grid.n_channels, horizon_patches * grid.patch_len)
         samples.append(ForecastSample(context=ctx, target=target))
     return samples
 
@@ -698,12 +718,7 @@ def finetune_forecast(
     checkpoint_dir=None,
 ) -> MetricsReport:
     """MSE training of the forecast head (optionally the backbone too)."""
-    if mode not in ("full", "probe"):
-        raise ConfigError(f"mode must be full|probe, got {mode!r}")
-    if not dataset:
-        raise ConfigError("empty forecast dataset")
-    _ensure_head(params, mdl.forecast_head_shapes(model_cfg, dataset[0].context.n_patches,
-                                                  horizon_patches), seed=cfg.seed + 3)
+    splits = split_blocks(len(dataset))
     store = _Samples([sample.context for sample in dataset], model_cfg)
 
     def forecast_mse(encoded: Tensor, idx: list[int]) -> Tensor:
@@ -712,8 +727,10 @@ def finetune_forecast(
     def score(idx) -> MetricsReport:
         return _score_forecast(store, idx, dataset, params, model_cfg, horizon_patches)
 
-    report = _finetune(forecast_mse, score, lambda r: r.mse, store, split_blocks(len(dataset)),
-                       params, model_cfg, cfg, steps, mode, "fcst", 5, checkpoint_dir)
+    head = (mdl.forecast_head_shapes(model_cfg, dataset[0].context.n_patches, horizon_patches),
+            cfg.seed + 3)
+    report = _finetune(forecast_mse, score, lambda r: r.mse, store, splits, params, model_cfg,
+                       cfg, steps, mode, head, 5, checkpoint_dir)
     report.notes.update({"mode": mode, "steps": steps, "horizon_patches": horizon_patches})
     return report
 
@@ -811,8 +828,6 @@ def impute(
 ) -> MetricsReport:
     """Train reconstruction on the train block, then score missing-patch
     recovery on the test block."""
-    if not dataset:
-        raise ConfigError("empty imputation dataset")
     train_idx, _, test_idx = split_blocks(len(dataset))
     if len(train_idx) == 0 or len(test_idx) == 0:
         raise ConfigError(f"dataset of {len(dataset)} samples leaves an empty split")

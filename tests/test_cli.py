@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -430,6 +431,8 @@ class TestErrors:
         ["eval", "--in", "HUGE"],
         ["synth", "--components", "1:2"],
         ["synth", "--components", "a:b:c:d"],
+        ["spectra", "--in", "GRID", "--threads", "0"],
+        ["spectra", "--in", "GRID", "--threads=-3"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
             "pretrain-no-in", "pps-0", "steps-0", "steps-below-accum", "steps-not-multiple-of-accum",
             "band-one-number", "band-not-numbers",
@@ -437,7 +440,7 @@ class TestErrors:
             "eval-empty", "eval-header-only-classify", "eval-header-only-regress",
             "eval-one-column", "eval-non-numeric-row", "eval-non-integer-class",
             "eval-classes-0", "eval-huge-class", "components-two-fields",
-            "components-not-numbers"])
+            "components-not-numbers", "threads-0", "threads-negative"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
         from fome import errors
         from fome.preprocess import PatchGrid, grid_to_bytes
@@ -479,6 +482,9 @@ class TestErrors:
             assert payload["error"] == "ConfigError", payload
             assert "--components" in payload["message"], payload
             assert "channel:freq_hz:amplitude:phase_rad" in payload["message"], payload
+        if any(arg.startswith("--threads") for arg in args):
+            assert payload["error"] == "ConfigError", payload
+            assert "--threads must be >= 1" in payload["message"], payload
         assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in inputs.values())
 
     @pytest.mark.parametrize("args, error", [
@@ -537,6 +543,8 @@ class TestErrors:
         (["finetune", "classify", "--dataset", "DATASET"], "FormatError"),
         (["finetune", "classify", "--dataset", "DATASET_BAD_SPLIT"], "DataError"),
         (["finetune", "classify", "--dataset", "DATASET_MIXED_SPLIT"], "DataError"),
+        (["finetune", "classify", "--dataset", "DATASET_MIXED_PATCH_LEN", "--checkpoint-dir",
+          "CKDIR", "--checkpoint-every", "1"], "ConfigError"),
         (["finetune", "forecast", "--in", "GRID"], "FormatError"),
         (["finetune", "impute", "--in", "GRID"], "FormatError"),
         (["eval", "--in", "PREDS"], "DataError"),
@@ -548,9 +556,9 @@ class TestErrors:
         (["spectra", "--in", "GRID_ZERO_RATE"], "DataError"),
     ], ids=["synth", "preprocess", "preprocess-csv", "spectra", "pretrain",
             "pretrain-checkpoint", "finetune-classify", "dataset-unknown-split",
-            "dataset-mixed-split", "finetune-forecast", "finetune-impute",
-            "eval", "inspect-checkpoint", "csv-recording-nan-rate", "recording-inf-rate",
-            "grid-nan-rate", "grid-inf-rate", "grid-zero-rate"])
+            "dataset-mixed-split", "dataset-mixed-patch-length", "finetune-forecast",
+            "finetune-impute", "eval", "inspect-checkpoint", "csv-recording-nan-rate",
+            "recording-inf-rate", "grid-nan-rate", "grid-inf-rate", "grid-zero-rate"])
     def test_corrupt_input_is_one_typed_json_error(self, tmp_path, args, error):
         import fome.numerics as nm
         from fome.preprocess import PatchGrid, grid_to_bytes
@@ -566,6 +574,10 @@ class TestErrors:
                   "DATASET": b"grid.fegp,0\ngrid.fegp,1\n",
                   "DATASET_BAD_SPLIT": b"grid.fegp,0,train\ngrid.fegp,1,valid\n",
                   "DATASET_MIXED_SPLIT": b"grid.fegp,0,train\ngrid.fegp,1\n",
+                  # train rows of patch length 8, validation and test rows of 16
+                  "DATASET_MIXED_PATCH_LEN": b"GRID_L8,0,train\nGRID_L8,1,train\n"
+                                             b"GOOD_GRID,0,val\nGOOD_GRID,1,test\n",
+                  "GRID_L8": grid_to_bytes(PatchGrid(np.ones((2, 4, 8)), 8, 250.0)),
                   "PREDS": b"1,1\n0,1e999x\n",
                   "CSV_REC_NAN_RATE": b"# rate_hz=nan\nFz\n1.0\n2.0\n",
                   "REC_INF_RATE": struct.pack("<4sBIQd", b"FEEG", 1, 1, 2, math.inf) + bytes(8),
@@ -578,7 +590,8 @@ class TestErrors:
         (tmp_path / "whole.fckp").unlink()
         train = ["--preset", "tiny", "--steps", "2", "--batch", "1", "--accum", "1"]
         out = tmp_path / "out.bin"
-        result = run_cli([str(paths.get(arg, arg)) for arg in args] + ["--out", str(out)]
+        named = {**paths, "CKDIR": tmp_path / "ckdir"}  # a directory no run may leave
+        result = run_cli([str(named.get(arg, arg)) for arg in args] + ["--out", str(out)]
                          + (train if args[0] in ("pretrain", "finetune") else []))
         assert result.returncode == 1, result.stderr
         lines = result.stderr.decode().splitlines()
@@ -587,6 +600,8 @@ class TestErrors:
         assert payload["error"] == error, lines
         if args[-1].endswith("_SPLIT"):  # the second row, by number and grid path
             assert "row 2 ('grid.fegp')" in payload["message"], payload
+        if "DATASET_MIXED_PATCH_LEN" in args:
+            assert "patch lengths [8, 16]" in payload["message"], payload
         assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in paths.values())
 
     def test_huge_class_count_refused_before_training(self, tmp_path):
@@ -671,6 +686,65 @@ class TestFinetuneCommand:
         # explicit test block has 2 samples
         assert int(np.sum(report["confusion"])) == 2
 
+    @pytest.mark.parametrize("first", [4, 20], ids=["short-first", "long-first"])
+    def test_max_patches_fits_the_longest_sample_in_any_row_order(self, tmp_path, first):
+        # the tiny preset's max_patches is 16
+        from fome.preprocess import PatchGrid, grid_to_bytes
+
+        gen = np.random.default_rng(12)
+        order = [first, 24 - first] * 4
+        rows = []
+        for i, patches in enumerate(order):
+            grid = PatchGrid(gen.standard_normal((2, patches, 16)), 16, 250.0)
+            write_file(tmp_path / f"g{i}.fegp", grid_to_bytes(grid))
+            rows.append(f"g{i}.fegp,{i % 2}")
+        (tmp_path / "dataset.csv").write_text("\n".join(rows) + "\n")
+        out = tmp_path / "metrics.json"
+        result = run_cli([
+            "finetune", "classify", "--dataset", str(tmp_path / "dataset.csv"),
+            "--classes", "2", "--steps", "2", "--batch", "2", "--accum", "1",
+            "--preset", "tiny", "--out", str(out),
+        ])
+        assert result.returncode == 0, result.stderr
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert manifest["config"]["model"]["max_patches"] == 20
+
+
+class TestSchedule:
+    def test_impute_steps_on_the_rates_of_pretrain(self, tmp_path, monkeypatch):
+        from fome import trainer
+        from fome.preprocess import PatchGrid, grid_to_bytes
+
+        lrs = []
+        original = trainer.AdamW.step
+
+        def recording(self, lr):
+            lrs.append(lr)
+            return original(self, lr)
+
+        monkeypatch.setattr(trainer.AdamW, "step", recording)
+        grid = tmp_path / "grid.fegp"
+        patches = np.random.default_rng(3).standard_normal((2, 24, 16))
+        write_file(grid, grid_to_bytes(PatchGrid(patches, 16, 250.0)))
+        recipe = ["--in", str(grid), "--pps", "3", "--steps", "8", "--batch", "2", "--accum", "4",
+                  "--lr-peak", "3e-3", "--preset", "tiny"]
+        seen = {}
+        for command, out in ((["pretrain"], "ck.fckp"), (["finetune", "impute"], "imp.json")):
+            lrs.clear()
+            assert cli.main(command + recipe + ["--out", str(tmp_path / out)]) == 0
+            seen[out] = list(lrs)
+        # the requested recipe's schedule fitted to --steps
+        requested = trainer.TrainConfig(batch_size=2, grad_accum=4, lr_init=3e-3 / 25.0,
+                                        lr_peak=3e-3, lr_final=3e-3 / 10_000.0)
+        fitted = trainer.scale_schedule(requested, 8)
+        assert seen["ck.fckp"] == seen["imp.json"] == [trainer.lr_at(s, fitted) for s in (4, 8)]
+        trace = (tmp_path / "ck.fckp.trace.csv").read_text().splitlines()[1:]
+        assert [float(row.split(",")[1]) for row in trace[3::4]] == seen["ck.fckp"]
+        # both manifests record the requested recipe
+        for out in seen:
+            manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+            assert manifest["config"]["train"] == asdict(requested), out
+
 
 class TestCheckpointEvery:
     def run(self, tmp_path, every):
@@ -707,9 +781,25 @@ class TestThreads:
 
         for var in _THREAD_VARS:
             monkeypatch.setenv(var, "4")
-        _apply_threads(["synth"])
+        parse = cli.build_parser().parse_args
+        _apply_threads(parse(["synth"]).threads)
         assert all(os.environ[var] == "4" for var in _THREAD_VARS)
-        _apply_threads(["synth", "--threads", "1"])
+        _apply_threads(parse(["synth", "--threads", "1"]).threads)
         assert all(os.environ[var] == "1" for var in _THREAD_VARS)
-        _apply_threads(["synth", "--threads=2"])
+        _apply_threads(parse(["synth", "--threads=2"]).threads)
         assert all(os.environ[var] == "2" for var in _THREAD_VARS)
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_is_refused_before_any_variable_is_set(self, monkeypatch, tmp_path,
+                                                                  capsys, count):
+        # OpenBLAS reads 0 or a negative count as every core
+        from fome.cli import _THREAD_VARS
+
+        for var in _THREAD_VARS:
+            monkeypatch.setenv(var, "4")
+        out = tmp_path / "rec.feeg"
+        assert cli.main(["synth", "--threads", count, "--duration", "1", "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ConfigError", "message": f"--threads must be >= 1, got {count}"}
+        assert all(os.environ[var] == "4" for var in _THREAD_VARS)
+        assert os.listdir(tmp_path) == []

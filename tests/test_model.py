@@ -118,13 +118,18 @@ class TestPresets:
         commands = next(a for a in cli.build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction)).choices
         flags = {a.dest: a.choices for a in commands["pretrain"]._actions}
-        base = cli._model_config(commands["pretrain"].parse_args([]))
+
+        def fitted(argv, patches=1, length=8):
+            grid = PatchGrid(np.zeros((1, patches, length)), length, 250.0)
+            return cli._fit_model(commands["pretrain"].parse_args(argv), [grid], None)[0]
+
+        base = fitted([])
         for flag in ("scale", "ablate"):
             for value in flags[flag]:
-                args = commands["pretrain"].parse_args([f"--{flag}", value])
-                set_by |= changed(cli._model_config(args), base)
-        conv = preset("tiny", conv_embed=True)  # conv_kernel 4 does not divide 6
-        set_by |= changed(cli._fit_config_to_data(conv, 6, conv.max_patches + 1), conv)
+                set_by |= changed(fitted([f"--{flag}", value]), base)
+        # conv_kernel 4 does not divide 6
+        conv = fitted(["--ablate", "conv-embed"])
+        set_by |= changed(fitted(["--ablate", "conv-embed"], conv.max_patches + 1, 6), conv)
         assert set_by == {f.name for f in fields(ModelConfig)}
 
     @pytest.mark.parametrize("line", [

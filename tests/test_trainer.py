@@ -793,6 +793,131 @@ class TestImpute:
         assert report.mae is None
 
 
+class TestRefusedCalls:
+    """Every entry point checks all its inputs before it adds its head."""
+
+    @staticmethod
+    def forecast_set(n=6):
+        grid = PatchGrid(np.random.default_rng(5).standard_normal((2, 5 * n, 8)), 8, 250.0)
+        return forecast_samples_from_grid(grid, 3, 2)
+
+    @staticmethod
+    def impute_set(n=6):
+        return make_impute_samples(tiny_corpus(n=n), 0.4, Rng(8))
+
+    @staticmethod
+    def relabeled(index, label):
+        data = labeled_dataset(n=10)
+        data[index] = (data[index][0], label)
+        return data
+
+    CASES = {
+        "pretrain-empty-corpus": lambda p, c: pretrain([], p, c, flat_lr_config(), steps=2),
+        "pretrain-zero-steps": lambda p, c: pretrain(tiny_corpus(), p, c, flat_lr_config(), 0),
+        "pretrain-steps-not-a-multiple": lambda p, c: pretrain(
+            tiny_corpus(), p, c, flat_lr_config(grad_accum=4), steps=6),
+        "classify-bad-label": lambda p, c: finetune_classify(
+            TestRefusedCalls.relabeled(3, 7), p, c, flat_lr_config(), 2, steps=2),
+        "classify-huge-class-count": lambda p, c: finetune_classify(
+            labeled_dataset(n=10), p, c, flat_lr_config(), 100_000, steps=2),
+        "classify-unknown-mode": lambda p, c: finetune_classify(
+            labeled_dataset(n=10), p, c, flat_lr_config(), 2, steps=2, mode="frozen"),
+        "classify-empty-split": lambda p, c: finetune_classify(
+            labeled_dataset(n=10), p, c, flat_lr_config(), 2, steps=2,
+            splits=([], [0, 1], [2, 3])),
+        "classify-zero-steps": lambda p, c: finetune_classify(
+            labeled_dataset(n=10), p, c, flat_lr_config(), 2, steps=0),
+        "classify-steps-not-a-multiple": lambda p, c: finetune_classify(
+            labeled_dataset(n=10), p, c, flat_lr_config(grad_accum=4), 2, steps=6),
+        "forecast-empty-dataset": lambda p, c: trainer.finetune_forecast(
+            [], p, c, flat_lr_config(), 2, steps=2),
+        "forecast-unknown-mode": lambda p, c: trainer.finetune_forecast(
+            TestRefusedCalls.forecast_set(), p, c, flat_lr_config(), 2, steps=2, mode="frozen"),
+        "forecast-empty-split": lambda p, c: trainer.finetune_forecast(
+            TestRefusedCalls.forecast_set(n=1), p, c, flat_lr_config(), 2, steps=2),
+        "forecast-steps-not-a-multiple": lambda p, c: trainer.finetune_forecast(
+            TestRefusedCalls.forecast_set(), p, c, flat_lr_config(grad_accum=4), 2, steps=6),
+        "impute-empty-dataset": lambda p, c: trainer.impute([], p, c, flat_lr_config(), 2),
+        "impute-empty-split": lambda p, c: trainer.impute(
+            TestRefusedCalls.impute_set(n=1), p, c, flat_lr_config(), 2),
+        "impute-steps-not-a-multiple": lambda p, c: trainer.impute(
+            TestRefusedCalls.impute_set(), p, c, flat_lr_config(grad_accum=4), 6),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_refused_call_leaves_the_store_as_it_was(self, case, tmp_path):
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=31)
+        before = [(name, tensor.data.dtype, tensor.data.shape, tensor.data.tobytes())
+                  for name, tensor in params.items()]
+        with pytest.raises((ConfigError, DataError)):
+            self.CASES[case](params, cfg)
+        assert [(name, tensor.data.dtype, tensor.data.shape, tensor.data.tobytes())
+                for name, tensor in params.items()] == before
+        assert all(tensor.grad is None for _, tensor in params.items())
+
+
+class TestFittedSchedule:
+    """`_train_loop` fits the schedule to its steps for every task."""
+
+    @staticmethod
+    def optimizer_lrs(monkeypatch) -> list[float]:
+        lrs = []
+        original = trainer.AdamW.step
+
+        def recording(self, lr):
+            lrs.append(lr)
+            return original(self, lr)
+
+        monkeypatch.setattr(trainer.AdamW, "step", recording)
+        return lrs
+
+    def test_every_task_steps_on_the_schedule_fitted_to_its_steps(self, monkeypatch):
+        cfg = preset("tiny")
+        recipe = TrainConfig(batch_size=2, grad_accum=2, seed=3, lr_init=1.2e-4, lr_peak=3e-3,
+                             lr_final=3e-7)  # the full-scale warmup and total steps
+        fitted = scale_schedule(recipe, 8)
+        want = [lr_at(step, fitted) for step in (2, 4, 6, 8)]
+        lrs = self.optimizer_lrs(monkeypatch)
+        trace = pretrain(tiny_corpus(), ParameterStore.initialize(cfg, 1), cfg, recipe, 8)
+        assert lrs == want
+        assert [lr for _, lr, _ in trace] == [lr_at(step, fitted) for step in range(1, 9)]
+        runs = {
+            "classify": lambda p: finetune_classify(labeled_dataset(n=10), p, cfg, recipe, 2, 8),
+            "forecast": lambda p: trainer.finetune_forecast(TestRefusedCalls.forecast_set(),
+                                                            p, cfg, recipe, 2, 8),
+            "impute": lambda p: trainer.impute(TestRefusedCalls.impute_set(), p, cfg, recipe, 8),
+        }
+        for task, run in runs.items():
+            lrs.clear()
+            run(ParameterStore.initialize(cfg, 1))
+            assert lrs == want, task
+
+    def test_a_one_step_run_keeps_the_configured_schedule(self, monkeypatch):
+        cfg = preset("tiny")
+        recipe = flat_lr_config(lr_init=1e-4, lr_peak=1e-3, warmup_steps=10, total_steps=100)
+        lrs = self.optimizer_lrs(monkeypatch)
+        finetune_classify(labeled_dataset(n=10), ParameterStore.initialize(cfg, 2), cfg, recipe,
+                          2, steps=1)
+        assert lrs == [lr_at(1, recipe)]
+
+    def test_fitting_a_fitted_schedule_changes_nothing(self):
+        for steps in (2, 3, 8, 40, 600, 2000):
+            for warmup, total in ((1, 100), (30, 600), (100, 2000), (10_960, 1_096_000)):
+                once = scale_schedule(TrainConfig(warmup_steps=warmup, total_steps=total), steps)
+                assert scale_schedule(once, steps) == once
+
+
+class TestGridWindows:
+    def test_back_to_back_windows_drop_the_tail(self, rng):
+        grid = PatchGrid(rng.standard_normal((2, 11, 8)), 8, 250.0)
+        windows = trainer.grid_windows(grid, 3)
+        assert len(windows) == 3
+        for i, window in enumerate(windows):
+            assert np.array_equal(window.patches, grid.patches[:, 3 * i : 3 * i + 3])
+            assert (window.patch_len, window.source_rate_hz) == (8, 250.0)
+
+
 class TestLossTrace:
     def test_csv_format(self, tmp_path):
         path = tmp_path / "trace.csv"
