@@ -120,14 +120,11 @@ class _Manifest:
         log.info("manifest written to %s", path)
 
 
-def _read_bytes(path: str) -> bytes:
-    return sys.stdin.buffer.read() if path == "-" else read_file(path)
-
-
 def _load(path: str, manifest: _Manifest, decode):
-    """``decode(payload, path)`` of the bytes at `path`, recorded as an input of
-    `manifest`; the bytes are released when this returns."""
-    payload = _read_bytes(path)
+    """``decode(payload, path)`` of the bytes at `path` (stdin for "-"),
+    recorded as an input of `manifest`; the bytes are released when this
+    returns."""
+    payload = sys.stdin.buffer.read() if path == "-" else read_file(path)
     manifest.add_input(path, payload)
     return decode(payload, path)
 
@@ -234,15 +231,14 @@ def _cmd_spectra(args, manifest: _Manifest) -> None:
 
 
 def _fit_model(args, samples, manifest: _Manifest):
-    """The model config of `args` fitted to `samples`, the grids the model
-    reads, and its parameters: from --checkpoint, else initialized from
-    --seed.
-
-    The preset, --scale and --ablate fix the architecture; the patch
-    geometry follows the data.  `patch_len` is the samples' one patch length
-    (a mix of lengths is a `ConfigError` naming them), `max_patches` grows to
-    the longest sample, and a conv embedding's kernel shrinks to the largest
-    of 10, 5, 4, 2, 1 that divides the patch length."""
+    """The model config for `samples`, the grids the model reads, and its
+    parameters: from --checkpoint, else initialized from --seed.  The config
+    is the checkpoint's record, else the preset (default tiny), with the
+    fields --preset, --scale and --ablate name set, fitted to the samples:
+    `patch_len` is their one patch length, `max_patches` grows to the
+    longest, and a conv kernel shrinks to the largest of 10, 5, 4, 2, 1 that
+    divides it.  Mixed lengths, or a result other than the record, are a
+    `ConfigError`."""
     from dataclasses import replace
 
     from . import model
@@ -250,7 +246,11 @@ def _fit_model(args, samples, manifest: _Manifest):
     lengths = sorted({grid.patch_len for grid in samples})
     if len(lengths) > 1:
         raise ConfigError(f"samples mix patch lengths {lengths}; one model takes one length")
-    cfg = model.preset(args.preset)
+    recorded, arrays = (_load(args.checkpoint, manifest, model.read_checkpoint)
+                        if args.checkpoint else (None, None))
+    cfg = model.preset(args.preset or "tiny") if recorded is None else recorded
+    if args.preset and recorded is not None:
+        cfg = model.apply_preset(cfg, args.preset)
     if args.scale:
         cfg = replace(cfg, attn_scale=args.scale)
     for name in args.ablate or []:
@@ -262,10 +262,9 @@ def _fit_model(args, samples, manifest: _Manifest):
                      max_patches=max([cfg.max_patches] + [grid.n_patches for grid in samples]))
     if fitted != cfg:
         log.info("model config fitted to data: %s", fitted)
-    if args.checkpoint:
-        return fitted, _load(args.checkpoint, manifest, lambda payload, path:
-                             model.params_from_bytes(payload, fitted, path))
-    return fitted, model.ParameterStore.initialize(fitted, args.seed)
+    if arrays is None:
+        return fitted, model.ParameterStore.initialize(fitted, args.seed)
+    return fitted, model.params_from_checkpoint(recorded, arrays, fitted, args.checkpoint)
 
 
 def _train_config(args, **overrides):
@@ -302,15 +301,13 @@ def _cmd_pretrain(args, manifest: _Manifest) -> None:
               for window in trainer.grid_windows(grid, args.pps)]
     model_cfg, params = _fit_model(args, corpus, manifest)
     trace = trainer.pretrain(corpus, params, model_cfg, train_cfg, steps=args.steps)
-    model.save_params(params, args.out)
-    model.write_model_config(model_cfg, args.out + ".config")
+    model.save_params(params, args.out, model_cfg)
     trace_path = args.trace or (args.out + ".trace.csv")
     trainer.write_loss_trace(trace, trace_path)
     manifest.add_config("model", asdict(model_cfg))
     manifest.add_config("train", asdict(train_cfg))
     manifest.add_config("samples", len(corpus))
     manifest.add_output(args.out)
-    manifest.add_output(args.out + ".config")
     manifest.add_output(trace_path)
     log.info("final loss %.6f over %d samples", trace[-1][2], len(corpus))
 
@@ -325,9 +322,8 @@ def _read_dataset_manifest(path: str, manifest: _Manifest):
     import csv
 
     base = os.path.dirname(os.path.abspath(path))
-    payload = _read_bytes(path)
     rows = []
-    reader = csv.reader(decode_text(payload, path).splitlines())
+    reader = csv.reader(_load(path, manifest, decode_text).splitlines())
     for row in reader:
         if not row or row[0].startswith("#"):
             continue
@@ -345,7 +341,6 @@ def _read_dataset_manifest(path: str, manifest: _Manifest):
         rows.append((grid_path, label, split))
     if not rows:
         raise DataError(f"{path}: no dataset rows")
-    manifest.add_input(path, payload)
     return rows
 
 
@@ -393,7 +388,7 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
         report = trainer.impute(samples, params, model_cfg, train_cfg, steps=args.steps)
 
     if args.out_checkpoint:
-        model.save_params(params, args.out_checkpoint)
+        model.save_params(params, args.out_checkpoint, model_cfg)
     _write(args.out, report.to_json() + "\n", manifest)
     manifest.add_config("model", asdict(model_cfg))
     manifest.add_config("train", asdict(train_cfg))
@@ -411,9 +406,7 @@ def _cmd_eval(args, manifest: _Manifest) -> None:
 
     if args.classes is not None and args.classes < 1:
         raise ConfigError(f"--classes must be >= 1, got {args.classes}")
-    payload = _read_bytes(args.infile)
-    manifest.add_input(args.infile, payload)
-    rows = list(csv.reader(decode_text(payload, args.infile).splitlines()))
+    rows = list(csv.reader(_load(args.infile, manifest, decode_text).splitlines()))
     first = 0 if rows and _is_numeric_row(rows[0]) else 1
     classify = args.task == "classify"
     value = _class_label if classify else float
@@ -453,15 +446,17 @@ def _is_numeric_row(row: list[str]) -> bool:
 
 
 def _cmd_inspect_checkpoint(args, manifest: _Manifest) -> None:
-    from .numerics import checkpoint_from_bytes
+    from .model import read_checkpoint
 
-    arrays = _load(args.infile, manifest, checkpoint_from_bytes)
+    recorded, arrays = _load(args.infile, manifest, read_checkpoint)
+    config = {} if recorded is None else {"config": asdict(recorded)}
     listing = {name: list(arr.shape) for name, arr in arrays.items()}
     if args.json:
-        _write(args.out, json.dumps(listing, indent=2) + "\n", manifest)
+        _write(args.out, json.dumps({**config, **listing}, indent=2) + "\n", manifest)
     else:
         width = max(len(n) for n in listing) if listing else 0
-        lines = [f"{name:<{width}}  {tuple(shape)}" for name, shape in listing.items()]
+        lines = ["config " + " ".join(f"{k}={v}" for k, v in c.items()) for c in config.values()]
+        lines += [f"{name:<{width}}  {tuple(shape)}" for name, shape in listing.items()]
         total = sum(int(arr.size) for arr in arrays.values())
         lines.append(f"{len(listing)} tensors, {total} scalars")
         _write(args.out, "\n".join(lines) + "\n", manifest)
@@ -480,7 +475,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=("tiny", "base", "large"), default="tiny")
+    p.add_argument("--preset", choices=("tiny", "base", "large"), default=None)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--mask-ratio", dest="mask_ratio", type=float, default=0.40)
     p.add_argument("--mask-mode", dest="mask_mode", choices=("slot", "column"), default="slot")

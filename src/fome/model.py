@@ -31,8 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import numerics as nm
-from .errors import (CapacityError, ConfigError, FormatError, ShapeError, decode_text,
-                     read_file, write_file)
+from .errors import CapacityError, ConfigError, FormatError, ShapeError, read_file
 from .numerics import Tensor
 from .rng import Rng
 from .spectral import N_BANDS
@@ -115,17 +114,22 @@ def preset(name: str, **overrides) -> ModelConfig:
     return ModelConfig(**{**_PRESETS[name], **overrides})
 
 
+def apply_preset(cfg: ModelConfig, name: str) -> ModelConfig:
+    """`cfg` with the architecture of preset `name`, keeping its patch geometry."""
+    chosen = preset(name)
+    return replace(cfg, **{key: getattr(chosen, key) for key in _PRESETS[name]
+                           if key not in ("patch_len", "max_patches", "conv_kernel")})
+
+
+_ABLATIONS = {"freq": dict(use_freq_embed=False), "temporal": dict(temporal_layers=0),
+              "channel": dict(channel_layers=0), "conv-embed": dict(conv_embed=True)}
+
+
 def apply_ablation(cfg: ModelConfig, name: str) -> ModelConfig:
     """Build-time variants: freq | temporal | channel | conv-embed."""
-    if name == "freq":
-        return replace(cfg, use_freq_embed=False)
-    if name == "temporal":
-        return replace(cfg, temporal_layers=0)
-    if name == "channel":
-        return replace(cfg, channel_layers=0)
-    if name == "conv-embed":
-        return replace(cfg, conv_embed=True)
-    raise ConfigError(f"unknown ablation {name!r}")
+    if name not in _ABLATIONS:
+        raise ConfigError(f"unknown ablation {name!r}")
+    return replace(cfg, **_ABLATIONS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +249,6 @@ class ParameterStore:
     def items(self):
         return self._tensors.items()
 
-    def tensors(self, prefix: str = "") -> dict[str, Tensor]:
-        return {k: v for k, v in self._tensors.items() if k.startswith(prefix)}
-
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self._tensors.items()}
 
@@ -258,28 +259,76 @@ class ParameterStore:
         return out
 
 
-def save_params(store: ParameterStore, path) -> None:
-    nm.save_checkpoint(store.arrays(), path)
+_PARSERS = {"int": int, "float": float, "str": str,
+            "bool": {"True": True, "False": False}.__getitem__}
+
+
+def save_params(store: ParameterStore, path, cfg: ModelConfig | None = None) -> None:
+    """Write `store` as an FCKP checkpoint, led by a `config` text record of
+    `cfg` (one `key=value` line per field, in field order) when given."""
+    out = store.arrays()
+    if cfg is not None:
+        out = {"config": "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg)), **out}
+    nm.save_checkpoint(out, path)
 
 
 def load_params(path, cfg: ModelConfig) -> ParameterStore:
-    """Load a checkpoint, validating backbone shapes against the config."""
+    """Load a checkpoint for `cfg` (see `params_from_bytes`)."""
     return params_from_bytes(read_file(path), cfg, str(path))
 
 
 def params_from_bytes(payload: bytes, cfg: ModelConfig, source: str = "<bytes>") -> ParameterStore:
-    """Parse an FCKP blob into a store, validating backbone shapes against
-    the config; ``source`` names it in errors."""
-    arrays = nm.checkpoint_from_bytes(payload, source)
-    expected = param_shapes(cfg)
-    for name, shape in expected.items():
+    """`params_from_checkpoint` of an FCKP blob; ``source`` names it in errors."""
+    return params_from_checkpoint(*read_checkpoint(payload, source), cfg, source)
+
+
+def read_checkpoint(payload: bytes, source: str = "<bytes>") -> tuple[ModelConfig | None, dict]:
+    """The config record of an FCKP blob (None in a file without one) and its
+    tensors.  The record must name every ModelConfig field once, each value
+    in the form `str` gives it; anything else is a `FormatError`."""
+    records = nm.checkpoint_from_bytes(payload, source)
+    text = records.pop("config", None)
+    if isinstance(text, np.ndarray) or any(isinstance(v, str) for v in records.values()):
+        raise FormatError(f"{source}: the config record alone is text, and it must be")
+    if text is None:
+        return None, records
+    types = {f.name: f.type for f in fields(ModelConfig)}
+    values: dict = {}
+    for line in text.splitlines():
+        key, _, raw = line.partition("=")
+        if key not in types or key in values:
+            what = "repeats" if key in values else "has unknown"
+            raise FormatError(f"{source}: config record {what} key {key!r}")
+        try:
+            value = _PARSERS[types[key]](raw)
+            if str(value) != raw:
+                raise ValueError
+        except (KeyError, ValueError):
+            raise FormatError(f"{source}: config {key}={raw!r} is not a {types[key]}") from None
+        values[key] = value
+    missing = [key for key in types if key not in values]
+    if missing:
+        raise FormatError(f"{source}: config record lacks key {missing[0]!r}")
+    try:
+        return ModelConfig(**values), records
+    except ConfigError as exc:
+        raise FormatError(f"{source}: config record: {exc}") from None
+
+
+def params_from_checkpoint(recorded: ModelConfig | None, arrays: dict[str, np.ndarray],
+                           cfg: ModelConfig, source: str = "<bytes>") -> ParameterStore:
+    """A store for `cfg` of `read_checkpoint`'s result: a record other than `cfg`
+    is a `ConfigError` naming the fields, a misshapen backbone a `FormatError`."""
+    if recorded is not None and recorded != cfg:
+        raise ConfigError(f"{source} records " + ", ".join(
+            f"{f.name}={getattr(recorded, f.name)!r} where the run has {getattr(cfg, f.name)!r}"
+            for f in fields(cfg) if getattr(recorded, f.name) != getattr(cfg, f.name)))
+    for name, shape in param_shapes(cfg).items():
         if name not in arrays:
             raise FormatError(f"checkpoint missing parameter {name!r}")
         if arrays[name].shape != shape:
-            raise FormatError(
-                f"checkpoint parameter {name!r} has shape {arrays[name].shape}, "
-                f"config requires {shape}"
-            )
+            raise FormatError(f"checkpoint parameter {name!r} has shape {arrays[name].shape}, "
+                              f"config requires {shape}")
     store = ParameterStore()
     for name, array in arrays.items():
         store._tensors[name] = Tensor(array, requires_grad=True)
@@ -531,47 +580,3 @@ def _forecast_features(e: Tensor, params: ParameterStore) -> Tensor:
             f"forecast head expects {expected} flattened features, got {p * d}"
         )
     return nm.reshape(e, e.shape[:-2] + (p * d,))
-
-
-# ---------------------------------------------------------------------------
-# config file I/O (plain key=value)
-# ---------------------------------------------------------------------------
-
-
-def write_model_config(cfg: ModelConfig, path) -> None:
-    write_file(path, "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg)))
-
-
-def read_model_config(path) -> ModelConfig:
-    """Parse key=value lines; a `preset=<name>` line seeds the defaults."""
-    text = decode_text(read_file(path), path)
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    known = {f.name: f for f in fields(ModelConfig)}
-    values: dict = {}
-    base: dict = {}
-    for line in lines:
-        if "=" not in line:
-            raise FormatError(f"{path}: expected key=value, got {line!r}")
-        key, raw = (s.strip() for s in line.split("=", 1))
-        if key == "preset":
-            base = dict(_PRESETS.get(raw) or {})
-            if not base:
-                raise ConfigError(f"{path}: unknown preset {raw!r}")
-            continue
-        if key not in known:
-            raise ConfigError(f"{path}: unknown config key {key!r}")
-        values[key] = _parse_field(raw)
-    return ModelConfig(**{**base, **values})
-
-
-def _parse_field(raw: str):
-    if raw in ("True", "False"):
-        return raw == "True"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw

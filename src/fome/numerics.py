@@ -41,11 +41,12 @@ of ops and keep:
   - `linear_mse` (linear, then mse against gathered target rows): what
     `linear` keeps and the difference.  It holds at most two
     prediction-sized buffers at once, and its backward overwrites the
-    difference with the prediction's gradient.
+    difference with the prediction's gradient;
+  - `nll` (pick, log, mean and scale): the picked probabilities.
 Forward and backward run the chain's numpy expressions in the same order
 on arrays of the same layout, so values and gradients are bitwise the
 chain's.  The primitive ops of those chains that the model does not call
-(`mul`, `transpose`, `matmul` and `mse`) live with the test oracles.
+(`mul`, `transpose`, `matmul`, `mse`, `slice_`, `log`) are test oracles.
 Permutation stability across channels is not an op property; the model
 runs every cross-channel reduction in a canonical channel order (see
 `fome.model`).
@@ -209,12 +210,6 @@ def scale(a, factor: float) -> Tensor:
     return _record(a.data * factor, (a,), lambda g: (g * factor,))
 
 
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    return _record(np.log(x), (a,), lambda g: (g / x,))
-
-
 def reshape(a, shape: Sequence[int]) -> Tensor:
     a = _as_tensor(a)
     shape = tuple(shape)
@@ -224,21 +219,6 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
         raise ShapeError(f"reshape: {a.shape} does not fit {shape}") from None
     old = a.shape
     return _record(out, (a,), lambda g: (g.reshape(old),))
-
-
-def slice_(a, key) -> Tensor:
-    """Basic indexing (ints and slices), or index arrays that pick each
-    element at most once; gradient scatters back."""
-    a = _as_tensor(a)
-    out = a.data[key]
-    shape = a.shape
-
-    def bwd(g):
-        full = np.zeros(shape)
-        full[key] = g
-        return (full,)
-
-    return _record(np.array(out, copy=True), (a,), bwd)
 
 
 def embedding_lookup(table, indices) -> Tensor:
@@ -573,6 +553,22 @@ def linear_mse(x, w, b, target, rows=None) -> Tensor:
     return _record(out, inputs, bwd)
 
 
+def nll(probs, labels) -> Tensor:
+    """The mean of `-log(probs[i, labels[i]])` over the rows of the (N, K)
+    `probs`, as one node that runs the expressions of the pick, log, mean and
+    scale-by-(-1) chain, forward and backward, so its bits are the chain's."""
+    probs = _as_tensor(probs)
+    rows = (np.arange(probs.shape[0]), np.asarray(labels))
+    picked, shape = probs.data[rows], probs.shape
+
+    def bwd(g):
+        full = np.zeros(shape)
+        full[rows] = np.broadcast_to(g * -1.0, picked.shape) / picked.size / picked
+        return (full,)
+
+    return _record(np.log(picked).mean() * -1.0, (probs,), bwd)
+
+
 # ---------------------------------------------------------------------------
 # backward pass
 # ---------------------------------------------------------------------------
@@ -623,22 +619,23 @@ def backward(loss: Tensor) -> None:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format "FCKP v1"
+# checkpoint format "FCKP"
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"FCKP"
-_DTYPE_TAGS = {0: "<f8", 1: "<f4"}
+_DTYPE_TAGS = {0: "<f8", 1: "<f4", 2: "u1"}  # 2: UTF-8 text, rank 1
 _TAG_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
 
 
-def save_checkpoint(named: dict[str, np.ndarray], path) -> None:
-    """Write name -> array pairs in iteration order."""
+def save_checkpoint(named: dict[str, np.ndarray | str], path) -> None:
+    """Write name -> array pairs in iteration order, a str as a text record."""
     blob = bytearray()
     blob += _CKPT_MAGIC
     blob += struct.pack("<I", len(named))
     for name, array in named.items():
-        array = np.asarray(array)
-        tag = _TAG_FOR.get(array.dtype)
+        text = isinstance(array, str)
+        array = np.frombuffer(array.encode("utf-8"), np.uint8) if text else np.asarray(array)
+        tag = 2 if text else _TAG_FOR.get(array.dtype)
         if tag is None:
             raise FormatError(f"checkpoint: unsupported dtype {array.dtype} for {name!r}")
         encoded = name.encode("utf-8")
@@ -649,8 +646,8 @@ def save_checkpoint(named: dict[str, np.ndarray], path) -> None:
     write_file(path, blob)
 
 
-def checkpoint_from_bytes(buf: bytes, source: str = "<bytes>") -> dict[str, np.ndarray]:
-    """Parse an FCKP blob; ``source`` names it in errors."""
+def checkpoint_from_bytes(buf: bytes, source: str = "<bytes>") -> dict[str, np.ndarray | str]:
+    """Parse an FCKP blob (a text record as str); ``source`` names it in errors."""
     if buf[:4] != _CKPT_MAGIC:
         raise FormatError(f"{source}: bad magic {buf[:4]!r}, expected {_CKPT_MAGIC!r}")
     out: dict[str, np.ndarray] = {}
@@ -674,7 +671,10 @@ def checkpoint_from_bytes(buf: bytes, source: str = "<bytes>") -> dict[str, np.n
             offset += elements * dtype.itemsize
             if name in out:
                 raise FormatError(f"{source}: tensor name {name!r} appears twice")
-            out[name] = flat.astype(np.float64).reshape(dims)
+            if tag == 2 and rank != 1:
+                raise FormatError(f"{source}: text record {name!r} has rank {rank}, not 1")
+            out[name] = (flat.tobytes().decode("utf-8") if tag == 2
+                         else flat.astype(np.float64).reshape(dims))
     except (struct.error, KeyError, ValueError) as exc:
         raise FormatError(f"{source}: truncated or corrupt tensor record") from exc
     if offset != len(buf):

@@ -304,11 +304,12 @@ def split_blocks(n: int) -> tuple[range, range, range]:
 
 class _CheckpointKeeper:
     """Cadence checkpoints every `every` optimizer steps, plus a snapshot at
-    the lowest validation loss; inactive when no directory is given.
-    `written` is the set of paths saved."""
+    the lowest validation loss; inactive when no directory is given.  Each
+    records `model_cfg`; `written` is the set of paths saved."""
 
-    def __init__(self, params: ParameterStore, every: int, directory):
+    def __init__(self, params: ParameterStore, model_cfg: ModelConfig, every: int, directory):
         self.params = params
+        self.model_cfg = model_cfg
         self.every = every
         self.directory = directory
         self.best: float | None = None
@@ -318,7 +319,7 @@ class _CheckpointKeeper:
 
     def _save(self, name: str) -> None:
         self.written.add(f"{self.directory}/{name}")
-        mdl.save_params(self.params, f"{self.directory}/{name}")
+        mdl.save_params(self.params, f"{self.directory}/{name}", self.model_cfg)
 
     def after_optimizer_step(self, opt_step: int, validation_loss) -> None:
         if self.directory is None or opt_step % self.every != 0:
@@ -468,8 +469,9 @@ def _ensure_head(params: ParameterStore, head: tuple[dict, int], cfg: TrainConfi
 
 
 def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
-                params: ParameterStore, trainable: dict[str, Tensor], cfg: TrainConfig,
-                steps: int, checkpoint_dir=None, validation=lambda: None) -> tuple[list, list]:
+                params: ParameterStore, trainable: dict[str, Tensor], model_cfg: ModelConfig,
+                cfg: TrainConfig, steps: int, checkpoint_dir=None,
+                validation=lambda: None) -> tuple[list, list]:
     """The optimizer loop of every task; returns each micro-step's (lr, batch
     loss) and the sorted paths of the checkpoints written under
     `checkpoint_dir`.  The caller has checked `steps` (`_ensure_head`).
@@ -488,7 +490,7 @@ def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
     store.fill(train_idx)
     order = _Cycler(list(train_idx), order_stream)
     optimizer = AdamW(trainable, cfg)
-    checkpoints = _CheckpointKeeper(params, cfg.checkpoint_every, checkpoint_dir)
+    checkpoints = _CheckpointKeeper(params, model_cfg, cfg.checkpoint_every, checkpoint_dir)
     history: list[tuple[float, float]] = []
     for step in range(1, steps + 1):
         lr = lr_at(step, cfg)
@@ -539,7 +541,7 @@ def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: Param
         return _grouped_mean(store, batch, lambda pos: group_loss([batch[j] for j in pos]))
 
     _, written = _train_loop(batch_loss, store, train_idx, Rng(cfg.seed).split(stream), params,
-                             trainable, cfg, steps, checkpoint_dir,
+                             trainable, model_cfg, cfg, steps, checkpoint_dir,
                              lambda: val_loss(score(val_idx)) if len(val_idx) else None)
     return replace(score(test_idx), checkpoints=written)
 
@@ -585,7 +587,7 @@ def pretrain(
         return _grouped_mean(store, batch, group_loss)
 
     history, _ = _train_loop(batch_loss, store, range(len(corpus)), Rng(cfg.seed).split(1),
-                             params, dict(params.items()), cfg, steps, checkpoint_dir)
+                             params, dict(params.items()), model_cfg, cfg, steps, checkpoint_dir)
     return [(step, lr, loss) for step, (lr, loss) in enumerate(history, 1)]
 
 
@@ -632,9 +634,7 @@ def finetune_classify(
     store = _Samples([grid for grid, _ in dataset], model_cfg)
 
     def cross_entropy(encoded: Tensor, idx: list[int]) -> Tensor:
-        probs = mdl.head_classify(encoded, params, n_classes)
-        picked = nm.slice_(probs, (np.arange(len(idx)), labels[idx]))
-        return nm.scale(nm.mean(nm.log(picked)), -1.0)
+        return nm.nll(mdl.head_classify(encoded, params, n_classes), labels[idx])
 
     def score(idx) -> MetricsReport:
         return _score_classify(store, idx, labels, params, model_cfg, n_classes)

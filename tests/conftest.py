@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import struct
 import tempfile
 import tracemalloc
 
@@ -72,6 +73,23 @@ def traced_peak(fn) -> tuple[object, int]:
 
 
 MiB = 1 << 20
+
+
+def fckp_bytes(records: dict) -> bytes:
+    """An FCKP file built from its documented layout: magic `FCKP`, u32
+    record count, then per record a u16 name length and the UTF-8 name, a u8
+    dtype tag (0 for a float64 array, 2 for a str as UTF-8 text), u8 rank,
+    u64 dims and the little-endian data."""
+    blob = b"FCKP" + struct.pack("<I", len(records))
+    for name, value in records.items():
+        if isinstance(value, str):
+            tag, data = 2, np.frombuffer(value.encode("utf-8"), np.uint8)
+        else:
+            tag, data = 0, np.asarray(value, dtype="<f8")
+        encoded = name.encode("utf-8")
+        blob += struct.pack("<H", len(encoded)) + encoded + struct.pack("<BB", tag, data.ndim)
+        blob += struct.pack(f"<{data.ndim}Q", *data.shape) + data.tobytes()
+    return blob
 
 
 @pytest.fixture

@@ -10,9 +10,10 @@ replacing them, `conditioning_oracle` runs the preprocessing pipeline one
 stage at a time, `OracleRng` and `synthetic_oracle` draw the random
 streams and the synthetic recording with whole-array formulas, and
 `csv_to_text` and `csv_from_text` are the recording CSV codec one value at
-a time.  `mul`, `transpose`, `matmul` and `mse` are the primitive taped ops
-those chains and the gradient checks are built from; the model runs only
-the fused kernels in `fome.numerics`.
+a time.  `mul`, `transpose`, `matmul`, `mse`, `slice_` and `log` are the
+primitive taped ops those chains and the gradient checks are built from,
+and `nll_chain` is the classification loss built from them; the model runs
+only the fused kernels in `fome.numerics`.
 """
 
 from __future__ import annotations
@@ -181,6 +182,34 @@ def mse(pred, target):
         return gp if pred_grad else None, -gp if target_grad else None
 
     return nm._record(out, (pred, target), bwd)
+
+
+def log(a):
+    a = nm._as_tensor(a)
+    x = a.data
+    return nm._record(np.log(x), (a,), lambda g: (g / x,))
+
+
+def slice_(a, key):
+    """Basic indexing (ints and slices), or index arrays that pick each
+    element at most once; gradient scatters back."""
+    a = nm._as_tensor(a)
+    out = a.data[key]
+    shape = a.shape
+
+    def bwd(g):
+        full = np.zeros(shape)
+        full[key] = g
+        return (full,)
+
+    return nm._record(np.array(out, copy=True), (a,), bwd)
+
+
+def nll_chain(probs, labels):
+    """The classification loss as primitive taped ops, the reference of
+    `numerics.nll`: pick each row's label probability, log, mean, negate."""
+    picked = slice_(probs, (np.arange(probs.shape[0]), np.asarray(labels)))
+    return nm.scale(nm.mean(log(picked)), -1.0)
 
 
 def _primitive_layer_norm(a):

@@ -8,7 +8,7 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -112,7 +112,9 @@ class TestPipeline:
         cfg = preset("tiny", patch_len=500)
         expected = dict(param_shapes(cfg))
         expected.update(reconstruct_head_shapes(cfg))
-        assert set(listing) == set(expected)
+        # the config record comes first, then the tensors
+        assert list(listing) == ["config", *expected]
+        assert listing["config"] == asdict(preset("tiny", patch_len=500))
         for name, shape in expected.items():
             assert tuple(listing[name]) == shape
 
@@ -744,6 +746,123 @@ class TestSchedule:
         for out in seen:
             manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
             assert manifest["config"]["train"] == asdict(requested), out
+
+
+# fine-tuning recipe of the checkpoint cases: 3-patch windows, two steps
+RECIPE = ["--pps", "3", "--steps", "2", "--batch", "2", "--accum", "1"]
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """Grids of 3 channels and two checkpoints pretrained on 500-sample,
+    15-patch grids (30 s at 250 Hz): one with --scale dk and one with
+    --ablate conv-embed.  Returns the directory."""
+    from fome.preprocess import PatchGrid, grid_to_bytes
+    from fome.rng import Rng
+
+    directory = tmp_path_factory.mktemp("checkpoints")
+    gen = Rng(21)
+    # 30 s at 250 Hz cut with --window 500 and with --window 250, and 60 s
+    # cut with --window 500
+    for name, patches, length in (("g500", 15, 500), ("g250", 30, 250), ("g60", 30, 500)):
+        grid = PatchGrid(gen.normals(3 * patches * length).reshape(3, patches, length),
+                         length, 250.0)
+        write_file(directory / f"{name}.fegp", grid_to_bytes(grid))
+    for name, flags in (("dk", ["--scale", "dk"]), ("conv", ["--ablate", "conv-embed"])):
+        result = run_cli(["pretrain", "--in", str(directory / "g500.fegp"), *RECIPE, *flags,
+                          "--out", str(directory / f"{name}.fckp")])
+        assert result.returncode == 0, result.stderr
+    return directory
+
+
+class TestCheckpointConfig:
+    """A checkpoint's config record fixes the fine-tuned architecture."""
+
+    @pytest.mark.parametrize("checkpoint, grid, flags, expect", [
+        ("dk", "g500", [], {"attn_scale": "dk"}),
+        ("dk", "g500", ["--preset", "tiny", "--scale", "dk"], {"attn_scale": "dk"}),
+        ("dk", "g500", ["--scale", "d"], ["attn_scale='dk' where the run has 'd'"]),
+        ("dk", "g500", ["--scale", "dk", "--ablate", "temporal"],
+         ["temporal_layers=1 where the run has 0"]),
+        ("conv", "g500", [], {"conv_embed": True, "conv_kernel": 4, "attn_scale": "d"}),
+        ("dk", "g250", [], ["patch_len=500 where the run has 250"]),
+        ("dk", "g60", ["--pps", "20"], ["max_patches=16 where the run has 20"]),
+        ("dk", "g500", ["--preset", "base"], ["model_dim=8 where the run has 2048"]),
+    ], ids=["scale-from-record", "agreeing-flags", "scale-contradicts", "ablation-contradicts",
+            "conv-embed-from-record", "patch-len-contradicts", "sample-over-max-patches",
+            "preset-contradicts"])
+    def test_record_fixes_the_architecture(self, checkpoints, tmp_path, checkpoint, grid,
+                                           flags, expect):
+        out = tmp_path / "impute.json"
+        result = run_cli(["finetune", "impute", "--in", str(checkpoints / f"{grid}.fegp"),
+                          "--checkpoint", str(checkpoints / f"{checkpoint}.fckp"), *RECIPE,
+                          *flags, "--out", str(out)])
+        if isinstance(expect, dict):
+            assert result.returncode == 0, result.stderr
+            model_cfg = json.loads(out.with_suffix(".json.manifest.json").read_text())
+            for name, value in expect.items():
+                assert model_cfg["config"]["model"][name] == value, name
+            return
+        assert result.returncode == 1, result.stderr
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1, lines
+        payload = json.loads(lines[0])
+        assert payload["error"] == "ConfigError", payload
+        assert payload["message"].startswith(f"{checkpoints / checkpoint}.fckp records ")
+        for part in expect:
+            assert part in payload["message"], payload
+        assert os.listdir(tmp_path) == []
+
+    def test_pretrain_writes_no_sidecar(self, checkpoints):
+        assert not [name for name in os.listdir(checkpoints) if name.endswith(".config")]
+        manifest = json.loads((checkpoints / "dk.fckp.manifest.json").read_text())
+        assert sorted(by_name(manifest["outputs"])) == ["dk.fckp", "dk.fckp.trace.csv"]
+
+    def test_inspect_shows_the_recorded_config(self, checkpoints):
+        from fome.model import ModelConfig
+
+        manifest = json.loads((checkpoints / "dk.fckp.manifest.json").read_text())
+        recorded = manifest["config"]["model"]
+        listing = run_cli(["inspect-checkpoint", "--in", str(checkpoints / "dk.fckp"), "--json"])
+        assert listing.returncode == 0, listing.stderr
+        assert json.loads(listing.stdout)["config"] == recorded
+        text = run_cli(["inspect-checkpoint", "--in", str(checkpoints / "dk.fckp")])
+        assert text.returncode == 0, text.stderr
+        cfg = ModelConfig(**recorded)
+        assert text.stdout.decode().splitlines()[0] == "config " + " ".join(
+            f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg))
+
+    def test_file_without_a_record_reads_as_before(self, checkpoints, tmp_path):
+        from conftest import fckp_bytes
+
+        from fome import model
+
+        # the layout of a checkpoint written before the config record
+        cfg = model.preset("tiny", patch_len=500)
+        store = model.ParameterStore.initialize(cfg, seed=5)
+        store.add(model.reconstruct_head_shapes(cfg), seed=6)
+        path = tmp_path / "old.fckp"
+        path.write_bytes(fckp_bytes(store.arrays()))
+        model.save_params(store, tmp_path / "two-args.fckp")
+        assert (tmp_path / "two-args.fckp").read_bytes() == path.read_bytes()
+        listing = run_cli(["inspect-checkpoint", "--in", str(path), "--json"])
+        assert listing.returncode == 0, listing.stderr
+        assert json.loads(listing.stdout) == {k: list(v.shape) for k, v in store.items()}
+        text = run_cli(["inspect-checkpoint", "--in", str(path)]).stdout.decode().splitlines()
+        scalars = sum(v.size for v in store.arrays().values())
+        assert text[0].startswith("embed.patch.w ")
+        assert text[-1] == f"32 tensors, {scalars} scalars"
+        back = model.load_params(path, cfg)
+        assert {k: v.tobytes() for k, v in back.arrays().items()} == {
+            k: v.tobytes() for k, v in store.arrays().items()}
+        # the flags fix the architecture, as before
+        out = tmp_path / "impute.json"
+        result = run_cli(["finetune", "impute", "--in", str(checkpoints / "g500.fegp"),
+                          "--checkpoint", str(path), *RECIPE, "--scale", "dk",
+                          "--out", str(out)])
+        assert result.returncode == 0, result.stderr
+        manifest = json.loads(out.with_suffix(".json.manifest.json").read_text())
+        assert manifest["config"]["model"]["attn_scale"] == "dk"
 
 
 class TestCheckpointEvery:

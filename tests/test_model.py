@@ -5,9 +5,10 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fckp_bytes
 from mutations import mutated
 from oracles import encoder_block_oracle, full_row_forward, matmul, mse, primitive_encoder_block
 
@@ -28,12 +29,12 @@ from fome.model import (
     head_reconstruct,
     load_params,
     param_shapes,
+    params_from_bytes,
     preset,
-    read_model_config,
+    read_checkpoint,
     reconstruct_head_shapes,
     save_params,
     temporal_attention,
-    write_model_config,
 )
 from fome.numerics import Tensor
 from fome.preprocess import PatchGrid
@@ -43,6 +44,21 @@ from fome.spectral import N_BANDS, band_powers
 
 def tiny_cfg(**kw):
     return preset("tiny", **kw)
+
+
+def record_text(cfg) -> str:
+    """The config record of `cfg`: one key=value line per field, in field order."""
+    return "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
+
+
+def checkpoint_with_record(lines: str) -> bytes:
+    """A tiny backbone's FCKP bytes under the tiny preset's config record,
+    with each line of `lines` in place of its key's line, or else appended."""
+    record = {}
+    for line in record_text(tiny_cfg()).splitlines() + lines.split("\n"):
+        record[line.partition("=")[0]] = line
+    text = "\n".join(record.values()) + "\n"
+    return fckp_bytes({"config": text, **ParameterStore.initialize(tiny_cfg(), seed=0).arrays()})
 
 
 def random_inputs(rng, cfg, channels=3, patches=4):
@@ -95,12 +111,10 @@ class TestPresets:
         assert param_shapes(preset("base"))["embed.freq.w"] == (N_BANDS, 2048)
 
     @pytest.mark.parametrize("line", ["n_bands=8", "interleave=False", "head_dim_k=None"])
-    def test_removed_config_key_is_named(self, tmp_path, line):
-        path = tmp_path / "model.config"
-        path.write_text(f"preset=tiny\n{line}\n")
+    def test_removed_config_key_is_named(self, line):
         key = line.split("=")[0]
-        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
-            read_model_config(path)
+        with pytest.raises(FormatError, match=f"ck.fckp: config record has unknown key '{key}'"):
+            read_checkpoint(checkpoint_with_record(line), "ck.fckp")
         with pytest.raises(TypeError):
             ModelConfig(**{key: 8})
 
@@ -136,12 +150,14 @@ class TestPresets:
         "patch_len=abc", "conv_embed=True\nconv_kernel=0", "max_patches=-1", "head_dim_k=x",
         "use_freq_embed=1", "heads=2.0", "dropout=nan", "dropout=True", "ffn_dim=0",
         "attn_scale=1", "model_dim=4\nheads=8\nhead_dim_k=2", "n_bands=4",
+        "patch_len= 8", "patch_len=08", "dropout=0.00", "patch_len=None", "preset=tiny",
+        "# comment", "", "model_dim",
     ])
-    def test_config_file_field_types_and_ranges(self, tmp_path, line):
-        path = tmp_path / "model.config"
-        path.write_text(f"preset=tiny\n{line}\n")
-        with pytest.raises(ConfigError):
-            read_model_config(path)
+    def test_config_record_field_types_and_ranges(self, line):
+        # each value must read back as its field's type writes it, and the
+        # record takes no preset line or comment
+        with pytest.raises(FormatError, match="^ck.fckp: config"):
+            read_checkpoint(checkpoint_with_record(line), "ck.fckp")
 
 
 class TestEmbed:
@@ -244,7 +260,8 @@ class TestEncoderOracles:
                 out = block(x, store, "temporal0", cfg, Rng(9) if cfg.dropout else None)
                 loss = mse(out, target)
             nm.backward(loss)
-            grads = {name: t.grad.tobytes() for name, t in store.tensors("temporal0.").items()}
+            grads = {name: t.grad.tobytes() for name, t in store.items()
+                     if name.startswith("temporal0.")}
             runs.append((out.data.tobytes(), x.grad.tobytes(), grads))
         (fused_out, fused_dx, fused_grads), (ref_out, ref_dx, ref_grads) = runs
         assert fused_out == ref_out
@@ -474,8 +491,9 @@ class TestHeads:
         cfg = tiny_cfg()
         store = zeroed_store(cfg)
         store.add(classify_head_shapes(cfg, 4), seed=44)
-        for name in store.tensors("head.cls."):
-            store[name].data[...] = 0.0
+        for name, tensor in store.items():
+            if name.startswith("head.cls."):
+                tensor.data[...] = 0.0
         e = Tensor(rng.standard_normal((2, 3, cfg.model_dim)))
         np.testing.assert_allclose(head_classify(e, store, 4).data, 0.25, atol=1e-15)
 
@@ -607,30 +625,56 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_params(path, tiny_cfg(model_dim=16, heads=2))
 
-    def test_config_file_round_trip(self, tmp_path):
-        cfg = tiny_cfg(attn_scale="dk", dropout=0.1)
-        path = tmp_path / "model.config"
-        write_model_config(cfg, path)
-        assert read_model_config(path) == cfg
+    def test_config_record_round_trip(self, tmp_path):
+        cfg = tiny_cfg(attn_scale="dk", dropout=0.1, conv_embed=True)
+        store = ParameterStore.initialize(cfg, seed=63)
+        path = tmp_path / "m.fckp"
+        save_params(store, path, cfg)
+        recorded, arrays = read_checkpoint(path.read_bytes())
+        assert recorded == cfg
+        assert list(arrays) == list(store.arrays())
+        # the record leads the file: one key=value line per field, in field order
+        assert path.read_bytes() == fckp_bytes({"config": record_text(cfg), **store.arrays()})
+        assert list(load_params(path, cfg).arrays()) == list(store.arrays())
 
-    @settings(max_examples=300, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_record_that_differs_from_the_config_is_named(self, tmp_path):
+        cfg = tiny_cfg(attn_scale="dk")
+        path = tmp_path / "m.fckp"
+        save_params(ParameterStore.initialize(cfg, seed=64), path, cfg)
+        with pytest.raises(ConfigError, match="attn_scale='dk' where the run has 'd'"):
+            load_params(path, tiny_cfg())
+        with pytest.raises(ConfigError, match="^<bytes> records dropout=0.0 where the run has "
+                                              "0.1, attn_scale='dk' where the run has 'd'$"):
+            params_from_bytes(path.read_bytes(), tiny_cfg(dropout=0.1))
+
+    def test_text_other_than_the_config_record_is_refused(self):
+        arrays = ParameterStore.initialize(tiny_cfg(), seed=65).arrays()
+        for records in ({"notes": "hello", **arrays}, {"config": np.ones(3), **arrays}):
+            with pytest.raises(FormatError, match="config record alone is text"):
+                read_checkpoint(fckp_bytes(records))
+
+    @pytest.mark.parametrize("line", ["patch_len=8", "dropout=0.1"])
+    def test_repeated_config_key_is_named(self, line):
+        text = record_text(tiny_cfg()) + line + "\n"
+        key = line.split("=")[0]
+        with pytest.raises(FormatError, match=f"^ck.fckp: config record repeats key '{key}'$"):
+            read_checkpoint(fckp_bytes({"config": text}), "ck.fckp")
+
+    def test_missing_config_key_is_named(self):
+        text = record_text(tiny_cfg()).replace("heads=2\n", "")
+        with pytest.raises(FormatError, match="^ck.fckp: config record lacks key 'heads'$"):
+            read_checkpoint(fckp_bytes({"config": text}), "ck.fckp")
+
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_corrupt_config_parses_or_is_typed_error(self, tmp_path, data):
-        path = tmp_path / "model.config"
-        write_model_config(tiny_cfg(attn_scale="dk", dropout=0.1), path)
-        path.write_bytes(mutated(data, path.read_bytes()))
+    def test_corrupt_record_loads_or_is_format_error(self, data):
+        cfg = tiny_cfg(attn_scale="dk", dropout=0.1)
+        blob = fckp_bytes({"config": record_text(cfg), "w": np.arange(3.0)})
         try:
-            assert isinstance(read_model_config(path), ModelConfig)
-        except (ConfigError, FormatError):
+            recorded, _ = read_checkpoint(mutated(data, blob))
+            assert recorded is None or isinstance(recorded, ModelConfig)
+        except FormatError:
             pass
-
-    def test_config_file_preset_line(self, tmp_path):
-        path = tmp_path / "model.config"
-        path.write_text("preset=tiny\nmodel_dim=16\nheads=4\n")
-        cfg = read_model_config(path)
-        assert cfg.model_dim == 16 and cfg.heads == 4
-        assert cfg.ffn_dim == preset("tiny").ffn_dim
 
     def test_initialization_is_seed_deterministic(self):
         cfg = tiny_cfg()

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import (finite_difference_gradients, matmul, mse, mul, primitive_dropout,
-                     primitive_gelu, transpose)
+from oracles import (finite_difference_gradients, log, matmul, mse, mul, nll_chain,
+                     primitive_dropout, primitive_gelu, slice_, transpose)
 
 import fome.numerics as nm
 from fome.errors import ContractError, FormatError, ShapeError, read_file
@@ -55,7 +55,7 @@ class TestForwardSemantics:
         assert np.array_equal(transpose(transpose(t)).data, x)
         assert np.array_equal(nm.reshape(nm.reshape(t, (6, 4)), (2, 3, 4)).data, x)
         both = Tensor(np.concatenate([x, x], axis=1))
-        assert np.array_equal(nm.slice_(both, (slice(None), slice(3, 6))).data, x)
+        assert np.array_equal(slice_(both, (slice(None), slice(3, 6))).data, x)
 
     def test_mean_and_mse(self, rng):
         x = rng.standard_normal((4, 5))
@@ -108,7 +108,7 @@ class TestGradients:
             z = mul(z, nm.scale(z, 0.5))
             s = nm.softmax(z, axis=-1)
             rows = nm.embedding_lookup(table, np.array([1, 2, 5]))
-            piece = nm.slice_(nm.add(s, rows), (slice(1, 3), slice(None)))
+            piece = slice_(nm.add(s, rows), (slice(1, 3), slice(None)))
             return mse(piece, target)
 
         grad_check(loss, [a, b, bias, gain, table])
@@ -117,7 +117,7 @@ class TestGradients:
         x = Tensor(np.abs(rng.standard_normal((4, 3))) + 0.5, requires_grad=True)
 
         def loss():
-            return nm.mean(nm.log(nm.mean(mul(x, x), axis=0)))
+            return nm.mean(log(nm.mean(mul(x, x), axis=0)))
 
         grad_check(loss, [x])
 
@@ -273,8 +273,32 @@ def _chain_and_fused(fused, chain, leaves, weights):
 
 
 class TestMemoryKernels:
-    """`linear_mse`, `gelu`, `dropout` and `gather_swap` hold the primitive
-    chains they replace to the bit, and keep only what their backward reads."""
+    """`linear_mse`, `gelu`, `dropout`, `gather_swap` and `nll` hold the
+    primitive chains they replace to the bit, and keep only what their
+    backward reads."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_nll_is_the_pick_log_mean_scale_chain_bitwise(self, data):
+        n, k = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5))
+        logits = data.draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-30, 30)))
+        labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+        factor = data.draw(st.floats(1e-3, 4.0))  # the adjoint the loss receives
+        runs = []
+        for loss_of in (nm.nll, nll_chain):
+            x = Tensor(logits.copy(), requires_grad=True)
+            with Tape() as tape:
+                out = loss_of(nm.softmax(nm.scale(x, 1.5)), labels)
+                loss = nm.scale(out, factor)
+            runs.append(len(tape.nodes))
+            backward(loss)
+            runs += [out.data.tobytes(), x.grad.tobytes()]
+        assert runs[0] + 3 == runs[3]  # one node in place of four
+        assert runs[1:3] == runs[4:6]
+
+    def test_nll_gradient_matches_finite_differences(self, rng):
+        x = Tensor(rng.standard_normal((5, 3)), requires_grad=True)
+        grad_check(lambda: nm.nll(nm.softmax(x), np.array([0, 2, 1, 1, 0])), [x])
 
     @pytest.mark.parametrize("x_shape, rows", [
         ((6, 4), None), ((6, 4), np.array([7, 0, 3, 9, 2, 5])),
@@ -654,9 +678,12 @@ class TestCheckpointFormat:
         with pytest.raises(FormatError):
             nm.checkpoint_from_bytes(read_file(path))
 
-    def test_every_truncation_and_byte_flip_loads_or_is_format_error(self, tmp_path):
+    @pytest.mark.parametrize("named", [
+        {"w": np.arange(6.0).reshape(2, 3)}, {"config": "a=1\nb=é\n", "w": np.arange(2.0)},
+    ], ids=["tensor", "text-record"])
+    def test_every_truncation_and_byte_flip_loads_or_is_format_error(self, tmp_path, named):
         path = tmp_path / "t.fckp"
-        nm.save_checkpoint({"w": np.arange(6.0).reshape(2, 3)}, path)
+        nm.save_checkpoint(named, path)
         blob = path.read_bytes()
         cases = [blob[:end] for end in range(len(blob))]
         cases += [blob[:i] + bytes([blob[i] ^ bits]) + blob[i + 1:]
@@ -667,6 +694,25 @@ class TestCheckpointFormat:
                 nm.checkpoint_from_bytes(read_file(path))
             except FormatError:
                 pass
+
+    def test_text_record_round_trip(self, tmp_path):
+        path = tmp_path / "t.fckp"
+        nm.save_checkpoint({"note": "key=välue\n", "w": np.ones(2)}, path)
+        blob = path.read_bytes()
+        # tag 2, rank 1, the UTF-8 byte length as the one dim, then the bytes
+        assert blob[8:10] == struct.pack("<H", 4) and blob[14:16] == bytes([2, 1])
+        assert blob[16:24] == struct.pack("<Q", 11) and blob[24:35] == "key=välue\n".encode()
+        back = nm.checkpoint_from_bytes(blob)
+        assert list(back) == ["note", "w"] and back["note"] == "key=välue\n"
+
+    @pytest.mark.parametrize("rank, payload, message", [
+        (2, struct.pack("<QQ", 1, 2) + b"ab", "text record 'c' has rank 2, not 1"),
+        (1, struct.pack("<Q", 2) + b"\xff\xfe", "truncated or corrupt"),
+    ], ids=["rank-2", "not-utf8"])
+    def test_bad_text_record_is_format_error(self, rank, payload, message):
+        blob = b"FCKP" + struct.pack("<IH", 1, 1) + b"c" + bytes([2, rank]) + payload
+        with pytest.raises(FormatError, match=message):
+            nm.checkpoint_from_bytes(blob)
 
     def test_duplicate_tensor_name_rejected(self, tmp_path):
         def record(name, value):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import (adamw_scalar, fbeta_closed_form, impute_report_oracle, mean_imputation,
-                     mse, mul)
+                     mse, mul, nll_chain)
 
 from fome import model, trainer
 from fome.errors import ConfigError, DataError, TrainError
@@ -556,6 +556,58 @@ class TestSampleStore:
 
 
 class TestFinetuneClassify:
+    def test_micro_step_tape_size(self, monkeypatch):
+        # the loss is one `nll` node per shape stack: a rise means a fusion undone
+        sizes = []
+        original = nm.backward
+
+        def counting(loss):
+            sizes.append(len(loss._tape.nodes))
+            return original(loss)
+
+        monkeypatch.setattr(nm, "backward", counting)
+        cfg = preset("tiny")
+        runs = []
+        for data in (labeled_dataset(n=10), labeled_dataset(n=10) + labeled_dataset(patches=3)):
+            sizes.clear()
+            finetune_classify(data, ParameterStore.initialize(cfg, seed=0), cfg,
+                              flat_lr_config(batch_size=4), n_classes=2, steps=3)
+            runs.append(list(sizes))
+        # every batch of the mixed run holds both shapes: two stacks, one sum
+        assert runs == [[45, 45, 45], [92, 92, 92]]
+
+    def test_loss_and_gradients_are_the_reference_chain_bitwise(self, monkeypatch):
+        # fine-tuning through the pick, log, mean and scale chain that `nll`
+        # fuses gives the same bits: every loss, gradient, parameter and report
+        cfg = preset("tiny")
+        data = labeled_dataset(n=10) + labeled_dataset(patches=3)  # two shape stacks
+        backward, step = nm.backward, trainer.AdamW.step
+        runs = []
+        for loss_of in (nm.nll, nll_chain):
+            seen = []
+
+            def recording_backward(loss):
+                seen.append(loss.data.tobytes())
+                backward(loss)
+
+            def recording_step(self, lr):
+                seen.append({name: None if t.grad is None else t.grad.tobytes()
+                             for name, t in self.named.items()})
+                step(self, lr)
+
+            monkeypatch.setattr(nm, "nll", loss_of)
+            monkeypatch.setattr(nm, "backward", recording_backward)
+            monkeypatch.setattr(trainer.AdamW, "step", recording_step)
+            params = ParameterStore.initialize(cfg, seed=1)
+            report = finetune_classify(data, params, cfg,
+                                       flat_lr_config(batch_size=4, grad_accum=2),
+                                       n_classes=2, steps=4)
+            runs.append((seen, {k: v.tobytes() for k, v in params.arrays().items()},
+                         report.to_json()))
+        # four losses and two optimizer steps over every parameter
+        assert len(runs[0][0]) == 6 and len(runs[0][0][2]) == len(runs[0][1])
+        assert runs[0] == runs[1]
+
     def test_probe_freezes_backbone_bitwise(self):
         cfg = preset("tiny")
         params = ParameterStore.initialize(cfg, seed=21)
