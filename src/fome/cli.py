@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -414,8 +415,10 @@ def _cmd_eval(args, manifest: _Manifest) -> None:
     for number, row in enumerate(rows[first:], start=first + 1):
         try:
             pred, ref = value(row[0]), value(row[1])
+            if not (math.isfinite(pred) and math.isfinite(ref)):
+                raise ValueError
         except (IndexError, ValueError, OverflowError):
-            wanted = "integer class labels" if classify else "numeric values"
+            wanted = "integer class labels" if classify else "finite numeric values"
             raise DataError(f"{args.infile}: row {number} needs two {wanted}, "
                             f"got {row!r}") from None
         preds.append(pred)

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import struct
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import numerics as nm
-from .errors import CapacityError, ConfigError, FormatError, ShapeError, read_file
+from .errors import (CapacityError, ConfigError, DataError, FormatError, ShapeError, read_file,
+                     write_file)
 from .numerics import Tensor
 from .rng import Rng
 from .spectral import N_BANDS
@@ -259,6 +261,8 @@ class ParameterStore:
         return out
 
 
+_MAGIC = b"FCKP"
+_DTYPES = {0: "<f8", 1: "<f4", 2: "u1"}  # 1: read and widened, never written; 2: UTF-8, rank 1
 _PARSERS = {"int": int, "float": float, "str": str,
             "bool": {"True": True, "False": False}.__getitem__}
 
@@ -266,32 +270,65 @@ _PARSERS = {"int": int, "float": float, "str": str,
 def save_params(store: ParameterStore, path, cfg: ModelConfig | None = None) -> None:
     """Write `store` as an FCKP checkpoint, led by a `config` text record of
     `cfg` (one `key=value` line per field, in field order) when given."""
-    out = store.arrays()
+    records = [(name, 0, np.asarray(array, _DTYPES[0])) for name, array in store.arrays().items()]
     if cfg is not None:
-        out = {"config": "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg)), **out}
-    nm.save_checkpoint(out, path)
+        text = "".join(f"{f.name}={getattr(cfg, f.name)}\n" for f in fields(cfg))
+        records.insert(0, ("config", 2, np.frombuffer(text.encode("utf-8"), np.uint8)))
+    blob = bytearray(_MAGIC + struct.pack("<I", len(records)))
+    for name, tag, data in records:
+        encoded = name.encode("utf-8")
+        blob += struct.pack("<H", len(encoded)) + encoded + struct.pack("<BB", tag, data.ndim)
+        blob += struct.pack(f"<{data.ndim}Q", *data.shape) + data.tobytes()
+    write_file(path, blob)
 
 
 def load_params(path, cfg: ModelConfig) -> ParameterStore:
-    """Load a checkpoint for `cfg` (see `params_from_bytes`)."""
-    return params_from_bytes(read_file(path), cfg, str(path))
-
-
-def params_from_bytes(payload: bytes, cfg: ModelConfig, source: str = "<bytes>") -> ParameterStore:
-    """`params_from_checkpoint` of an FCKP blob; ``source`` names it in errors."""
-    return params_from_checkpoint(*read_checkpoint(payload, source), cfg, source)
+    """The checkpoint at `path` as a store for `cfg` (see `params_from_checkpoint`)."""
+    return params_from_checkpoint(*read_checkpoint(read_file(path), path), cfg, path)
 
 
 def read_checkpoint(payload: bytes, source: str = "<bytes>") -> tuple[ModelConfig | None, dict]:
     """The config record of an FCKP blob (None in a file without one) and its
-    tensors.  The record must name every ModelConfig field once, each value
-    in the form `str` gives it; anything else is a `FormatError`."""
-    records = nm.checkpoint_from_bytes(payload, source)
-    text = records.pop("config", None)
-    if isinstance(text, np.ndarray) or any(isinstance(v, str) for v in records.values()):
-        raise FormatError(f"{source}: the config record alone is text, and it must be")
+    tensors as float64.  The record, the only text a file may hold, names
+    every ModelConfig field once, each value in the form `str` gives it;
+    anything else is a `FormatError` naming ``source``."""
+    if payload[:4] != _MAGIC:
+        raise FormatError(f"{source}: bad magic {payload[:4]!r}, expected {_MAGIC!r}")
+    text, arrays = None, {}
+    try:
+        (count,) = struct.unpack_from("<I", payload, 4)
+        offset = 8
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", payload, offset)
+            offset += 2
+            name = payload[offset : offset + name_len].decode("utf-8")
+            offset += name_len
+            tag, rank = struct.unpack_from("<BB", payload, offset)
+            offset += 2
+            dims = struct.unpack_from(f"<{rank}Q", payload, offset)
+            offset += 8 * rank
+            dtype = np.dtype(_DTYPES[tag])
+            elements = math.prod(dims)
+            if elements * dtype.itemsize > len(payload) - offset:
+                raise FormatError(f"{source}: tensor {name!r} of shape {dims} overruns the file")
+            flat = np.frombuffer(payload, dtype, elements, offset)
+            offset += elements * dtype.itemsize
+            if name in arrays or (name == "config" and text is not None):
+                raise FormatError(f"{source}: tensor name {name!r} appears twice")
+            if (tag == 2) != (name == "config"):
+                raise FormatError(f"{source}: the config record alone is text, and it must be")
+            if tag != 2:
+                arrays[name] = flat.astype(np.float64).reshape(dims)
+            elif rank != 1:
+                raise FormatError(f"{source}: text record {name!r} has rank {rank}, not 1")
+            else:
+                text = flat.tobytes().decode("utf-8")
+    except (struct.error, KeyError, ValueError) as exc:
+        raise FormatError(f"{source}: truncated or corrupt tensor record") from exc
+    if offset != len(payload):
+        raise FormatError(f"{source}: {len(payload) - offset} trailing bytes")
     if text is None:
-        return None, records
+        return None, arrays
     types = {f.name: f.type for f in fields(ModelConfig)}
     values: dict = {}
     for line in text.splitlines():
@@ -310,7 +347,7 @@ def read_checkpoint(payload: bytes, source: str = "<bytes>") -> tuple[ModelConfi
     if missing:
         raise FormatError(f"{source}: config record lacks key {missing[0]!r}")
     try:
-        return ModelConfig(**values), records
+        return ModelConfig(**values), arrays
     except ConfigError as exc:
         raise FormatError(f"{source}: config record: {exc}") from None
 
@@ -318,7 +355,8 @@ def read_checkpoint(payload: bytes, source: str = "<bytes>") -> tuple[ModelConfi
 def params_from_checkpoint(recorded: ModelConfig | None, arrays: dict[str, np.ndarray],
                            cfg: ModelConfig, source: str = "<bytes>") -> ParameterStore:
     """A store for `cfg` of `read_checkpoint`'s result: a record other than `cfg`
-    is a `ConfigError` naming the fields, a misshapen backbone a `FormatError`."""
+    is a `ConfigError` naming the fields, a misshapen backbone a `FormatError`,
+    and a tensor holding NaN or infinity a `DataError` naming it."""
     if recorded is not None and recorded != cfg:
         raise ConfigError(f"{source} records " + ", ".join(
             f"{f.name}={getattr(recorded, f.name)!r} where the run has {getattr(cfg, f.name)!r}"
@@ -331,6 +369,8 @@ def params_from_checkpoint(recorded: ModelConfig | None, arrays: dict[str, np.nd
                               f"config requires {shape}")
     store = ParameterStore()
     for name, array in arrays.items():
+        if not np.isfinite(array).all():
+            raise DataError(f"{source}: tensor {name!r} holds a non-finite value")
         store._tensors[name] = Tensor(array, requires_grad=True)
     return store
 

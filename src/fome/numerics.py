@@ -55,12 +55,11 @@ runs every cross-channel reduction in a canonical channel order (see
 from __future__ import annotations
 
 import math
-import struct
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, FormatError, ShapeError, write_file
+from .errors import ContractError, ShapeError
 
 _LN_EPS = 1e-5
 _GELU_C0 = 0.7978845608028654  # sqrt(2/pi)
@@ -617,66 +616,3 @@ def backward(loss: Tensor) -> None:
     for leaf, g in adjoints.items():  # every node's adjoint was popped
         leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
-
-# ---------------------------------------------------------------------------
-# checkpoint format "FCKP"
-# ---------------------------------------------------------------------------
-
-_CKPT_MAGIC = b"FCKP"
-_DTYPE_TAGS = {0: "<f8", 1: "<f4", 2: "u1"}  # 2: UTF-8 text, rank 1
-_TAG_FOR = {np.dtype(np.float64): 0, np.dtype(np.float32): 1}
-
-
-def save_checkpoint(named: dict[str, np.ndarray | str], path) -> None:
-    """Write name -> array pairs in iteration order, a str as a text record."""
-    blob = bytearray()
-    blob += _CKPT_MAGIC
-    blob += struct.pack("<I", len(named))
-    for name, array in named.items():
-        text = isinstance(array, str)
-        array = np.frombuffer(array.encode("utf-8"), np.uint8) if text else np.asarray(array)
-        tag = 2 if text else _TAG_FOR.get(array.dtype)
-        if tag is None:
-            raise FormatError(f"checkpoint: unsupported dtype {array.dtype} for {name!r}")
-        encoded = name.encode("utf-8")
-        blob += struct.pack("<H", len(encoded)) + encoded
-        blob += struct.pack("<BB", tag, array.ndim)
-        blob += struct.pack(f"<{array.ndim}Q", *array.shape)
-        blob += np.ascontiguousarray(array, dtype=_DTYPE_TAGS[tag]).tobytes()
-    write_file(path, blob)
-
-
-def checkpoint_from_bytes(buf: bytes, source: str = "<bytes>") -> dict[str, np.ndarray | str]:
-    """Parse an FCKP blob (a text record as str); ``source`` names it in errors."""
-    if buf[:4] != _CKPT_MAGIC:
-        raise FormatError(f"{source}: bad magic {buf[:4]!r}, expected {_CKPT_MAGIC!r}")
-    out: dict[str, np.ndarray] = {}
-    try:
-        (count,) = struct.unpack_from("<I", buf, 4)
-        offset = 8
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", buf, offset)
-            offset += 2
-            name = buf[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            tag, rank = struct.unpack_from("<BB", buf, offset)
-            offset += 2
-            dims = struct.unpack_from(f"<{rank}Q", buf, offset)
-            offset += 8 * rank
-            dtype = np.dtype(_DTYPE_TAGS[tag])
-            elements = math.prod(dims)
-            if elements * dtype.itemsize > len(buf) - offset:
-                raise FormatError(f"{source}: tensor {name!r} of shape {dims} overruns the file")
-            flat = np.frombuffer(buf, dtype=dtype, count=elements, offset=offset)
-            offset += elements * dtype.itemsize
-            if name in out:
-                raise FormatError(f"{source}: tensor name {name!r} appears twice")
-            if tag == 2 and rank != 1:
-                raise FormatError(f"{source}: text record {name!r} has rank {rank}, not 1")
-            out[name] = (flat.tobytes().decode("utf-8") if tag == 2
-                         else flat.astype(np.float64).reshape(dims))
-    except (struct.error, KeyError, ValueError) as exc:
-        raise FormatError(f"{source}: truncated or corrupt tensor record") from exc
-    if offset != len(buf):
-        raise FormatError(f"{source}: {len(buf) - offset} trailing bytes")
-    return out

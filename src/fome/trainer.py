@@ -80,6 +80,14 @@ class TrainConfig:
             raise ConfigError(f"mask_mode must be slot|column, got {self.mask_mode!r}")
         if self.checkpoint_every < 1:
             raise ConfigError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
+        # lr_peak first: the CLI derives lr_init and lr_final from it
+        for name in ("lr_peak", "lr_init", "lr_final", "adam_eps", "weight_decay"):
+            value, bound = getattr(self, name), "> 0" if name in ("lr_peak", "adam_eps") else ">= 0"
+            if not math.isfinite(value) or value < 0 or (value == 0 and bound == "> 0"):
+                raise ConfigError(f"{name} must be finite and {bound}, got {value}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 def scale_schedule(cfg: TrainConfig, steps: int) -> TrainConfig:
@@ -269,6 +277,7 @@ def classification_metrics(preds, labels, n_classes: int) -> MetricsReport:
                          per_class=per_class, **{k: v / len(present) for k, v in macro.items()})
 
 
+@np.errstate(over="ignore")  # `_mean_errors` refuses what overflows
 def regression_metrics(preds, targets, task: str = "regression") -> MetricsReport:
     preds = np.asarray(preds, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -284,7 +293,10 @@ def _mean_errors(diff: np.ndarray) -> tuple[float, float]:
     """(MAE, MSE) of the prediction-minus-truth buffer `diff`, which it
     overwrites: |d|, then |d|*|d|, which is d**2 bit for bit."""
     mae = float(np.mean(np.abs(diff, out=diff)))
-    return mae, float(np.mean(np.multiply(diff, diff, out=diff)))
+    mse = float(np.mean(np.multiply(diff, diff, out=diff)))
+    if not math.isfinite(mse):  # a finite mse implies a finite mae
+        raise DataError(f"errors overflow float64 or are not finite: mae={mae}, mse={mse}")
+    return mae, mse
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +460,24 @@ def _masked_mse(encoded: Tensor, params, target, mask: np.ndarray, scope: str) -
     return mdl.reconstruct_mse(hidden, params, target.reshape(-1, target.shape[-1]), rows)
 
 
-def _ensure_head(params: ParameterStore, head: tuple[dict, int], cfg: TrainConfig,
+def _ensure_head(params: ParameterStore, head: tuple[dict, int, str], cfg: TrainConfig,
                  steps: int) -> None:
     """An entry point's last checks, then its first change to the caller's
-    store: add the tensors of `head`, (shapes, seed), that `params` lacks.
-    A `steps` below 1 or not a multiple of `cfg.grad_accum` (the trailing
-    micro-steps' gradients would reach no optimizer step and stay on the
-    parameters) is a `ConfigError`, and so is a store with part of the head."""
+    store: add the tensors of `head`, (shapes, seed, the task setting they
+    follow), that `params` lacks.  A `steps` below 1 or not a multiple of
+    `cfg.grad_accum` (the last micro-steps' gradients would reach no optimizer
+    step) is a `ConfigError`, and so is a store with part of the head or a
+    head tensor of another shape."""
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if steps % cfg.grad_accum:
         raise ConfigError(f"steps ({steps}) must be a multiple of grad_accum "
                           f"({cfg.grad_accum})")
-    shapes, seed = head
+    shapes, seed, setting = head
+    for name, shape in shapes.items():
+        if name in params and params[name].shape != shape:
+            raise ConfigError(f"parameter {name!r} has shape {params[name].shape}, but "
+                              f"{setting} needs {shape}")
     missing = {k: v for k, v in shapes.items() if k not in params}
     if missing and len(missing) != len(shapes):
         raise ConfigError("parameter store holds a partial head; refusing to mix")
@@ -515,8 +532,9 @@ def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: Param
 
     `head_loss(encoded, idx)` is the taped mean loss of the encoded stack
     of samples `idx`, `score(idx)` their report, and `val_loss(report)` the
-    validation loss.  `head` is the (shapes, seed) of the task head, added
-    to `params` once `mode`, the splits and `steps` pass their checks.
+    validation loss.  `head` is the (shapes, seed, setting) of the task
+    head, added to `params` once `mode`, the splits and `steps` pass their
+    checks.
     Probe mode trains the head's tensors only, on encodings computed once:
     the frozen backbone maps each sample to the same rows at every step."""
     if mode not in ("full", "probe"):
@@ -567,7 +585,8 @@ def pretrain(
     """
     if not corpus:
         raise ConfigError("pretrain needs a non-empty corpus")
-    _ensure_head(params, (mdl.reconstruct_head_shapes(model_cfg), cfg.seed + 1), cfg, steps)
+    _ensure_head(params, (mdl.reconstruct_head_shapes(model_cfg), cfg.seed + 1,
+                          f"patch_len={model_cfg.patch_len}"), cfg, steps)
     store = _Samples(corpus, model_cfg)
     mask_stream = Rng(cfg.seed).split(2)
     drop_stream = Rng(cfg.seed).split(3) if model_cfg.dropout > 0 else None
@@ -639,7 +658,7 @@ def finetune_classify(
     def score(idx) -> MetricsReport:
         return _score_classify(store, idx, labels, params, model_cfg, n_classes)
 
-    head = (mdl.classify_head_shapes(model_cfg, n_classes), cfg.seed + 2)
+    head = (mdl.classify_head_shapes(model_cfg, n_classes), cfg.seed + 2, f"n_classes={n_classes}")
     report = _finetune(cross_entropy, score, lambda r: -r.accuracy, store, splits, params,
                        model_cfg, cfg, steps, mode, head, 4, checkpoint_dir)
     report.notes.update({"mode": mode, "steps": steps, "train_samples": len(splits[0])})
@@ -727,8 +746,9 @@ def finetune_forecast(
     def score(idx) -> MetricsReport:
         return _score_forecast(store, idx, dataset, params, model_cfg, horizon_patches)
 
-    head = (mdl.forecast_head_shapes(model_cfg, dataset[0].context.n_patches, horizon_patches),
-            cfg.seed + 3)
+    context = dataset[0].context.n_patches
+    head = (mdl.forecast_head_shapes(model_cfg, context, horizon_patches), cfg.seed + 3,
+            f"context_patches={context}, horizon_patches={horizon_patches}")
     report = _finetune(forecast_mse, score, lambda r: r.mse, store, splits, params, model_cfg,
                        cfg, steps, mode, head, 5, checkpoint_dir)
     report.notes.update({"mode": mode, "steps": steps, "horizon_patches": horizon_patches})

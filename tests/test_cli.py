@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import MiB, traced_peak
+from conftest import MiB, fckp_bytes, traced_peak
 from mutations import mutated
 
 import fome
@@ -420,6 +420,12 @@ class TestErrors:
         ["pretrain", "--in", "GRID", "--pps", "2", "--steps", "0"],
         ["pretrain", "--in", "GRID", "--pps", "2", "--steps", "3", "--accum", "4"],
         ["pretrain", "--in", "GRID", "--pps", "2", "--steps", "6", "--accum", "4"],
+        ["pretrain", "--in", "GRID", "--pps", "2", "--lr-peak=nan"],
+        ["pretrain", "--in", "GRID", "--pps", "2", "--lr-peak=inf"],
+        ["pretrain", "--in", "GRID", "--pps", "2", "--lr-peak=-1"],
+        ["finetune", "classify", "--dataset", "DATASET", "--checkpoint", "HEAD3"],
+        ["finetune", "forecast", "--in", "LONG_GRID", "--context", "2", "--horizon", "5",
+         "--checkpoint", "HORIZON2"],
         ["preprocess", "--in", "REC", "--band", "1"],
         ["preprocess", "--in", "REC", "--band", "a:b"],
         ["preprocess", "--in", "REC", "--rate", "nan"],
@@ -429,6 +435,8 @@ class TestErrors:
         ["eval", "--in", "ONECOL"],
         ["eval", "--in", "NONNUM", "--task", "regress"],
         ["eval", "--in", "NONINT"],
+        ["eval", "--in", "NAN_ROW", "--task", "regress"],
+        ["eval", "--in", "OVERFLOW", "--task", "regress"],
         ["eval", "--in", "PREDS", "--classes", "0"],
         ["eval", "--in", "HUGE"],
         ["synth", "--components", "1:2"],
@@ -437,14 +445,15 @@ class TestErrors:
         ["spectra", "--in", "GRID", "--threads=-3"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
             "pretrain-no-in", "pps-0", "steps-0", "steps-below-accum", "steps-not-multiple-of-accum",
-            "band-one-number", "band-not-numbers",
+            "lr-peak-nan", "lr-peak-inf", "lr-peak-negative", "classify-head-of-3-classes",
+            "forecast-head-of-horizon-2", "band-one-number", "band-not-numbers",
             "target-rate-nan",
             "eval-empty", "eval-header-only-classify", "eval-header-only-regress",
             "eval-one-column", "eval-non-numeric-row", "eval-non-integer-class",
-            "eval-classes-0", "eval-huge-class", "components-two-fields",
-            "components-not-numbers", "threads-0", "threads-negative"])
+            "eval-nan-regress", "eval-overflow-regress", "eval-classes-0", "eval-huge-class",
+            "components-two-fields", "components-not-numbers", "threads-0", "threads-negative"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
-        from fome import errors
+        from fome import errors, model
         from fome.preprocess import PatchGrid, grid_to_bytes
         from fome.signal_store import Recording, recording_to_bytes
 
@@ -452,8 +461,21 @@ class TestErrors:
                   "HEADER": tmp_path / "header.csv", "ONECOL": tmp_path / "onecol.csv",
                   "NONNUM": tmp_path / "nonnum.csv", "NONINT": tmp_path / "nonint.csv",
                   "PREDS": tmp_path / "preds.csv", "REC": tmp_path / "rec.bin",
-                  "HUGE": tmp_path / "huge.csv"}
+                  "HUGE": tmp_path / "huge.csv", "NAN_ROW": tmp_path / "nan.csv",
+                  "OVERFLOW": tmp_path / "overflow.csv", "DATASET": tmp_path / "dataset.csv",
+                  "LONG_GRID": tmp_path / "long.fegp", "HEAD3": tmp_path / "head3.fckp",
+                  "HORIZON2": tmp_path / "horizon2.fckp"}
         write_file(inputs["GRID"], grid_to_bytes(PatchGrid(np.zeros((2, 4, 16)), 16, 250.0)))
+        # 35 patches: five (2 + 5)-patch forecast windows, split 3:1:1
+        write_file(inputs["LONG_GRID"], grid_to_bytes(PatchGrid(np.zeros((2, 35, 16)), 16, 250.0)))
+        inputs["DATASET"].write_text("".join(f"grid.fegp,{i % 2}\n" for i in range(5)))
+        # checkpoints of the config both runs fit: a 3-class head, a 2-patch horizon
+        tiny = model.preset("tiny", patch_len=16)
+        for name, head in (("HEAD3", model.classify_head_shapes(tiny, 3)),
+                           ("HORIZON2", model.forecast_head_shapes(tiny, 2, 2))):
+            store = model.ParameterStore.initialize(tiny, seed=0)
+            store.add(head, seed=1)
+            model.save_params(store, inputs[name], tiny)
         inputs["EMPTY"].write_text("")
         inputs["HEADER"].write_text("pred,ref\n")
         inputs["ONECOL"].write_text("1\n0\n")
@@ -461,6 +483,8 @@ class TestErrors:
         inputs["NONINT"].write_text("1.7,1\n0,0\n")
         inputs["PREDS"].write_text("0,0\n1,1\n")
         inputs["HUGE"].write_text("1000000,0\n0,0\n")
+        inputs["NAN_ROW"].write_text("1.0,nan\n0,0\n")
+        inputs["OVERFLOW"].write_text("1e308,-1e308\n")
         write_file(inputs["REC"], recording_to_bytes(Recording(np.zeros((2, 1000)), 500.0)))
         args = [str(inputs.get(arg, arg)) for arg in args]
         preset = ["--preset", "tiny"] if args[0] in ("pretrain", "finetune") else []
@@ -476,8 +500,20 @@ class TestErrors:
             assert "--classes" in payload["message"], payload
         elif args[0] == "eval":
             assert payload["error"] == "DataError", payload
-        if str(inputs["NONINT"]) in args:
+        if str(inputs["NONINT"]) in args or str(inputs["NAN_ROW"]) in args:
             assert "row 1 " in payload["message"], payload
+        if str(inputs["OVERFLOW"]) in args:
+            assert "overflow float64" in payload["message"], payload
+        if any(arg.startswith("--lr-peak") for arg in args):
+            assert payload["error"] == "ConfigError", payload
+            assert payload["message"].startswith("lr_peak must be finite and > 0"), payload
+        heads = {"HEAD3": "'head.cls.w3' has shape (2, 3), but n_classes=2 needs (2, 2)",
+                 "HORIZON2": "'head.fcst.w' has shape (16, 32), but context_patches=2, "
+                             "horizon_patches=5 needs (16, 80)"}
+        for name, message in heads.items():
+            if str(inputs[name]) in args:
+                assert payload["error"] == "ConfigError", payload
+                assert message in payload["message"], payload
         if str(inputs["HUGE"]) in args:
             assert payload["message"].startswith("1000001 classes"), payload
         if args[0] == "synth":
@@ -508,7 +544,6 @@ class TestErrors:
             "finetune-out", "manifest", "pretrain-trace", "checkpoint-dir-under-file",
             "eval-not-utf8", "dataset-not-utf8", "csv-recording-not-utf8"])
     def test_file_failures_are_typed_errors(self, tmp_path, args, error):
-        import fome.numerics as nm
         from fome.preprocess import PatchGrid, grid_to_bytes
         from fome.signal_store import Recording, recording_to_bytes
 
@@ -521,7 +556,7 @@ class TestErrors:
         patches = np.random.default_rng(0).standard_normal((2, 4, 16))
         write_file(paths["GRID"], grid_to_bytes(PatchGrid(patches, 16, 250.0)))
         paths["PREDS"].write_text("1,1\n0,0\n")
-        nm.save_checkpoint({"w": np.ones(3)}, paths["CKPT"])
+        paths["CKPT"].write_bytes(fckp_bytes({"w": np.ones(3)}))
         paths["DATASET"].write_text("".join(f"grid.fegp,{i % 2}\n" for i in range(5)))
         paths["NOT_UTF8"].write_bytes(b"# rate_hz=250.0\n1,\xff\n")
         train = ["--preset", "tiny", "--steps", "2", "--batch", "1", "--accum", "1"]
@@ -542,6 +577,8 @@ class TestErrors:
         (["spectra", "--in", "GRID"], "FormatError"),
         (["pretrain", "--in", "GRID"], "FormatError"),
         (["pretrain", "--in", "GOOD_GRID", "--pps", "2", "--checkpoint", "CKPT"], "FormatError"),
+        (["finetune", "impute", "--in", "GOOD_GRID", "--pps", "2", "--checkpoint", "NAN_CKPT"],
+         "DataError"),
         (["finetune", "classify", "--dataset", "DATASET"], "FormatError"),
         (["finetune", "classify", "--dataset", "DATASET_BAD_SPLIT"], "DataError"),
         (["finetune", "classify", "--dataset", "DATASET_MIXED_SPLIT"], "DataError"),
@@ -557,22 +594,24 @@ class TestErrors:
         (["spectra", "--in", "GRID_INF_RATE"], "DataError"),
         (["spectra", "--in", "GRID_ZERO_RATE"], "DataError"),
     ], ids=["synth", "preprocess", "preprocess-csv", "spectra", "pretrain",
-            "pretrain-checkpoint", "finetune-classify", "dataset-unknown-split",
-            "dataset-mixed-split", "dataset-mixed-patch-length", "finetune-forecast",
-            "finetune-impute", "eval", "inspect-checkpoint", "csv-recording-nan-rate",
-            "recording-inf-rate", "grid-nan-rate", "grid-inf-rate", "grid-zero-rate"])
+            "pretrain-checkpoint", "impute-checkpoint-nan", "finetune-classify",
+            "dataset-unknown-split", "dataset-mixed-split", "dataset-mixed-patch-length",
+            "finetune-forecast", "finetune-impute", "eval", "inspect-checkpoint",
+            "csv-recording-nan-rate", "recording-inf-rate", "grid-nan-rate", "grid-inf-rate",
+            "grid-zero-rate"])
     def test_corrupt_input_is_one_typed_json_error(self, tmp_path, args, error):
-        import fome.numerics as nm
+        from fome import model
         from fome.preprocess import PatchGrid, grid_to_bytes
         from fome.signal_store import Recording, recording_to_bytes
 
         grid = grid_to_bytes(PatchGrid(np.ones((2, 4, 16)), 16, 250.0))
+        backbone = model.ParameterStore.initialize(model.preset("tiny", patch_len=16), 0).arrays()
+        backbone["embed.pos"][2, 5] = math.nan
         recording = recording_to_bytes(Recording(np.ones((2, 1000)), 500.0))
-        nm.save_checkpoint({"w": np.ones(3)}, tmp_path / "whole.fckp")
         inputs = {"REC": recording[: len(recording) // 2],
                   "CSV_REC": b"# rate_hz=500.0\n1.0,2.0\n1.0\n",
                   "GRID": grid[: len(grid) // 2], "GOOD_GRID": grid,
-                  "CKPT": (tmp_path / "whole.fckp").read_bytes()[:-5],
+                  "CKPT": fckp_bytes({"w": np.ones(3)})[:-5], "NAN_CKPT": fckp_bytes(backbone),
                   "DATASET": b"grid.fegp,0\ngrid.fegp,1\n",
                   "DATASET_BAD_SPLIT": b"grid.fegp,0,train\ngrid.fegp,1,valid\n",
                   "DATASET_MIXED_SPLIT": b"grid.fegp,0,train\ngrid.fegp,1\n",
@@ -589,7 +628,6 @@ class TestErrors:
                  for name in inputs}
         for name, payload in inputs.items():
             paths[name].write_bytes(payload)
-        (tmp_path / "whole.fckp").unlink()
         train = ["--preset", "tiny", "--steps", "2", "--batch", "1", "--accum", "1"]
         out = tmp_path / "out.bin"
         named = {**paths, "CKDIR": tmp_path / "ckdir"}  # a directory no run may leave
@@ -604,6 +642,8 @@ class TestErrors:
             assert "row 2 ('grid.fegp')" in payload["message"], payload
         if "DATASET_MIXED_PATCH_LEN" in args:
             assert "patch lengths [8, 16]" in payload["message"], payload
+        if "NAN_CKPT" in args:
+            assert "tensor 'embed.pos' holds a non-finite value" in payload["message"], payload
         assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in paths.values())
 
     def test_huge_class_count_refused_before_training(self, tmp_path):
@@ -833,8 +873,6 @@ class TestCheckpointConfig:
             f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg))
 
     def test_file_without_a_record_reads_as_before(self, checkpoints, tmp_path):
-        from conftest import fckp_bytes
-
         from fome import model
 
         # the layout of a checkpoint written before the config record

@@ -1,5 +1,6 @@
 """Embedding composition, encoder-oracle equivalence, masking, heads."""
 
+import struct
 from dataclasses import fields
 from functools import lru_cache
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import fckp_bytes
 from mutations import mutated
@@ -14,7 +16,7 @@ from oracles import encoder_block_oracle, full_row_forward, matmul, mse, primiti
 
 import fome.numerics as nm
 from fome import model
-from fome.errors import CapacityError, ConfigError, FormatError, ShapeError
+from fome.errors import CapacityError, ConfigError, DataError, FormatError, ShapeError
 from fome.model import (
     ModelConfig,
     ParameterStore,
@@ -29,7 +31,7 @@ from fome.model import (
     head_reconstruct,
     load_params,
     param_shapes,
-    params_from_bytes,
+    params_from_checkpoint,
     preset,
     read_checkpoint,
     reconstruct_head_shapes,
@@ -605,6 +607,118 @@ class TestChannelPermutation:
         assert np.array_equal(model._canonical_order(flipped), model._canonical_order(rows))
 
 
+def store_holding(arrays: dict) -> ParameterStore:
+    """A store of exactly `arrays`, in order, whatever their names, shapes
+    and values (`ParameterStore.add` draws its own values)."""
+    store = ParameterStore()
+    for name, array in arrays.items():
+        store._tensors[name] = Tensor(np.asarray(array, dtype=np.float64), requires_grad=True)
+    return store
+
+
+def fckp_record(name: str, tag: int, dims: tuple, data: bytes) -> bytes:
+    """One FCKP record built by hand, for dtype tags `conftest.fckp_bytes`
+    does not write."""
+    encoded = name.encode("utf-8")
+    return (struct.pack("<H", len(encoded)) + encoded + bytes([tag, len(dims)])
+            + struct.pack(f"<{len(dims)}Q", *dims) + data)
+
+
+class TestCheckpointFormat:
+    def test_round_trip_preserves_order_and_values(self, rng, tmp_path):
+        named = {
+            "zulu.w": rng.standard_normal((3, 4)),
+            "alpha.b": rng.standard_normal(7),
+            "mid.scalar": np.array(4.25),
+        }
+        path = tmp_path / "t.fckp"
+        save_params(store_holding(named), path)
+        recorded, back = read_checkpoint(path.read_bytes())
+        assert recorded is None
+        assert list(back) == ["zulu.w", "alpha.b", "mid.scalar"]
+        for key, value in named.items():
+            np.testing.assert_array_equal(back[key], value)
+
+    def test_float32_tag_is_read_and_widened(self):
+        values = np.array([1.0, -0.0, np.inf, 1e-45, 3.4028235e38, -2.5], dtype="<f4")
+        blob = b"FCKP" + struct.pack("<I", 1) + fckp_record("x", 1, (2, 3), values.tobytes())
+        _, back = read_checkpoint(blob)
+        assert back["x"].dtype == np.float64 and back["x"].shape == (2, 3)
+        assert back["x"].astype("<f4").tobytes() == values.tobytes()
+
+    def test_bad_magic(self):
+        with pytest.raises(FormatError, match="bad magic"):
+            read_checkpoint(b"JUNKJUNKJUNK")
+
+    def test_truncation_detected(self, rng, tmp_path):
+        path = tmp_path / "t.fckp"
+        save_params(store_holding({"x": rng.standard_normal((4, 4))}), path)
+        with pytest.raises(FormatError):
+            read_checkpoint(path.read_bytes()[:-10])
+
+    @pytest.mark.parametrize("cfg", [None, tiny_cfg()], ids=["tensor", "config-record"])
+    def test_every_truncation_and_byte_flip_loads_or_is_format_error(self, tmp_path, cfg):
+        path = tmp_path / "t.fckp"
+        save_params(store_holding({"w": np.arange(6.0).reshape(2, 3)}), path, cfg)
+        blob = path.read_bytes()
+        cases = [blob[:end] for end in range(len(blob))]
+        cases += [blob[:i] + bytes([blob[i] ^ bits]) + blob[i + 1:]
+                  for i in range(len(blob)) for bits in (0x01, 0x80, 0xFF)]
+        for case in cases:
+            try:
+                read_checkpoint(case)
+            except FormatError:
+                pass
+
+    def test_config_record_layout(self, tmp_path):
+        path = tmp_path / "t.fckp"
+        save_params(store_holding({"w": np.ones(2)}), path, tiny_cfg())
+        blob, text = path.read_bytes(), record_text(tiny_cfg()).encode()
+        # tag 2, rank 1, the UTF-8 byte length as the one dim, then the bytes
+        assert blob[8:16] == struct.pack("<H", 6) + b"config" and blob[16:18] == bytes([2, 1])
+        assert blob[18:26] == struct.pack("<Q", len(text)) and blob[26:26 + len(text)] == text
+
+    @pytest.mark.parametrize("rank, payload, message", [
+        (2, struct.pack("<QQ", 1, 2) + b"ab", "text record 'config' has rank 2, not 1"),
+        (1, struct.pack("<Q", 2) + b"\xff\xfe", "truncated or corrupt"),
+    ], ids=["rank-2", "not-utf8"])
+    def test_bad_text_record_is_format_error(self, rank, payload, message):
+        blob = b"FCKP" + struct.pack("<IH", 1, 6) + b"config" + bytes([2, rank]) + payload
+        with pytest.raises(FormatError, match=message):
+            read_checkpoint(blob)
+
+    @pytest.mark.parametrize("name, record", [
+        ("w", fckp_record("w", 0, (1,), struct.pack("<d", 1.0))),
+        ("config", fckp_record("config", 2, (0,), b"")),
+    ], ids=["tensor", "config"])
+    def test_duplicate_record_name_rejected(self, name, record):
+        with pytest.raises(FormatError, match=f"'{name}' appears twice"):
+            read_checkpoint(b"FCKP" + struct.pack("<I", 2) + record + record)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), recorded=st.sampled_from([None, tiny_cfg(attn_scale="dk")]))
+    def test_round_trip_is_bitwise(self, tmp_path_factory, data, recorded):
+        # any tensor names but the config record's, any float64 values
+        names = data.draw(st.lists(st.text(st.characters(codec="utf-8"), max_size=8)
+                                   .filter(lambda name: name != "config"),
+                                   max_size=5, unique=True))
+        named = {
+            name: data.draw(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                                    min_side=0, max_side=4)))
+            for name in names
+        }
+        path = tmp_path_factory.mktemp("fckp") / "t.fckp"
+        save_params(store_holding(named), path, recorded)
+        blob = path.read_bytes()
+        record = {} if recorded is None else {"config": record_text(recorded)}
+        assert blob == fckp_bytes({**record, **named})
+        config, back = read_checkpoint(blob)
+        assert config == recorded and list(back) == names
+        for name, array in named.items():
+            assert back[name].dtype == np.float64 and back[name].shape == array.shape
+            assert back[name].tobytes() == array.tobytes()
+
+
 class TestPersistence:
     def test_checkpoint_round_trip_with_validation(self, rng, tmp_path):
         cfg = tiny_cfg()
@@ -616,6 +730,19 @@ class TestPersistence:
         assert list(back.arrays()) == list(store.arrays())
         for name, tensor in store.items():
             np.testing.assert_array_equal(back[name].data, tensor.data)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_reads_but_does_not_load(self, tmp_path, value):
+        # the format holds any float; a store for training holds finite ones
+        cfg = tiny_cfg()
+        store = ParameterStore.initialize(cfg, seed=60)
+        store["embed.pos"].data[3, 1] = value
+        path = tmp_path / "m.fckp"
+        save_params(store, path, cfg)
+        _, arrays = read_checkpoint(path.read_bytes())
+        assert arrays["embed.pos"].tobytes() == store["embed.pos"].data.tobytes()
+        with pytest.raises(DataError, match="m.fckp: tensor 'embed.pos' holds a non-finite"):
+            load_params(path, cfg)
 
     def test_checkpoint_wrong_config_rejected(self, rng, tmp_path):
         cfg = tiny_cfg()
@@ -645,7 +772,7 @@ class TestPersistence:
             load_params(path, tiny_cfg())
         with pytest.raises(ConfigError, match="^<bytes> records dropout=0.0 where the run has "
                                               "0.1, attn_scale='dk' where the run has 'd'$"):
-            params_from_bytes(path.read_bytes(), tiny_cfg(dropout=0.1))
+            params_from_checkpoint(*read_checkpoint(path.read_bytes()), tiny_cfg(dropout=0.1))
 
     def test_text_other_than_the_config_record_is_refused(self):
         arrays = ParameterStore.initialize(tiny_cfg(), seed=65).arrays()

@@ -1,6 +1,5 @@
-"""Forward semantics, gradient fidelity, tape behaviour, checkpoint format."""
+"""Forward semantics, gradient fidelity, tape behaviour."""
 
-import struct
 import tracemalloc
 import weakref
 
@@ -16,7 +15,7 @@ from oracles import (finite_difference_gradients, log, matmul, mse, mul, nll_cha
                      primitive_dropout, primitive_gelu, slice_, transpose)
 
 import fome.numerics as nm
-from fome.errors import ContractError, FormatError, ShapeError, read_file
+from fome.errors import ContractError, ShapeError
 from fome.numerics import Tape, Tensor, backward
 from fome.rng import Rng
 
@@ -642,108 +641,3 @@ class TestShapeErrors:
         with pytest.raises(ShapeError, match="attention"):
             nm.attention(Tensor(np.zeros(q)), Tensor(np.zeros(k)), Tensor(np.zeros(v)), heads, 1.0)
 
-
-class TestCheckpointFormat:
-    def test_round_trip_preserves_order_and_values(self, rng, tmp_path):
-        named = {
-            "zulu.w": rng.standard_normal((3, 4)),
-            "alpha.b": rng.standard_normal(7),
-            "mid.scalar": np.array(4.25),
-        }
-        path = tmp_path / "t.fckp"
-        nm.save_checkpoint(named, path)
-        back = nm.checkpoint_from_bytes(read_file(path))
-        assert list(back) == ["zulu.w", "alpha.b", "mid.scalar"]
-        for key, value in named.items():
-            np.testing.assert_array_equal(back[key], value)
-
-    def test_float32_tag(self, tmp_path):
-        path = tmp_path / "f32.fckp"
-        nm.save_checkpoint({"x": np.ones(5, dtype=np.float32)}, path)
-        back = nm.checkpoint_from_bytes(read_file(path))
-        assert back["x"].dtype == np.float64
-        np.testing.assert_array_equal(back["x"], np.ones(5))
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.fckp"
-        path.write_bytes(b"JUNKJUNKJUNK")
-        with pytest.raises(FormatError):
-            nm.checkpoint_from_bytes(read_file(path))
-
-    def test_truncation_detected(self, rng, tmp_path):
-        path = tmp_path / "t.fckp"
-        nm.save_checkpoint({"x": rng.standard_normal((4, 4))}, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-10])
-        with pytest.raises(FormatError):
-            nm.checkpoint_from_bytes(read_file(path))
-
-    @pytest.mark.parametrize("named", [
-        {"w": np.arange(6.0).reshape(2, 3)}, {"config": "a=1\nb=é\n", "w": np.arange(2.0)},
-    ], ids=["tensor", "text-record"])
-    def test_every_truncation_and_byte_flip_loads_or_is_format_error(self, tmp_path, named):
-        path = tmp_path / "t.fckp"
-        nm.save_checkpoint(named, path)
-        blob = path.read_bytes()
-        cases = [blob[:end] for end in range(len(blob))]
-        cases += [blob[:i] + bytes([blob[i] ^ bits]) + blob[i + 1:]
-                  for i in range(len(blob)) for bits in (0x01, 0x80, 0xFF)]
-        for case in cases:
-            path.write_bytes(case)
-            try:
-                nm.checkpoint_from_bytes(read_file(path))
-            except FormatError:
-                pass
-
-    def test_text_record_round_trip(self, tmp_path):
-        path = tmp_path / "t.fckp"
-        nm.save_checkpoint({"note": "key=välue\n", "w": np.ones(2)}, path)
-        blob = path.read_bytes()
-        # tag 2, rank 1, the UTF-8 byte length as the one dim, then the bytes
-        assert blob[8:10] == struct.pack("<H", 4) and blob[14:16] == bytes([2, 1])
-        assert blob[16:24] == struct.pack("<Q", 11) and blob[24:35] == "key=välue\n".encode()
-        back = nm.checkpoint_from_bytes(blob)
-        assert list(back) == ["note", "w"] and back["note"] == "key=välue\n"
-
-    @pytest.mark.parametrize("rank, payload, message", [
-        (2, struct.pack("<QQ", 1, 2) + b"ab", "text record 'c' has rank 2, not 1"),
-        (1, struct.pack("<Q", 2) + b"\xff\xfe", "truncated or corrupt"),
-    ], ids=["rank-2", "not-utf8"])
-    def test_bad_text_record_is_format_error(self, rank, payload, message):
-        blob = b"FCKP" + struct.pack("<IH", 1, 1) + b"c" + bytes([2, rank]) + payload
-        with pytest.raises(FormatError, match=message):
-            nm.checkpoint_from_bytes(blob)
-
-    def test_duplicate_tensor_name_rejected(self, tmp_path):
-        def record(name, value):
-            encoded = name.encode("utf-8")
-            return (struct.pack("<H", len(encoded)) + encoded + struct.pack("<BBQ", 0, 1, 1)
-                    + struct.pack("<d", value))
-
-        path = tmp_path / "dup.fckp"
-        path.write_bytes(b"FCKP" + struct.pack("<I", 2) + record("w", 1.0) + record("w", 2.0))
-        with pytest.raises(FormatError, match="'w' appears twice"):
-            nm.checkpoint_from_bytes(read_file(path))
-
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data(), dtype=st.sampled_from([np.float64, np.float32]))
-    def test_round_trip_is_bitwise(self, tmp_path_factory, data, dtype):
-        names = data.draw(st.lists(st.text(st.characters(codec="utf-8"), max_size=8),
-                                   max_size=5, unique=True))
-        # float32 NaN payloads need not survive the widening to float64
-        elements = st.floats(width=np.dtype(dtype).itemsize * 8, allow_nan=dtype == np.float64)
-        named = {
-            name: data.draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3,
-                                                               min_side=0, max_side=4),
-                                       elements=elements))
-            for name in names
-        }
-        path = tmp_path_factory.mktemp("fckp") / "t.fckp"
-        nm.save_checkpoint(named, path)
-        back = nm.checkpoint_from_bytes(read_file(path))
-        assert list(back) == names
-        for name, array in named.items():
-            assert back[name].dtype == np.float64
-            assert back[name].shape == array.shape
-            restored = back[name].astype(dtype)
-            assert restored.tobytes() == array.tobytes()

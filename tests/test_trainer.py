@@ -71,9 +71,16 @@ class TestSchedule:
         values = [lr_at(int(s), cfg) for s in steps]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_checkpoint_cadence_below_one_rejected(self):
-        with pytest.raises(ConfigError, match="checkpoint_every"):
-            TrainConfig(checkpoint_every=0)
+    @pytest.mark.parametrize("field, value", [
+        ("checkpoint_every", 0), ("lr_init", -1e-6), ("lr_init", math.inf),
+        ("lr_peak", math.nan), ("lr_peak", math.inf), ("lr_peak", -1.0), ("lr_peak", 0.0),
+        ("lr_final", math.nan), ("lr_final", -1e-9), ("beta1", 1.0), ("beta1", -0.1),
+        ("beta2", math.nan), ("beta2", 1.5), ("adam_eps", 0.0), ("adam_eps", math.inf),
+        ("weight_decay", -1e-2), ("weight_decay", math.nan),
+    ])
+    def test_out_of_range_field_is_named(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
 
     def test_scale_schedule_keeps_ratio(self):
         cfg = scale_schedule(TrainConfig(), 2000)
