@@ -415,7 +415,7 @@ def _cmd_eval(args, manifest: _Manifest) -> None:
     for number, row in enumerate(rows[first:], start=first + 1):
         try:
             pred, ref = value(row[0]), value(row[1])
-            if not (math.isfinite(pred) and math.isfinite(ref)):
+            if not classify and not (math.isfinite(pred) and math.isfinite(ref)):
                 raise ValueError
         except (IndexError, ValueError, OverflowError):
             wanted = "integer class labels" if classify else "finite numeric values"

@@ -82,9 +82,10 @@ class TrainConfig:
             raise ConfigError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
         # lr_peak first: the CLI derives lr_init and lr_final from it
         for name in ("lr_peak", "lr_init", "lr_final", "adam_eps", "weight_decay"):
-            value, bound = getattr(self, name), "> 0" if name in ("lr_peak", "adam_eps") else ">= 0"
-            if not math.isfinite(value) or value < 0 or (value == 0 and bound == "> 0"):
-                raise ConfigError(f"{name} must be finite and {bound}, got {value}")
+            value, positive = getattr(self, name), name in ("lr_peak", "adam_eps")
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                raise ConfigError(f"{name} must be finite and {'> 0' if positive else '>= 0'}, "
+                                  f"got {value}")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
@@ -532,9 +533,8 @@ def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: Param
 
     `head_loss(encoded, idx)` is the taped mean loss of the encoded stack
     of samples `idx`, `score(idx)` their report, and `val_loss(report)` the
-    validation loss.  `head` is the (shapes, seed, setting) of the task
-    head, added to `params` once `mode`, the splits and `steps` pass their
-    checks.
+    validation loss.  `head` (shapes, seed, setting) is the task head, added
+    to `params` once `mode`, the splits and `steps` pass their checks.
     Probe mode trains the head's tensors only, on encodings computed once:
     the frozen backbone maps each sample to the same rows at every step."""
     if mode not in ("full", "probe"):
