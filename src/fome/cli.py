@@ -24,7 +24,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .errors import ConfigError, DataError, FomeError, decode_text, read_file, write_file
 
@@ -268,22 +268,26 @@ def _fit_model(args, samples, manifest: _Manifest):
     return fitted, model.params_from_checkpoint(recorded, arrays, fitted, args.checkpoint)
 
 
-def _train_config(args, **overrides):
+def _train_config(args):
+    """The `TrainConfig` with each field the command has a flag for (the
+    flag's dest is the field's name) set from it, and lr_init and lr_final
+    derived from --lr-peak; every other field keeps its default."""
     from .trainer import TrainConfig
 
-    fields = dict(
-        seed=args.seed,
-        mask_ratio=args.mask_ratio,
-        mask_mode=args.mask_mode,
-        loss_scope="all" if args.loss_all else "masked_only",
-        batch_size=args.batch,
-        grad_accum=args.accum,
-    )
-    if args.lr_peak is not None:
-        fields.update(lr_peak=args.lr_peak, lr_init=args.lr_peak / 25.0,
-                      lr_final=args.lr_peak / 10_000.0)
-    fields.update(overrides)
-    return TrainConfig(**fields)
+    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name in args}
+    if args.lr_peak is None:
+        del given["lr_peak"]
+    else:
+        given.update(lr_init=args.lr_peak / 25.0, lr_final=args.lr_peak / 10_000.0)
+    return TrainConfig(**given)
+
+
+def _refuse_stdout(args, *dests: str) -> None:
+    """A `ConfigError` for the first flag of `dests` given as "-": a
+    checkpoint, a trace and a checkpoint directory are never streamed."""
+    for dest in dests:
+        if getattr(args, dest, None) == "-":
+            raise ConfigError(f"--{dest.replace('_', '-')} needs a file path, not '-'")
 
 
 def _load_grids(paths: list[str] | tuple[str, ...], manifest: _Manifest):
@@ -295,6 +299,7 @@ def _load_grids(paths: list[str] | tuple[str, ...], manifest: _Manifest):
 def _cmd_pretrain(args, manifest: _Manifest) -> None:
     from . import model, trainer
 
+    _refuse_stdout(args, "out", "trace")
     if not args.infile:
         raise ConfigError("pretrain needs at least one --in grid")
     train_cfg = _train_config(args)
@@ -349,14 +354,15 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
     from . import model, trainer
     from .rng import Rng
 
-    if args.task == "classify" and args.manifest_csv is None:
+    _refuse_stdout(args, "out_checkpoint", "checkpoint_dir")
+    if args.task == "classify" and args.dataset is None:
         raise ConfigError("finetune classify needs --dataset")
     if args.task != "classify" and not args.infile:
         raise ConfigError(f"finetune {args.task} needs at least one --in grid")
-    train_cfg = _train_config(args, checkpoint_every=args.checkpoint_every)
+    train_cfg = _train_config(args)
 
     if args.task == "classify":
-        rows = _read_dataset_manifest(args.manifest_csv, manifest)
+        rows = _read_dataset_manifest(args.dataset, manifest)
         grids = _load_grids([grid_path for grid_path, _, _ in rows], manifest)
         dataset = [(grid, label) for grid, (_, label, _) in zip(grids, rows)]
         splits = None
@@ -407,6 +413,8 @@ def _cmd_eval(args, manifest: _Manifest) -> None:
 
     if args.classes is not None and args.classes < 1:
         raise ConfigError(f"--classes must be >= 1, got {args.classes}")
+    if args.classes is not None and args.task != "classify":
+        raise ConfigError(f"--classes applies to --task classify, not {args.task}")
     rows = list(csv.reader(_load(args.infile, manifest, decode_text).splitlines()))
     first = 0 if rows and _is_numeric_row(rows[0]) else 1
     classify = args.task == "classify"
@@ -470,38 +478,46 @@ def _cmd_inspect_checkpoint(args, manifest: _Manifest) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="BLAS/OpenMP threads (default: the environment's, else 1)")
-    p.add_argument("--manifest", default=None, help="explicit manifest path")
-
-
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preset", choices=("tiny", "base", "large"), default=None)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--mask-ratio", dest="mask_ratio", type=float, default=0.40)
-    p.add_argument("--mask-mode", dest="mask_mode", choices=("slot", "column"), default="slot")
-    p.add_argument("--loss-all", dest="loss_all", action="store_true")
-    p.add_argument("--scale", choices=("d", "dk"), default=None)
-    p.add_argument("--ablate", action="append",
-                   choices=("freq", "temporal", "channel", "conv-embed"))
-    p.add_argument("--batch", type=int, default=12)
-    p.add_argument("--accum", type=int, default=4)
-    p.add_argument("--lr-peak", dest="lr_peak", type=float, default=None,
-                   help="override peak lr (init=peak/25, final=peak/1e4)")
-    p.add_argument("--checkpoint", default=None, help="initialize from this checkpoint")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `fome` parser, built once per process; defaults are immutable so
-    that no parse can change what the next one sees."""
+    that no parse can change what the next one sees.  Each command and task
+    takes only the flags it reads; each adds its own `--in` and `--out`."""
+    flags = functools.partial(argparse.ArgumentParser, add_help=False)
     parser = argparse.ArgumentParser(prog="fome", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic recording")
-    _add_common(p)
+    common = flags()
+    common.add_argument("--threads", type=int, default=None,
+                        help="BLAS/OpenMP threads (default: the environment's, else 1)")
+    common.add_argument("--manifest", default=None, help="explicit manifest path")
+    seeded = flags(parents=[common])
+    seeded.add_argument("--seed", type=int, default=0)
+    training = flags(parents=[seeded])
+    training.add_argument("--preset", choices=("tiny", "base", "large"), default=None)
+    training.add_argument("--steps", type=int, default=2000)
+    training.add_argument("--scale", choices=("d", "dk"), default=None)
+    training.add_argument("--ablate", action="append",
+                          choices=("freq", "temporal", "channel", "conv-embed"))
+    training.add_argument("--batch", dest="batch_size", type=int, default=12)
+    training.add_argument("--accum", dest="grad_accum", type=int, default=4)
+    training.add_argument("--lr-peak", type=float, default=None,
+                          help="override peak lr (init=peak/25, final=peak/1e4)")
+    training.add_argument("--checkpoint", default=None, help="initialize from this checkpoint")
+    masked = flags(parents=[training])  # masked reconstruction: pretrain, finetune impute
+    masked.add_argument("--mask-ratio", type=float, default=0.40)
+    masked.add_argument("--mask-mode", choices=("slot", "column"), default="slot")
+    masked.add_argument("--loss-all", dest="loss_scope", action="store_const", const="all",
+                        default="masked_only", help="loss on every patch, not the masked only")
+    masked.add_argument("--pps", type=int, default=15, help="patches per sample")
+    head = flags(parents=[training])  # a supervised task head: finetune classify, forecast
+    head.add_argument("--mode", choices=("full", "probe"), default="full")
+    head.add_argument("--checkpoint-dir", default=None,
+                      help="directory for cadence + best-validation checkpoints")
+    head.add_argument("--checkpoint-every", type=int, default=500,
+                      help="optimizer steps between cadence checkpoints (default 500)")
+
+    p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic recording")
     p.add_argument("--out", default="-")
     p.add_argument("--channels", type=int, default=4)
     p.add_argument("--duration", type=float, default=60.0)
@@ -512,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("binary", "csv"), default="binary")
     p.set_defaults(fn=_cmd_synth)
 
-    p = sub.add_parser("preprocess", help="condition a recording into a patch grid")
-    _add_common(p)
+    p = sub.add_parser("preprocess", parents=[common],
+                       help="condition a recording into a patch grid")
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
     p.add_argument("--notch", type=float, choices=(50.0, 60.0), default=50.0)
@@ -524,53 +540,45 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("binary", "csv"), default="binary")
     p.set_defaults(fn=_cmd_preprocess)
 
-    p = sub.add_parser("spectra", help="eight-band log powers per patch as CSV")
-    _add_common(p)
+    p = sub.add_parser("spectra", parents=[common],
+                       help="eight-band log powers per patch as CSV")
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
     p.add_argument("--taper", choices=("none", "hann"), default="none")
     p.set_defaults(fn=_cmd_spectra)
 
-    p = sub.add_parser("pretrain", help="masked-reconstruction pre-training")
-    _add_common(p)
-    _add_train_flags(p)
+    p = sub.add_parser("pretrain", parents=[masked], help="masked-reconstruction pre-training")
     p.add_argument("--in", dest="infile", nargs="*", default=("-",))
     p.add_argument("--out", default="checkpoint.fckp")
     p.add_argument("--trace", default=None, help="loss trace CSV path")
-    p.add_argument("--pps", type=int, default=15, help="patches per sample")
     p.set_defaults(fn=_cmd_pretrain)
 
-    p = sub.add_parser("finetune", help="fine-tune for a downstream task")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("task", choices=("classify", "forecast", "impute"))
-    p.add_argument("--in", dest="infile", nargs="*", default=())
-    p.add_argument("--dataset", dest="manifest_csv", default=None,
-                   help="labeled dataset manifest CSV (classify)")
-    p.add_argument("--out", default="-", help="metrics JSON path")
-    p.add_argument("--out-checkpoint", dest="out_checkpoint", default=None)
-    p.add_argument("--checkpoint-dir", dest="checkpoint_dir", default=None,
-                   help="directory for cadence + best-validation checkpoints")
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int, default=500,
-                   help="optimizer steps between cadence checkpoints (default 500)")
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--mode", choices=("full", "probe"), default="full")
-    p.add_argument("--context", type=int, default=15)
-    p.add_argument("--horizon", type=int, default=2, choices=(2, 5))
-    p.add_argument("--missing-ratio", dest="missing_ratio", type=float, default=0.40)
-    p.add_argument("--pps", type=int, default=15)
-    p.set_defaults(fn=_cmd_finetune)
+    tasks = sub.add_parser("finetune", help="fine-tune for a downstream task").add_subparsers(
+        dest="task", required=True)
+    for task, group, about in (("classify", head, "classification from a labeled dataset"),
+                               ("forecast", head, "forecast the patches after a context"),
+                               ("impute", masked, "reconstruct hidden patches")):
+        p = tasks.add_parser(task, parents=[group], help=about)
+        p.add_argument("--out", default="-", help="metrics JSON path")
+        p.add_argument("--out-checkpoint", default=None)
+        p.set_defaults(fn=_cmd_finetune)
+    classify, forecast, impute = tasks.choices.values()
+    classify.add_argument("--dataset", default=None, help="labeled dataset manifest CSV")
+    classify.add_argument("--classes", type=int, default=2)
+    for p in (forecast, impute):
+        p.add_argument("--in", dest="infile", nargs="*", default=())
+    forecast.add_argument("--context", type=int, default=15)
+    forecast.add_argument("--horizon", type=int, default=2, choices=(2, 5))
+    impute.add_argument("--missing-ratio", type=float, default=0.40)
 
-    p = sub.add_parser("eval", help="score a predictions CSV")
-    _add_common(p)
+    p = sub.add_parser("eval", parents=[common], help="score a predictions CSV")
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
     p.add_argument("--task", choices=("classify", "regress"), default="classify")
-    p.add_argument("--classes", type=int, default=None)
+    p.add_argument("--classes", type=int, default=None, help="class count (--task classify)")
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("inspect-checkpoint", help="list checkpoint tensors")
-    _add_common(p)
+    p = sub.add_parser("inspect-checkpoint", parents=[common], help="list checkpoint tensors")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default="-")
     p.add_argument("--json", action="store_true")

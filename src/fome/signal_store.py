@@ -19,8 +19,8 @@ rows of C values.
 Samples are stored as 32-bit floats on disk and widened to float64 in
 memory.  Everything produced by `generate_synthetic` is quantized to the
 32-bit storage grid up front, so encode -> decode round-trips are bit-exact.
-A `Recording` checks that its samples are finite when it is built, and
-the decoders refuse a non-finite sample in their input; the encoders do
+A `Recording` checks that its samples are finite when it is built, naming
+its `id` (a decoder's source) in the error; the decoders and encoders do
 not check again.
 """
 
@@ -57,11 +57,12 @@ class Recording:
             raise DataError(f"data must be 2-D (channels, samples), got shape {self.data.shape}")
         if self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise DataError(f"need at least one channel and one sample, got {self.data.shape}")
+        if not np.all(np.isfinite(self.data)):
+            c, t = np.argwhere(~np.isfinite(self.data))[0]
+            where = f"{self.id}: " if self.id else ""
+            raise DataError(f"{where}non-finite sample at channel {c}, index {t}")
         if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise DataError(f"sample rate must be finite and positive, got {self.sample_rate_hz} Hz")
-        if not np.all(np.isfinite(self.data)):
-            c, t = _first_nonfinite(self.data)
-            raise DataError(f"non-finite sample at channel {c}, index {t}")
         if self.channel_labels is not None and len(self.channel_labels) != self.data.shape[0]:
             raise DataError(
                 f"{len(self.channel_labels)} labels for {self.data.shape[0]} channels"
@@ -117,11 +118,6 @@ class SyntheticSpec:
                 raise SpecError(
                     f"component frequency {comp.frequency_hz} Hz >= Nyquist {nyquist} Hz"
                 )
-
-
-def _first_nonfinite(data: np.ndarray) -> tuple[int, int]:
-    bad = np.argwhere(~np.isfinite(data))
-    return int(bad[0][0]), int(bad[0][1])
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Recording:
@@ -199,11 +195,7 @@ def recording_from_bytes(buf: bytes, source: str = "<bytes>", format: str = "bin
     if len(buf) != expected:
         raise FormatError(f"{source}: payload is {len(buf)} bytes, expected {expected}")
     flat = np.frombuffer(buf, dtype="<f4", offset=_HEADER.size)
-    data = flat.astype(np.float64).reshape(c, t)
-    if not np.all(np.isfinite(data)):
-        ch, idx = _first_nonfinite(data)
-        raise DataError(f"{source}: non-finite sample at channel {ch}, index {idx}")
-    return Recording(data=data, sample_rate_hz=rate, id=source)
+    return Recording(data=flat.astype(np.float64).reshape(c, t), sample_rate_hz=rate, id=source)
 
 
 # rows the CSV writer formats per `%` call
@@ -243,11 +235,8 @@ def _recording_from_csv(buf: bytes, source: str) -> Recording:
         values = _loadtxt_rows(buf, len(labels))
     if values is None:
         rate, labels, values = _csv_rows(decode_text(buf, source), source)
-    data = values.T.astype(np.float64)
-    if not np.all(np.isfinite(data)):
-        ch, idx = _first_nonfinite(data)
-        raise DataError(f"{source}: non-finite sample at channel {ch}, index {idx}")
-    return Recording(data=data, sample_rate_hz=rate, channel_labels=labels, id=source)
+    return Recording(data=values.T.astype(np.float64), sample_rate_hz=rate,
+                     channel_labels=labels, id=source)
 
 
 def _csv_header(first: str, second: str, source: str) -> tuple[float, list[str]]:

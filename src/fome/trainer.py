@@ -746,7 +746,10 @@ def finetune_forecast(
     def score(idx) -> MetricsReport:
         return _score_forecast(store, idx, dataset, params, model_cfg, horizon_patches)
 
-    context = dataset[0].context.n_patches
+    contexts = sorted({sample.context.n_patches for sample in dataset})
+    if len(contexts) > 1:
+        raise ConfigError(f"samples mix context lengths {contexts}; one forecast head takes one")
+    context = contexts[0]
     head = (mdl.forecast_head_shapes(model_cfg, context, horizon_patches), cfg.seed + 3,
             f"context_patches={context}, horizon_patches={horizon_patches}")
     report = _finetune(forecast_mse, score, lambda r: r.mse, store, splits, params, model_cfg,

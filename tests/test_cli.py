@@ -279,6 +279,109 @@ class TestProcessState:
                 assert not isinstance(action.default, (list, dict, set)), (name, action.dest)
 
 
+def command_parsers(parser):
+    """(command, parser) of every command and `finetune` task."""
+    def choices(p):
+        return next(a for a in p._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    for name, command in choices(parser).items():
+        if name == "finetune":
+            yield from (((name, task), sub) for task, sub in choices(command).items())
+        else:
+            yield (name,), command
+
+
+def command_of(argv):
+    """The command, and for `finetune` the task, that `argv` runs."""
+    return tuple(argv[:2 if argv[0] == "finetune" else 1])
+
+
+# (argv, flag, value) of each flag that a command or task accepted, and
+# never read, while `finetune` was one parser for every task
+UNREAD = [(["finetune", "classify"], flag, value) for flag, value in (
+    ("--mask-ratio", "0.5"), ("--mask-mode", "column"), ("--loss-all", None), ("--in", "g"),
+    ("--context", "2"), ("--horizon", "5"), ("--missing-ratio", "0.4"), ("--pps", "3"))] + [
+    (["finetune", "forecast"], flag, value) for flag, value in (
+        ("--mask-ratio", "0.5"), ("--mask-mode", "column"), ("--loss-all", None),
+        ("--dataset", "d.csv"), ("--classes", "3"), ("--missing-ratio", "0.4"), ("--pps", "3"))] + [
+    (["finetune", "impute"], flag, value) for flag, value in (
+        ("--dataset", "d.csv"), ("--checkpoint-dir", "ck"), ("--checkpoint-every", "1"),
+        ("--classes", "3"), ("--mode", "probe"), ("--context", "2"), ("--horizon", "5"))] + [
+    (command, "--seed", "1") for command in (["preprocess"], ["spectra"], ["eval"],
+                                            ["inspect-checkpoint", "--in", "ck.fckp"])]
+
+
+class TestFlags:
+    """In process: each command and `finetune` task takes exactly the flags
+    it reads."""
+
+    @pytest.fixture(autouse=True)
+    def _in_process(self, monkeypatch):
+        for var in cli._THREAD_VARS:
+            monkeypatch.setenv(var, os.environ.get(var, "1"))
+        monkeypatch.setattr(cli, "_git_describe", lambda: "test")
+
+    def test_every_flag_is_read(self, tmp_path, monkeypatch):
+        from fome.preprocess import PatchGrid, grid_to_bytes
+
+        reads = set()
+
+        class Reads(argparse.Namespace):
+            def __getattribute__(self, name):
+                # the manifest's copy of --seed records it; only a draw uses it
+                if name != "seed" or sys._getframe(1).f_code is not cli._Manifest.__init__.__code__:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        parser = cli.build_parser()
+
+        class Parser:
+            @staticmethod
+            def parse_args(argv):
+                args = parser.parse_args(argv, namespace=Reads())
+                reads.clear()  # what argparse itself looked at
+                return args
+
+        monkeypatch.setattr(cli, "build_parser", Parser)
+        path = {name: str(tmp_path / name) for name in (
+            "rec.feeg", "grid.fegp", "long.fegp", "ck.fckp", "preds.csv")}
+        write_file(path["long.fegp"], grid_to_bytes(PatchGrid(
+            np.random.default_rng(2).standard_normal((2, 35, 16)), 16, 250.0)))
+        (tmp_path / "preds.csv").write_text("0,0\n1,1\n")
+        train = ["--steps", "1", "--accum", "1", "--batch", "1", "--preset", "tiny"]
+        runs = [
+            ["synth", "--seed", "3", "--channels", "2", "--duration", "24", "--out",
+             path["rec.feeg"]],
+            ["preprocess", "--in", path["rec.feeg"], "--out", path["grid.fegp"], "--window", "500"],
+            ["spectra", "--in", path["grid.fegp"]],
+            ["pretrain", "--in", path["grid.fegp"], "--pps", "3", "--out", path["ck.fckp"], *train],
+            ["finetune", "classify", "--dataset", str(write_classify_dataset(tmp_path, seed=1)),
+             *train],
+            ["finetune", "forecast", "--in", path["long.fegp"], "--context", "2", *train],
+            ["finetune", "impute", "--in", path["long.fegp"], "--pps", "5", *train],
+            ["eval", "--in", path["preds.csv"]],
+            ["inspect-checkpoint", "--in", path["ck.fckp"]],
+        ]
+        commands = dict(command_parsers(parser))
+        assert sorted(map(command_of, runs)) == sorted(commands)
+        for argv in runs:
+            command = command_of(argv)
+            out = [] if "--out" in argv else ["--out", str(tmp_path / "-".join(command))]
+            assert cli.main(argv + out) == 0, argv
+            flags = {action.dest for action in commands[command]._actions
+                     if action.option_strings and action.dest != "help"}
+            assert flags - reads == set(), command
+            reads.clear()
+
+    @pytest.mark.parametrize("command, flag, value", UNREAD,
+                             ids=[" ".join(command_of(c) + (f,)) for c, f, _ in UNREAD])
+    def test_flag_a_command_does_not_read_is_a_usage_error(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(command + [flag] + ([value] if value else []))
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestSpectraCommand:
     def test_band_csv_shape(self, tmp_path):
         synth = run_cli(["synth", "--seed", "3", "--channels", "2", "--duration", "24",
@@ -423,6 +526,10 @@ class TestErrors:
         ["pretrain", "--in", "GRID", "--pps", "2", "--lr-peak=nan"],
         ["pretrain", "--in", "GRID", "--pps", "2", "--lr-peak=inf"],
         ["pretrain", "--in", "GRID", "--pps", "2", "--lr-peak=-1"],
+        ["pretrain", "--in", "GRID", "--pps", "2", "--out", "-"],
+        ["pretrain", "--in", "GRID", "--pps", "2", "--trace", "-"],
+        ["finetune", "classify", "--dataset", "DATASET", "--out-checkpoint", "-"],
+        ["finetune", "classify", "--dataset", "DATASET", "--checkpoint-dir", "-"],
         ["finetune", "classify", "--dataset", "DATASET", "--checkpoint", "HEAD3"],
         ["finetune", "forecast", "--in", "LONG_GRID", "--context", "2", "--horizon", "5",
          "--checkpoint", "HORIZON2"],
@@ -438,6 +545,7 @@ class TestErrors:
         ["eval", "--in", "NAN_ROW", "--task", "regress"],
         ["eval", "--in", "OVERFLOW", "--task", "regress"],
         ["eval", "--in", "PREDS", "--classes", "0"],
+        ["eval", "--in", "PREDS", "--task", "regress", "--classes", "3"],
         ["eval", "--in", "HUGE"],
         ["synth", "--components", "1:2"],
         ["synth", "--components", "a:b:c:d"],
@@ -445,12 +553,15 @@ class TestErrors:
         ["spectra", "--in", "GRID", "--threads=-3"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
             "pretrain-no-in", "pps-0", "steps-0", "steps-below-accum", "steps-not-multiple-of-accum",
-            "lr-peak-nan", "lr-peak-inf", "lr-peak-negative", "classify-head-of-3-classes",
+            "lr-peak-nan", "lr-peak-inf", "lr-peak-negative", "pretrain-out-stdout",
+            "pretrain-trace-stdout", "out-checkpoint-stdout", "checkpoint-dir-stdout",
+            "classify-head-of-3-classes",
             "forecast-head-of-horizon-2", "band-one-number", "band-not-numbers",
             "target-rate-nan",
             "eval-empty", "eval-header-only-classify", "eval-header-only-regress",
             "eval-one-column", "eval-non-numeric-row", "eval-non-integer-class",
-            "eval-nan-regress", "eval-overflow-regress", "eval-classes-0", "eval-huge-class",
+            "eval-nan-regress", "eval-overflow-regress", "eval-classes-0",
+            "eval-classes-for-regress", "eval-huge-class",
             "components-two-fields", "components-not-numbers", "threads-0", "threads-negative"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
         from fome import errors, model
@@ -488,7 +599,9 @@ class TestErrors:
         write_file(inputs["REC"], recording_to_bytes(Recording(np.zeros((2, 1000)), 500.0)))
         args = [str(inputs.get(arg, arg)) for arg in args]
         preset = ["--preset", "tiny"] if args[0] in ("pretrain", "finetune") else []
-        result = run_cli(args + preset + ["--out", str(tmp_path / "out.bin")])
+        out = [] if "--out" in args else ["--out", str(tmp_path / "out.bin")]
+        # in `tmp_path`, which must hold only the inputs afterwards
+        result = run_cli(args + preset + out, cwd=tmp_path)
         assert result.returncode == 1, result.stderr
         payload = json.loads(result.stderr)
         assert issubclass(getattr(errors, payload["error"]), errors.FomeError), payload
@@ -523,6 +636,10 @@ class TestErrors:
         if any(arg.startswith("--threads") for arg in args):
             assert payload["error"] == "ConfigError", payload
             assert "--threads must be >= 1" in payload["message"], payload
+        if "-" in args:
+            flag = args[args.index("-") - 1]
+            assert payload == {"error": "ConfigError",
+                               "message": f"{flag} needs a file path, not '-'"}, payload
         assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in inputs.values())
 
     @pytest.mark.parametrize("args, error", [

@@ -304,6 +304,13 @@ class TestRecordingInvariants:
         data[0, 1] = np.inf
         with pytest.raises(DataError, match="channel 0, index 1"):
             Recording(data, 250.0)
+        # the one check of a decoded recording names its source
+        with pytest.raises(DataError, match=r"^x\.feeg: non-finite sample at channel 0, index 1$"):
+            Recording(data, 250.0, id="x.feeg")
+        blob = recording_to_bytes(Recording(np.ones((2, 3)), 250.0))
+        blob[-8:-4] = struct.pack("<f", np.inf)
+        with pytest.raises(DataError, match=r"^x\.feeg: non-finite sample at channel 1, index 1$"):
+            recording_from_bytes(bytes(blob), "x.feeg")
 
     def test_rejects_empty(self):
         with pytest.raises(DataError):

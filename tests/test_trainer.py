@@ -915,6 +915,19 @@ class TestRefusedCalls:
                 for name, tensor in params.items()] == before
         assert all(tensor.grad is None for _, tensor in params.items())
 
+    def test_mixed_forecast_contexts_refused_before_the_head(self, tmp_path):
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=31)
+        grid = PatchGrid(np.random.default_rng(5).standard_normal((2, 30, 8)), 8, 250.0)
+        mixed = [sample for pair in zip(forecast_samples_from_grid(grid, 2, 2),
+                                        forecast_samples_from_grid(grid, 3, 2))
+                 for sample in pair]
+        with pytest.raises(ConfigError, match=r"mix context lengths \[2, 3\]"):
+            trainer.finetune_forecast(mixed, params, cfg, flat_lr_config(checkpoint_every=1), 2,
+                                      steps=2, checkpoint_dir=tmp_path)
+        assert [name for name, _ in params.items() if name.startswith("head.fcst.")] == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFittedSchedule:
     """`_train_loop` fits the schedule to its steps for every task."""
