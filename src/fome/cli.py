@@ -24,7 +24,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 from .errors import ConfigError, DataError, FomeError, decode_text, read_file, write_file
 
@@ -179,35 +179,30 @@ def _cmd_synth(args, manifest: _Manifest) -> None:
         noise_std=args.noise,
     )
     recording = generate_synthetic(spec)
-    manifest.add_config("synthetic", {
-        "channels": spec.channels, "duration_s": spec.duration_s,
-        "sample_rate_hz": spec.sample_rate_hz, "seed": spec.seed,
-        "noise_std": spec.noise_std, "components": [list(c) for c in spec.components],
-    })
+    manifest.add_config("synthetic", asdict(spec))
     _write(args.out, recording_to_bytes(recording, args.format), manifest)
 
 
-def _preprocess_config(args):
-    from .preprocess import PreprocessConfig
-
-    try:
-        lo, hi = (float(s) for s in args.band.split(":"))
-    except ValueError:
-        raise ConfigError(f"--band must be LO:HI in Hz, got {args.band!r}") from None
-    return PreprocessConfig(
-        notch_hz=float(args.notch),
-        band_lo_hz=lo,
-        band_hi_hz=hi,
-        target_rate_hz=args.rate,
-        window_len_samples=args.window,
-    )
+def _with_flags(cfg, args, **derived):
+    """`cfg` with `derived` and each field whose flag (dest: the field's name,
+    default: None) the run set; a field left out keeps `cfg`'s value."""
+    given = {f.name: getattr(args, f.name) for f in fields(cfg)
+             if getattr(args, f.name, None) is not None}
+    return replace(cfg, **given, **derived)
 
 
 def _cmd_preprocess(args, manifest: _Manifest) -> None:
-    from .preprocess import grid_to_bytes, preprocess_pipeline
+    from .preprocess import PreprocessConfig, grid_to_bytes, preprocess_pipeline
     from .signal_store import recording_from_bytes
 
-    cfg = _preprocess_config(args)
+    band = {}
+    if args.band is not None:
+        try:
+            lo, hi = (float(s) for s in args.band.split(":"))
+        except ValueError:
+            raise ConfigError(f"--band must be LO:HI in Hz, got {args.band!r}") from None
+        band = dict(band_lo_hz=lo, band_hi_hz=hi)
+    cfg = _with_flags(PreprocessConfig(), args, **band)
     # the pipeline holds the only reference to the decoded recording and
     # drops it once filtered
     grid = preprocess_pipeline(
@@ -240,8 +235,6 @@ def _fit_model(args, samples, manifest: _Manifest):
     longest, and a conv kernel shrinks to the largest of 10, 5, 4, 2, 1 that
     divides it.  Mixed lengths, or a result other than the record, are a
     `ConfigError`."""
-    from dataclasses import replace
-
     from . import model
 
     lengths = sorted({grid.patch_len for grid in samples})
@@ -252,8 +245,7 @@ def _fit_model(args, samples, manifest: _Manifest):
     cfg = model.preset(args.preset or "tiny") if recorded is None else recorded
     if args.preset and recorded is not None:
         cfg = model.apply_preset(cfg, args.preset)
-    if args.scale:
-        cfg = replace(cfg, attn_scale=args.scale)
+    cfg = _with_flags(cfg, args)
     for name in args.ablate or []:
         cfg = model.apply_ablation(cfg, name)
     patch_len, kernel = lengths[0], cfg.conv_kernel
@@ -269,25 +261,40 @@ def _fit_model(args, samples, manifest: _Manifest):
 
 
 def _train_config(args):
-    """The `TrainConfig` with each field the command has a flag for (the
-    flag's dest is the field's name) set from it, and lr_init and lr_final
-    derived from --lr-peak; every other field keeps its default."""
+    """The `TrainConfig` of a run's flags; --lr-peak sets lr_init and lr_final."""
     from .trainer import TrainConfig
 
-    given = {f.name: getattr(args, f.name) for f in fields(TrainConfig) if f.name in args}
-    if args.lr_peak is None:
-        del given["lr_peak"]
-    else:
-        given.update(lr_init=args.lr_peak / 25.0, lr_final=args.lr_peak / 10_000.0)
-    return TrainConfig(**given)
+    derived = {}
+    if args.lr_peak is not None:
+        derived = dict(lr_init=args.lr_peak / 25.0, lr_final=args.lr_peak / 10_000.0)
+    return _with_flags(TrainConfig(), args, **derived)
 
 
 def _refuse_stdout(args, *dests: str) -> None:
-    """A `ConfigError` for the first flag of `dests` given as "-": a
-    checkpoint, a trace and a checkpoint directory are never streamed."""
+    """A `ConfigError` for the first flag of `dests` given as "-": manifests,
+    checkpoints, traces and checkpoint directories are never streamed."""
     for dest in dests:
         if getattr(args, dest, None) == "-":
             raise ConfigError(f"--{dest.replace('_', '-')} needs a file path, not '-'")
+
+
+def _check_paths(args) -> None:
+    """Before a run reads or writes: a `ConfigError` for a file-only output as
+    "-", stdin named twice or two outputs on one path; sets --trace's default."""
+    _refuse_stdout(args, "manifest", "trace", "out_checkpoint", "checkpoint_dir")
+    if "trace" in args and args.trace is None:
+        args.trace = args.out + ".trace.csv"
+    infile = getattr(args, "infile", ())
+    named = [("--in", path) for path in ([infile] if isinstance(infile, str) else infile)]
+    named += [(flag, getattr(args, flag[2:], None)) for flag in ("--checkpoint", "--dataset")]
+    stdin = [flag for flag, path in named if path == "-"]
+    if len(stdin) > 1:
+        raise ConfigError(f"{' and '.join(stdin)} each name '-'; a run reads stdin once")
+    written = {}
+    for flag in ("--out", "--trace", "--out-checkpoint", "--manifest"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path not in (None, "-") and written.setdefault(os.path.abspath(path), flag) != flag:
+            raise ConfigError(f"{written[os.path.abspath(path)]} and {flag} both write {path!r}")
 
 
 def _load_grids(paths: list[str] | tuple[str, ...], manifest: _Manifest):
@@ -299,7 +306,7 @@ def _load_grids(paths: list[str] | tuple[str, ...], manifest: _Manifest):
 def _cmd_pretrain(args, manifest: _Manifest) -> None:
     from . import model, trainer
 
-    _refuse_stdout(args, "out", "trace")
+    _refuse_stdout(args, "out")
     if not args.infile:
         raise ConfigError("pretrain needs at least one --in grid")
     train_cfg = _train_config(args)
@@ -308,13 +315,12 @@ def _cmd_pretrain(args, manifest: _Manifest) -> None:
     model_cfg, params = _fit_model(args, corpus, manifest)
     trace = trainer.pretrain(corpus, params, model_cfg, train_cfg, steps=args.steps)
     model.save_params(params, args.out, model_cfg)
-    trace_path = args.trace or (args.out + ".trace.csv")
-    trainer.write_loss_trace(trace, trace_path)
+    trainer.write_loss_trace(trace, args.trace)
     manifest.add_config("model", asdict(model_cfg))
     manifest.add_config("train", asdict(train_cfg))
     manifest.add_config("samples", len(corpus))
     manifest.add_output(args.out)
-    manifest.add_output(trace_path)
+    manifest.add_output(args.trace)
     log.info("final loss %.6f over %d samples", trace[-1][2], len(corpus))
 
 
@@ -354,7 +360,6 @@ def _cmd_finetune(args, manifest: _Manifest) -> None:
     from . import model, trainer
     from .rng import Rng
 
-    _refuse_stdout(args, "out_checkpoint", "checkpoint_dir")
     if args.task == "classify" and args.dataset is None:
         raise ConfigError("finetune classify needs --dataset")
     if args.task != "classify" and not args.infile:
@@ -482,7 +487,8 @@ def _cmd_inspect_checkpoint(args, manifest: _Manifest) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The `fome` parser, built once per process; defaults are immutable so
     that no parse can change what the next one sees.  Each command and task
-    takes only the flags it reads; each adds its own `--in` and `--out`."""
+    takes only the flags it reads; each adds its own `--in` and `--out`.  A
+    flag whose dest names a config field has no default (`_with_flags`)."""
     flags = functools.partial(argparse.ArgumentParser, add_help=False)
     parser = argparse.ArgumentParser(prog="fome", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -496,26 +502,26 @@ def build_parser() -> argparse.ArgumentParser:
     training = flags(parents=[seeded])
     training.add_argument("--preset", choices=("tiny", "base", "large"), default=None)
     training.add_argument("--steps", type=int, default=2000)
-    training.add_argument("--scale", choices=("d", "dk"), default=None)
+    training.add_argument("--scale", dest="attn_scale", choices=("d", "dk"))
     training.add_argument("--ablate", action="append",
                           choices=("freq", "temporal", "channel", "conv-embed"))
-    training.add_argument("--batch", dest="batch_size", type=int, default=12)
-    training.add_argument("--accum", dest="grad_accum", type=int, default=4)
+    training.add_argument("--batch", dest="batch_size", type=int)
+    training.add_argument("--accum", dest="grad_accum", type=int)
     training.add_argument("--lr-peak", type=float, default=None,
                           help="override peak lr (init=peak/25, final=peak/1e4)")
     training.add_argument("--checkpoint", default=None, help="initialize from this checkpoint")
     masked = flags(parents=[training])  # masked reconstruction: pretrain, finetune impute
-    masked.add_argument("--mask-ratio", type=float, default=0.40)
-    masked.add_argument("--mask-mode", choices=("slot", "column"), default="slot")
+    masked.add_argument("--mask-ratio", type=float)
+    masked.add_argument("--mask-mode", choices=("slot", "column"))
     masked.add_argument("--loss-all", dest="loss_scope", action="store_const", const="all",
-                        default="masked_only", help="loss on every patch, not the masked only")
+                        help="loss on every patch, not the masked only")
     masked.add_argument("--pps", type=int, default=15, help="patches per sample")
     head = flags(parents=[training])  # a supervised task head: finetune classify, forecast
     head.add_argument("--mode", choices=("full", "probe"), default="full")
     head.add_argument("--checkpoint-dir", default=None,
                       help="directory for cadence + best-validation checkpoints")
-    head.add_argument("--checkpoint-every", type=int, default=500,
-                      help="optimizer steps between cadence checkpoints (default 500)")
+    head.add_argument("--checkpoint-every", type=int,
+                      help="optimizer steps between cadence checkpoints")
 
     p = sub.add_parser("synth", parents=[seeded], help="generate a synthetic recording")
     p.add_argument("--out", default="-")
@@ -532,10 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="condition a recording into a patch grid")
     p.add_argument("--in", dest="infile", default="-")
     p.add_argument("--out", default="-")
-    p.add_argument("--notch", type=float, choices=(50.0, 60.0), default=50.0)
-    p.add_argument("--band", default="0.5:100.5")
-    p.add_argument("--rate", type=float, default=250.0)
-    p.add_argument("--window", type=int, default=1500)
+    p.add_argument("--notch", dest="notch_hz", type=float, choices=(50.0, 60.0))
+    p.add_argument("--band", help="band-pass edges LO:HI in Hz")
+    p.add_argument("--rate", dest="target_rate_hz", type=float)
+    p.add_argument("--window", dest="window_len_samples", type=int)
     p.add_argument("--patch", type=int, default=None, help="patch length (default window)")
     p.add_argument("--format", choices=("binary", "csv"), default="binary")
     p.set_defaults(fn=_cmd_preprocess)
@@ -593,6 +599,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _apply_threads(args.threads)
         _configure_logging()
+        _check_paths(args)
         manifest = _Manifest(args, argv)
         args.fn(args, manifest)
         manifest.write()

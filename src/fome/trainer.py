@@ -48,15 +48,11 @@ from .spectral import N_BANDS, band_powers
 
 @dataclass
 class TrainConfig:
-    """Optimization constants; defaults are the full-scale recipe."""
+    """The settings a training run chooses; defaults are the full-scale recipe."""
 
     mask_ratio: float = 0.40
     batch_size: int = 12
     grad_accum: int = 4
-    beta1: float = 0.9
-    beta2: float = 0.99
-    adam_eps: float = 1e-6
-    weight_decay: float = 1e-2
     lr_init: float = 2e-6
     lr_peak: float = 5e-5
     lr_final: float = 5e-9
@@ -81,14 +77,11 @@ class TrainConfig:
         if self.checkpoint_every < 1:
             raise ConfigError(f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
         # lr_peak first: the CLI derives lr_init and lr_final from it
-        for name in ("lr_peak", "lr_init", "lr_final", "adam_eps", "weight_decay"):
-            value, positive = getattr(self, name), name in ("lr_peak", "adam_eps")
+        for name in ("lr_peak", "lr_init", "lr_final"):
+            value, positive = getattr(self, name), name == "lr_peak"
             if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
                 raise ConfigError(f"{name} must be finite and {'> 0' if positive else '>= 0'}, "
                                   f"got {value}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
 
 def scale_schedule(cfg: TrainConfig, steps: int) -> TrainConfig:
@@ -119,41 +112,42 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
+BETA1, BETA2, ADAM_EPS, WEIGHT_DECAY = 0.9, 0.99, 1e-6, 1e-2
+
+
 class AdamW:
-    """Decoupled-weight-decay Adam with bias correction.
+    """Decoupled-weight-decay Adam with bias correction, at the module's
+    constants `BETA1`, `BETA2`, `ADAM_EPS` and `WEIGHT_DECAY`.
 
     Update order per parameter: decay (p *= 1 - lr*wd), then the adaptive
     step p -= lr * m_hat / (sqrt(v_hat) + eps).  A missing gradient is
     treated as zero, so decay still applies.
     """
 
-    def __init__(self, named: dict[str, Tensor], cfg: TrainConfig):
+    def __init__(self, named: dict[str, Tensor]):
         self.named = dict(named)
-        self.cfg = cfg
         self.t = 0
         self._m = {k: np.zeros_like(v.data) for k, v in self.named.items()}
         self._v = {k: np.zeros_like(v.data) for k, v in self.named.items()}
 
     def step(self, lr: float) -> None:
-        cfg = self.cfg
         self.t += 1
-        bias1 = 1.0 - cfg.beta1**self.t
-        bias2 = 1.0 - cfg.beta2**self.t
+        bias1 = 1.0 - BETA1**self.t
+        bias2 = 1.0 - BETA2**self.t
         for name, tensor in self.named.items():
             g = tensor.grad
             if g is None:
                 g = np.zeros_like(tensor.data)
             elif not np.all(np.isfinite(g)):
                 raise TrainError(f"non-finite gradient for parameter {name!r}")
-            if cfg.weight_decay:
-                tensor.data *= 1.0 - lr * cfg.weight_decay
+            tensor.data *= 1.0 - lr * WEIGHT_DECAY
             m = self._m[name]
             v = self._v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g**2
-            tensor.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + cfg.adam_eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g**2
+            tensor.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
             tensor.grad = None
 
 
@@ -212,9 +206,9 @@ class MetricsReport:
     notes: dict = field(default_factory=dict)
     checkpoints: list[str] = field(default_factory=list)  # files written; not in the JSON
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self) -> str:
         payload = {k: v for k, v in self.__dict__.items() if v is not None and k != "checkpoints"}
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload, indent=2)
 
 
 def fbeta(precision: float, recall: float, beta: float) -> float:
@@ -499,15 +493,15 @@ def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
     `batch_loss(batch)` is the taped mean loss over the `store` indices
     `batch` (see `_grouped_mean`); `validation()` is the validation loss
     (None without a validation set).  `cfg` sets the batch size, the
-    accumulation, the AdamW constants, the learning-rate schedule and the
-    checkpoint cadence.  The schedule is fitted to `steps` (`scale_schedule`)
-    when there are two or more; a one-step run keeps it as configured.
+    accumulation, the learning-rate schedule and the checkpoint cadence.
+    The schedule is fitted to `steps` (`scale_schedule`) when there are two
+    or more; a one-step run keeps it as configured.
     """
     if steps >= 2:
         cfg = scale_schedule(cfg, steps)
     store.fill(train_idx)
     order = _Cycler(list(train_idx), order_stream)
-    optimizer = AdamW(trainable, cfg)
+    optimizer = AdamW(trainable)
     checkpoints = _CheckpointKeeper(params, model_cfg, cfg.checkpoint_every, checkpoint_dir)
     history: list[tuple[float, float]] = []
     for step in range(1, steps + 1):
@@ -670,17 +664,15 @@ def finetune_classify(
 # ---------------------------------------------------------------------------
 
 
-def grid_windows(grid: PatchGrid, span: int, stride: int | None = None) -> list[PatchGrid]:
-    """Windows of `span` patches cut along the patch axis of `grid`, starting
-    `stride` patches apart (default `span`: back to back); patches after the
-    last whole window are left out."""
+def grid_windows(grid: PatchGrid, span: int) -> list[PatchGrid]:
+    """Windows of `span` patches cut back to back along the patch axis of
+    `grid`; patches after the last whole window are left out."""
     if span < 1:
         raise ConfigError(f"a window needs at least 1 patch, got {span}")
     if grid.n_patches < span:
         raise ConfigError(f"grid has {grid.n_patches} patches, window needs {span}")
-    stride = span if stride is None else stride
     return [PatchGrid(grid.patches[:, start : start + span], grid.patch_len, grid.source_rate_hz)
-            for start in range(0, grid.n_patches - span + 1, stride)]
+            for start in range(0, grid.n_patches - span + 1, span)]
 
 
 @dataclass(eq=False)
@@ -692,11 +684,11 @@ class ForecastSample:
 
 
 def forecast_samples_from_grid(
-    grid: PatchGrid, context_patches: int, horizon_patches: int, stride: int | None = None
+    grid: PatchGrid, context_patches: int, horizon_patches: int
 ) -> list[ForecastSample]:
-    """Cut sliding (context, horizon) windows along the patch axis."""
+    """Cut back-to-back (context, horizon) windows along the patch axis."""
     samples = []
-    for window in grid_windows(grid, context_patches + horizon_patches, stride):
+    for window in grid_windows(grid, context_patches + horizon_patches):
         ctx = PatchGrid(window.patches[:, :context_patches], grid.patch_len, grid.source_rate_hz)
         target = window.patches[:, context_patches:].reshape(
             grid.n_channels, horizon_patches * grid.patch_len)

@@ -328,8 +328,13 @@ class TestFlags:
 
         class Reads(argparse.Namespace):
             def __getattribute__(self, name):
-                # the manifest's copy of --seed records it; only a draw uses it
-                if name != "seed" or sys._getframe(1).f_code is not cli._Manifest.__init__.__code__:
+                # the manifest's copy of --seed records it; only a draw uses it;
+                # the path checks (or a comprehension in them) look at every
+                # path flag of every command
+                frame = sys._getframe(1)
+                checks = {cli._check_paths.__code__, cli._refuse_stdout.__code__}
+                if not checks & {frame.f_code, frame.f_back.f_code} and (
+                        name != "seed" or frame.f_code is not cli._Manifest.__init__.__code__):
                     reads.add(name)
                 return super().__getattribute__(name)
 
@@ -372,6 +377,31 @@ class TestFlags:
                      if action.option_strings and action.dest != "help"}
             assert flags - reads == set(), command
             reads.clear()
+
+    def test_config_flags_have_no_defaults_of_their_own(self, tmp_path):
+        # a flag left out takes its config class's default; --seed keeps its 0
+        # because synth, weight init and the impute masks read it too
+        from fome.model import ModelConfig
+        from fome.preprocess import PreprocessConfig
+        from fome.trainer import TrainConfig
+
+        names = {f.name for cls in (TrainConfig, PreprocessConfig, ModelConfig)
+                 for f in fields(cls)} - {"seed"}
+        parser = cli.build_parser()
+        named = set()
+        for command, _ in command_parsers(parser):
+            extra = ["--in", "ck.fckp"] if command == ("inspect-checkpoint",) else []
+            args = vars(parser.parse_args([*command, *extra]))
+            given = {name: args[name] for name in names & args.keys()}
+            named |= given.keys()
+            assert set(given.values()) <= {None}, (command, given)
+        assert {"notch_hz", "target_rate_hz", "window_len_samples", "attn_scale"} <= named
+        assert cli._train_config(parser.parse_args(["pretrain"])) == TrainConfig()
+        rec, grid = str(tmp_path / "rec.feeg"), str(tmp_path / "grid.fegp")
+        assert cli.main(["synth", "--channels", "1", "--duration", "7", "--out", rec]) == 0
+        assert cli.main(["preprocess", "--in", rec, "--out", grid]) == 0
+        manifest = json.loads((tmp_path / "grid.fegp.manifest.json").read_text())
+        assert manifest["config"]["preprocess"] == asdict(PreprocessConfig())
 
     @pytest.mark.parametrize("command, flag, value", UNREAD,
                              ids=[" ".join(command_of(c) + (f,)) for c, f, _ in UNREAD])
@@ -551,6 +581,14 @@ class TestErrors:
         ["synth", "--components", "a:b:c:d"],
         ["spectra", "--in", "GRID", "--threads", "0"],
         ["spectra", "--in", "GRID", "--threads=-3"],
+        ["synth", "--duration", "1", "--channels", "1", "--manifest", "-"],
+        ["finetune", "impute", "--in", "-", "--checkpoint", "-", "--pps", "2"],
+        ["pretrain", "--in", "-", "-", "--pps", "2"],
+        ["pretrain", "--in", "GRID", "--pps", "2", "--steps", "4", "--out", "twice",
+         "--trace", "./twice"],
+        ["synth", "--duration", "1", "--channels", "1", "--out", "twice", "--manifest", "./twice"],
+        ["finetune", "impute", "--in", "GRID", "--pps", "2", "--steps", "4", "--out", "twice",
+         "--out-checkpoint", "./twice"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
             "pretrain-no-in", "pps-0", "steps-0", "steps-below-accum", "steps-not-multiple-of-accum",
             "lr-peak-nan", "lr-peak-inf", "lr-peak-negative", "pretrain-out-stdout",
@@ -562,7 +600,9 @@ class TestErrors:
             "eval-one-column", "eval-non-numeric-row", "eval-non-integer-class",
             "eval-nan-regress", "eval-overflow-regress", "eval-classes-0",
             "eval-classes-for-regress", "eval-huge-class",
-            "components-two-fields", "components-not-numbers", "threads-0", "threads-negative"])
+            "components-two-fields", "components-not-numbers", "threads-0", "threads-negative",
+            "manifest-stdout", "impute-stdin-twice", "pretrain-stdin-twice",
+            "pretrain-out-is-trace", "synth-out-is-manifest", "impute-out-is-out-checkpoint"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
         from fome import errors, model
         from fome.preprocess import PatchGrid, grid_to_bytes
@@ -600,8 +640,9 @@ class TestErrors:
         args = [str(inputs.get(arg, arg)) for arg in args]
         preset = ["--preset", "tiny"] if args[0] in ("pretrain", "finetune") else []
         out = [] if "--out" in args else ["--out", str(tmp_path / "out.bin")]
-        # in `tmp_path`, which must hold only the inputs afterwards
-        result = run_cli(args + preset + out, cwd=tmp_path)
+        # in `tmp_path`, which must hold only the inputs afterwards; stdin
+        # holds one grid
+        result = run_cli(args + preset + out, inputs["GRID"].read_bytes(), cwd=tmp_path)
         assert result.returncode == 1, result.stderr
         payload = json.loads(result.stderr)
         assert issubclass(getattr(errors, payload["error"]), errors.FomeError), payload
@@ -629,17 +670,26 @@ class TestErrors:
                 assert message in payload["message"], payload
         if str(inputs["HUGE"]) in args:
             assert payload["message"].startswith("1000001 classes"), payload
-        if args[0] == "synth":
+        if "--components" in args:
             assert payload["error"] == "ConfigError", payload
             assert "--components" in payload["message"], payload
             assert "channel:freq_hz:amplitude:phase_rad" in payload["message"], payload
         if any(arg.startswith("--threads") for arg in args):
             assert payload["error"] == "ConfigError", payload
             assert "--threads must be >= 1" in payload["message"], payload
-        if "-" in args:
+        if args.count("-") > 1:
+            stdin = [flag for flag, arg in zip(args, args[1:]) if arg == "-" and flag != "-"]
+            assert payload["error"] == "ConfigError", payload
+            assert payload["message"].endswith("a run reads stdin once"), payload
+            assert all(flag in payload["message"] for flag in stdin), payload
+        elif "-" in args:
             flag = args[args.index("-") - 1]
             assert payload == {"error": "ConfigError",
                                "message": f"{flag} needs a file path, not '-'"}, payload
+        twice = [flag for flag, arg in zip(args, args[1:]) if arg.endswith("twice")]
+        if twice:
+            assert payload == {"error": "ConfigError", "message": f"{twice[0]} and {twice[1]} "
+                                                                  "both write './twice'"}, payload
         assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in inputs.values())
 
     @pytest.mark.parametrize("args, error", [

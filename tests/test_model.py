@@ -140,9 +140,9 @@ class TestPresets:
             return cli._fit_model(commands["pretrain"].parse_args(argv), [grid], None)[0]
 
         base = fitted([])
-        for flag in ("scale", "ablate"):
-            for value in flags[flag]:
-                set_by |= changed(fitted([f"--{flag}", value]), base)
+        for flag, dest in (("--scale", "attn_scale"), ("--ablate", "ablate")):
+            for value in flags[dest]:
+                set_by |= changed(fitted([flag, value]), base)
         # conv_kernel 4 does not divide 6
         conv = fitted(["--ablate", "conv-embed"])
         set_by |= changed(fitted(["--ablate", "conv-embed"], conv.max_patches + 1, 6), conv)

@@ -1,6 +1,7 @@
 """Process-wide settings made at `import fome`, and the package's public
 surface."""
 
+import argparse
 import ast
 import ctypes
 import os
@@ -62,6 +63,38 @@ UNCALLED = {
     "model.ParameterStore.clone": "bench/workloads.py copies the initial store once per "
                                   "timed call",
 }
+
+
+# fields of the run configs that no `fome` flag and no keyword in src/fome or
+# bench/ sets, each with the reason it stays a field
+UNSET_FIELDS = {
+    "PreprocessConfig.notch_q": "acceptance criterion 4 runs the notch stage at this Q",
+    "PreprocessConfig.ema_alpha": "acceptance criterion 4 constructs PreprocessConfig with it",
+    "PreprocessConfig.eps": "acceptance criterion 4 constructs PreprocessConfig with it",
+}
+
+
+def test_every_config_field_is_set_somewhere():
+    from dataclasses import fields
+
+    from fome import cli
+    from fome.preprocess import PreprocessConfig
+    from fome.trainer import TrainConfig
+
+    root = Path(fome.__file__).resolve().parents[2]
+    keywords = {node.arg for folder in ("src/fome", "bench")
+                for path in sorted((root / folder).glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.keyword)}
+    dests, parsers = set(), [cli.build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif action.option_strings:
+                dests.add(action.dest)
+    unset = {f"{cls.__name__}.{f.name}" for cls in (TrainConfig, PreprocessConfig)
+             for f in fields(cls) if f.name not in dests | keywords}
+    assert unset == set(UNSET_FIELDS)
 
 
 def test_every_public_definition_is_named_in_the_package():
