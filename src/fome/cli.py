@@ -91,8 +91,7 @@ class _Manifest:
             "outputs": {},
             "git_describe": _git_describe(),
         }
-        self._path = getattr(args, "manifest", None)
-        self._default_anchor = None
+        self._path = args.manifest
 
     def add_config(self, name: str, payload) -> None:
         self.doc["config"][name] = payload
@@ -106,19 +105,14 @@ class _Manifest:
         if path == "-":
             return
         self.doc["outputs"][path] = _sha256(read_file(path) if payload is None else payload)
-        if self._default_anchor is None:
-            self._default_anchor = path
 
     def write(self) -> None:
         self.doc["wall_time_s"] = round(time.time() - self.started, 6)
         self.doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-        path = self._path
-        if path is None and self._default_anchor is not None:
-            path = self._default_anchor + ".manifest.json"
-        if path is None:
+        if self._path is None:
             return
-        write_file(path, json.dumps(self.doc, indent=2, sort_keys=True) + "\n")
-        log.info("manifest written to %s", path)
+        write_file(self._path, json.dumps(self.doc, indent=2, sort_keys=True) + "\n")
+        log.info("manifest written to %s", self._path)
 
 
 def _load(path: str, manifest: _Manifest, decode):
@@ -270,31 +264,41 @@ def _train_config(args):
     return _with_flags(TrainConfig(), args, **derived)
 
 
-def _refuse_stdout(args, *dests: str) -> None:
-    """A `ConfigError` for the first flag of `dests` given as "-": manifests,
-    checkpoints, traces and checkpoint directories are never streamed."""
-    for dest in dests:
-        if getattr(args, dest, None) == "-":
-            raise ConfigError(f"--{dest.replace('_', '-')} needs a file path, not '-'")
-
-
 def _check_paths(args) -> None:
-    """Before a run reads or writes: a `ConfigError` for a file-only output as
-    "-", stdin named twice or two outputs on one path; sets --trace's default."""
-    _refuse_stdout(args, "manifest", "trace", "out_checkpoint", "checkpoint_dir")
-    if "trace" in args and args.trace is None:
+    """Fixes every path a run writes, before it reads or writes: sets the
+    defaults of --trace and --manifest, then raises a `ConfigError` for a
+    file-only output as "-", an output inside --checkpoint-dir, stdin named
+    twice or two outputs on one path."""
+    def path(flag):
+        return getattr(args, flag[2:].replace("-", "_"), None)
+
+    outputs = ("--out", "--trace", "--out-checkpoint", "--checkpoint-dir", "--manifest")
+    # each output but --out is a file, and pretrain's --out is a checkpoint
+    for flag in outputs[1:] + ("--out",) * (args.command == "pretrain"):
+        if path(flag) == "-":
+            raise ConfigError(f"{flag} needs a file path, not '-'")
+    directory = path("--checkpoint-dir")
+    for flag in ("--out", "--out-checkpoint", "--manifest"):
+        if directory is not None and path(flag) not in (None, "-") and (
+                os.path.dirname(os.path.abspath(path(flag))) == os.path.abspath(directory)):
+            raise ConfigError(f"{flag} {path(flag)!r} is inside --checkpoint-dir {directory!r}, "
+                              "which holds the run's checkpoints; give it a dedicated directory")
+    if args.command == "pretrain" and args.trace is None:
         args.trace = args.out + ".trace.csv"
+    files = [p for p in (args.out, path("--out-checkpoint")) if p not in (None, "-")]
+    if args.manifest is None and (files or directory is not None):
+        args.manifest = (files[0] + ".manifest.json" if files
+                         else os.path.join(directory, "manifest.json"))
     infile = getattr(args, "infile", ())
-    named = [("--in", path) for path in ([infile] if isinstance(infile, str) else infile)]
-    named += [(flag, getattr(args, flag[2:], None)) for flag in ("--checkpoint", "--dataset")]
-    stdin = [flag for flag, path in named if path == "-"]
+    stdin = ["--in"] * ([infile] if isinstance(infile, str) else list(infile)).count("-")
+    stdin += [flag for flag in ("--checkpoint", "--dataset") if path(flag) == "-"]
     if len(stdin) > 1:
         raise ConfigError(f"{' and '.join(stdin)} each name '-'; a run reads stdin once")
     written = {}
-    for flag in ("--out", "--trace", "--out-checkpoint", "--manifest"):
-        path = getattr(args, flag[2:].replace("-", "_"), None)
-        if path not in (None, "-") and written.setdefault(os.path.abspath(path), flag) != flag:
-            raise ConfigError(f"{written[os.path.abspath(path)]} and {flag} both write {path!r}")
+    for flag in [flag for flag in outputs if path(flag) not in (None, "-")]:
+        first = written.setdefault(os.path.abspath(path(flag)), flag)
+        if first != flag:
+            raise ConfigError(f"{first} and {flag} both write {path(flag)!r}")
 
 
 def _load_grids(paths: list[str] | tuple[str, ...], manifest: _Manifest):
@@ -306,7 +310,6 @@ def _load_grids(paths: list[str] | tuple[str, ...], manifest: _Manifest):
 def _cmd_pretrain(args, manifest: _Manifest) -> None:
     from . import model, trainer
 
-    _refuse_stdout(args, "out")
     if not args.infile:
         raise ConfigError("pretrain needs at least one --in grid")
     train_cfg = _train_config(args)

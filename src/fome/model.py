@@ -99,15 +99,11 @@ _PRESETS = {
         patch_len=8, model_dim=8, heads=2, ffn_dim=16, temporal_layers=1,
         channel_layers=1, max_patches=16, dropout=0.0, conv_kernel=4,
     ),
-    "base": dict(
-        patch_len=1500, model_dim=2048, heads=16, ffn_dim=3072,
-        temporal_layers=12, channel_layers=4, max_patches=15, dropout=0.1,
-    ),
-    "large": dict(
-        patch_len=1500, model_dim=2048, heads=16, ffn_dim=7168,
-        temporal_layers=12, channel_layers=4, max_patches=15, dropout=0.1,
-    ),
+    "base": {},
+    "large": dict(ffn_dim=7168),
 }
+# what `apply_preset` copies: the architecture, not the patch geometry
+_ARCHITECTURE = ("model_dim", "heads", "ffn_dim", "temporal_layers", "channel_layers", "dropout")
 
 
 def preset(name: str, **overrides) -> ModelConfig:
@@ -119,8 +115,7 @@ def preset(name: str, **overrides) -> ModelConfig:
 def apply_preset(cfg: ModelConfig, name: str) -> ModelConfig:
     """`cfg` with the architecture of preset `name`, keeping its patch geometry."""
     chosen = preset(name)
-    return replace(cfg, **{key: getattr(chosen, key) for key in _PRESETS[name]
-                           if key not in ("patch_len", "max_patches", "conv_kernel")})
+    return replace(cfg, **{key: getattr(chosen, key) for key in _ARCHITECTURE})
 
 
 _ABLATIONS = {"freq": dict(use_freq_embed=False), "temporal": dict(temporal_layers=0),

@@ -122,7 +122,7 @@ def _bandpass_sos(rate_hz: float, lo_hz: float, hi_hz: float) -> np.ndarray:
     return butter(2, [lo_hz, hi_hz], btype="bandpass", output="sos", fs=rate_hz)
 
 
-def notch_filter(r: Recording, f0_hz: float, q: float = 35.0) -> Recording:
+def notch_filter(r: Recording, f0_hz: float, q: float = PreprocessConfig.notch_q) -> Recording:
     """Second-order IIR notch at f0, applied causally per channel."""
     out = sosfilt(_notch_sos(r.sample_rate_hz, f0_hz, q), r.data, axis=1)
     return Recording(out, r.sample_rate_hz, r.channel_labels, r.id)

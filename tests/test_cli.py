@@ -311,15 +311,19 @@ UNREAD = [(["finetune", "classify"], flag, value) for flag, value in (
                                             ["inspect-checkpoint", "--in", "ck.fckp"])]
 
 
+@pytest.fixture
+def in_process(monkeypatch):
+    """`cli.main` runs in this process: the thread variables it sets are
+    restored afterwards, and `git describe` is not run."""
+    for var in cli._THREAD_VARS:
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.setattr(cli, "_git_describe", lambda: "test")
+
+
+@pytest.mark.usefixtures("in_process")
 class TestFlags:
     """In process: each command and `finetune` task takes exactly the flags
     it reads."""
-
-    @pytest.fixture(autouse=True)
-    def _in_process(self, monkeypatch):
-        for var in cli._THREAD_VARS:
-            monkeypatch.setenv(var, os.environ.get(var, "1"))
-        monkeypatch.setattr(cli, "_git_describe", lambda: "test")
 
     def test_every_flag_is_read(self, tmp_path, monkeypatch):
         from fome.preprocess import PatchGrid, grid_to_bytes
@@ -329,11 +333,10 @@ class TestFlags:
         class Reads(argparse.Namespace):
             def __getattribute__(self, name):
                 # the manifest's copy of --seed records it; only a draw uses it;
-                # the path checks (or a comprehension in them) look at every
-                # path flag of every command
+                # the path checks (or a function in them) look at every path
+                # flag of every command
                 frame = sys._getframe(1)
-                checks = {cli._check_paths.__code__, cli._refuse_stdout.__code__}
-                if not checks & {frame.f_code, frame.f_back.f_code} and (
+                if cli._check_paths.__code__ not in (frame.f_code, frame.f_back.f_code) and (
                         name != "seed" or frame.f_code is not cli._Manifest.__init__.__code__):
                     reads.add(name)
                 return super().__getattribute__(name)
@@ -410,6 +413,77 @@ class TestFlags:
             cli.build_parser().parse_args(command + [flag] + ([value] if value else []))
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.usefixtures("in_process")
+class TestRunPaths:
+    """In process: the paths `_check_paths` fixes before a run are the files
+    it writes."""
+
+    def test_a_run_writes_exactly_the_paths_fixed_before_it(self, tmp_path, monkeypatch):
+        from fome.preprocess import PatchGrid, grid_to_bytes
+
+        fixed = []
+        check = cli._check_paths
+        monkeypatch.setattr(cli, "_check_paths", lambda args: check(args) or fixed.append(args))
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        long = str(inputs / "long.fegp")
+        write_file(long, grid_to_bytes(PatchGrid(
+            np.random.default_rng(2).standard_normal((2, 35, 16)), 16, 250.0)))
+        (inputs / "preds.csv").write_text("0,0\n1,1\n")
+        grid, checkpoint = tmp_path / "preprocess" / "grid.fegp", tmp_path / "pretrain" / "ck.fckp"
+        train = ["--steps", "1", "--accum", "1", "--batch", "1", "--preset", "tiny"]
+        runs = [
+            ["synth", "--channels", "2", "--duration", "24", "--out", "rec.feeg"],
+            ["preprocess", "--in", str(tmp_path / "synth" / "rec.feeg"), "--window", "500",
+             "--out", "grid.fegp"],
+            ["spectra", "--in", str(grid), "--out", "bands.csv", "--manifest", "bands.json"],
+            ["pretrain", "--in", str(grid), "--pps", "3", "--out", "ck.fckp", *train],
+            ["finetune", "classify", "--dataset", str(write_classify_dataset(inputs, seed=1)),
+             "--checkpoint-dir", "ckd", "--checkpoint-every", "1", "--out-checkpoint", "head.fckp",
+             "--out", "m.json", *train],
+            ["finetune", "forecast", "--in", long, "--context", "2", "--out-checkpoint", "f.fckp",
+             "--out", "m.json", *train],
+            ["finetune", "impute", "--in", long, "--pps", "5", "--out", "m.json", *train],
+            ["eval", "--in", str(inputs / "preds.csv"), "--out", "e.json"],
+            ["inspect-checkpoint", "--in", str(checkpoint), "--json", "--out", "listing.json"],
+        ]
+        assert sorted(map(command_of, runs)) == sorted(dict(command_parsers(cli.build_parser())))
+        for argv in runs:
+            cwd = tmp_path / command_of(argv)[-1]
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            assert cli.main(argv) == 0, argv
+            args = fixed.pop()
+            # beside --out, the first file output, unless given
+            assert args.manifest == ("bands.json" if "--manifest" in argv else
+                                     argv[argv.index("--out") + 1] + ".manifest.json"), argv
+            paths = {getattr(args, dest, None) for dest in ("out", "trace", "out_checkpoint",
+                                                            "manifest")} - {None, "-"}
+            listed = json.loads((cwd / args.manifest).read_text())["outputs"]
+            keeper = set(listed) - paths
+            if args.command == "finetune" and args.task == "classify":
+                assert keeper and all(os.path.dirname(path) == "ckd" for path in keeper), listed
+            else:
+                assert keeper == set(), listed
+            written = {os.path.relpath(os.path.join(root, name), cwd)
+                       for root, _, names in os.walk(cwd) for name in names}
+            assert written == {os.path.normpath(path) for path in paths | keeper}, argv
+
+    @pytest.mark.parametrize("directory", ["ckd/", "ckd"])
+    def test_checkpoint_dir_only_run_keeps_its_manifest_there(self, tmp_path, directory):
+        dataset = write_classify_dataset(tmp_path, seed=2)
+        result = run_cli(["finetune", "classify", "--dataset", str(dataset), "--out", "-",
+                          "--checkpoint-dir", directory, "--checkpoint-every", "1", "--steps", "2",
+                          "--accum", "1", "--batch", "1", "--preset", "tiny"], cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert "accuracy" in json.loads(result.stdout)
+        keeper = {"step-000001.fckp", "step-000002.fckp", "best-validation.fckp", "final.fckp"}
+        assert set(os.listdir(tmp_path / "ckd")) == keeper | {"manifest.json"}
+        manifest = json.loads((tmp_path / "ckd" / "manifest.json").read_text())
+        assert {os.path.normpath(path) for path in manifest["outputs"]} == {
+            f"ckd/{name}" for name in keeper}
 
 
 class TestSpectraCommand:
@@ -589,6 +663,12 @@ class TestErrors:
         ["synth", "--duration", "1", "--channels", "1", "--out", "twice", "--manifest", "./twice"],
         ["finetune", "impute", "--in", "GRID", "--pps", "2", "--steps", "4", "--out", "twice",
          "--out-checkpoint", "./twice"],
+        ["pretrain", "--in", "GRID", "--pps", "2", "--steps", "4", "--out", "ck.fckp",
+         "--trace", "ck.fckp.manifest.json"],
+        ["finetune", "classify", "--dataset", "DATASET", "--steps", "4", "--checkpoint-dir", "ckd",
+         "--checkpoint-every", "1", "--out-checkpoint", "ckd"],
+        ["finetune", "classify", "--dataset", "DATASET", "--steps", "4", "--checkpoint-dir", "ckd",
+         "--out", "ckd/final.fckp"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
             "pretrain-no-in", "pps-0", "steps-0", "steps-below-accum", "steps-not-multiple-of-accum",
             "lr-peak-nan", "lr-peak-inf", "lr-peak-negative", "pretrain-out-stdout",
@@ -602,7 +682,9 @@ class TestErrors:
             "eval-classes-for-regress", "eval-huge-class",
             "components-two-fields", "components-not-numbers", "threads-0", "threads-negative",
             "manifest-stdout", "impute-stdin-twice", "pretrain-stdin-twice",
-            "pretrain-out-is-trace", "synth-out-is-manifest", "impute-out-is-out-checkpoint"])
+            "pretrain-out-is-trace", "synth-out-is-manifest", "impute-out-is-out-checkpoint",
+            "pretrain-trace-is-default-manifest", "out-checkpoint-is-checkpoint-dir",
+            "out-inside-checkpoint-dir"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
         from fome import errors, model
         from fome.preprocess import PatchGrid, grid_to_bytes
@@ -690,6 +772,14 @@ class TestErrors:
         if twice:
             assert payload == {"error": "ConfigError", "message": f"{twice[0]} and {twice[1]} "
                                                                   "both write './twice'"}, payload
+        pinned = {"ck.fckp.manifest.json": "--trace and --manifest both write "
+                                           "'ck.fckp.manifest.json'",
+                  "ckd": "--out-checkpoint and --checkpoint-dir both write 'ckd'",
+                  "ckd/final.fckp": "--out 'ckd/final.fckp' is inside --checkpoint-dir 'ckd', "
+                                    "which holds the run's checkpoints; give it a dedicated "
+                                    "directory"}
+        if args[-1] in pinned:
+            assert payload == {"error": "ConfigError", "message": pinned[args[-1]]}, payload
         assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in inputs.values())
 
     @pytest.mark.parametrize("args, error", [
