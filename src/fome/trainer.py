@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -325,8 +326,8 @@ class _CheckpointKeeper:
             make_dirs(directory)
 
     def _save(self, name: str) -> None:
-        self.written.add(f"{self.directory}/{name}")
-        mdl.save_params(self.params, f"{self.directory}/{name}", self.model_cfg)
+        self.written.add(os.path.join(self.directory, name))
+        mdl.save_params(self.params, os.path.join(self.directory, name), self.model_cfg)
 
     def after_optimizer_step(self, opt_step: int, validation_loss) -> None:
         if self.directory is None or opt_step % self.every != 0:

@@ -27,6 +27,16 @@ def pytest_configure(config):
     os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", scratch)
 
 
+def pytest_report_header(config):
+    """Name the numpy and BLAS build the bitwise contracts were checked on:
+    BLAS picks its kernel, and so a product's bits, by the call's shape."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        blas = {}
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+
+
 def make_tone(freq_hz: float, fs: float, duration_s: float, channels: int = 1,
               amplitude: float = 1.0, phase: float = 0.0) -> Recording:
     t = np.arange(int(round(duration_s * fs))) / fs

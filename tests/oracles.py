@@ -6,7 +6,8 @@ cross-check rather than a tautology.  The exceptions hold a fused, blocked
 or pruned path to the formulas it replaces, bit for bit:
 `primitive_encoder_block` runs the encoder block as primitive taped ops,
 gradients included, `full_row_forward` projects masked patches before
-replacing them, `conditioning_oracle` runs the preprocessing pipeline one
+replacing them, `polyphase_oracle` is the resampler framed by hand around
+`upfirdn`, `conditioning_oracle` runs the preprocessing pipeline one
 stage at a time, `OracleRng` and `synthetic_oracle` draw the random
 streams and the synthetic recording with whole-array formulas, and
 `csv_to_text` and `csv_from_text` are the recording CSV codec one value at
@@ -324,6 +325,27 @@ def window_and_patch(r, cfg, patch_len):
     total = _windowed_length(r.n_samples, cfg, patch_len)
     patches = r.data[:, :total].reshape(r.channels, total // patch_len, patch_len)
     return PatchGrid(patches=patches.copy(), patch_len=patch_len, source_rate_hz=r.sample_rate_hz)
+
+
+def polyphase_oracle(x, source_hz, target_hz):
+    """`preprocess.resample`'s conversion of the (..., T) array x, framed by
+    hand around `upfirdn` as fome did before it called `resample_poly`: the
+    Kaiser taps padded in front so the group delay ends on a whole output
+    sample, zeros appended to every row, and the delay trimmed off."""
+    from scipy.signal import upfirdn
+
+    from fome.preprocess import _kaiser_lowpass, _rate_ratio
+
+    up, down = _rate_ratio(target_hz, source_hz)
+    n_out = int(round(x.shape[-1] * up / down))
+    taps = _kaiser_lowpass(up, down, source_hz)
+    half = (len(taps) - 1) // 2
+    n_pre = (-half) % down
+    taps_padded = np.concatenate([np.zeros(n_pre), taps])
+    skip = (half + n_pre) // down
+    pad_tail = len(taps_padded) // up + down + 2
+    x = np.concatenate([x, np.zeros(x.shape[:-1] + (pad_tail,))], axis=-1)
+    return upfirdn(taps_padded, x, up=up, down=down, axis=-1)[..., skip : skip + n_out]
 
 
 def conditioning_oracle(recording, cfg, patch_len=None):

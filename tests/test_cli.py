@@ -482,8 +482,8 @@ class TestRunPaths:
         keeper = {"step-000001.fckp", "step-000002.fckp", "best-validation.fckp", "final.fckp"}
         assert set(os.listdir(tmp_path / "ckd")) == keeper | {"manifest.json"}
         manifest = json.loads((tmp_path / "ckd" / "manifest.json").read_text())
-        assert {os.path.normpath(path) for path in manifest["outputs"]} == {
-            f"ckd/{name}" for name in keeper}
+        # joined by `os.path.join`: `ckd/` gives no double slash
+        assert set(manifest["outputs"]) == {f"ckd/{name}" for name in keeper}
 
 
 class TestSpectraCommand:
@@ -669,6 +669,8 @@ class TestErrors:
          "--checkpoint-every", "1", "--out-checkpoint", "ckd"],
         ["finetune", "classify", "--dataset", "DATASET", "--steps", "4", "--checkpoint-dir", "ckd",
          "--out", "ckd/final.fckp"],
+        ["finetune", "classify", "--dataset", "DATASET", "--steps", "4", "--checkpoint-dir", "x/ck",
+         "--checkpoint-every", "1", "--out", "x"],
     ], ids=["classify-no-dataset", "classify-empty-dataset", "forecast-no-in", "impute-no-in",
             "pretrain-no-in", "pps-0", "steps-0", "steps-below-accum", "steps-not-multiple-of-accum",
             "lr-peak-nan", "lr-peak-inf", "lr-peak-negative", "pretrain-out-stdout",
@@ -684,7 +686,7 @@ class TestErrors:
             "manifest-stdout", "impute-stdin-twice", "pretrain-stdin-twice",
             "pretrain-out-is-trace", "synth-out-is-manifest", "impute-out-is-out-checkpoint",
             "pretrain-trace-is-default-manifest", "out-checkpoint-is-checkpoint-dir",
-            "out-inside-checkpoint-dir"])
+            "out-inside-checkpoint-dir", "out-above-checkpoint-dir"])
     def test_bad_arguments_are_typed_errors_before_any_output(self, tmp_path, args):
         from fome import errors, model
         from fome.preprocess import PatchGrid, grid_to_bytes
@@ -777,7 +779,9 @@ class TestErrors:
                   "ckd": "--out-checkpoint and --checkpoint-dir both write 'ckd'",
                   "ckd/final.fckp": "--out 'ckd/final.fckp' is inside --checkpoint-dir 'ckd', "
                                     "which holds the run's checkpoints; give it a dedicated "
-                                    "directory"}
+                                    "directory",
+                  "x": "--out 'x' is above --checkpoint-dir 'x/ck', which holds the run's "
+                       "checkpoints; give it a dedicated directory"}
         if args[-1] in pinned:
             assert payload == {"error": "ConfigError", "message": pinned[args[-1]]}, payload
         assert sorted(os.listdir(tmp_path)) == sorted(path.name for path in inputs.values())

@@ -529,6 +529,27 @@ class TestStackedPrediction:
                 alone = head(model.forward(grid.patches, band_powers(grid), params, cfg))
                 assert row.tobytes() == alone.data.tobytes()
 
+    def test_largest_stack_equals_per_sample_forward_bitwise(self, rng, monkeypatch):
+        # one stack of `_EVAL_STACK` samples: a head that folds each sample's
+        # own products into one gemm over the stack gives other bits
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=7)
+        params.add(model.classify_head_shapes(cfg, 3), seed=8)
+        params.add(model.forecast_head_shapes(cfg, 5, 2), seed=9)
+        grids = [PatchGrid(rng.standard_normal((4, 5, 8)), 8, 250.0)
+                 for _ in range(trainer._EVAL_STACK)]
+        store = trainer._Samples(grids, cfg)
+        forward, stacks = model.forward, []
+        monkeypatch.setattr(model, "forward", lambda x, *rest: stacks.append(len(x)) or
+                            forward(x, *rest))
+        for head in (lambda e: model.head_classify(e, params, 3),
+                     lambda e: model.head_forecast(e, params, 2)):
+            stacked = trainer._predict(store, range(len(grids)), params, cfg, head)
+            for grid, row in zip(grids, stacked):
+                alone = head(forward(grid.patches, band_powers(grid), params, cfg))
+                assert row.tobytes() == alone.data.tobytes()
+        assert stacks == [trainer._EVAL_STACK] * 2
+
 
 class TestSampleStore:
     def test_store_scores_equal_a_fresh_store_bitwise(self, rng):
