@@ -46,7 +46,8 @@ of ops and keep:
 Forward and backward run the chain's numpy expressions in the same order
 on arrays of the same layout, so values and gradients are bitwise the
 chain's.  The primitive ops of those chains that the model does not call
-(`mul`, `transpose`, `matmul`, `mse`, `slice_`, `log`) are test oracles.
+(`mul`, `transpose`, `matmul`, `mse`, `slice_`, `log`) are test oracles in
+`tests/oracles.py`, not ops of this module.
 Permutation stability across channels is not an op property; the model
 runs every cross-channel reduction in a canonical channel order (see
 `fome.model`).
@@ -320,15 +321,17 @@ def _kept_product(x: np.ndarray, w: np.ndarray, skip: np.ndarray) -> np.ndarray:
 
 
 def _linear_grads(g: np.ndarray, wd, xd, sb, keep=None) -> tuple:
-    """The gradients of `linear`'s inputs from its output adjoint `g`, with
-    the rows where the boolean `keep` is False zeroed first (`g * keep`
-    leaves a zero adjoint's sign as it is)."""
+    """The gradients of `linear`'s inputs from its output adjoint `g`: the
+    bias's from every row, since a skipped row outputs the bias, and the
+    input's and weight's with the rows where the boolean `keep` is False
+    zeroed first (`g * keep` leaves a zero adjoint's sign as it is)."""
+    gb = None if sb is None else _unbroadcast(g, sb)
     if keep is not None:
         g = g * keep
     gx = None if wd is None else g @ wd.T
     # one gemm over the folded leading axes: no (N, K, M) intermediate
     gw = None if xd is None else xd.reshape(-1, xd.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-    return (gx, gw) if sb is None else (gx, gw, _unbroadcast(g, sb))
+    return (gx, gw) if sb is None else (gx, gw, gb)
 
 
 def linear(x, w, b=None, skip=None) -> Tensor:
@@ -339,8 +342,9 @@ def linear(x, w, b=None, skip=None) -> Tensor:
     entries where it is True: the product runs on the other rows only (see
     `_kept_product`) and bitwise as it does on the full `x`, while a skipped
     entry's output rows hold `b` (0 without it), what a zero row gives, and
-    its input values are never read.  Backward zeroes the output adjoint on
-    the skipped rows and then runs as without `skip`, on the full `x`.
+    its input values are never read.  Backward sums the bias gradient over
+    every row, then zeroes the output adjoint on the skipped rows and runs
+    as without `skip`, on the full `x`.
     """
     x, w = _as_tensor(x), _as_tensor(w)
     b = None if b is None else _as_tensor(b)

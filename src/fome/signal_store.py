@@ -76,10 +76,6 @@ class Recording:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
 
 class Component(NamedTuple):
     """One sinusoid: amplitude * sin(2*pi*f*t + phase) on a single channel."""
@@ -107,8 +103,8 @@ class SyntheticSpec:
         if not all(np.isfinite(v) and v > 0 for v in (self.duration_s, self.sample_rate_hz)):
             raise SpecError("duration_s and sample_rate_hz must be finite and positive, got "
                             f"{self.duration_s} s and {self.sample_rate_hz} Hz")
-        if self.noise_std < 0:
-            raise SpecError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise SpecError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         self.components = [Component(*c) for c in self.components]
         nyquist = self.sample_rate_hz / 2.0
         for comp in self.components:

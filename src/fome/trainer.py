@@ -18,14 +18,16 @@ patches of an `ImputeSample`.  Every entry point checks all its inputs
 before it adds its task head to the caller's store, so a refused call
 leaves the store as it was.
 
-Each public entry call reads its samples from one `_Samples` store, which
-computes a grid's band powers at most once: for the whole training set before
-the first step, and for scored samples when first scored, in one
-`band_powers` call per stack of grids of one shape and rate.  Imputation
-scoring is the exception: `evaluate_impute` scores each sample once, so it
-keeps no store.  It hands the model each grid as it is, with the missing
-patches as the mask, which the model never reads, and scores from the
-observed patches gathered once.
+Each public entry call reads its samples through one `_Samples` store,
+built once the call's checks pass.  The store computes the band powers of
+every sample the call will read when it is built (the whole corpus for
+pre-training; the train and test blocks, and the validation block when
+validation runs, for fine-tuning), in one `band_powers` call per stack of
+grids of one shape and rate, and its `stack` is the one reader of a stack
+of patches and powers.  Imputation scoring is the exception:
+`evaluate_impute` scores each sample once, so it keeps no store.  It hands
+the model each grid as it is, with the missing patches as the mask, which
+the model never reads, and scores from the observed patches gathered once.
 """
 
 from __future__ import annotations
@@ -367,51 +369,51 @@ class _Cycler:
 _EVAL_STACK = 32
 
 
-def _shape_groups(keys: list) -> list[list[int]]:
-    """Positions of equal keys (shapes), grouped in first-seen order."""
+def _stacks(keys: list, limit: int | None = None) -> list[list[int]]:
+    """Positions of equal keys, grouped in first-seen order and cut into
+    runs of at most `limit` (whole groups without one)."""
     groups: dict = {}
     for pos, key in enumerate(keys):
         groups.setdefault(key, []).append(pos)
-    return list(groups.values())
+    size = limit or len(keys)
+    return [group[start : start + size] for group in groups.values()
+            for start in range(0, len(group), size)]
 
 
 class _Samples:
-    """A dataset's grids and their band powers, each computed at most once."""
+    """A dataset's grids and the band powers of the samples `read` (every
+    sample when None), computed when the store is built: one `band_powers`
+    call per stack of at most `_EVAL_STACK` grids of one shape and rate,
+    their channels laid end to end."""
 
-    def __init__(self, grids: list[PatchGrid], model_cfg: ModelConfig):
+    def __init__(self, grids: list[PatchGrid], model_cfg: ModelConfig, read=None):
         self.grids = grids
-        self._powers: dict[int, np.ndarray] | None = {} if model_cfg.use_freq_embed else None
-
-    def fill(self, idx) -> None:
-        """Compute the band powers of the samples `idx` that have none yet:
-        one `band_powers` call per stack of at most `_EVAL_STACK` grids of
-        one shape and rate, their channels laid end to end."""
-        if self._powers is None:
+        self._powers: dict[int, np.ndarray] | None = None
+        if not model_cfg.use_freq_embed:
             return
-        missing = list(dict.fromkeys(i for i in idx if i not in self._powers))
-        keys = [(self.grids[i].patches.shape, self.grids[i].source_rate_hz) for i in missing]
-        for group in _shape_groups(keys):
-            (c, p, length), rate = keys[group[0]]
-            for start in range(0, len(group), _EVAL_STACK):
-                chunk = [missing[j] for j in group[start : start + _EVAL_STACK]]
-                rows = np.concatenate([self.grids[i].patches for i in chunk])
-                values = band_powers(PatchGrid(rows, length, rate)).reshape(len(chunk), c, p, -1)
-                self._powers.update(zip(chunk, values))
+        read = list(dict.fromkeys(range(len(grids)) if read is None else read))
+        keys = [(grids[i].patches.shape, grids[i].source_rate_hz) for i in read]
+        self._powers = {}
+        for stack in _stacks(keys, _EVAL_STACK):
+            (c, p, length), rate = keys[stack[0]]
+            chunk = [read[j] for j in stack]
+            rows = np.concatenate([grids[i].patches for i in chunk])
+            values = band_powers(PatchGrid(rows, length, rate)).reshape(len(chunk), c, p, -1)
+            self._powers.update(zip(chunk, values))
 
-    def powers(self, i: int) -> np.ndarray | None:
-        """Sample `i`'s (C, P, N_BANDS) band powers; None without bands."""
-        if self._powers is None:
-            return None
-        if i not in self._powers:
-            self.fill([i])
-        return self._powers[i]
+    def stack(self, idx: list[int]):
+        """The (B, C, P, L) patches and (B, C, P, N_BANDS) band powers (None
+        without the frequency embedding) of samples `idx`, all of one shape
+        and read by the store."""
+        return (np.stack([self.grids[i].patches for i in idx]),
+                None if self._powers is None else np.stack([self._powers[i] for i in idx]))
 
 
 def _grouped_mean(store: _Samples, batch: list[int], group_loss) -> Tensor:
     """Mean loss over a batch of `store` indices, one stack per shape:
     `group_loss(pos)` is the mean loss over the batch positions `pos`."""
     total = None
-    for pos in _shape_groups([store.grids[i].patches.shape for i in batch]):
+    for pos in _stacks([store.grids[i].patches.shape for i in batch]):
         part = group_loss(pos)
         if len(pos) < len(batch):
             part = nm.scale(part, len(pos) / len(batch))
@@ -419,26 +421,15 @@ def _grouped_mean(store: _Samples, batch: list[int], group_loss) -> Tensor:
     return total
 
 
-def _stack(store: _Samples, idx: list[int]):
-    """The (B, C, P, L) patches and (B, C, P, n_bands) band powers (None
-    without the frequency embedding) of samples `idx`, all of one shape."""
-    powers = [store.powers(i) for i in idx]
-    return (np.stack([store.grids[i].patches for i in idx]),
-            None if powers[0] is None else np.stack(powers))
-
-
 def _predict(store: _Samples, idx, params, model_cfg, head) -> list[np.ndarray]:
     """`head` applied to the encoded stack, per sample of `idx`, without a
     tape; one forward pass per stack of at most `_EVAL_STACK` of one shape."""
     idx = list(idx)
-    store.fill(idx)
     out: list = [None] * len(idx)
-    for group in _shape_groups([store.grids[i].patches.shape for i in idx]):
-        for start in range(0, len(group), _EVAL_STACK):
-            pos = group[start : start + _EVAL_STACK]
-            result = head(mdl.forward(*_stack(store, [idx[j] for j in pos]), params, model_cfg))
-            for j, row in zip(pos, result.data):
-                out[j] = row
+    for pos in _stacks([store.grids[i].patches.shape for i in idx], _EVAL_STACK):
+        result = head(mdl.forward(*store.stack([idx[j] for j in pos]), params, model_cfg))
+        for j, row in zip(pos, result.data):
+            out[j] = row
     return out
 
 
@@ -481,26 +472,24 @@ def _ensure_head(params: ParameterStore, head: tuple[dict, int, str], cfg: Train
         params.add(missing, seed)
 
 
-def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
-                params: ParameterStore, trainable: dict[str, Tensor], model_cfg: ModelConfig,
-                cfg: TrainConfig, steps: int, checkpoint_dir=None,
-                validation=lambda: None) -> tuple[list, list]:
+def _train_loop(batch_loss, train_idx, order_stream: Rng, params: ParameterStore,
+                trainable: dict[str, Tensor], model_cfg: ModelConfig, cfg: TrainConfig,
+                steps: int, checkpoint_dir=None, validation=lambda: None) -> tuple[list, list]:
     """The optimizer loop of every task; returns each micro-step's (lr, batch
     loss) and the sorted paths of the checkpoints written under
     `checkpoint_dir`.  The caller has checked `steps` (`_ensure_head`).
 
-    Batches are drawn from `train_idx` by an epoch shuffle on `order_stream`,
-    after the band powers of every training sample are computed.
-    `batch_loss(batch)` is the taped mean loss over the `store` indices
-    `batch` (see `_grouped_mean`); `validation()` is the validation loss
-    (None without a validation set).  `cfg` sets the batch size, the
+    Batches of sample indices are drawn from `train_idx` by an epoch
+    shuffle on `order_stream`; the loop never reads the samples itself.
+    `batch_loss(batch)` is the taped mean loss over the samples `batch`
+    (see `_grouped_mean`); `validation()` is the validation loss (None
+    without a validation set).  `cfg` sets the batch size, the
     accumulation, the learning-rate schedule and the checkpoint cadence.
     The schedule is fitted to `steps` (`scale_schedule`) when there are two
     or more; a one-step run keeps it as configured.
     """
     if steps >= 2:
         cfg = scale_schedule(cfg, steps)
-    store.fill(train_idx)
     order = _Cycler(list(train_idx), order_stream)
     optimizer = AdamW(trainable)
     checkpoints = _CheckpointKeeper(params, model_cfg, cfg.checkpoint_every, checkpoint_dir)
@@ -520,24 +509,29 @@ def _train_loop(batch_loss, store: _Samples, train_idx, order_stream: Rng,
     return history, sorted(checkpoints.written)
 
 
-def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: ParameterStore,
-              model_cfg: ModelConfig, cfg: TrainConfig, steps: int, mode: str, head,
-              stream: int, checkpoint_dir) -> MetricsReport:
+def _finetune(head_loss, score, val_loss, grids: list[PatchGrid], splits,
+              params: ParameterStore, model_cfg: ModelConfig, cfg: TrainConfig, steps: int,
+              mode: str, head, stream: int, checkpoint_dir) -> MetricsReport:
     """Supervised training on the train block of the (train, val, test)
-    `splits` of `store`; returns `score` of the test block.
+    `splits` of `grids`; returns `score` of the test block.
 
     `head_loss(encoded, idx)` is the taped mean loss of the encoded stack
-    of samples `idx`, `score(idx)` their report, and `val_loss(report)` the
-    validation loss.  `head` (shapes, seed, setting) is the task head, added
-    to `params` once `mode`, the splits and `steps` pass their checks.
-    Probe mode trains the head's tensors only, on encodings computed once:
-    the frozen backbone maps each sample to the same rows at every step."""
+    of samples `idx`, `score(store, idx)` their report, and
+    `val_loss(report)` the validation loss.  `head` (shapes, seed, setting)
+    is the task head, added to `params` once `mode`, the splits and `steps`
+    pass their checks.  The store then reads the train and test blocks, and
+    the validation block when validation runs (a checkpoint directory and a
+    non-empty block).  Probe mode trains the head's tensors only, on
+    encodings computed once: the frozen backbone maps each sample to the
+    same rows at every step."""
     if mode not in ("full", "probe"):
         raise ConfigError(f"mode must be full|probe, got {mode!r}")
     train_idx, val_idx, test_idx = splits
     if len(train_idx) == 0 or len(test_idx) == 0:
-        raise ConfigError(f"dataset of {len(store.grids)} samples leaves an empty split")
+        raise ConfigError(f"dataset of {len(grids)} samples leaves an empty split")
     _ensure_head(params, head, cfg, steps)
+    validates = checkpoint_dir is not None and len(val_idx) > 0
+    store = _Samples(grids, model_cfg, [*train_idx, *test_idx, *(val_idx if validates else ())])
     trainable = dict(params.items())
     if mode == "probe":
         frozen = dict(zip(train_idx, _predict(store, train_idx, params, model_cfg, lambda e: e)))
@@ -547,16 +541,16 @@ def _finetune(head_loss, score, val_loss, store: _Samples, splits, params: Param
         if mode == "probe":
             encoded = Tensor(np.stack([frozen[i] for i in idx]))
         else:
-            encoded = mdl.forward(*_stack(store, idx), params, model_cfg)
+            encoded = mdl.forward(*store.stack(idx), params, model_cfg)
         return head_loss(encoded, idx)
 
     def batch_loss(batch: list[int]) -> Tensor:
         return _grouped_mean(store, batch, lambda pos: group_loss([batch[j] for j in pos]))
 
-    _, written = _train_loop(batch_loss, store, train_idx, Rng(cfg.seed).split(stream), params,
+    _, written = _train_loop(batch_loss, train_idx, Rng(cfg.seed).split(stream), params,
                              trainable, model_cfg, cfg, steps, checkpoint_dir,
-                             lambda: val_loss(score(val_idx)) if len(val_idx) else None)
-    return replace(score(test_idx), checkpoints=written)
+                             lambda: val_loss(score(store, val_idx)) if validates else None)
+    return replace(score(store, test_idx), checkpoints=written)
 
 
 # ---------------------------------------------------------------------------
@@ -593,15 +587,15 @@ def pretrain(
 
         def group_loss(pos: list[int]) -> Tensor:
             mask = np.stack([masks[j] for j in pos])
-            patches, powers = _stack(store, [batch[j] for j in pos])
+            patches, powers = store.stack([batch[j] for j in pos])
             encoded = mdl.forward(patches, powers, params, model_cfg, mask=mask,
                                   stream=drop_stream)
             return _masked_mse(encoded, params, patches, mask, cfg.loss_scope)
 
         return _grouped_mean(store, batch, group_loss)
 
-    history, _ = _train_loop(batch_loss, store, range(len(corpus)), Rng(cfg.seed).split(1),
-                             params, dict(params.items()), model_cfg, cfg, steps, checkpoint_dir)
+    history, _ = _train_loop(batch_loss, range(len(corpus)), Rng(cfg.seed).split(1), params,
+                             dict(params.items()), model_cfg, cfg, steps, checkpoint_dir)
     return [(step, lr, loss) for step, (lr, loss) in enumerate(history, 1)]
 
 
@@ -645,17 +639,17 @@ def finetune_classify(
     _check_class_count(n_classes)
     splits = splits if splits is not None else split_blocks(len(dataset))
     labels = np.array([int(label) for _, label in dataset])
-    store = _Samples([grid for grid, _ in dataset], model_cfg)
 
     def cross_entropy(encoded: Tensor, idx: list[int]) -> Tensor:
         return nm.nll(mdl.head_classify(encoded, params, n_classes), labels[idx])
 
-    def score(idx) -> MetricsReport:
+    def score(store: _Samples, idx) -> MetricsReport:
         return _score_classify(store, idx, labels, params, model_cfg, n_classes)
 
     head = (mdl.classify_head_shapes(model_cfg, n_classes), cfg.seed + 2, f"n_classes={n_classes}")
-    report = _finetune(cross_entropy, score, lambda r: -r.accuracy, store, splits, params,
-                       model_cfg, cfg, steps, mode, head, 4, checkpoint_dir)
+    report = _finetune(cross_entropy, score, lambda r: -r.accuracy,
+                       [grid for grid, _ in dataset], splits, params, model_cfg, cfg, steps,
+                       mode, head, 4, checkpoint_dir)
     report.notes.update({"mode": mode, "steps": steps, "train_samples": len(splits[0])})
     return report
 
@@ -731,12 +725,11 @@ def finetune_forecast(
 ) -> MetricsReport:
     """MSE training of the forecast head (optionally the backbone too)."""
     splits = split_blocks(len(dataset))
-    store = _Samples([sample.context for sample in dataset], model_cfg)
 
     def forecast_mse(encoded: Tensor, idx: list[int]) -> Tensor:
         return mdl.forecast_mse(encoded, params, np.stack([dataset[i].target for i in idx]))
 
-    def score(idx) -> MetricsReport:
+    def score(store: _Samples, idx) -> MetricsReport:
         return _score_forecast(store, idx, dataset, params, model_cfg, horizon_patches)
 
     contexts = sorted({sample.context.n_patches for sample in dataset})
@@ -745,8 +738,9 @@ def finetune_forecast(
     context = contexts[0]
     head = (mdl.forecast_head_shapes(model_cfg, context, horizon_patches), cfg.seed + 3,
             f"context_patches={context}, horizon_patches={horizon_patches}")
-    report = _finetune(forecast_mse, score, lambda r: r.mse, store, splits, params, model_cfg,
-                       cfg, steps, mode, head, 5, checkpoint_dir)
+    report = _finetune(forecast_mse, score, lambda r: r.mse,
+                       [sample.context for sample in dataset], splits, params, model_cfg, cfg,
+                       steps, mode, head, 5, checkpoint_dir)
     report.notes.update({"mode": mode, "steps": steps, "horizon_patches": horizon_patches})
     return report
 

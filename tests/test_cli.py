@@ -930,6 +930,13 @@ class TestErrors:
         payload = json.loads(result.stderr)
         assert payload["error"] == "SpecError"
 
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_noise_is_a_spec_error_naming_it(self, noise):
+        result = run_cli(["synth", "--channels", "1", "--duration", "1", "--noise", noise])
+        assert result.returncode == 1 and result.stdout == b""
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "SpecError" and "noise_std" in payload["message"], payload
+
 
 class TestFinetuneCommand:
     def test_classify_via_manifest(self, tmp_path):

@@ -463,12 +463,20 @@ class TestSkippedRows:
             return nm.linear(x, w, b, skip=skip)
 
         def chain(x, w, b=None):
-            held = np.zeros(width) if b is None else b.data
-            return nm.blend(nm.linear(x, w, b), Tensor(np.broadcast_to(held, weights.shape)),
-                            gate)
+            # the product with its skipped rows zeroed, then the bias on every row
+            kept = nm.blend(nm.linear(x, w), Tensor(np.zeros(weights.shape)), gate)
+            return kept if b is None else nm.add(kept, b)
 
         runs = _chain_and_fused(fused, chain, leaves, weights)
         assert runs[0] == runs[1]
+
+    def test_bias_gradient_reads_the_skipped_rows(self, rng):
+        # a skipped row outputs the bias, so the bias gradient sums every row
+        skip = np.array([[True, False, False], [False, True, True]])
+        x, w, b = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                   for shape in ((2, 3, 4), (4, 5), (5,)))
+        weights = Tensor(rng.standard_normal((2, 3, 5)))
+        grad_check(lambda: nm.mean(mul(nm.linear(x, w, b, skip=skip), weights)), [x, w, b])
 
     @pytest.mark.parametrize("skip", [np.zeros((2, 3), dtype=int), np.zeros((3, 2), dtype=bool),
                                       np.zeros((2, 3, 4), dtype=bool)],

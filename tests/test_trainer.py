@@ -460,7 +460,7 @@ def _loss_and_grads(masked_mse, shapes, mode, scope="masked_only", empty=False):
              else make_mask_plan(*shape, 0.4, stream, mode) for shape in shapes]
 
     def group_loss(pos):
-        patches, powers = trainer._stack(store, pos)
+        patches, powers = store.stack(pos)
         mask = np.stack([masks[j] for j in pos])
         encoded = model.forward(patches, powers, params, cfg, mask=mask)
         return masked_mse(encoded, params, patches, mask, scope)
@@ -716,15 +716,19 @@ class TestFinetuneClassify:
         short = labeled_dataset(n=4, patches=2)
         slow = [(PatchGrid(g.patches, g.patch_len, 200.0), label) for g, label in short]
         data = labeled_dataset(n=7) + short + slow
-        store = trainer._Samples([grid for grid, _ in data], preset("tiny"))
-        store.fill([0, 8, 3, 12, 1, 3])
+        grids = [grid for grid, _ in data]
+        read = [0, 8, 3, 12, 1, 3]
+        store = trainer._Samples(grids, preset("tiny"), read)
         assert calls == [((6, 4, 8), 250.0), ((2, 2, 8), 250.0), ((2, 2, 8), 200.0)]
-        store.fill(range(len(data)))
-        assert calls[3:] == [((6, 4, 8), 250.0), ((2, 4, 8), 250.0), ((6, 2, 8), 250.0),
-                             ((6, 2, 8), 200.0)]
-        for i, (grid, _) in enumerate(data):
-            assert store.powers(i).tobytes() == band_powers(grid).tobytes()
-        assert len(calls) == 7
+        for i in read:
+            assert store.stack([i])[1][0].tobytes() == band_powers(grids[i]).tobytes()
+        calls.clear()
+        store = trainer._Samples(grids, preset("tiny"))
+        assert calls == [((6, 4, 8), 250.0), ((6, 4, 8), 250.0), ((2, 4, 8), 250.0),
+                         ((6, 2, 8), 250.0), ((2, 2, 8), 250.0), ((6, 2, 8), 200.0),
+                         ((2, 2, 8), 200.0)]
+        for i, grid in enumerate(grids):
+            assert store.stack([i])[1][0].tobytes() == band_powers(grid).tobytes()
 
     def test_report_fields_present(self):
         cfg = preset("tiny")
