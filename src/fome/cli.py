@@ -169,9 +169,10 @@ def _cmd_synth(args, manifest: _Manifest) -> None:
         duration_s=args.duration,
         sample_rate_hz=args.rate,
         seed=args.seed,
-        components=_parse_components(args.components, args.channels),
         noise_std=args.noise,
     )
+    # the spec checks its sample budget before the default builds a tone per channel
+    spec = replace(spec, components=_parse_components(args.components, args.channels))
     recording = generate_synthetic(spec)
     manifest.add_config("synthetic", asdict(spec))
     _write(args.out, recording_to_bytes(recording, args.format), manifest)

@@ -45,9 +45,14 @@ of ops and keep:
   - `nll` (pick, log, mean and scale): the picked probabilities.
 Forward and backward run the chain's numpy expressions in the same order
 on arrays of the same layout, so values and gradients are bitwise the
-chain's.  The primitive ops of those chains that the model does not call
-(`mul`, `transpose`, `matmul`, `mse`, `slice_`, `log`) are test oracles in
-`tests/oracles.py`, not ops of this module.
+chain's.  `gelu`, `affine_norm`, `attention` and `dropout` write the
+chain's intermediates into buffers they own (`out=`, `*=`, `-=`, and a
+mean as `np.add.reduce(x, axis=-1, keepdims=True) / n`, which is how numpy
+computes it), in the chain's order, with operands swapped only where the
+operation commutes, so they allocate a few buffers per pass in place of
+one per expression.  The primitive ops of those chains that the model does
+not call (`mul`, `transpose`, `matmul`, `mse`, `slice_`, `log`) are test
+oracles in `tests/oracles.py`, not ops of this module.
 Permutation stability across channels is not an op property; the model
 runs every cross-channel reduction in a canonical channel order (see
 `fome.model`).
@@ -385,9 +390,11 @@ def attention(q, k, v, heads: int, factor: float) -> Tensor:
         return np.swapaxes(a, -3, -2).reshape(lead + (-1,))
 
     qs, ks, vs = split(q.data), split(k.data), split(v.data)
-    scores = (qs @ np.swapaxes(ks, -2, -1)) * factor
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = qs @ np.swapaxes(ks, -2, -1)  # the scores, then their softmax
+    probs *= factor
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     out = merge(probs @ vs)
     # q's gradient reads k, k's reads q, and both read v
     kept_q = qs if k.requires_grad else None
@@ -399,9 +406,10 @@ def attention(q, k, v, heads: int, factor: float) -> Tensor:
         g_ctx = split(g)
         gq = gk = gv = None
         if kept_v is not None:
-            g_probs = g_ctx @ np.swapaxes(kept_v, -1, -2)
-            inner = (g_probs * probs).sum(axis=-1, keepdims=True)
-            g_scores = probs * (g_probs - inner) * factor
+            g_scores = g_ctx @ np.swapaxes(kept_v, -1, -2)  # the probabilities' gradient
+            g_scores -= np.add.reduce(g_scores * probs, axis=-1, keepdims=True)
+            g_scores *= probs
+            g_scores *= factor
             if kept_k is not None:
                 gq = merge(g_scores @ kept_k)
             if kept_q is not None:
@@ -438,23 +446,36 @@ def affine_norm(x, gain, bias) -> Tensor:
     if gain.shape != x.shape[-1:] or bias.shape != x.shape[-1:]:
         raise ShapeError(f"affine_norm: gain {gain.shape} and bias {bias.shape} "
                          f"do not match {x.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    y = xc * inv
-    out = y * gain.data + bias.data
+    n = x.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= n
+    y = x.data - mu  # x - mu, then (x - mu) * inv
+    sq = y * y  # the squares, then the output
+    inv = np.add.reduce(sq, axis=-1, keepdims=True)
+    inv /= n
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    y *= inv
+    out = np.multiply(y, gain.data, out=sq)
+    out += bias.data
     gd, x_grad, gain_grad = gain.data, x.requires_grad, gain.requires_grad
     sg, sb = gain.shape, bias.shape
 
     def bwd(g):
-        gx = None
+        gx = gg = None
         if x_grad:
-            gy = g * gd
-            gm = gy.mean(axis=-1, keepdims=True)
-            gyy = (gy * y).mean(axis=-1, keepdims=True)
-            gx = inv * (gy - gm - y * gyy)
-        gg = _unbroadcast(g * y, sg) if gain_grad else None
+            gx = g * gd  # gy, then the input's gradient
+            gm = np.add.reduce(gx, axis=-1, keepdims=True)
+            gm /= n
+            t = gx * y
+            gyy = np.add.reduce(t, axis=-1, keepdims=True)
+            gyy /= n
+            gx -= gm
+            gx -= np.multiply(y, gyy, out=t)
+            gx *= inv
+        if gain_grad:
+            gg = _unbroadcast(g * y, sg)
         return gx, gg, _unbroadcast(g, sb)
 
     return _record(out, (x, gain, bias), bwd)
@@ -468,13 +489,29 @@ def gelu(a) -> Tensor:
     only."""
     a = _as_tensor(a)
     x = a.data
-    u = _GELU_C0 * (x + _GELU_C1 * (x * x * x))
-    th = np.tanh(u)
-    y = 0.5 * x * (1.0 + th)
+    taped = a.requires_grad and bool(_tape_stack)
+    th = x * x  # x**3, then u, then tanh(u)
+    th *= x
+    th *= _GELU_C1
+    th += x
+    th *= _GELU_C0
+    np.tanh(th, out=th)
+    y = x * 0.5
+    if taped:  # 0.5 * x * (1 - th**2) * du, where du = u's derivative
+        dy = th * th
+        np.subtract(1.0, dy, out=dy)
+        dy *= y
+        du = x * x
+        du *= 3.0 * _GELU_C1
+        du += 1.0
+        du *= _GELU_C0
+        dy *= du
+    th += 1.0
+    y *= th
     bwd = None
-    if a.requires_grad and _tape_stack:
-        du = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * x**2)
-        dy = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
+    if taped:  # plus 0.5 * (1 + th)
+        th *= 0.5
+        dy += th
 
         def bwd(g):
             return (g * dy,)
@@ -492,8 +529,15 @@ def dropout(x, keep, p: float) -> Tensor:
     if keep.dtype != np.bool_ or keep.shape != x.shape:
         raise ShapeError(f"dropout: keep must be a boolean {x.shape} array, "
                          f"got {keep.dtype} {keep.shape}")
-    p = float(p)
-    return _record(x.data * (keep / (1.0 - p)), (x,), lambda g: (g * (keep / (1.0 - p)),))
+    kept = 1.0 - float(p)
+
+    def bwd(g):
+        mask = np.divide(keep, kept)
+        return (np.multiply(g, mask, out=mask),)
+
+    out = np.divide(keep, kept)
+    out *= x.data
+    return _record(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -129,14 +129,24 @@ class Rng:
         """``k`` distinct integers from [0, n), by partial Fisher-Yates."""
         if not 0 <= k <= n:
             raise ConfigError(f"cannot draw {k} from {n}")
-        arr = list(range(n))
-        for i, word in enumerate(self.raw(k).tolist()):
-            j = i + word % (n - i)
-            arr[i], arr[j] = arr[j], arr[i]
-        return np.array(arr[:k], dtype=np.int64)
+        return fisher_yates(n, self.raw(k).tolist())
 
     def shuffle(self, values: list) -> list:
         """Return a new list with the elements in Fisher-Yates order."""
         n = len(values)
         order = self.sample_without_replacement(n, n)
         return [values[i] for i in order]
+
+
+def fisher_yates(n: int, words: list[int]) -> np.ndarray:
+    """The first ``len(words)`` entries of a partial Fisher-Yates shuffle of
+    [0, n): position ``i`` swaps with ``i + words[i] % (n - i)``.  With
+    ``words`` the next raw words of a stream, as Python ints, it is
+    `Rng.sample_without_replacement`; a caller that draws the words of
+    several samples in one `Rng.raw` call cuts them per sample in order, and
+    since the stream is counter-based, gets the same bits."""
+    arr = list(range(n))
+    for i, word in enumerate(words):
+        j = i + word % (n - i)
+        arr[i], arr[j] = arr[j], arr[i]
+    return np.array(arr[: len(words)], dtype=np.int64)

@@ -34,12 +34,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, FormatError, SpecError, decode_text
+from .errors import CapacityError, DataError, FormatError, SpecError, decode_text
 from .rng import Rng
 
 _MAGIC = b"FEEG"
 _VERSION = 1
 _HEADER = struct.Struct("<4sBIQd")
+
+# channels x samples a synthetic recording may hold; see `SyntheticSpec`
+_MAX_SYNTH_SAMPLES = 1 << 27
 
 
 @dataclass(eq=False)
@@ -88,7 +91,15 @@ class Component(NamedTuple):
 
 @dataclass
 class SyntheticSpec:
-    """Recipe for a reproducible synthetic recording."""
+    """Recipe for a reproducible synthetic recording.
+
+    A recipe of more than `_MAX_SYNTH_SAMPLES` = 2**27 samples (channels x
+    duration x rate) is a `CapacityError`, before anything is allocated.
+    `fome synth` peaks at about 14.5 bytes per sample (19 channels at
+    500 Hz, on x86-64 Linux with numpy 2.4: 168 MB for 1,200 s and 322 MB
+    for 2,400 s above the interpreter's own), so the budget keeps one
+    synthesis under about 2 GB.
+    """
 
     channels: int
     duration_s: float
@@ -103,6 +114,10 @@ class SyntheticSpec:
         if not all(np.isfinite(v) and v > 0 for v in (self.duration_s, self.sample_rate_hz)):
             raise SpecError("duration_s and sample_rate_hz must be finite and positive, got "
                             f"{self.duration_s} s and {self.sample_rate_hz} Hz")
+        samples = self.duration_s * self.sample_rate_hz  # inf where it overflows
+        if self.channels * samples > _MAX_SYNTH_SAMPLES:
+            raise CapacityError(f"{self.channels} channels x {samples:.6g} samples is over the "
+                                f"budget of {_MAX_SYNTH_SAMPLES} samples of a synthetic recording")
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
             raise SpecError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         self.components = [Component(*c) for c in self.components]

@@ -3,9 +3,10 @@
 Every task trains through one loop, `_train_loop`.  Per micro-step it takes
 the next batch, stacks the samples of each shape into one (B, C, P, L)
 array, and runs one forward and one backward pass per stack (pre-training
-draws one boolean (C, P) mask per sample, in batch order, hides the stack's
-(B, C, P) mask and reconstructs the masked rows only, the head and the MSE
-as one `numerics.linear_mse` node that holds the difference alone);
+draws one boolean (C, P) mask per sample, in batch order, from one stream
+draw per micro-batch, hides the stack's (B, C, P) mask and reconstructs
+the masked rows only, the head and the MSE as one `numerics.linear_mse`
+node that holds the difference alone);
 dropout masks are drawn once per stack.  Backward consumes the step's tape
 as it runs.  Every `grad_accum` micro-steps it applies one AdamW update at
 the rate of the warmup+cosine schedule, which the loop alone fits to its
@@ -45,7 +46,7 @@ from .errors import ConfigError, DataError, TrainError, make_dirs, write_file
 from .model import ModelConfig, ParameterStore
 from .numerics import Tensor
 from .preprocess import PatchGrid
-from .rng import Rng
+from .rng import Rng, fisher_yates
 from .spectral import N_BANDS, band_powers
 
 
@@ -125,32 +126,54 @@ class AdamW:
     Update order per parameter: decay (p *= 1 - lr*wd), then the adaptive
     step p -= lr * m_hat / (sqrt(v_hat) + eps).  A missing gradient is
     treated as zero, so decay still applies.
+
+    The moments are two flat arrays over the tensors of `named`, in its
+    order.  A step is one pass of whole-vector numpy calls over the
+    concatenated gradients and parameters, after which each tensor's slice
+    is written back into its `data` in place; every operation is
+    elementwise, so the bits are a per-tensor loop's.  The finiteness check
+    covers the whole gradient vector first: a non-finite gradient raises
+    `TrainError`, naming the first such parameter in `named` order, before
+    any parameter, moment or the step count changes.
     """
 
     def __init__(self, named: dict[str, Tensor]):
         self.named = dict(named)
         self.t = 0
-        self._m = {k: np.zeros_like(v.data) for k, v in self.named.items()}
-        self._v = {k: np.zeros_like(v.data) for k, v in self.named.items()}
+        ends = np.cumsum([t.data.size for t in self.named.values()]).tolist()
+        self._cuts = [slice(end - t.data.size, end) for t, end in zip(self.named.values(), ends)]
+        self._m, self._v = np.zeros(ends[-1]), np.zeros(ends[-1])
 
     def step(self, lr: float) -> None:
+        tensors = self.named.values()
+        g = np.concatenate([np.zeros(t.data.shape) if t.grad is None else t.grad
+                            for t in tensors], axis=None)
+        if not np.isfinite(g).all():
+            for name, tensor in self.named.items():
+                if tensor.grad is not None and not np.isfinite(tensor.grad).all():
+                    raise TrainError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         bias1 = 1.0 - BETA1**self.t
         bias2 = 1.0 - BETA2**self.t
-        for name, tensor in self.named.items():
-            g = tensor.grad
-            if g is None:
-                g = np.zeros_like(tensor.data)
-            elif not np.all(np.isfinite(g)):
-                raise TrainError(f"non-finite gradient for parameter {name!r}")
-            tensor.data *= 1.0 - lr * WEIGHT_DECAY
-            m = self._m[name]
-            v = self._v[name]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g**2
-            tensor.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+        m, v = self._m, self._v
+        p = np.concatenate([t.data for t in tensors], axis=None)
+        p *= 1.0 - lr * WEIGHT_DECAY
+        m *= BETA1
+        u = g * (1.0 - BETA1)  # then lr * m_hat, then the step
+        m += u
+        v *= BETA2
+        g *= g  # then (1 - BETA2) * g**2, then sqrt(v_hat) + eps
+        g *= 1.0 - BETA2
+        v += g
+        np.divide(m, bias1, out=u)
+        u *= lr
+        np.divide(v, bias2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        u /= g
+        p -= u
+        for tensor, cut in zip(tensors, self._cuts):
+            tensor.data[...] = p[cut].reshape(tensor.data.shape)
             tensor.grad = None
 
 
@@ -170,20 +193,34 @@ def make_mask_plan(
     slots drawn uniformly without replacement.
 
     Column mode instead hides round(ratio * P) whole patch columns across
-    every channel.
+    every channel.  It is the one-sample case of `_mask_plans`.
     """
+    return _mask_plans([(channels, patches)], ratio, stream, mode)[0]
+
+
+def _mask_plans(shapes, ratio: float, stream: Rng, mode: str) -> list[np.ndarray]:
+    """One `make_mask_plan` mask per (C, P) of `shapes`, in order, from one
+    `stream.raw` call for the words of every sample, cut per sample; the
+    stream is counter-based, so the masks and the stream's end count are
+    bitwise those of one `make_mask_plan` call per sample."""
     if not 0 < ratio < 1:
         raise ConfigError(f"mask ratio must be in (0, 1), got {ratio}")
-    mask = np.zeros((channels, patches), dtype=bool)
-    if mode == "slot":
-        k = _round_half_up(ratio * channels * patches)
-        mask.flat[stream.sample_without_replacement(channels * patches, k)] = True
-    elif mode == "column":
-        k = _round_half_up(ratio * patches)
-        mask[:, stream.sample_without_replacement(patches, k)] = True
-    else:
+    if mode not in ("slot", "column"):
         raise ConfigError(f"unknown mask mode {mode!r}")
-    return mask
+    slot = mode == "slot"
+    counts = [_round_half_up(ratio * c * p if slot else ratio * p) for c, p in shapes]
+    words = stream.raw(sum(counts)).tolist()
+    masks, start = [], 0
+    for (c, p), k in zip(shapes, counts):
+        mask = np.zeros((c, p), dtype=bool)
+        picked = fisher_yates(c * p if slot else p, words[start : start + k])
+        if slot:
+            mask.flat[picked] = True
+        else:
+            mask[:, picked] = True
+        masks.append(mask)
+        start += k
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -520,17 +557,19 @@ def _finetune(head_loss, score, val_loss, grids: list[PatchGrid], splits,
     `val_loss(report)` the validation loss.  `head` (shapes, seed, setting)
     is the task head, added to `params` once `mode`, the splits and `steps`
     pass their checks.  The store then reads the train and test blocks, and
-    the validation block when validation runs (a checkpoint directory and a
-    non-empty block).  Probe mode trains the head's tensors only, on
-    encodings computed once: the frozen backbone maps each sample to the
-    same rows at every step."""
+    the validation block when validation runs (a checkpoint directory, a
+    non-empty block and at least `cfg.checkpoint_every` optimizer steps).
+    Probe mode trains the head's tensors only, on encodings computed once:
+    the frozen backbone maps each sample to the same rows at every step."""
     if mode not in ("full", "probe"):
         raise ConfigError(f"mode must be full|probe, got {mode!r}")
     train_idx, val_idx, test_idx = splits
     if len(train_idx) == 0 or len(test_idx) == 0:
         raise ConfigError(f"dataset of {len(grids)} samples leaves an empty split")
     _ensure_head(params, head, cfg, steps)
-    validates = checkpoint_dir is not None and len(val_idx) > 0
+    # validation runs at a cadence checkpoint, so only if one is reached
+    validates = (checkpoint_dir is not None and len(val_idx) > 0
+                 and steps // cfg.grad_accum >= cfg.checkpoint_every)
     store = _Samples(grids, model_cfg, [*train_idx, *test_idx, *(val_idx if validates else ())])
     trainable = dict(params.items())
     if mode == "probe":
@@ -582,8 +621,8 @@ def pretrain(
 
     def batch_loss(batch: list[int]) -> Tensor:
         # one mask per sample in batch order, whatever the shape groups
-        masks = [make_mask_plan(*corpus[i].patches.shape[:2], cfg.mask_ratio, mask_stream,
-                                cfg.mask_mode) for i in batch]
+        masks = _mask_plans([corpus[i].patches.shape[:2] for i in batch], cfg.mask_ratio,
+                            mask_stream, cfg.mask_mode)
 
         def group_loss(pos: list[int]) -> Tensor:
             mask = np.stack([masks[j] for j in pos])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import shutil
 import struct
@@ -27,14 +29,33 @@ def pytest_configure(config):
     os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", scratch)
 
 
+def blas_core() -> str:
+    """The kernel core OpenBLAS picked at run time (say `SkylakeX`), read
+    with `ctypes` from `scipy_openblas_get_corename64_` in the library
+    bundled with numpy; "unknown" where there is no such library or
+    function.  The build string may name another core (`Haswell`)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def pytest_report_header(config):
-    """Name the numpy and BLAS build the bitwise contracts were checked on:
-    BLAS picks its kernel, and so a product's bits, by the call's shape."""
+    """Name the numpy and BLAS build, and the BLAS kernel core, the bitwise
+    contracts were checked on: BLAS picks its kernel, and so a product's
+    bits, by the call's shape and by the core it runs on."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):  # numpy before 1.26 only prints its config
         blas = {}
-    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+            f"core {blas_core()}")
 
 
 def make_tone(freq_hz: float, fs: float, duration_s: float, channels: int = 1,

@@ -11,7 +11,8 @@ replacing them, `polyphase_oracle` is the resampler framed by hand around
 stage at a time, `OracleRng` and `synthetic_oracle` draw the random
 streams and the synthetic recording with whole-array formulas, and
 `csv_to_text` and `csv_from_text` are the recording CSV codec one value at
-a time.  `mul`, `transpose`, `matmul`, `mse`, `slice_` and `log` are the
+a time, and `adamw_loop_oracle` is the optimizer step one tensor at a
+time.  `mul`, `transpose`, `matmul`, `mse`, `slice_` and `log` are the
 primitive taped ops those chains and the gradient checks are built from,
 and `nll_chain` is the classification loss built from them; the model runs
 only the fused kernels in `fome.numerics`.
@@ -24,7 +25,8 @@ import math
 import numpy as np
 
 import fome.numerics as nm
-from fome.errors import ShapeError
+from fome import trainer
+from fome.errors import ShapeError, TrainError
 
 
 def naive_dft(x: np.ndarray) -> np.ndarray:
@@ -55,6 +57,30 @@ def adamw_scalar(p, g, lr, beta1, beta2, eps, wd, m=0.0, v=0.0, t=1):
     v = beta2 * v + (1 - beta2) * g * g
     p = p - lr * (m / (1 - beta1**t)) / (math.sqrt(v / (1 - beta2**t)) + eps)
     return p, m, v
+
+
+def adamw_loop_oracle(named, moments, t, lr):
+    """Step `t` (from 1) of AdamW as a loop over the tensors of `named`, each
+    with its own (m, v) arrays in `moments`, updated in place: the
+    per-tensor form of `trainer.AdamW`'s one pass over the concatenated
+    vectors.  A tensor ahead of a non-finite gradient has already stepped."""
+    beta1, beta2 = trainer.BETA1, trainer.BETA2
+    bias1 = 1.0 - beta1**t
+    bias2 = 1.0 - beta2**t
+    for name, tensor in named.items():
+        g = tensor.grad
+        if g is None:
+            g = np.zeros_like(tensor.data)
+        elif not np.all(np.isfinite(g)):
+            raise TrainError(f"non-finite gradient for parameter {name!r}")
+        tensor.data *= 1.0 - lr * trainer.WEIGHT_DECAY
+        m, v = moments[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g**2
+        tensor.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + trainer.ADAM_EPS)
+        tensor.grad = None
 
 
 def fbeta_closed_form(tp, fp, fn, beta):

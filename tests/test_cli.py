@@ -937,6 +937,19 @@ class TestErrors:
         payload = json.loads(result.stderr)
         assert payload["error"] == "SpecError" and "noise_std" in payload["message"], payload
 
+    @pytest.mark.parametrize("args", [["--duration", "1e12"], ["--rate", "1e300"],
+                                      ["--channels", "300", "--duration", "1000"],
+                                      # the budget is checked before any component is parsed
+                                      # or a default tone per channel is built
+                                      ["--channels", "100000000", "--components", "0:8"]],
+                             ids=["duration", "rate", "channels", "before_components"])
+    def test_synthesis_over_the_sample_budget_is_a_capacity_error(self, tmp_path, args):
+        result = run_cli(["synth", *args, "--out", str(tmp_path / "rec.feeg")])
+        assert result.returncode == 1 and result.stdout == b""
+        payload = json.loads(result.stderr)
+        assert payload["error"] == "CapacityError" and "budget" in payload["message"], payload
+        assert os.listdir(tmp_path) == []
+
 
 class TestFinetuneCommand:
     def test_classify_via_manifest(self, tmp_path):

@@ -13,7 +13,8 @@ from conftest import MiB, traced_peak
 from mutations import mutated
 from oracles import csv_from_text, csv_to_text, synthetic_oracle
 
-from fome.errors import DataError, FormatError, SpecError, decode_text
+from fome import signal_store
+from fome.errors import CapacityError, DataError, FormatError, SpecError, decode_text
 from fome.signal_store import (
     Component,
     Recording,
@@ -282,6 +283,12 @@ class TestGenerateSynthetic:
         with pytest.raises(SpecError):
             SyntheticSpec(channels=1, duration_s=1.0, sample_rate_hz=100.0, seed=0,
                           components=[Component(3, 10.0, 1.0, 0.0)])
+
+    def test_sample_budget_is_the_limit(self):
+        budget = signal_store._MAX_SYNTH_SAMPLES
+        SyntheticSpec(channels=4, duration_s=budget / 4, sample_rate_hz=1.0, seed=0)
+        with pytest.raises(CapacityError, match=f"budget of {budget} samples"):
+            SyntheticSpec(channels=4, duration_s=budget / 4 + 1, sample_rate_hz=1.0, seed=0)
 
 
 class TestSpectralCrossCheck:

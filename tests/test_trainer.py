@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (adamw_scalar, fbeta_closed_form, impute_report_oracle, mean_imputation,
-                     mse, mul, nll_chain)
+from oracles import (adamw_loop_oracle, adamw_scalar, fbeta_closed_form, impute_report_oracle,
+                     mean_imputation, mse, mul, nll_chain)
 
 from fome import model, trainer
 from fome.errors import ConfigError, DataError, TrainError
@@ -136,6 +136,50 @@ class TestAdamW:
         opt.step(0.1)
         assert p.grad is None
 
+    @staticmethod
+    def mixed_store(seed):
+        """Tensors of mixed shapes, one of them left without a gradient."""
+        gen = np.random.default_rng(seed)
+        shapes = {"a": (3, 4), "b": (5,), "c": (), "d": (2, 3, 2), "e": (4, 1)}
+        return {name: Tensor(gen.standard_normal(shape), requires_grad=True)
+                for name, shape in shapes.items()}
+
+    def test_one_pass_is_the_per_tensor_loop_bitwise(self):
+        named, reference = self.mixed_store(1), self.mixed_store(1)
+        moments = {k: (np.zeros(t.shape), np.zeros(t.shape)) for k, t in reference.items()}
+        opt = AdamW(named)
+        gen = np.random.default_rng(2)
+        for t, lr in enumerate([0.1, 0.05, 0.2, 1e-3, 0.3], start=1):
+            for name in named:
+                grad = None if name == "c" else gen.standard_normal(named[name].shape) * t
+                named[name].grad = grad
+                reference[name].grad = None if grad is None else grad.copy()
+            opt.step(lr)
+            adamw_loop_oracle(reference, moments, t, lr)
+            for name in named:
+                assert named[name].data.tobytes() == reference[name].data.tobytes(), name
+                assert named[name].grad is None and reference[name].grad is None
+        assert opt.t == 5
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_changes_nothing(self, bad):
+        named = self.mixed_store(3)
+        opt = AdamW(named)
+        for name, tensor in named.items():
+            tensor.grad = np.ones(tensor.shape)
+        opt.step(0.1)  # moments away from zero
+        for name, tensor in named.items():
+            tensor.grad = None if name == "a" else np.full(tensor.shape, 0.5)
+        named["d"].grad[1, 2, 0] = bad
+        named["e"].grad[0, 0] = np.nan
+        before = {name: t.data.tobytes() for name, t in named.items()}
+        moments = (opt._m.tobytes(), opt._v.tobytes())
+        with pytest.raises(TrainError, match="parameter 'd'"):
+            opt.step(0.1)
+        assert {name: t.data.tobytes() for name, t in named.items()} == before
+        assert (opt._m.tobytes(), opt._v.tobytes()) == moments
+        assert opt.t == 1
+
 
 class TestMaskPlan:
     def test_exact_count_and_uniqueness(self):
@@ -173,6 +217,21 @@ class TestMaskPlan:
             make_mask_plan(2, 5, 0.0, Rng(0))
         with pytest.raises(ConfigError):
             make_mask_plan(2, 5, 1.0, Rng(0))
+
+    def test_slot_count_rounds_ratio_times_channels_times_patches_in_that_order(self):
+        # (0.03 * 15) * 30 = 13.499999999999998, while 0.03 * (15 * 30) = 13.5
+        assert int(make_mask_plan(15, 30, 0.03, Rng(1)).sum()) == 13
+
+    @pytest.mark.parametrize("mode", ["slot", "column"])
+    def test_one_draw_per_batch_is_the_per_sample_draws(self, mode):
+        shapes = [(2, 15), (3, 7), (2, 15), (3, 7), (3, 7), (2, 15)]
+        batched, single = Rng(12), Rng(12)
+        batched.raw(5)  # both streams mid-way, at one count
+        single.raw(5)
+        masks = trainer._mask_plans(shapes, 0.4, batched, mode)
+        for mask, (c, p) in zip(masks, shapes):
+            assert mask.tobytes() == make_mask_plan(c, p, 0.4, single, mode).tobytes()
+        assert batched.raw(1).tobytes() == single.raw(1).tobytes()  # same end count
 
     @pytest.mark.parametrize("n, k", [(3, 4), (3, -1)])
     def test_impossible_draw_is_config_error(self, n, k):
@@ -702,6 +761,21 @@ class TestFinetuneClassify:
         # 24 training + 8 validation + 8 test samples; four validations ran
         assert len(grids) == 40
         assert set(grids) == {grid.patches.tobytes() for grid, _ in dataset}
+
+    def test_validation_block_unread_without_a_cadence_checkpoint(self, monkeypatch,
+                                                                  tmp_path):
+        grids = self.count_band_power_grids(monkeypatch)
+        cfg = preset("tiny")
+        params = ParameterStore.initialize(cfg, seed=25)
+        dataset = labeled_dataset(n=40)
+        report = finetune_classify(dataset, params, cfg,
+                                   flat_lr_config(seed=8, checkpoint_every=500), n_classes=2,
+                                   steps=4, checkpoint_dir=str(tmp_path))
+        # 4 optimizer steps never reach checkpoint 500, so no validation runs
+        assert len(grids) == 32
+        assert set(grids).isdisjoint(grid.patches.tobytes() for grid, _ in dataset[24:32])
+        assert report.checkpoints == [str(tmp_path / "final.fckp")]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["final.fckp"]
 
     def test_band_powers_one_call_per_shape_and_rate(self, monkeypatch):
         calls = []
